@@ -12,6 +12,10 @@ differentials are
 d1 d2 = 0 is the fundamental identity of the free calculus pushed through the
 (anti-homomorphic) adjoint evaluation, and is asserted at construction.
 
+The d2 formula is the definition; the computation is one prefix walk per word
+(``_fox_walk``) that fills every generator's block, bit for bit equal to it.
+Loop chains walk the 3-vector the chain is applied to, not the 3x3 prefix.
+
 The boundary torus gets its own cell structure (one 0-cell, 1-cells mu, la,
 one 2-cell glued along the commutator), whose differentials collapse to
 d2 = [[I-L], [M-I]] and d1 = [M-I | L-I] once M and L commute.
@@ -26,8 +30,8 @@ import numpy as np
 
 from . import linalg
 from .presentations import Presentation
-from .representations import Representation, ensure_relations, evaluate_ring
-from .words import Word, fox_derivative
+from .representations import Representation, ensure_relations, hp_invariant_vector
+from .words import Generator, Word
 
 SL2_BASIS_NAMES = ("E", "H", "F")
 
@@ -107,16 +111,38 @@ def _sl2_labels(cells: Sequence[str]) -> Tuple[str, ...]:
     return tuple(f"{cell}*{s}" for cell in cells for s in SL2_BASIS_NAMES)
 
 
+def _fox_walk(
+    word: Word, generators: Sequence[Generator], start, forward, backward
+) -> list:
+    """Fox blocks of ``word`` applied to ``start``, one per generator, in one pass.
+
+    With u the prefix so far, a letter g adds Ad(u) start to block g, then
+    extends u; g^-1 extends u first, then subtracts (d(g^-1)/dg = -g^-1).
+    ``forward`` / ``backward`` map names to Ad(g) / Ad(g)^-1 of any array type.
+    """
+    blocks = {g.name: np.zeros_like(start) for g in generators}
+    acc = start
+    for gen, sign in word.letters:
+        name = gen.name
+        if sign == 1:
+            blocks[name] = blocks[name] + acc
+            acc = forward[name] @ acc
+        else:
+            acc = backward[name] @ acc
+            blocks[name] = blocks[name] - acc
+    return [blocks[g.name] for g in generators]
+
+
 def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainComplex:
     """The twisted chain complex of the presentation 2-complex."""
     ensure_relations(pres, rep)
     n = len(pres.generators)
     m = len(pres.relators)
     d2 = np.zeros((3 * n, 3 * m), dtype=complex)
-    for i, gen in enumerate(pres.generators):
-        for j, rel in enumerate(pres.relators):
-            block = evaluate_ring(rep, fox_derivative(rel, gen))
-            d2[3 * i:3 * i + 3, 3 * j:3 * j + 3] = block
+    eye = np.eye(3, dtype=complex)
+    for j, rel in enumerate(pres.relators):
+        blocks = _fox_walk(rel, pres.generators, eye, rep._adjoints, rep._adjoint_invs)
+        d2[:, 3 * j:3 * j + 3] = np.vstack(blocks)
     d1 = np.zeros((3, 3 * n), dtype=complex)
     for i, gen in enumerate(pres.generators):
         d1[:, 3 * i:3 * i + 3] = rep.adjoint(gen) - np.eye(3)
@@ -215,9 +241,7 @@ def chain_of_loop(word: Word, vector, rep: Representation, pres: Presentation) -
     relator and an invariant vector this lands in the boundaries.
     """
     vector = np.asarray(vector, dtype=complex)
-    blocks = []
-    for gen in pres.generators:
-        blocks.append(evaluate_ring(rep, fox_derivative(word, gen)) @ vector)
+    blocks = _fox_walk(word, pres.generators, vector, rep._adjoints, rep._adjoint_invs)
     return np.concatenate(blocks)
 
 
@@ -230,38 +254,14 @@ def chain_of_loop_hp(
     t (p t p t^-1)^-b) pile up adjoint products of size z^(+-4 len) that cancel
     down to a small chain; in float64 that costs eight or more digits at the
     edge of the xi range, which is too coarse for the induced-map entries.
-    The walk below accumulates the Fox blocks letter by letter with mpmath
-    scalars, starting from matrices rebuilt at ``dps`` digits, and downcasts
-    only the finished chain.
+    So the invariant 3-vector is walked in mpmath (9 products per letter)
+    through the ``dps``-digit adjoints cached on the representation
+    (``Representation.hp_adjoints``); only the finished chain is downcast.
     """
     import mpmath
 
-    from .representations import (
-        _adjoint_entries,
-        _inv3,
-        _mat3_mul,
-        _mat3_vec,
-        hp_assignment,
-        hp_invariant_vector,
-    )
-
     with mpmath.mp.workdps(dps):
-        entries = hp_assignment(rep, dps)
-        vector = hp_invariant_vector(case, rep, dps)
-        adj = {name: _adjoint_entries(m) for name, m in entries.items()}
-        adj_inv = {name: _inv3(m) for name, m in adj.items()}
-        zero3 = [mpmath.mpc(0)] * 3
-        blocks = {g.name: list(zero3) for g in pres.generators}
-        acc = [[mpmath.mpc(1 if i == j else 0) for j in range(3)] for i in range(3)]
-        for gen, sign in word.letters:
-            name = gen.name
-            if sign == 1:
-                term = _mat3_vec(acc, vector)
-                blocks[name] = [b + t for b, t in zip(blocks[name], term)]
-                acc = _mat3_mul(adj[name], acc)
-            else:
-                acc = _mat3_mul(adj_inv[name], acc)
-                term = _mat3_vec(acc, vector)
-                blocks[name] = [b - t for b, t in zip(blocks[name], term)]
-        flat = [v for g in pres.generators for v in blocks[g.name]]
-        return np.array([complex(v) for v in flat])
+        forward, backward = rep.hp_adjoints(dps)
+        vector = np.array(hp_invariant_vector(case, rep, dps), dtype=object)
+        blocks = _fox_walk(word, pres.generators, vector, forward, backward)
+        return np.array([complex(v) for block in blocks for v in block])

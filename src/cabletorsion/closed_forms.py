@@ -132,12 +132,6 @@ def alexander_torus(a: int, t: complex) -> complex:
     return sum((-1) ** k * t ** (k - a) for k in range(2 * a + 1))
 
 
-@lru_cache(maxsize=None)
-def _cable_presentation(a: int, b: int) -> Presentation:
-    pres, _ = cable_exterior_presentation(a, b)
-    return pres
-
-
 # -- tau amplitudes -------------------------------------------------------------
 
 
@@ -151,7 +145,7 @@ def tau0(xi: complex, a: int, b: int) -> complex:
     """2 sinh(xi/2) / Delta(cable; e^xi), with Delta by the Fox route."""
     xi = complex(xi)
     delta = _guard_denominator(
-        alexander(_cable_presentation(a, b), cmath.exp(xi)), "Delta(cable; e^xi)"
+        alexander(cable_exterior_presentation(a, b)[0], cmath.exp(xi)), "Delta(cable; e^xi)"
     )
     return 2 * cmath.sinh(xi / 2) / delta
 

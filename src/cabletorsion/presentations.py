@@ -13,15 +13,17 @@ systems:
 
 The longitude of the cable is stored fully expanded into {p, t} letters:
 with q = t p t^-1 and r (p q)^b = t, it reduces to t p q^-b t p^{-3b-1}.
-All presentations here have deficiency one.
+All presentations here have deficiency one; each builder is cached per argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from .words import Generator, Word, parse_word, word_to_text
 
@@ -64,11 +66,15 @@ class PeripheralSystem:
 
     Names are drawn from {mu_C, lambda_C, mu, lambda}.  The cabling parameter
     b lives here (metadata), not in the presentation: the pattern relator is
-    b-independent.
+    b-independent.  Both maps are read-only: cached builders share them.
     """
 
-    words: Dict[str, Word]
-    metadata: Dict[str, int] = field(default_factory=dict)
+    words: Mapping[str, Word]
+    metadata: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "words", MappingProxyType(dict(self.words)))
+        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
     def __getitem__(self, name: str) -> Word:
         return self.words[name]
@@ -78,6 +84,7 @@ def _generators(*names: str) -> Tuple[Generator, ...]:
     return tuple(Generator(i, n) for i, n in enumerate(names))
 
 
+@lru_cache(maxsize=None)
 def torus_piece_presentation(a: int) -> tuple[Presentation, PeripheralSystem]:
     """Torus-knot group <x, y | (xy)^a x = y (xy)^a> with its peripheral system."""
     if a < 1:
@@ -92,6 +99,7 @@ def torus_piece_presentation(a: int) -> tuple[Presentation, PeripheralSystem]:
     return pres, peri
 
 
+@lru_cache(maxsize=None)
 def pattern_piece_presentation(b: int) -> tuple[Presentation, PeripheralSystem]:
     """Pattern group <p, t | ptpt = tptp>; b enters only the peripheral words."""
     if b < 1:
@@ -110,6 +118,7 @@ def pattern_piece_presentation(b: int) -> tuple[Presentation, PeripheralSystem]:
     return pres, peri
 
 
+@lru_cache(maxsize=None)
 def cable_exterior_presentation(a: int, b: int) -> tuple[Presentation, PeripheralSystem]:
     """Deficiency-one presentation of the cable exterior on generators x, y, p, t."""
     if a < 1:

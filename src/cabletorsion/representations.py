@@ -154,30 +154,6 @@ def _adjoint_entries(m):
     return [[cols[0][i], cols[1][i], cols[2][i]] for i in range(3)]
 
 
-def _mat3_mul(x, y):
-    return [
-        [sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3)] for i in range(3)
-    ]
-
-
-def _mat3_vec(x, v):
-    return [sum(x[i][k] * v[k] for k in range(3)) for i in range(3)]
-
-
-def _inv3(m):
-    """Adjugate-over-determinant inverse of a 3x3 nested list (generic scalars)."""
-    c = [
-        [
-            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    det = m[0][0] * c[0][0] + m[0][1] * c[0][1] + m[0][2] * c[0][2]
-    return [[c[j][i] / det for j in range(3)] for i in range(3)]
-
-
 def hp_assignment(rep: "Representation", dps: int = 40):
     """The representation's generator matrices rebuilt at ``dps`` digits.
 
@@ -247,7 +223,7 @@ def adjoint_matrix(m) -> np.ndarray:
 class Representation:
     """Generator-to-SL(2,C) assignment, with family bookkeeping.
 
-    ``assignment`` is keyed by generator name.  Adjoint matrices and their
+    ``assignment`` is keyed by generator name.  Inverses, adjoints and their
     inverses are cached at construction; instances are treated as immutable.
     """
 
@@ -261,15 +237,31 @@ class Representation:
     omega1: complex | None = None
     omega2: complex | None = None
     omega3: complex | None = None
+    _inverses: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _adjoints: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _adjoint_invs: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _hp_adjoints: Dict[int, tuple] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for name, m in self.assignment.items():
             check_sl2(m)
+            self._inverses[name] = np.linalg.inv(m)
             adj = adjoint_matrix(m)
             self._adjoints[name] = adj
             self._adjoint_invs[name] = np.linalg.inv(adj)
+
+    def hp_adjoints(self, dps: int = 40):
+        """(Ad(g), Ad(g^-1)) by name as mpmath object arrays at ``dps`` digits, built
+        on first use and kept on the instance (never in a process-wide cache)."""
+        if dps not in self._hp_adjoints:
+            import mpmath
+
+            with mpmath.mp.workdps(dps):
+                ents = hp_assignment(self, dps)
+                fwd = {n: np.array(_adjoint_entries(m), dtype=object) for n, m in ents.items()}
+                bwd = {n: np.array(_adjoint_entries(_inv2(m)), dtype=object) for n, m in ents.items()}
+            self._hp_adjoints[dps] = (fwd, bwd)
+        return self._hp_adjoints[dps]
 
     def _name(self, gen) -> str:
         return gen.name if isinstance(gen, Generator) else gen
@@ -291,8 +283,8 @@ def sl2_word_value(rep: Representation, word: Word) -> np.ndarray:
     """Plain (covariant) evaluation of a word: letters multiply left to right."""
     out = np.eye(2, dtype=complex)
     for gen, sign in word.letters:
-        m = rep.matrix(gen)
-        out = out @ (m if sign == 1 else np.linalg.inv(m))
+        name = gen.name
+        out = out @ (rep.assignment[name] if sign == 1 else rep._inverses[name])
     return out
 
 

@@ -62,12 +62,16 @@ class Word:
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
+        """Repeated squaring: O(log |n|) products instead of |n| re-reductions."""
+        base = self if n >= 0 else self.inverse()
+        out = Word()
+        n = abs(n)
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- queries -----------------------------------------------------------

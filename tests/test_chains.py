@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 
 from cabletorsion.chains import (
     ChainComplexError,
     chain_of_loop,
+    chain_of_loop_hp,
     class_coordinates,
     homology,
     presentation_complex,
@@ -15,12 +17,17 @@ from cabletorsion.presentations import (
     torus_piece_presentation,
 )
 from cabletorsion.representations import (
+    _adjoint_entries,
     abelian_representation,
+    evaluate_ring,
     evaluate_word,
+    hp_assignment,
+    hp_invariant_vector,
     invariant_vector,
     rep_build,
     theta1_matrix,
 )
+from cabletorsion.words import fox_derivative
 from conftest import assert_close, random_word
 
 XI = 0.3 + 0.1j
@@ -235,3 +242,74 @@ class TestChainOfLoop:
         cycle = chain_of_loop(pres.relators[0], u, rep_an, pres)
         coords = class_coordinates(cycle, [pad(v, 0), pad(u, 1)], cplx, 1)
         assert_close(coords, [0, 0], 1e-9)
+
+
+def _three_presentations(a, b):
+    return [
+        torus_piece_presentation(a)[0],
+        pattern_piece_presentation(b)[0],
+        cable_exterior_presentation(a, b)[0],
+    ]
+
+
+def _hp_reference(word, rep, pres, case, dps=40):
+    """Fox blocks by a 3x3 matrix accumulator at dps digits, applied to v per letter."""
+    with mpmath.mp.workdps(dps):
+        adj = {n: mpmath.matrix(_adjoint_entries(m)) for n, m in hp_assignment(rep, dps).items()}
+        vec = mpmath.matrix(hp_invariant_vector(case, rep, dps))
+        blocks = {g.name: mpmath.matrix(3, 1) for g in pres.generators}
+        acc = mpmath.eye(3)
+        for gen, sign in word.letters:
+            if sign == 1:
+                blocks[gen.name] += acc * vec
+                acc = adj[gen.name] * acc
+            else:
+                acc = adj[gen.name] ** -1 * acc
+                blocks[gen.name] -= acc * vec
+        return np.array([complex(blocks[g.name][i]) for g in pres.generators for i in range(3)])
+
+
+class TestFoxWalkMatchesReference:
+    """The prefix walk against fox_derivative + evaluate_ring, the exact definition."""
+
+    @pytest.mark.parametrize(
+        "family, a, b, index",
+        [
+            ("AN", 1, 6, 0),
+            ("AN", 3, 40, 0),
+            ("NN", 1, 7, (0, 0)),
+            ("NN", 3, 40, (0, 0)),
+            ("AA", 4, 80, None),
+        ],
+    )
+    def test_d2_blocks_bitwise(self, family, a, b, index):
+        rep = rep_build(family, XI, a, b, index)
+        for pres in _three_presentations(a, b):
+            d2 = presentation_complex(pres, rep).d(2)
+            for i, gen in enumerate(pres.generators):
+                for j, rel in enumerate(pres.relators):
+                    ref = evaluate_ring(rep, fox_derivative(rel, gen))
+                    assert np.array_equal(d2[3 * i:3 * i + 3, 3 * j:3 * j + 3], ref), (
+                        pres.label, gen.name, j,
+                    )
+
+    def test_chain_of_loop(self, rng, rep_an):
+        pres, peri = pattern_piece_presentation(6)
+        u = invariant_vector("U", rep_an)
+        words = [peri[name] for name in ("mu_C", "lambda_C", "mu", "lambda")]
+        words += [random_word(rng, pres.generators, 20) for _ in range(20)]
+        for word in words:
+            ref = np.concatenate(
+                [evaluate_ring(rep_an, fox_derivative(word, g)) @ u for g in pres.generators]
+            )
+            assert_close(chain_of_loop(word, u, rep_an, pres), ref, 1e-12)
+
+    @pytest.mark.parametrize("family, index, case", [("AN", 5, "U"), ("NN", (3, 1), "Ut")])
+    @pytest.mark.parametrize("re_xi", [1.0, -1.0, 0.05])
+    def test_chain_of_loop_hp_longitudes(self, family, index, case, re_xi):
+        rep = rep_build(family, complex(re_xi, 0.1), 3, 40, index)
+        for pres, peri in (torus_piece_presentation(3), pattern_piece_presentation(40)):
+            word = peri["lambda_C"]
+            ref = _hp_reference(word, rep, pres, case)
+            got = chain_of_loop_hp(word, rep, pres, case)
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), pres.label

@@ -133,3 +133,28 @@ class TestValidationAndJson:
         assert [g.name for g in back.generators] == [g.name for g in pres.generators]
         assert back.relators == pres.relators
         assert peri_back.words == peri.words
+
+
+class TestCaching:
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (torus_piece_presentation, (2,)),
+            (pattern_piece_presentation, (10,)),
+            (cable_exterior_presentation, (2, 10)),
+        ],
+    )
+    def test_builders_return_the_identical_objects(self, build, args):
+        first, second = build(*args), build(*args)
+        assert first is second
+
+    def test_shared_peripheral_system_is_read_only(self):
+        _, peri = pattern_piece_presentation(6)
+        with pytest.raises(TypeError):
+            peri.words["mu"] = Word()
+        with pytest.raises(TypeError):
+            peri.metadata["b"] = 7
+        with pytest.raises(TypeError):
+            del peri.words["lambda"]
+        assert peri.metadata["b"] == 6
+        assert pattern_piece_presentation(6)[1].words["mu"] == peri["mu"]

@@ -44,6 +44,17 @@ class TestWord:
         assert w("x^3") == w("x x x")
         assert w("x^-5") == (w("x") ** -5)
 
+    @pytest.mark.parametrize("text", ["x y x^-1", "x^2 y x^-2", "y^-1 x y x^-1 y", "x", ""])
+    def test_power_equals_repeated_product(self, text):
+        # words that cancel across the seam exercise reduction inside squaring
+        word = w(text)
+        for n in range(-9, 10):
+            base = word if n >= 0 else word.inverse()
+            expected = Word()
+            for _ in range(abs(n)):
+                expected = expected * base
+            assert word ** n == expected, n
+
     def test_parse_format_round_trip(self):
         text = "p t p t p^-1 t^-1 p^-1 t^-1"
         word = parse_word(text, (P, T))
