@@ -39,7 +39,7 @@ from .representations import (
     sl2_word_value,
     verify_relations,
 )
-from .linalg import basis_change_det, image_pivots, kernel_basis, numerical_rank
+from .linalg import image_pivots, kernel_basis, numerical_rank
 from .chains import (
     BasedChainComplex,
     chain_of_loop,
@@ -78,7 +78,7 @@ __all__ = [
     "Representation", "RepresentationError", "abelian_representation",
     "adjoint_matrix", "evaluate_ring", "evaluate_word", "index_range",
     "invariant_vector", "rep_build", "sl2_word_value", "verify_relations",
-    "basis_change_det", "image_pivots", "kernel_basis", "numerical_rank",
+    "image_pivots", "kernel_basis", "numerical_rank",
     "BasedChainComplex", "chain_of_loop", "class_coordinates", "homology",
     "presentation_complex", "torus_complex",
     "HomologyLift", "TorsionValue", "reidemeister_torsion", "torsion_equal",

@@ -2,8 +2,11 @@
 
 Complex numbers enter as "re,im" pairs and leave as two-element [re, im]
 arrays; JSON records carry a "schema": "1" field.  Exit codes: 0 all matches
-pass, 1 verification failure, 2 invalid parameters.  The rank tolerance can
-also be set through the TORSION_TOL_RANK environment variable.
+pass, 1 verification failure, 2 invalid parameters.  The TORSION_TOL_RANK
+environment variable sets the tolerance of the ranks read from singular values
+(``homology``, ``class_coordinates`` and the Mayer-Vietoris quotient); it must
+be finite and in (0, 1), otherwise the command exits 2.  Torsion ranks come
+from the homology lift counts, not from this tolerance.
 """
 
 from __future__ import annotations

@@ -181,21 +181,6 @@ def tau3(xi: complex, l: int, m: int, a: int, b: int) -> complex:
     )
 
 
-def tau(which: int, xi: complex, a: int, b: int, index=()) -> complex:
-    """Dispatcher: which in {0,1,2,3}; index carries j, k, or (l, m)."""
-    if isinstance(index, int):
-        index = (index,)
-    if which == 0:
-        return tau0(xi, a, b)
-    if which == 1:
-        return tau1(xi, index[0], a, b)
-    if which == 2:
-        return tau2(xi, index[0], a, b)
-    if which == 3:
-        return tau3(xi, index[0], index[1], a, b)
-    raise ClosedFormError(f"tau index {which} not in 0..3")
-
-
 # -- phase functions --------------------------------------------------------------
 
 
@@ -236,19 +221,6 @@ def s_torus(xi: complex, k: int, c: int, d: int) -> complex:
     """The torus-knot phase -(2 k pi i - c d xi)^2 / (4 c d)."""
     xi = complex(xi)
     return -((2 * k * math.pi * 1j - c * d * xi) ** 2) / (4 * c * d)
-
-
-def phase(which: str, xi: complex, **params) -> complex:
-    """Dispatcher: which in {"S1","S2","S3","Storus"} with keyword parameters."""
-    if which == "S1":
-        return s1(xi, params["j"], params["b"])
-    if which == "S2":
-        return s2(xi, params["k"], params["a"])
-    if which == "S3":
-        return s3(xi, params["l"], params["m"], params["a"], params["b"])
-    if which == "Storus":
-        return s_torus(xi, params["k"], params["c"], params["d"])
-    raise ClosedFormError(f"unknown phase tag {which!r}")
 
 
 def tau_torus(k: int, c: int, d: int) -> complex:

@@ -1,23 +1,23 @@
 """Dense complex linear algebra with explicit rank tolerances.
 
-Rank decisions use singular values (rank = number of sigma > tol * sigma_max);
-pivot selection for image bases uses column-pivoted orthogonalization on the
-same matrix, with deterministic tie-breaking (largest remaining column norm,
-lowest index on ties) so repeated runs pick identical bases.
+Rank decisions use singular values (rank = number of sigma > tol * sigma_max,
+counted once in ``_rank``); pivot selection for image bases uses
+column-pivoted orthogonalization on the same matrix, with deterministic
+tie-breaking (largest remaining column norm, lowest index on ties) so repeated
+runs pick identical bases.  The default tolerance comes from the
+``TORSION_TOL_RANK`` environment variable, read at import and validated at
+first use: it must be finite and in (0, 1).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Sequence
 
 import numpy as np
 
 DEFAULT_RANK_TOL = float(os.environ.get("TORSION_TOL_RANK", "1e-9"))
-
-
-class SpanError(ValueError):
-    """A vector expected to lie in a given span does not, within tolerance."""
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -29,32 +29,31 @@ def _as_matrix(m) -> np.ndarray:
     return arr
 
 
-def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
-    arr = _as_matrix(m)
-    if arr.size == 0:
-        return 0
-    sigma = np.linalg.svd(arr, compute_uv=False)
+def _rank(sigma: np.ndarray, tol: float) -> int:
+    """Number of singular values above tol * sigma_max (sigma sorted descending)."""
+    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
+        raise ValueError(
+            f"rank tolerance {tol!r} must be finite and in (0, 1); "
+            "TORSION_TOL_RANK sets the default"
+        )
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > tol * sigma[0]))
 
 
+def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
+    arr = _as_matrix(m)
+    sigma = np.linalg.svd(arr, compute_uv=False) if arr.size else np.zeros(0)
+    return _rank(sigma, tol)
+
+
 def kernel_basis(m, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the null space, rank decided by singular values."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     arr = _as_matrix(m)
-    ncols = arr.shape[1]
-    if ncols == 0:
-        return []
-    if arr.shape[0] == 0 or not arr.size:
-        return [np.eye(ncols, dtype=complex)[:, j] for j in range(ncols)]
+    if not arr.size:
+        return list(np.eye(arr.shape[1], dtype=complex)[_rank(np.zeros(0), tol):])
     _, sigma, vh = np.linalg.svd(arr)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sigma > tol * sigma[0]))
-    return [vh[j].conj() for j in range(rank, ncols)]
+    return [vh[j].conj() for j in range(_rank(sigma, tol), arr.shape[1])]
 
 
 def pivot_columns(m, rank: int, order: Sequence[int] | None = None) -> list[int]:
@@ -98,8 +97,6 @@ def pivot_columns(m, rank: int, order: Sequence[int] | None = None) -> list[int]
 
 def image_pivots(m, tol: float = DEFAULT_RANK_TOL) -> tuple[list[int], np.ndarray]:
     """Pivot column indices plus the corresponding column-space basis."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     arr = _as_matrix(m)
     rank = numerical_rank(arr, tol)
     idx = pivot_columns(arr, rank)
@@ -114,32 +111,7 @@ def image_basis_orthonormal(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     used wherever only the span matters, not a reproducible pivot choice.
     """
     arr = _as_matrix(m)
-    if arr.size == 0:
-        return np.zeros((arr.shape[0], 0), dtype=complex)
+    if not arr.size:
+        return np.zeros((arr.shape[0], _rank(np.zeros(0), tol)), dtype=complex)
     u, sigma, _ = np.linalg.svd(arr)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return np.zeros((arr.shape[0], 0), dtype=complex)
-    rank = int(np.count_nonzero(sigma > tol * sigma[0]))
-    return u[:, :rank]
-
-
-def basis_change_det(reference: Sequence, candidate: Sequence, tol: float = 1e-8) -> complex:
-    """Determinant of the coordinate matrix of ``candidate`` in terms of ``reference``.
-
-    Both lists must have the same length k; reference vectors must be linearly
-    independent and every candidate must lie in their span (residual checked
-    against tol times the candidate norm).
-    """
-    ref = np.column_stack([np.asarray(v, dtype=complex) for v in reference])
-    cand = np.column_stack([np.asarray(v, dtype=complex) for v in candidate])
-    if ref.shape != cand.shape:
-        raise ValueError(f"basis size mismatch: {ref.shape} vs {cand.shape}")
-    k = ref.shape[1]
-    if numerical_rank(ref) < k:
-        raise SpanError("reference vectors are linearly dependent")
-    coeffs, *_ = np.linalg.lstsq(ref, cand, rcond=None)
-    residual = np.linalg.norm(ref @ coeffs - cand)
-    scale = max(np.linalg.norm(cand), 1.0)
-    if residual > tol * scale:
-        raise SpanError(f"candidate outside span of reference (residual {residual:.3e})")
-    return complex(np.linalg.det(coeffs))
+    return u[:, :_rank(sigma, tol)]

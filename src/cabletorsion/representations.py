@@ -402,19 +402,9 @@ def _to_numpy_assignment(entries) -> Dict[str, np.ndarray]:
     return {name: np.array(m, dtype=complex) for name, m in entries.items()}
 
 
-def an_matrices(z: complex, omega2: complex, b: int) -> Dict[str, np.ndarray]:
-    """Generator matrices of the AN family for explicit z, omega2 (tests may perturb)."""
-    return _to_numpy_assignment(_family_entries("AN", z, 0, b, omega2=omega2))
-
-
 def na_matrices(z: complex, omega1: complex, a: int, b: int) -> Dict[str, np.ndarray]:
     """Generator matrices of the NA family; t = -p^(2b-8a-4) on the abelian side."""
     return _to_numpy_assignment(_family_entries("NA", z, a, b, omega1=omega1))
-
-
-def nn_matrices(z: complex, omega1: complex, omega3: complex, a: int, b: int) -> Dict[str, np.ndarray]:
-    """Generator matrices of the NN family in their theta1-tilde conjugated form."""
-    return _to_numpy_assignment(_family_entries("NN", z, a, b, omega1=omega1, omega3=omega3))
 
 
 def index_range(family: str, a: int, b: int) -> list[tuple[int, ...]]:
@@ -472,20 +462,19 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
     if family == "AA":
         if abs(z * z - 1) <= ABELIAN_GUARD:
             raise RepresentationError("z^2 too close to 1 for the abelian family")
-        assignment = _to_numpy_assignment(_family_entries("AA", z, a, b))
     elif family == "AN":
         (j,) = index
         omega2 = cmath.exp(1j * cmath.pi * (2 * j + 1) / (2 * b + 1))
-        assignment = an_matrices(z, omega2, b)
     elif family == "NA":
         (k,) = index
         omega1 = cmath.exp(1j * cmath.pi * (2 * k + 1) / (2 * a + 1))
-        assignment = na_matrices(z, omega1, a, b)
     else:
         l, m = index
         omega1 = cmath.exp(1j * cmath.pi * (2 * m + 1) / (2 * a + 1))
         omega3 = cmath.exp(1j * cmath.pi * (2 * l + 1) / (2 * b + 1 - 4 * (2 * a + 1)))
-        assignment = nn_matrices(z, omega1, omega3, a, b)
+    assignment = _to_numpy_assignment(
+        _family_entries(family, z, a, b, omega1=omega1, omega2=omega2, omega3=omega3)
+    )
     rep = Representation(
         family=family, assignment=assignment, xi=xi, a=a, b=b, index=index,
         z=z, omega1=omega1, omega2=omega2, omega3=omega3,

@@ -10,6 +10,12 @@ basis, and returns prod_i D_i^((-1)^(i+1)).  The result is well defined up to
 sign and up to the choices of b_i and of lifts (within their homology
 classes); comparisons therefore go through torsion_equal, which works modulo
 multiplication by -1.
+
+The size of each b_i, rank(d_i), is fixed by the chain dimensions and the
+number of lifts per degree, so the engine reads no rank from singular values.
+``TORSION_TOL_RANK`` (a value in (0, 1)) governs only the SVD rank readings
+elsewhere: ``chains.homology``, ``chains.class_coordinates`` and the
+Mayer-Vietoris quotient.
 """
 
 from __future__ import annotations
@@ -32,10 +38,6 @@ class TorsionValue:
     """A nonzero complex number carrying an intrinsic sign ambiguity."""
 
     value: complex
-
-    @property
-    def sign_ambiguous(self) -> bool:
-        return True
 
     def __mul__(self, other):
         return TorsionValue(self.value * _raw(other))
@@ -86,98 +88,26 @@ def _lift_table(lifts, top: int) -> Dict[int, List[np.ndarray]]:
 def reidemeister_torsion(
     cplx: BasedChainComplex,
     lifts=None,
-    tol: float = linalg.DEFAULT_RANK_TOL,
     rng: np.random.Generator | None = None,
 ) -> TorsionValue:
     """Torsion of the based complex; ``lifts`` may be HomologyLifts or a degree map.
 
-    Passing ``rng`` draws a random admissible b_i selection instead of the
-    deterministic pivot choice (used to confirm the result is independent of
-    that choice).  On a singular assembled basis the computation retries once
-    with the rank tolerance relaxed tenfold before failing with the degree.
+    The boundary ranks come from the lift counts alone (``_lift_ranks``); no
+    singular values are read, so ``TORSION_TOL_RANK`` plays no part here.
+    Pivot feasibility, the cycle residual of every lift and the conditioning
+    of every assembled basis are checked, and each failure raises a
+    TorsionError.  Passing ``rng`` draws a random admissible b_i selection
+    instead of the deterministic pivot choice (used to confirm the result is
+    independent of that choice).
     """
-    table = _lift_table(lifts, cplx.top)
-    try:
-        return _torsion_once(cplx, table, tol, rng)
-    except _SingularBasis as err:
-        try:
-            return _torsion_once(cplx, table, tol * 10, rng)
-        except _SingularBasis:
-            raise TorsionError(
-                f"assembled basis singular in degree {err.degree} "
-                f"(tolerance relaxed to {tol * 10:g}); wrong lifts or degenerate parameters"
-            ) from None
-
-
-class _SingularBasis(Exception):
-    def __init__(self, degree):
-        self.degree = degree
-
-
-def _choose_b(matrix: np.ndarray, rank: int, rng) -> list[int]:
-    if rank == 0 or matrix.size == 0:
-        return []
-    if rng is None:
-        return linalg.pivot_columns(matrix, rank)
-    order = rng.permutation(matrix.shape[1])
-    return linalg.pivot_columns(matrix, rank, order=order)
-
-
-def _derived_ranks(cplx, table) -> Dict[int, int] | None:
-    """Boundary ranks forced by the declared lift counts, or None if impossible.
-
-    With n_i lifts per degree, exactness of the based decomposition pins
-    rank(d_i) = dim C_i - n_i - rank(d_{i+1}) from the top down; the result is
-    admissible only if every rank is non-negative and d_0 comes out zero.
-    """
-    ranks: Dict[int, int] = {cplx.top + 1: 0}
-    for i in range(cplx.top, -1, -1):
-        r = cplx.dims[i] - len(table[i]) - ranks[i + 1]
-        if r < 0:
-            return None
-        ranks[i] = r
-    if ranks[0] != 0:
-        return None
-    ranks.pop(0)
-    return ranks
-
-
-def _torsion_once(cplx, table, tol, rng) -> TorsionValue:
     top = cplx.top
-    ranks: Dict[int, int] = {}
-    for i in range(1, top + 2):
-        mat = cplx.d(i)
-        ranks[i] = linalg.numerical_rank(mat, tol) if mat.size else 0
-
-    mismatch = any(
-        cplx.dims[i] - ranks.get(i, 0) - ranks.get(i + 1, 0) != len(table[i])
-        for i in range(top + 1)
-    )
-    if mismatch:
-        # Singular values of the desk-scale matrices can spread past the
-        # relative tolerance at extreme parameters; the lift counts pin the
-        # ranks independently, and pivot feasibility plus the nonsingular
-        # assembled bases below validate that reading.
-        derived = _derived_ranks(cplx, table)
-        if derived is not None and all(
-            derived[i] <= min(cplx.d(i).shape) for i in derived
-        ):
-            ranks = derived
-        else:
-            for i in range(top + 1):
-                needed = cplx.dims[i] - ranks.get(i, 0) - ranks.get(i + 1, 0)
-                if needed != len(table[i]):
-                    raise TorsionError(
-                        f"degree {i} needs {needed} homology lifts (dim {cplx.dims[i]}, "
-                        f"boundary ranks {ranks.get(i + 1, 0)}+{ranks.get(i, 0)}), "
-                        f"got {len(table[i])}"
-                    )
+    table = _lift_table(lifts, top)
+    ranks = _lift_ranks(cplx, table)
 
     b_cols: Dict[int, list[int]] = {}
     for i in range(1, top + 2):
-        mat = cplx.d(i)
         try:
-            b_cols[i] = _choose_b(mat, ranks[i], rng)
+            b_cols[i] = _choose_b(cplx.d(i), ranks[i], rng)
         except np.linalg.LinAlgError:
             raise TorsionError(
                 f"boundary d_{i} cannot supply {ranks[i]} numerically independent "
@@ -215,7 +145,43 @@ def _torsion_once(cplx, table, tol, rng) -> TorsionValue:
         assembled = np.column_stack(cols)
         sigma = np.linalg.svd(assembled, compute_uv=False)
         if sigma[0] == 0.0 or sigma[-1] < 1e-13 * sigma[0]:
-            raise _SingularBasis(i)
+            raise TorsionError(
+                f"assembled basis singular in degree {i}; "
+                "wrong lifts or degenerate parameters"
+            )
         det = np.linalg.det(assembled)
         result *= det ** ((-1) ** (i + 1))
     return TorsionValue(result)
+
+
+def _choose_b(matrix: np.ndarray, rank: int, rng) -> list[int]:
+    if rank == 0:
+        return []
+    if rng is None:
+        return linalg.pivot_columns(matrix, rank)
+    order = rng.permutation(matrix.shape[1])
+    return linalg.pivot_columns(matrix, rank, order=order)
+
+
+def _lift_ranks(cplx, table) -> Dict[int, int]:
+    """Boundary ranks rank(d_i), i >= 1, forced by the declared lift counts.
+
+    With n_i lifts per degree, exactness of the based decomposition pins
+    rank(d_i) = dim C_i - n_i - rank(d_{i+1}) from the top down.  A count is
+    impossible when a rank comes out negative or d_0 comes out nonzero.  A
+    possible count already keeps every rank within both dimensions of its
+    boundary matrix, so no separate shape check is needed.
+    """
+    ranks: Dict[int, int] = {cplx.top + 1: 0}
+    for i in range(cplx.top, -1, -1):
+        room = cplx.dims[i] - ranks[i + 1]
+        got = len(table[i])
+        if got > room or (i == 0 and got != room):
+            bound = "exactly" if i == 0 else "at most"
+            raise TorsionError(
+                f"degree {i} takes {bound} {room} homology lifts (dim {cplx.dims[i]}, "
+                f"rank d_{i + 1} = {ranks[i + 1]}), got {got}"
+            )
+        ranks[i] = room - got
+    del ranks[0]
+    return ranks

@@ -101,10 +101,6 @@ class Word:
         return f"Word({word_to_text(self)!r})"
 
 
-def identity_word() -> Word:
-    return Word()
-
-
 def parse_word(text: str, generators: Iterable[Generator]) -> Word:
     """Parse the whitespace-separated caret syntax into a Word.
 

@@ -120,3 +120,19 @@ class TestEnvironment:
             check=True,
         )
         assert float(out.stdout.strip()) == 1e-7
+
+    def test_invalid_rank_tol_exits_2(self):
+        # a zero tolerance would count roundoff singular values as rank and
+        # return a wrong value; it is refused at first use with exit code 2
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "cabletorsion.cli", "compute", "--family", "AN",
+             "--a", "1", "--b", "6", "--j", "0"],
+            env={**os.environ, "TORSION_TOL_RANK": "0"},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "TORSION_TOL_RANK" in proc.stderr

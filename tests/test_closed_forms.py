@@ -7,11 +7,9 @@ from cabletorsion.closed_forms import (
     ClosedFormError,
     alexander,
     alexander_torus,
-    phase,
     s1,
     s2,
     s_torus,
-    tau,
     tau0,
     tau1,
     tau2,
@@ -128,12 +126,6 @@ class TestTauAmplitudes:
         expected = 2 * cmath.sinh(XI / 2) / alexander(cable, cmath.exp(XI))
         assert abs(value - expected) < 1e-12 * abs(expected)
 
-    def test_dispatcher(self):
-        assert tau(1, XI, 1, 6, 0) == tau1(XI, 0, 1, 6)
-        assert tau(3, XI, 1, 7, (0, 0)) == tau3(XI, 0, 0, 1, 7)
-        with pytest.raises(ClosedFormError):
-            tau(4, XI, 1, 6, 0)
-
     def test_vanishing_denominator_reported(self):
         # cosh((2b+1-4(2a+1)) xi / 2) vanishes at xi = i pi for span 1
         with pytest.raises(ClosedFormError):
@@ -156,12 +148,6 @@ class TestPhases:
         value = s_torus(xi, 1, 2, 3)
         expected = -((2 * math.pi * 1j - 6 * xi) ** 2) / 24
         assert abs(value - expected) < 1e-12
-
-    def test_phase_dispatcher(self):
-        assert phase("S1", XI, j=0, b=6) == s1(XI, 0, 6)
-        assert phase("Storus", XI, k=1, c=2, d=3) == s_torus(XI, 1, 2, 3)
-        with pytest.raises(ClosedFormError):
-            phase("S9", XI)
 
 
 class TestTorusKnotPair:

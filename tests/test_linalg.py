@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from cabletorsion.linalg import (
-    SpanError,
-    basis_change_det,
+    image_basis_orthonormal,
     image_pivots,
     kernel_basis,
     numerical_rank,
@@ -86,35 +85,20 @@ class TestImagePivots:
         assert len(idx) == rank
 
 
-class TestBasisChangeDet:
-    def test_standard_against_standard(self):
-        e = list(np.eye(3))
-        assert abs(basis_change_det(e, e) - 1) < 1e-12
+class TestRankTolerance:
+    # one rule decides every rank reading: a tolerance outside (0, 1) would
+    # count roundoff singular values (or nothing) as rank, so it is refused
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, float("nan"), float("inf")])
+    def test_every_rank_reader_rejects_bad_tol(self, tol):
+        m = np.diag([1.0, 0.0])
+        for reader in (numerical_rank, kernel_basis, image_basis_orthonormal, image_pivots):
+            with pytest.raises(ValueError, match="TORSION_TOL_RANK"):
+                reader(m, tol)
 
-    def test_swap_gives_minus_one(self):
-        e = list(np.eye(2))
-        assert abs(basis_change_det(e, [e[1], e[0]]) + 1) < 1e-12
-
-    def test_diagonal_scaling(self):
-        e = list(np.eye(2))
-        cand = [np.array([2.0, 0.0]), np.array([0.0, 3.0])]
-        assert abs(basis_change_det(e, cand) - 6) < 1e-12
-
-    def test_multiplicative_under_composition(self, rng):
-        base = list((np.eye(3) + 0j))
-        mid = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3)]
-        top = [sum(rng.normal() * v for v in mid) for _ in range(3)]
-        d1 = basis_change_det(base, mid)
-        d2 = basis_change_det(mid, top)
-        d12 = basis_change_det(base, top)
-        assert abs(d1 * d2 - d12) <= 1e-10 * max(1.0, abs(d12))
-
-    def test_rejects_vector_outside_span(self):
-        ref = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        with pytest.raises(SpanError):
-            basis_change_det(ref, [ref[0], np.array([0.0, 0.0, 1.0])])
-
-    def test_rejects_dependent_reference(self):
-        ref = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
-        with pytest.raises(SpanError):
-            basis_change_det(ref, ref)
+    def test_empty_matrix_still_checks_tol(self):
+        for reader in (numerical_rank, kernel_basis, image_basis_orthonormal):
+            with pytest.raises(ValueError):
+                reader(np.zeros((0, 3)), -1.0)
+        assert numerical_rank(np.zeros((0, 3))) == 0
+        assert len(kernel_basis(np.zeros((0, 3)))) == 3
+        assert image_basis_orthonormal(np.zeros((3, 0))).shape == (3, 0)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from cabletorsion.chains import BasedChainComplex, presentation_complex, torus_complex
-from cabletorsion.closed_forms import alexander
+from cabletorsion.closed_forms import alexander, tau0
+from cabletorsion.linalg import numerical_rank
+from cabletorsion.mayer_vietoris import tor_E_abelian
 from cabletorsion.presentations import (
+    cable_exterior_presentation,
     pattern_piece_presentation,
     torus_piece_presentation,
 )
@@ -151,7 +154,7 @@ class TestEngineProperties:
 
     def test_lift_count_mismatch_raises(self, an_pattern):
         cplx, lifts, _ = an_pattern
-        with pytest.raises(TorsionError):
+        with pytest.raises(TorsionError, match="degree"):
             reidemeister_torsion(cplx, {2: lifts[2], 1: lifts[1][:1]})
 
     def test_non_cycle_lift_raises(self, an_pattern):
@@ -168,10 +171,32 @@ class TestEngineProperties:
 
     def test_singular_assembled_basis_names_the_degree(self):
         # a degree-0 "lift" that is itself a boundary makes the assembled
-        # basis singular; the error should survive the relaxed retry and say so
+        # basis singular; the engine raises at once and names the degree
         d1 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         cplx = BasedChainComplex((2, 2), (d1,))
         boundary_lift = np.array([1.0, 0.0], dtype=complex)
         cycle_lift = np.array([0.0, 1.0], dtype=complex)
         with pytest.raises(TorsionError, match="degree 0"):
             reidemeister_torsion(cplx, {0: [boundary_lift], 1: [cycle_lift]})
+
+
+class TestRanksFromLiftCounts:
+    # On the four-generator cable complex at these points the SVD of d2 counts
+    # fewer than its 9 columns above the rank tolerance (sigma_9 / sigma_1 is
+    # about 1e-11), while the lift counts pin rank d2 = 9; the engine follows
+    # the lift counts and still lands on the closed form.
+    @pytest.mark.parametrize("a, b, re", [(1, 6, 1.0), (2, 10, 0.6), (2, 20, 0.3)])
+    def test_abelian_direct_where_svd_undercounts(self, a, b, re):
+        xi = complex(re, 0.1)
+        pres, _ = cable_exterior_presentation(a, b)
+        cplx = presentation_complex(pres, rep_build("AA", xi, a, b))
+        assert cplx.d(2).shape[1] == 9
+        assert numerical_rank(cplx.d(2)) < 9
+        assert torsion_equal(tor_E_abelian(a, b, xi), tau0(xi, a, b) ** -2, 1e-8)
+
+    def test_impossible_count_names_the_degree(self):
+        # three lifts in degree 1 of a 2-dimensional C_1
+        cplx = BasedChainComplex((2, 2), (np.eye(2, dtype=complex),))
+        lifts = {1: [np.ones(2, dtype=complex)] * 3}
+        with pytest.raises(TorsionError, match="degree 1 takes at most 2"):
+            reidemeister_torsion(cplx, lifts)
