@@ -245,23 +245,19 @@ def chain_of_loop(word: Word, vector, rep: Representation, pres: Presentation) -
     return np.concatenate(blocks)
 
 
-def chain_of_loop_hp(
-    word: Word, rep: Representation, pres: Presentation, case: str, dps: int = 40
-) -> np.ndarray:
+def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: str) -> np.ndarray:
     """chain_of_loop with the family's invariant vector, in extended precision.
 
     Long peripheral words (the torus-piece longitude, the pattern-side
     t (p t p t^-1)^-b) pile up adjoint products of size z^(+-4 len) that cancel
     down to a small chain; in float64 that costs eight or more digits at the
     edge of the xi range, which is too coarse for the induced-map entries.
-    So the invariant 3-vector is walked in mpmath (9 products per letter)
-    through the ``dps``-digit adjoints cached on the representation
-    (``Representation.hp_adjoints``); only the finished chain is downcast.
+    So the invariant 3-vector is walked in FIXED_BITS-bit fixed point
+    (``_Fixed``, 9 products per letter) through the adjoints cached on the
+    representation (``Representation.hp_adjoints``); only the finished chain
+    is downcast, correctly rounded.
     """
-    import mpmath
-
-    with mpmath.mp.workdps(dps):
-        forward, backward = rep.hp_adjoints(dps)
-        vector = np.array(hp_invariant_vector(case, rep, dps), dtype=object)
-        blocks = _fox_walk(word, pres.generators, vector, forward, backward)
-        return np.array([complex(v) for block in blocks for v in block])
+    forward, backward = rep.hp_adjoints()
+    vector = np.array(hp_invariant_vector(case, rep), dtype=object)
+    blocks = _fox_walk(word, pres.generators, vector, forward, backward)
+    return np.array([complex(v) for block in blocks for v in block])

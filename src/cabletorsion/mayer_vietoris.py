@@ -170,7 +170,7 @@ def induced_maps(
     # phi_1: push mu_C and la_C into each piece and take class coordinates.
     # The longitude words are long enough that their Fox chains cancel
     # catastrophically in float64 at the edge of the xi range, so the chains
-    # are evaluated in extended precision.
+    # are walked in FIXED_BITS-bit fixed point (representations._Fixed).
     rows_c: List[np.ndarray] = []
     rows_d: List[np.ndarray] = []
     for word_c, word_d in (

@@ -56,7 +56,86 @@ def _mat(a, b, c, d) -> np.ndarray:
     return np.array([[a, b], [c, d]], dtype=complex)
 
 
-# 2x2 helpers over a generic scalar domain (complex or mpmath.mpc): the family
+FIXED_BITS = 200              # fraction bits of _Fixed: about 60 digits, absolute
+_ONE = 1 << FIXED_BITS
+
+
+class _Fixed:
+    """A complex number as two Python ints scaled by 2^FIXED_BITS.
+
+    Sums are exact and a product is the exact integer product shifted back
+    once, so the error is absolute: about 2^-FIXED_BITS per operation, whatever
+    the size of the entry.  Ints mix in exactly; nothing else does.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int = 0):
+        self.re, self.im = re, im
+
+    @classmethod
+    def from_mpc(cls, x) -> "_Fixed":
+        import mpmath
+
+        return cls(*(int(mpmath.nint(mpmath.ldexp(part, FIXED_BITS))) for part in (x.real, x.imag)))
+
+    def __add__(self, other):
+        o = _lift(other)
+        return _Fixed(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _lift(other)
+        return _Fixed(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return _lift(other) - self
+
+    def __neg__(self):
+        return _Fixed(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Fixed(self.re * other, self.im * other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _Fixed((a * c - b * d) >> FIXED_BITS, (a * d + b * c) >> FIXED_BITS)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, int):
+            return _Fixed(self.re // other, self.im // other)
+        c, d = other.re, other.im
+        den = c * c + d * d
+        return _Fixed(
+            ((self.re * c + self.im * d) << FIXED_BITS) // den,
+            ((self.im * c - self.re * d) << FIXED_BITS) // den,
+        )
+
+    def __rtruediv__(self, other):
+        return _lift(other) / self
+
+    def __pow__(self, n: int):
+        base, n = (self, n) if n >= 0 else (1 / self, -n)
+        out = _Fixed(_ONE)
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def __complex__(self):
+        return complex(self.re / _ONE, self.im / _ONE)  # int / int rounds correctly
+
+
+def _lift(x) -> _Fixed:
+    return x if isinstance(x, _Fixed) else _Fixed(x << FIXED_BITS)
+
+
+# 2x2 helpers over a generic scalar domain (complex or _Fixed): the family
 # formulas are written once, in scalar arithmetic, so the float constructors
 # and the extended-precision path cannot drift apart.
 
@@ -154,48 +233,24 @@ def _adjoint_entries(m):
     return [[cols[0][i], cols[1][i], cols[2][i]] for i in range(3)]
 
 
-def hp_assignment(rep: "Representation", dps: int = 40):
-    """The representation's generator matrices rebuilt at ``dps`` digits.
+def hp_assignment(rep: "Representation"):
+    """The representation's generator matrices rebuilt as ``_Fixed`` scalars.
 
-    Returns nested lists of mpmath scalars, reconstructed from the defining
-    data (xi, family, indices) with mpmath transcendentals, so downstream
+    Rebuilt from the defining data (xi, family, indices) through the
+    FIXED_BITS-bit z and roots of ``Representation.hp_scalars``, so downstream
     extended-precision evaluation does not inherit float64 rounding from the
     stored matrices.
     """
-    import mpmath
-
-    with mpmath.mp.workdps(dps):
-        z = mpmath.exp(mpmath.mpc(rep.xi) / 2)
-        roots = {}
-        if rep.family == "AN":
-            (j,) = rep.index
-            roots["omega2"] = mpmath.expjpi(mpmath.mpf(2 * j + 1) / (2 * rep.b + 1))
-        elif rep.family == "NA":
-            (k,) = rep.index
-            roots["omega1"] = mpmath.expjpi(mpmath.mpf(2 * k + 1) / (2 * rep.a + 1))
-        elif rep.family == "NN":
-            l, m = rep.index
-            roots["omega1"] = mpmath.expjpi(mpmath.mpf(2 * m + 1) / (2 * rep.a + 1))
-            span = 2 * rep.b + 1 - 4 * (2 * rep.a + 1)
-            roots["omega3"] = mpmath.expjpi(mpmath.mpf(2 * l + 1) / span)
-        return _family_entries(rep.family, z, rep.a, rep.b, **roots)
+    z, roots = rep.hp_scalars()
+    ents = _family_entries(rep.family, z, rep.a, rep.b, **roots)
+    # A matrix can come out all-int (NA t = -p^0); lift it so _inv2 stays exact.
+    return {n: [[_lift(e) for e in row] for row in m] for n, m in ents.items()}
 
 
-def hp_invariant_vector(case: str, rep: "Representation", dps: int = 40):
-    """Extended-precision counterpart of invariant_vector (list of mpmath scalars)."""
-    import mpmath
-
-    with mpmath.mp.workdps(dps):
-        z = mpmath.exp(mpmath.mpc(rep.xi) / 2)
-        omega = None
-        if case in ("U",):
-            (j,) = rep.index
-            omega = mpmath.expjpi(mpmath.mpf(2 * j + 1) / (2 * rep.b + 1))
-        elif case in ("Ut",):
-            l, _ = rep.index
-            span = 2 * rep.b + 1 - 4 * (2 * rep.a + 1)
-            omega = mpmath.expjpi(mpmath.mpf(2 * l + 1) / span)
-        return _invariant_entries(case, z, omega)
+def hp_invariant_vector(case: str, rep: "Representation"):
+    """Extended-precision counterpart of invariant_vector (list of ``_Fixed`` / int)."""
+    z, roots = rep.hp_scalars()
+    return _invariant_entries(case, z, roots.get("omega2" if case == "U" else "omega3"))
 
 
 def check_sl2(m: np.ndarray, tol: float = 1e-9) -> None:
@@ -240,7 +295,8 @@ class Representation:
     _inverses: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _adjoints: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _adjoint_invs: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    _hp_adjoints: Dict[int, tuple] = field(default_factory=dict, repr=False)
+    _hp_scalars: tuple | None = field(default=None, repr=False)
+    _hp_adjoints: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name, m in self.assignment.items():
@@ -250,18 +306,39 @@ class Representation:
             self._adjoints[name] = adj
             self._adjoint_invs[name] = np.linalg.inv(adj)
 
-    def hp_adjoints(self, dps: int = 40):
-        """(Ad(g), Ad(g^-1)) by name as mpmath object arrays at ``dps`` digits, built
-        on first use and kept on the instance (never in a process-wide cache)."""
-        if dps not in self._hp_adjoints:
+    def hp_scalars(self):
+        """(z, roots by name) as ``_Fixed``, from mpmath ``exp`` / ``expjpi`` at
+        FIXED_BITS + 16 bits; computed on first use and kept on the instance."""
+        if self._hp_scalars is None:
             import mpmath
 
-            with mpmath.mp.workdps(dps):
-                ents = hp_assignment(self, dps)
-                fwd = {n: np.array(_adjoint_entries(m), dtype=object) for n, m in ents.items()}
-                bwd = {n: np.array(_adjoint_entries(_inv2(m)), dtype=object) for n, m in ents.items()}
-            self._hp_adjoints[dps] = (fwd, bwd)
-        return self._hp_adjoints[dps]
+            a, b = self.a, self.b
+            fractions = {}  # name -> (k, den) of omega = exp(i pi (2k+1)/den)
+            if self.family == "AN":
+                fractions = {"omega2": (self.index[0], 2 * b + 1)}
+            elif self.family == "NA":
+                fractions = {"omega1": (self.index[0], 2 * a + 1)}
+            elif self.family == "NN":
+                l, m = self.index
+                fractions = {"omega1": (m, 2 * a + 1), "omega3": (l, 2 * b + 1 - 4 * (2 * a + 1))}
+            with mpmath.mp.workprec(FIXED_BITS + 16):
+                z = _Fixed.from_mpc(mpmath.exp(mpmath.mpc(self.xi) / 2))
+                roots = {
+                    name: _Fixed.from_mpc(mpmath.expjpi(mpmath.mpf(2 * k + 1) / den))
+                    for name, (k, den) in fractions.items()
+                }
+            self._hp_scalars = (z, roots)
+        return self._hp_scalars
+
+    def hp_adjoints(self):
+        """(Ad(g), Ad(g^-1)) by name as object arrays of ``_Fixed``, built on
+        first use and kept on the instance (never in a process-wide cache)."""
+        if self._hp_adjoints is None:
+            ents = hp_assignment(self)
+            fwd = {n: np.array(_adjoint_entries(m), dtype=object) for n, m in ents.items()}
+            bwd = {n: np.array(_adjoint_entries(_inv2(m)), dtype=object) for n, m in ents.items()}
+            self._hp_adjoints = (fwd, bwd)
+        return self._hp_adjoints
 
     def _name(self, gen) -> str:
         return gen.name if isinstance(gen, Generator) else gen
@@ -340,7 +417,8 @@ def ensure_relations(pres: Presentation, rep: Representation, tol: float = RELAT
 
     The fast float64 screen can fall short of the 1e-10 gate on long relators
     at the edge of the xi range even when the relation holds exactly; when the
-    representation carries family data, extended precision gets the last word.
+    representation carries family data, the FIXED_BITS-bit fixed-point check
+    (``_verify_relations_hp``) gets the last word.
     """
     report = verify_relations(pres, rep, tol)
     if not report.ok and _has_defining_data(rep):
@@ -362,28 +440,24 @@ def _has_defining_data(rep: Representation) -> bool:
     return len(rep.index) == expected
 
 
-def _verify_relations_hp(pres: Presentation, rep: Representation, tol: float, dps: int = 40) -> RelationReport:
-    """Relator check with matrices rebuilt at ``dps`` digits.
+def _verify_relations_hp(pres: Presentation, rep: Representation, tol: float) -> RelationReport:
+    """Relator check with the matrices rebuilt as FIXED_BITS-bit ``_Fixed`` scalars.
 
     Long relators multiply entries of size z^(+-4b) and float64 cannot always
     certify the identity to 1e-10 at the edge of the xi range; the deviation
     at extended precision decides whether the relation genuinely holds.
     """
-    import mpmath
-
-    with mpmath.mp.workdps(dps):
-        entries = hp_assignment(rep, dps)
-        inverses = {name: _inv2(m) for name, m in entries.items()}
-        devs = []
-        for rel in pres.relators:
-            value = _m2(1, 0, 0, 1)
-            for gen, sign in rel.letters:
-                step = entries[gen.name] if sign == 1 else inverses[gen.name]
-                value = _mul2(value, step)
-            dev = max(
-                abs(value[i][j] - (1 if i == j else 0)) for i in range(2) for j in range(2)
-            )
-            devs.append(float(dev))
+    entries = hp_assignment(rep)
+    inverses = {name: _inv2(m) for name, m in entries.items()}
+    devs = []
+    for rel in pres.relators:
+        value = _m2(1, 0, 0, 1)
+        for gen, sign in rel.letters:
+            step = entries[gen.name] if sign == 1 else inverses[gen.name]
+            value = _mul2(value, step)
+        devs.append(max(
+            abs(complex(value[i][j] - (1 if i == j else 0))) for i in range(2) for j in range(2)
+        ))
     return RelationReport(tuple(devs), tol)
 
 

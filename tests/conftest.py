@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 
+from cabletorsion.representations import FIXED_BITS
 from cabletorsion.words import Word
 
 
@@ -25,3 +27,30 @@ def assert_close(actual, expected, tol=1e-10, label=""):
     scale = max(1.0, float(np.max(np.abs(expected))))
     dev = float(np.max(np.abs(actual - expected)))
     assert dev <= tol * scale, f"{label} deviates by {dev:.3e} (scale {scale:.3e})"
+
+
+def mp_family_scalars(rep):
+    """z and the family's roots of unity in mpmath at its current precision,
+    computed from (xi, a, b, index) independently of the library's own copy."""
+    z = mpmath.exp(mpmath.mpc(rep.xi) / 2)
+    a, b = rep.a, rep.b
+
+    def root(k, den):
+        return mpmath.expjpi(mpmath.mpf(2 * k + 1) / den)
+
+    if rep.family == "AN":
+        return z, {"omega2": root(rep.index[0], 2 * b + 1)}
+    if rep.family == "NA":
+        return z, {"omega1": root(rep.index[0], 2 * a + 1)}
+    if rep.family == "NN":
+        l, m = rep.index
+        return z, {"omega1": root(m, 2 * a + 1), "omega3": root(l, 2 * b + 1 - 4 * (2 * a + 1))}
+    return z, {}
+
+
+def fixed_to_mpc(x):
+    """The value of a fixed-point scalar (or int) in mpmath, rounded only to the
+    current mpmath precision (exact while the mantissa fits)."""
+    if isinstance(x, int):
+        return mpmath.mpc(x)
+    return mpmath.mpc(mpmath.ldexp(x.re, -FIXED_BITS), mpmath.ldexp(x.im, -FIXED_BITS))

@@ -4,6 +4,7 @@ import pytest
 
 from cabletorsion.chains import (
     ChainComplexError,
+    _fox_walk,
     chain_of_loop,
     chain_of_loop_hp,
     class_coordinates,
@@ -18,17 +19,18 @@ from cabletorsion.presentations import (
 )
 from cabletorsion.representations import (
     _adjoint_entries,
+    _family_entries,
+    _invariant_entries,
     abelian_representation,
     evaluate_ring,
     evaluate_word,
-    hp_assignment,
     hp_invariant_vector,
     invariant_vector,
     rep_build,
     theta1_matrix,
 )
 from cabletorsion.words import fox_derivative
-from conftest import assert_close, random_word
+from conftest import assert_close, fixed_to_mpc, mp_family_scalars, random_word
 
 XI = 0.3 + 0.1j
 
@@ -253,10 +255,15 @@ def _three_presentations(a, b):
 
 
 def _hp_reference(word, rep, pres, case, dps=40):
-    """Fox blocks by a 3x3 matrix accumulator at dps digits, applied to v per letter."""
+    """Fox blocks as mpmath scalars at dps digits, by a 3x3 matrix accumulator
+    applied to v per letter.  The matrices come from the family formulas on
+    mpmath scalars, not from the fixed-point path under test."""
     with mpmath.mp.workdps(dps):
-        adj = {n: mpmath.matrix(_adjoint_entries(m)) for n, m in hp_assignment(rep, dps).items()}
-        vec = mpmath.matrix(hp_invariant_vector(case, rep, dps))
+        z, roots = mp_family_scalars(rep)
+        ents = _family_entries(rep.family, z, rep.a, rep.b, **roots)
+        adj = {n: mpmath.matrix(_adjoint_entries(m)) for n, m in ents.items()}
+        omega = roots.get("omega2" if case == "U" else "omega3")
+        vec = mpmath.matrix(_invariant_entries(case, z, omega))
         blocks = {g.name: mpmath.matrix(3, 1) for g in pres.generators}
         acc = mpmath.eye(3)
         for gen, sign in word.letters:
@@ -266,7 +273,7 @@ def _hp_reference(word, rep, pres, case, dps=40):
             else:
                 acc = adj[gen.name] ** -1 * acc
                 blocks[gen.name] -= acc * vec
-        return np.array([complex(blocks[g.name][i]) for g in pres.generators for i in range(3)])
+        return [blocks[g.name][i] for g in pres.generators for i in range(3)]
 
 
 class TestFoxWalkMatchesReference:
@@ -310,6 +317,34 @@ class TestFoxWalkMatchesReference:
         rep = rep_build(family, complex(re_xi, 0.1), 3, 40, index)
         for pres, peri in (torus_piece_presentation(3), pattern_piece_presentation(40)):
             word = peri["lambda_C"]
-            ref = _hp_reference(word, rep, pres, case)
+            ref = np.array([complex(v) for v in _hp_reference(word, rep, pres, case)])
             got = chain_of_loop_hp(word, rep, pres, case)
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), pres.label
+
+    @pytest.mark.parametrize(
+        "family, a, b, index, case, re_xi",
+        [("NA", 2, 12, 0, "W", 1.0), ("NA", 2, 12, 0, "W", -1.0)]
+        + [
+            (family, 3, 40, index, case, re_xi)
+            for family, index, case in (("AN", 5, "U"), ("NN", (3, 1), "Ut"))
+            for re_xi in (1.0, -1.0, 0.05)
+        ],
+    )
+    def test_chain_of_loop_hp_precision(self, family, a, b, index, case, re_xi):
+        """The fixed-point walk holds 30 digits against 80-digit mpmath where
+        float64 loses ten, and the returned chain is that walk rounded."""
+        rep = rep_build(family, complex(re_xi, 0.1), a, b, index)
+        for pres, peri in (torus_piece_presentation(a), pattern_piece_presentation(b)):
+            for name in ("mu_C", "lambda_C"):
+                word = peri[name]
+                ref = _hp_reference(word, rep, pres, case, dps=80)
+                vector = np.array(hp_invariant_vector(case, rep), dtype=object)
+                walked = _fox_walk(word, pres.generators, vector, *rep.hp_adjoints())
+                with mpmath.mp.workdps(80):
+                    got = [fixed_to_mpc(v) for block in walked for v in block]
+                    err = mpmath.norm([g - r for g, r in zip(got, ref)]) / mpmath.norm(ref)
+                assert err <= 1e-30, (pres.label, name, float(err))
+                rounded = np.array([complex(v) for v in ref])
+                assert np.linalg.norm(chain_of_loop_hp(word, rep, pres, case) - rounded) <= (
+                    1e-15 * np.linalg.norm(rounded)
+                ), (pres.label, name)

@@ -20,7 +20,7 @@ from cabletorsion.mayer_vietoris import (
 )
 from cabletorsion.presentations import cable_exterior_presentation
 from cabletorsion.representations import rep_build
-from cabletorsion.torsion import torsion_equal
+from cabletorsion.torsion import TorsionError, torsion_equal
 from conftest import assert_close
 
 XI = 0.3 + 0.1j
@@ -151,6 +151,13 @@ class TestTorE:
             constants.append(tor_E("NA", a, b, k, xi).value.value / factor)
         for c in constants[1:]:
             assert min(abs(c - constants[0]), abs(c + constants[0])) <= 1e-7 * abs(constants[0])
+
+    def test_na_edge_fails_in_the_torsion_not_the_relations(self):
+        # NA (3,40) at Re xi = 1: the relators hold (the representation builds),
+        # and the piece torsion then loses a boundary rank in float64
+        rep_build("NA", 1 + 0j, 3, 40, (0,))
+        with pytest.raises(TorsionError, match="cannot supply 2 numerically independent"):
+            tor_E("NA", 3, 40, (0,), 1 + 0j)
 
     def test_aa_not_routed_through_gluing(self):
         with pytest.raises(MayerVietorisError):

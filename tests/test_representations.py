@@ -1,5 +1,7 @@
 import cmath
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,8 +11,13 @@ from cabletorsion.presentations import (
     torus_piece_presentation,
 )
 from cabletorsion.representations import (
+    FIXED_BITS,
+    RELATION_TOL,
     Representation,
     RepresentationError,
+    _Fixed,
+    _family_entries,
+    _verify_relations_hp,
     abelian_representation,
     adjoint_matrix,
     evaluate_ring,
@@ -24,7 +31,7 @@ from cabletorsion.representations import (
     verify_relations,
 )
 from cabletorsion.words import GroupRingElement, Word, fox_derivative
-from conftest import assert_close, random_word
+from conftest import assert_close, fixed_to_mpc, mp_family_scalars, random_word
 
 XI = 0.3 + 0.1j
 A, B = 1, 6
@@ -284,3 +291,78 @@ class TestNNIndexConvention:
         )
         assert abs(value - m_based) < 1e-10 * m_based
         assert abs(value - l_based) > 1e-2 * l_based
+
+
+class TestFixedPoint:
+    """_Fixed arithmetic against mpmath at 80 digits (about 265 bits)."""
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        gen = random.Random(20260809)
+        out = []
+        while len(out) < 12:
+            # full-width random mantissas in the unit square, modulus at least 1/4
+            x = _Fixed(*(gen.getrandbits(FIXED_BITS + 1) - (1 << FIXED_BITS) for _ in range(2)))
+            if abs(complex(x)) >= 0.25:
+                out.append(x)
+        return out
+
+    def test_field_operations(self, operands):
+        ulp = mpmath.ldexp(1, -FIXED_BITS)
+        with mpmath.mp.workdps(80):
+            for x, y in zip(operands, operands[1:]):
+                ex, ey = fixed_to_mpc(x), fixed_to_mpc(y)
+                assert fixed_to_mpc(x + y) == ex + ey
+                assert fixed_to_mpc(x - y) == ex - ey
+                assert fixed_to_mpc(-x) == -ex
+                assert abs(fixed_to_mpc(x * y) - ex * ey) <= 2 * ulp
+                assert abs(fixed_to_mpc(x / y) - ex / ey) <= 2 * ulp
+
+    def test_mixed_with_int(self, operands):
+        ulp = mpmath.ldexp(1, -FIXED_BITS)
+        with mpmath.mp.workdps(80):
+            for x in operands:
+                ex = fixed_to_mpc(x)
+                for k in (-3, 1, 2, 7):
+                    assert fixed_to_mpc(x + k) == ex + k and fixed_to_mpc(k + x) == ex + k
+                    assert fixed_to_mpc(x - k) == ex - k and fixed_to_mpc(k - x) == k - ex
+                    assert fixed_to_mpc(x * k) == ex * k and fixed_to_mpc(k * x) == ex * k
+                    assert abs(fixed_to_mpc(x / k) - ex / k) <= 2 * ulp
+                    assert abs(fixed_to_mpc(k / x) - k / ex) <= 2 * ulp
+
+    def test_integer_powers(self, operands):
+        with mpmath.mp.workdps(80):
+            for x in operands:
+                ex = fixed_to_mpc(x)
+                for n in range(-9, 10):
+                    ref = ex ** n
+                    assert abs(fixed_to_mpc(x ** n) - ref) <= 1e-55 * max(1, abs(ref)), n
+                assert fixed_to_mpc(x ** 0) == 1
+
+    def test_complex_is_correctly_rounded(self, operands):
+        with mpmath.mp.workdps(80):
+            for x in operands + [_Fixed(1 << FIXED_BITS, -(3 << (FIXED_BITS - 2)))]:
+                ex = fixed_to_mpc(x)
+                assert complex(x) == complex(float(ex.real), float(ex.imag))  # mpf -> float rounds to nearest
+            # a tie below the last float bit rounds to even
+            half = _Fixed((1 << FIXED_BITS) + (1 << (FIXED_BITS - 53)))
+            assert complex(half) == 1.0
+
+
+class TestNAEdgeRelations:
+    """NA at (3,40), Re xi = 1: float64 cannot certify the relators, yet they hold."""
+
+    def test_relations_hold_in_extended_precision(self):
+        rep = rep_build("NA", 1 + 0j, 3, 40, (0,))
+        pres, _ = cable_exterior_presentation(3, 40)
+        assert not verify_relations(pres, rep).ok  # the float64 screen falls short
+        assert _verify_relations_hp(pres, rep, RELATION_TOL).max_deviation <= 1e-20
+        with mpmath.mp.workdps(80):
+            z, roots = mp_family_scalars(rep)
+            ents = _family_entries("NA", z, 3, 40, **roots)
+            for rel in pres.relators:
+                value = mpmath.eye(2)
+                for gen, sign in rel.letters:
+                    value = value * mpmath.matrix(ents[gen.name]) ** sign
+                dev = value - mpmath.eye(2)
+                assert max(abs(dev[i, j]) for i in range(2) for j in range(2)) <= 1e-20, rel
