@@ -35,6 +35,11 @@ from .words import Generator, Word
 
 SL2_BASIS_NAMES = ("E", "H", "F")
 
+BOUNDARY_SQUARE_TOL = 1e-9    # |d_i d_(i+1)| / (|d_i| |d_(i+1)|): the matrices form a complex
+COMMUTATOR_TOL = 1e-9         # |ML - LM| / (|M| |L|): the peripheral actions commute
+CYCLE_TOL = 1e-8              # class_coordinates: the vector is a cycle in the lifts' span
+SUBGROUP_TOL = 1e-20          # |Ad(word) v - v| / |v| after a fixed-point loop walk: it kept its digits
+
 
 class ChainComplexError(ValueError):
     pass
@@ -74,7 +79,7 @@ class BasedChainComplex:
             if lower.size and upper.size:
                 prod = lower @ upper
                 scale = max(np.linalg.norm(lower) * np.linalg.norm(upper), 1.0)
-                if np.linalg.norm(prod) > 1e-9 * scale:
+                if np.linalg.norm(prod) > BOUNDARY_SQUARE_TOL * scale:
                     raise ChainComplexError(
                         f"d_{i + 1} d_{i + 2} != 0 (relative residual "
                         f"{np.linalg.norm(prod) / scale:.3e})"
@@ -114,7 +119,12 @@ def _sl2_labels(cells: Sequence[str]) -> Tuple[str, ...]:
 def _fox_walk(
     word: Word, generators: Sequence[Generator], start, forward, backward
 ) -> list:
-    """Fox blocks of ``word`` applied to ``start``, one per generator, in one pass.
+    """Fox blocks of ``word`` applied to ``start``, one per generator, in one pass."""
+    return _fox_walk_to_end(word, generators, start, forward, backward)[0]
+
+
+def _fox_walk_to_end(word: Word, generators: Sequence[Generator], start, forward, backward):
+    """``_fox_walk`` plus its final accumulator, Ad(word) start.
 
     With u the prefix so far, a letter g adds Ad(u) start to block g, then
     extends u; g^-1 extends u first, then subtracts (d(g^-1)/dg = -g^-1).
@@ -130,7 +140,7 @@ def _fox_walk(
         else:
             acc = backward[name] @ acc
             blocks[name] = blocks[name] - acc
-    return [blocks[g.name] for g in generators]
+    return [blocks[g.name] for g in generators], acc
 
 
 def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainComplex:
@@ -162,7 +172,7 @@ def torus_complex(M, L) -> BasedChainComplex:
         raise ChainComplexError("torus complex needs two 3x3 matrices")
     commutator = M @ L - L @ M
     scale = max(np.linalg.norm(M) * np.linalg.norm(L), 1.0)
-    if np.linalg.norm(commutator) > 1e-9 * scale:
+    if np.linalg.norm(commutator) > COMMUTATOR_TOL * scale:
         raise ChainComplexError("peripheral adjoint actions do not commute")
     eye = np.eye(3)
     d2 = np.vstack([eye - L, M - eye])
@@ -205,7 +215,7 @@ def class_coordinates(
     lifts: Sequence,
     cplx: BasedChainComplex,
     degree: int,
-    tol: float = 1e-8,
+    tol: float = CYCLE_TOL,
 ) -> np.ndarray:
     """Coordinates of a cycle against homology lifts, modulo boundaries.
 
@@ -248,16 +258,32 @@ def chain_of_loop(word: Word, vector, rep: Representation, pres: Presentation) -
 def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: str) -> np.ndarray:
     """chain_of_loop with the family's invariant vector, in extended precision.
 
-    Long peripheral words (the torus-piece longitude, the pattern-side
-    t (p t p t^-1)^-b) pile up adjoint products of size z^(+-4 len) that cancel
+    Peripheral words pile up adjoint products of size z^(+-4 len) that cancel
     down to a small chain; in float64 that costs eight or more digits at the
     edge of the xi range, which is too coarse for the induced-map entries.
     So the invariant 3-vector is walked in FIXED_BITS-bit fixed point
     (``_Fixed``, 9 products per letter) through the adjoints cached on the
     representation (``Representation.hp_adjoints``); only the finished chain
-    is downcast, correctly rounded.
+    is downcast, correctly rounded.  Callers keep the words short: a longitude
+    is walked as its split h mu_C^k (``PeripheralSystem.splits``), never
+    letter by letter.
+
+    ``word`` must lie in the gluing-torus subgroup, which fixes the vector, so
+    the walk must end where it started.  The error of a fixed-point walk is
+    absolute, and a long word whose prefixes grow past 2^FIXED_BITS times the
+    chain loses every digit (the flat pattern longitude at NA (3,40),
+    Re xi = 1, ends 5e7 to 8e7 away); a deviation beyond SUBGROUP_TOL raises
+    instead of returning such a chain.
     """
     forward, backward = rep.hp_adjoints()
     vector = np.array(hp_invariant_vector(case, rep), dtype=object)
-    blocks = _fox_walk(word, pres.generators, vector, forward, backward)
+    blocks, end = _fox_walk_to_end(word, pres.generators, vector, forward, backward)
+    deviation = max(abs(complex(e - v)) for e, v in zip(end, vector))
+    scale = max(abs(complex(v)) for v in vector)
+    if deviation > SUBGROUP_TOL * scale:
+        raise ChainComplexError(
+            f"the {case} vector is not returned by a loop of {len(word)} letters "
+            f"(relative deviation {deviation / scale:.3e} > {SUBGROUP_TOL:g}): "
+            "the word is not in the gluing-torus subgroup or the fixed-point walk lost its digits"
+        )
     return np.array([complex(v) for block in blocks for v in block])

@@ -18,6 +18,8 @@ from typing import Sequence
 import numpy as np
 
 DEFAULT_RANK_TOL = float(os.environ.get("TORSION_TOL_RANK", "1e-9"))
+PIVOT_TOL = 1e-13             # greedy pivots: a chosen column adds a direction of the span
+PIVOT_ORDER_TOL = 1e-12       # pivots from a given order: a kept column enlarges the span
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -75,7 +77,7 @@ def pivot_columns(m, rank: int, order: Sequence[int] | None = None) -> list[int]
         for _ in range(rank):
             norms = np.linalg.norm(work, axis=0)
             j = int(np.argmax(norms))
-            if norms[j] <= 1e-13 * scale0:
+            if norms[j] <= PIVOT_TOL * scale0:
                 raise np.linalg.LinAlgError("matrix rank smaller than requested pivots")
             q = work[:, j] / norms[j]
             chosen.append(j)
@@ -84,7 +86,7 @@ def pivot_columns(m, rank: int, order: Sequence[int] | None = None) -> list[int]
         scale = max(np.linalg.norm(arr, axis=0).max(), 1.0)
         for j in order:
             residual = np.linalg.norm(work[:, j])
-            if residual > 1e-12 * scale:
+            if residual > PIVOT_ORDER_TOL * scale:
                 q = work[:, j] / residual
                 chosen.append(j)
                 work = work - np.outer(q, q.conj() @ work)

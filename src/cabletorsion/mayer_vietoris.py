@@ -20,7 +20,12 @@ the outer torus; v = v' in the NA family):
         basepoint x v in degree 0 when the pattern side is abelian
 
 phi_1 is computed honestly: express mu_C and la_C in each piece's generators,
-take chain_of_loop, and read coordinates against the piece's homology basis.
+take their loop chains on the gluing-torus vector, and read coordinates
+against the piece's homology basis.  The chains are walked in fixed point
+(``chain_of_loop_hp``), and the longitude through its split la_C = h mu_C^k
+(h = t, k = -b in D; h = y (xy)^{2a}, k = -(4a+1) in C): the vector is fixed
+by the whole gluing-torus subgroup, so chain(la_C) = chain(h) + k chain(mu_C),
+and a call walks 4a + 7 letters whatever b is.
 phi_2 and phi_0 use the conjugate-relator decompositions quoted above.  The
 connecting maps psi_k and delta_k are then pinned by exactness plus the
 normalization that each designated generating class maps to the matching
@@ -61,6 +66,8 @@ from .representations import (
 from .torsion import HomologyLift, TorsionValue, reidemeister_torsion
 
 NONABELIAN_FAMILIES = ("AN", "NA", "NN")
+
+EXACTNESS_TOL = 1e-8          # rank tolerance under which the nine-slot sequence must be exact
 
 
 class MayerVietorisError(ValueError):
@@ -146,6 +153,22 @@ def build_gluing_torus(family: str, rep: Representation, a: int) -> PieceData:
     return PieceData("S", cplx, lifts, tor)
 
 
+def _gluing_chains(
+    rep: Representation, pres: Presentation, peri: PeripheralSystem, case: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Chains of mu_C and la_C in one piece, on the gluing-torus vector ``case``.
+
+    The vector is fixed by the gluing-torus subgroup, where the crossed-
+    homomorphism rule makes u -> chain(u) additive; with la_C = h mu_C^k
+    (``PeripheralSystem.splits``) the longitude's chain is
+    chain(h) + k chain(mu_C), summed in float64 after the rounded downcast.
+    So only mu_C and h are walked in fixed point, however large b is.
+    """
+    mu = chain_of_loop_hp(peri["mu_C"], rep, pres, case)
+    head, k = peri.splits["lambda_C"]
+    return mu, chain_of_loop_hp(head, rep, pres, case) + k * mu
+
+
 @dataclass
 class InducedMaps:
     """Matrices of phi_k = i^C_* + i^D_* in the designated homology bases."""
@@ -168,19 +191,13 @@ def induced_maps(
     pres_d, peri_d = piece_d.presentation, piece_d.peripheral
 
     # phi_1: push mu_C and la_C into each piece and take class coordinates.
-    # The longitude words are long enough that their Fox chains cancel
-    # catastrophically in float64 at the edge of the xi range, so the chains
-    # are walked in FIXED_BITS-bit fixed point (representations._Fixed).
     rows_c: List[np.ndarray] = []
     rows_d: List[np.ndarray] = []
-    for word_c, word_d in (
-        (peri_c["mu_C"], peri_d["mu_C"]),
-        (peri_c["lambda_C"], peri_d["lambda_C"]),
+    for cyc_c, cyc_d in zip(
+        _gluing_chains(rep, pres_c, peri_c, case), _gluing_chains(rep, pres_d, peri_d, case)
     ):
-        cyc = chain_of_loop_hp(word_c, rep, pres_c, case)
-        rows_c.append(class_coordinates(cyc, piece_c.lifts[1], piece_c.complex, 1))
-        cyc = chain_of_loop_hp(word_d, rep, pres_d, case)
-        rows_d.append(class_coordinates(cyc, piece_d.lifts[1], piece_d.complex, 1))
+        rows_c.append(class_coordinates(cyc_c, piece_c.lifts[1], piece_c.complex, 1))
+        rows_d.append(class_coordinates(cyc_d, piece_d.lifts[1], piece_d.complex, 1))
     phi1 = np.column_stack([np.concatenate([rc, rd]) for rc, rd in zip(rows_c, rows_d)])
 
     # phi_2: the S-commutator bounds the D 2-cell directly, and bounds the C
@@ -284,7 +301,7 @@ def build_mv_sequence(family: str, maps: InducedMaps, pieces: Dict[str, PieceDat
         )
     )
     seq = BasedChainComplex(dims, boundaries, labels)
-    betti = homology(seq, tol=1e-8).dims
+    betti = homology(seq, tol=EXACTNESS_TOL).dims
     if any(betti):
         raise MayerVietorisError(f"Mayer-Vietoris sequence is not exact: homology dims {betti}")
     return seq

@@ -13,6 +13,9 @@ systems:
 
 The longitude of the cable is stored fully expanded into {p, t} letters:
 with q = t p t^-1 and r (p q)^b = t, it reduces to t p q^-b t p^{-3b-1}.
+In both pieces the gluing-torus longitude also comes split as
+lambda_C = h mu_C^k with h in the gluing-torus subgroup: h = t, k = -b on the
+pattern side and h = y (xy)^{2a}, k = -(4a+1) on the torus side.
 All presentations here have deficiency one; each builder is cached per argument.
 """
 
@@ -66,15 +69,18 @@ class PeripheralSystem:
 
     Names are drawn from {mu_C, lambda_C, mu, lambda}.  The cabling parameter
     b lives here (metadata), not in the presentation: the pattern relator is
-    b-independent.  Both maps are read-only: cached builders share them.
+    b-independent.  ``splits[name] = (h, k)`` records words[name] = h mu_C^k
+    with h in the gluing-torus subgroup.  All maps are read-only: cached
+    builders share them.
     """
 
     words: Mapping[str, Word]
     metadata: Mapping[str, int] = field(default_factory=dict)
+    splits: Mapping[str, Tuple[Word, int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "words", MappingProxyType(dict(self.words)))
-        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
+        for name in ("words", "metadata", "splits"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def __getitem__(self, name: str) -> Word:
         return self.words[name]
@@ -94,8 +100,9 @@ def torus_piece_presentation(a: int) -> tuple[Presentation, PeripheralSystem]:
     xy = xw * yw
     relator = (xy ** a) * xw * (xy ** -a) * yw.inverse()
     pres = Presentation(f"torus_piece(a={a})", (x, y), (relator,))
-    lam = yw * (xy ** (2 * a)) * (xw ** (-4 * a - 1))
-    peri = PeripheralSystem({"mu_C": xw, "lambda_C": lam}, {"a": a})
+    head, k = yw * (xy ** (2 * a)), -4 * a - 1
+    lam = head * (xw ** k)
+    peri = PeripheralSystem({"mu_C": xw, "lambda_C": lam}, {"a": a}, {"lambda_C": (head, k)})
     return pres, peri
 
 
@@ -109,11 +116,13 @@ def pattern_piece_presentation(b: int) -> tuple[Presentation, PeripheralSystem]:
     relator = pw * tw * pw * tw * pw.inverse() * tw.inverse() * pw.inverse() * tw.inverse()
     pres = Presentation(f"pattern_piece(b={b})", (p, t), (relator,))
     mu_c = pw * tw * pw * tw.inverse()          # the gluing word for x
-    lam_c = tw * (mu_c ** -b)                    # r = t (pq)^-b
+    head, k = tw, -b
+    lam_c = head * (mu_c ** k)                   # r = t (pq)^-b
     q = tw * pw * tw.inverse()
     lam = tw * pw * (q ** -b) * tw * (pw ** (-3 * b - 1))
     peri = PeripheralSystem(
-        {"mu_C": mu_c, "lambda_C": lam_c, "mu": pw, "lambda": lam}, {"b": b}
+        {"mu_C": mu_c, "lambda_C": lam_c, "mu": pw, "lambda": lam}, {"b": b},
+        {"lambda_C": (head, k)},
     )
     return pres, peri
 

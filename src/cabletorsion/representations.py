@@ -44,6 +44,7 @@ F_MAT = np.array([[0, 0], [1, 0]], dtype=complex)
 FAMILIES = ("AA", "AN", "NA", "NN")
 
 RELATION_TOL = 1e-10
+SL2_DET_TOL = 1e-9            # |det - 1| of each generator matrix: it lies in SL(2,C)
 XI_REAL_GUARD = 1e-3          # theta2 contains z^2/(z^4-1); keep z^4 off 1
 ABELIAN_GUARD = 1e-6          # |z^2 - 1| must exceed this in the AA family
 
@@ -247,13 +248,28 @@ def hp_assignment(rep: "Representation"):
     return {n: [[_lift(e) for e in row] for row in m] for n, m in ents.items()}
 
 
+class _LazyAdjoints(dict):
+    """Ad(g), or Ad(g^-1) when ``inverse``, by generator name, built from the
+    ``_Fixed`` generator matrices on first lookup."""
+
+    def __init__(self, entries, inverse: bool):
+        super().__init__()
+        self._entries, self._inverse = entries, inverse
+
+    def __missing__(self, name):
+        m = self._entries[name]
+        adj = np.array(_adjoint_entries(_inv2(m) if self._inverse else m), dtype=object)
+        self[name] = adj
+        return adj
+
+
 def hp_invariant_vector(case: str, rep: "Representation"):
     """Extended-precision counterpart of invariant_vector (list of ``_Fixed`` / int)."""
     z, roots = rep.hp_scalars()
     return _invariant_entries(case, z, roots.get("omega2" if case == "U" else "omega3"))
 
 
-def check_sl2(m: np.ndarray, tol: float = 1e-9) -> None:
+def check_sl2(m: np.ndarray, tol: float = SL2_DET_TOL) -> None:
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if abs(det - 1) > tol:
         raise RepresentationError(f"matrix determinant {det} is not 1 within {tol}")
@@ -331,13 +347,12 @@ class Representation:
         return self._hp_scalars
 
     def hp_adjoints(self):
-        """(Ad(g), Ad(g^-1)) by name as object arrays of ``_Fixed``, built on
-        first use and kept on the instance (never in a process-wide cache)."""
+        """(Ad(g), Ad(g^-1)) by name as object arrays of ``_Fixed``, each
+        matrix built on first lookup and kept on the instance (never in a
+        process-wide cache); the loop walks read only a few of the eight."""
         if self._hp_adjoints is None:
             ents = hp_assignment(self)
-            fwd = {n: np.array(_adjoint_entries(m), dtype=object) for n, m in ents.items()}
-            bwd = {n: np.array(_adjoint_entries(_inv2(m)), dtype=object) for n, m in ents.items()}
-            self._hp_adjoints = (fwd, bwd)
+            self._hp_adjoints = (_LazyAdjoints(ents, False), _LazyAdjoints(ents, True))
         return self._hp_adjoints
 
     def _name(self, gen) -> str:

@@ -28,6 +28,8 @@ import numpy as np
 from . import linalg
 from .chains import BasedChainComplex
 
+LIFT_CYCLE_TOL = 1e-8         # |d_i lift| / (|d_i| |lift|): each homology lift is a cycle
+BASIS_CONDITION_TOL = 1e-13   # sigma_min / sigma_max of an assembled basis: it is a basis
 
 class TorsionError(ValueError):
     pass
@@ -123,7 +125,7 @@ def reidemeister_torsion(
             if d_i.size:
                 resid = np.linalg.norm(d_i @ chain)
                 scale = max(np.linalg.norm(d_i) * np.linalg.norm(chain), 1.0)
-                if resid > 1e-8 * scale:
+                if resid > LIFT_CYCLE_TOL * scale:
                     raise TorsionError(
                         f"degree-{i} lift is not a cycle (residual {resid / scale:.3e})"
                     )
@@ -144,7 +146,7 @@ def reidemeister_torsion(
             cols.append(unit)
         assembled = np.column_stack(cols)
         sigma = np.linalg.svd(assembled, compute_uv=False)
-        if sigma[0] == 0.0 or sigma[-1] < 1e-13 * sigma[0]:
+        if sigma[0] == 0.0 or sigma[-1] < BASIS_CONDITION_TOL * sigma[0]:
             raise TorsionError(
                 f"assembled basis singular in degree {i}; "
                 "wrong lifts or degenerate parameters"

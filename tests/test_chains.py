@@ -12,6 +12,7 @@ from cabletorsion.chains import (
     presentation_complex,
     torus_complex,
 )
+from cabletorsion.mayer_vietoris import _gluing_chains
 from cabletorsion.presentations import (
     cable_exterior_presentation,
     pattern_piece_presentation,
@@ -348,3 +349,25 @@ class TestFoxWalkMatchesReference:
                 assert np.linalg.norm(chain_of_loop_hp(word, rep, pres, case) - rounded) <= (
                     1e-15 * np.linalg.norm(rounded)
                 ), (pres.label, name)
+
+
+class TestGluingSubgroupWalk:
+    """A loop walk must return the gluing-torus vector to itself."""
+
+    @pytest.mark.parametrize("xi", [1 + 0j, 1 + 1j, 1 - 1j])
+    def test_split_longitude_where_the_flat_walk_fails(self, xi):
+        # NA (3,40) at Re xi = 1: the flat pattern longitude's prefixes outgrow
+        # the fixed-point walk, which raises; the split h mu_C^k walk holds.
+        rep = rep_build("NA", xi, 3, 40, (0,))
+        pres, peri = pattern_piece_presentation(40)
+        word = peri["lambda_C"]
+        ref = np.array([complex(v) for v in _hp_reference(word, rep, pres, "W", dps=120)])
+        _, split = _gluing_chains(rep, pres, peri, "W")
+        assert np.linalg.norm(split - ref) <= 1e-14 * np.linalg.norm(ref)
+        with pytest.raises(ChainComplexError, match="relative deviation"):
+            chain_of_loop_hp(word, rep, pres, "W")
+
+    def test_word_outside_the_subgroup_raises(self, rep_an):
+        pres, _ = pattern_piece_presentation(6)
+        with pytest.raises(ChainComplexError, match="not in the gluing-torus subgroup"):
+            chain_of_loop_hp(pres.word("p"), rep_an, pres, "U")

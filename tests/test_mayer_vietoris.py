@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from cabletorsion import mayer_vietoris
 from cabletorsion.chains import homology, presentation_complex
 from cabletorsion.closed_forms import tau0, theorem_rhs
 from cabletorsion.linalg import numerical_rank
@@ -151,6 +152,23 @@ class TestTorE:
             constants.append(tor_E("NA", a, b, k, xi).value.value / factor)
         for c in constants[1:]:
             assert min(abs(c - constants[0]), abs(c + constants[0])) <= 1e-7 * abs(constants[0])
+
+    def test_loop_walks_are_flat_in_b(self, monkeypatch):
+        # Only mu_C and the head h of la_C = h mu_C^k are walked in each piece.
+        walked = []
+        walk = mayer_vietoris.chain_of_loop_hp
+
+        def counting(word, *args):
+            walked.append(len(word))
+            return walk(word, *args)
+
+        monkeypatch.setattr(mayer_vietoris, "chain_of_loop_hp", counting)
+        letters = []
+        for b in (40, 80):
+            walked.clear()
+            tor_E("AN", 3, b, 0, XI)
+            letters.append(sum(walked))
+        assert letters == [4 * 3 + 7] * 2
 
     def test_na_edge_fails_in_the_torsion_not_the_relations(self):
         # NA (3,40) at Re xi = 1: the relators hold (the representation builds),

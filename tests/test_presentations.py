@@ -72,6 +72,21 @@ class TestPatternPiece:
         assert peri["lambda_C"] == pres.word("t") * (glue ** -b)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(a, b) for a in range(1, 6) for b in (6, 7, 10, 12, 40, 80) if 2 * b + 1 > 4 * (2 * a + 1)],
+)
+def test_gluing_longitude_splits_through_mu_c(a, b):
+    """lambda_C = h mu_C^k as freely reduced words, in both pieces."""
+    for (pres, peri), want_k in (
+        (torus_piece_presentation(a), -4 * a - 1),
+        (pattern_piece_presentation(b), -b),
+    ):
+        head, k = peri.splits["lambda_C"]
+        assert k == want_k, pres.label
+        assert head * peri["mu_C"] ** k == peri["lambda_C"], pres.label
+
+
 class TestCableExterior:
     def test_shape_at_1_6(self):
         pres, peri = cable_exterior_presentation(1, 6)

@@ -16,12 +16,15 @@ from cabletorsion.representations import (
     Representation,
     RepresentationError,
     _Fixed,
+    _adjoint_entries,
     _family_entries,
+    _inv2,
     _verify_relations_hp,
     abelian_representation,
     adjoint_matrix,
     evaluate_ring,
     evaluate_word,
+    hp_assignment,
     index_range,
     invariant_vector,
     na_matrices,
@@ -347,6 +350,20 @@ class TestFixedPoint:
             # a tie below the last float bit rounds to even
             half = _Fixed((1 << FIXED_BITS) + (1 << (FIXED_BITS - 53)))
             assert complex(half) == 1.0
+
+
+def test_hp_adjoints_are_built_on_first_lookup():
+    rep = rep_build("NN", XI, 1, 7, (0, 0))
+    forward, backward = rep.hp_adjoints()
+    assert not forward and not backward
+    ents = hp_assignment(rep)
+    for table, name, m in (
+        (forward, "p", ents["p"]), (forward, "t", ents["t"]), (backward, "t", _inv2(ents["t"])),
+    ):
+        want = np.array(_adjoint_entries(m), dtype=object)
+        assert [complex(v) for v in table[name].flat] == [complex(v) for v in want.flat], name
+    assert set(forward) == {"p", "t"} and set(backward) == {"t"}
+    assert rep.hp_adjoints()[0]["p"] is forward["p"]
 
 
 class TestNAEdgeRelations:
