@@ -11,6 +11,12 @@ amplitudes of the asymptotic expansion:
 Matches are up to the intrinsic sign of the torsion.
 """
 
+
+def show(value: complex) -> str:
+    """+x.xxxxxx, with the imaginary part only when it is not rounding noise."""
+    return f"{value.real:+.6f}" if abs(value.imag) < 1e-12 else f"{value:+.6f}"
+
+
 from cabletorsion import tor_E, tor_E_abelian, torsion_equal
 from cabletorsion.closed_forms import tau0, tau1, tau2, tau3
 from cabletorsion.mayer_vietoris import family_index_range
@@ -21,7 +27,7 @@ print()
 
 value = tor_E_abelian(a, b, xi).value
 ref = tau0(xi, a, b) ** -2
-print(f"AA        engine {value:+.6f}  1/tau0^2 {ref:+.6f}  "
+print(f"AA        engine {show(value)}  1/tau0^2 {show(ref)}  "
       f"match={torsion_equal(value, ref, 1e-6)}")
 
 for family, amplitude in (
@@ -34,4 +40,4 @@ for family, amplitude in (
         ref = 1 / amplitude(index) ** 2
         ok = torsion_equal(result.value, ref, 1e-6)
         label = f"{family} {index}"
-        print(f"{label:<9} engine {result.value.value:+.6f}  1/tau^2 {ref:+.6f}  match={ok}")
+        print(f"{label:<9} engine {show(result.value.value)}  1/tau^2 {show(ref)}  match={ok}")

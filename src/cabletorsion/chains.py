@@ -15,6 +15,8 @@ d1 d2 = 0 is the fundamental identity of the free calculus pushed through the
 The d2 formula is the definition; the computation is one prefix walk per word
 (``_fox_walk``) that fills every generator's block, bit for bit equal to it.
 Loop chains walk the 3-vector the chain is applied to, not the 3x3 prefix.
+Relators that ``rep_build`` did not certify are checked in float64 before a
+complex is built.  Betti numbers are dim C_i - rank d_i - rank d_(i+1).
 
 The boundary torus gets its own cell structure (one 0-cell, 1-cells mu, la,
 one 2-cell glued along the commutator), whose differentials collapse to
@@ -24,7 +26,7 @@ d2 = [[I-L], [M-I]] and d1 = [M-I | L-I] once M and L commute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -144,7 +146,8 @@ def _fox_walk_to_end(word: Word, generators: Sequence[Generator], start, forward
 
 
 def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainComplex:
-    """The twisted chain complex of the presentation 2-complex."""
+    """The twisted chain complex of the presentation 2-complex, on relators
+    that hold (``ensure_relations`` checks those ``rep_build`` did not)."""
     ensure_relations(pres, rep)
     n = len(pres.generators)
     m = len(pres.relators)
@@ -188,26 +191,12 @@ def torus_complex(M, L) -> BasedChainComplex:
 @dataclass(frozen=True)
 class HomologySummary:
     dims: Tuple[int, ...]
-    cycle_bases: Tuple[Tuple[np.ndarray, ...], ...]
-    boundary_bases: Tuple[Tuple[np.ndarray, ...], ...]
 
 
 def homology(cplx: BasedChainComplex, tol: float = linalg.DEFAULT_RANK_TOL) -> HomologySummary:
-    """Betti numbers with cycle and boundary bases, dim H_i = dim Z_i - dim B_i."""
-    dims: List[int] = []
-    cycles: List[Tuple[np.ndarray, ...]] = []
-    bounds: List[Tuple[np.ndarray, ...]] = []
-    for i in range(cplx.top + 1):
-        d_i = cplx.d(i)
-        d_up = cplx.d(i + 1)
-        z = linalg.kernel_basis(d_i, tol) if i > 0 else [
-            np.eye(cplx.dims[0], dtype=complex)[:, j] for j in range(cplx.dims[0])
-        ]
-        _, b_basis = linalg.image_pivots(d_up, tol) if d_up.size else (None, np.zeros((cplx.dims[i], 0)))
-        dims.append(len(z) - b_basis.shape[1])
-        cycles.append(tuple(z))
-        bounds.append(tuple(b_basis.T))
-    return HomologySummary(tuple(dims), tuple(cycles), tuple(bounds))
+    """Betti numbers dim C_i - rank d_i - rank d_(i+1), one numerical rank per boundary."""
+    ranks = [0] + [linalg.numerical_rank(d, tol) for d in cplx.boundaries] + [0]
+    return HomologySummary(tuple(n - ranks[i] - ranks[i + 1] for i, n in enumerate(cplx.dims)))
 
 
 def class_coordinates(
@@ -276,7 +265,7 @@ def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: 
     instead of returning such a chain.
     """
     forward, backward = rep.hp_adjoints()
-    vector = np.array(hp_invariant_vector(case, rep), dtype=object)
+    vector = hp_invariant_vector(case, rep)
     blocks, end = _fox_walk_to_end(word, pres.generators, vector, forward, backward)
     deviation = max(abs(complex(e - v)) for e, v in zip(end, vector))
     scale = max(abs(complex(v)) for v in vector)

@@ -48,19 +48,10 @@ def _pair(value: complex) -> list:
 
 
 def _index_tuple(args) -> tuple:
-    if args.family == "AA":
-        return ()
-    if args.family == "AN":
-        if args.j is None:
-            raise ValueError("family AN needs --j")
-        return (args.j,)
-    if args.family == "NA":
-        if args.k is None:
-            raise ValueError("family NA needs --k")
-        return (args.k,)
-    if args.l is None or args.m is None:
-        raise ValueError("family NN needs --l and --m")
-    return (args.l, args.m)
+    names = {"AA": (), "AN": ("j",), "NA": ("k",), "NN": ("l", "m")}[args.family]
+    if any(getattr(args, n) is None for n in names):
+        raise ValueError(f"family {args.family} needs " + " and ".join(f"--{n}" for n in names))
+    return tuple(getattr(args, n) for n in names)
 
 
 def _closed_form(family: str, a: int, b: int, index, xi: complex) -> complex:

@@ -91,9 +91,6 @@ class PieceData:
     presentation: Presentation | None = None
     peripheral: PeripheralSystem | None = None
 
-    def homology_dims(self) -> Tuple[int, ...]:
-        return tuple(len(self.lifts.get(i, [])) for i in range(3))
-
 
 _GLUING_CASE = {"AN": "U", "NA": "W", "NN": "Ut"}
 

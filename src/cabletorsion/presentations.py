@@ -15,7 +15,9 @@ The longitude of the cable is stored fully expanded into {p, t} letters:
 with q = t p t^-1 and r (p q)^b = t, it reduces to t p q^-b t p^{-3b-1}.
 In both pieces the gluing-torus longitude also comes split as
 lambda_C = h mu_C^k with h in the gluing-torus subgroup: h = t, k = -b on the
-pattern side and h = y (xy)^{2a}, k = -(4a+1) on the torus side.
+pattern side and h = y (xy)^{2a}, k = -(4a+1) on the torus side.  Likewise
+each relator is kept factored next to its word, e.g. r2 = y (xy)^{2a}
+x^{-4a-1} (p t p t^-1)^b t^-1, so a relation check can square the powers.
 All presentations here have deficiency one; each builder is cached per argument.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
@@ -31,11 +33,18 @@ from typing import Dict, Mapping, Tuple
 from .words import Generator, Word, parse_word, word_to_text
 
 
+def _expand(factors) -> Word:
+    """The word prod w^e over the (w, e) pairs of ``factors``."""
+    return reduce(Word.__mul__, (word ** e for word, e in factors))
+
+
 @dataclass(frozen=True)
 class Presentation:
     label: str
     generators: Tuple[Generator, ...]
     relators: Tuple[Word, ...]
+    # factored[j], when given: relator j as the (w, e) pairs of prod w^e
+    factored: Tuple[Tuple[Tuple[Word, int], ...], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         names = [g.name for g in self.generators]
@@ -98,8 +107,8 @@ def torus_piece_presentation(a: int) -> tuple[Presentation, PeripheralSystem]:
     x, y = _generators("x", "y")
     xw, yw = Word([(x, 1)]), Word([(y, 1)])
     xy = xw * yw
-    relator = (xy ** a) * xw * (xy ** -a) * yw.inverse()
-    pres = Presentation(f"torus_piece(a={a})", (x, y), (relator,))
+    factored = ((xy, a), (xw, 1), (xy, -a), (yw, -1))
+    pres = Presentation(f"torus_piece(a={a})", (x, y), (_expand(factored),), (factored,))
     head, k = yw * (xy ** (2 * a)), -4 * a - 1
     lam = head * (xw ** k)
     peri = PeripheralSystem({"mu_C": xw, "lambda_C": lam}, {"a": a}, {"lambda_C": (head, k)})
@@ -113,8 +122,8 @@ def pattern_piece_presentation(b: int) -> tuple[Presentation, PeripheralSystem]:
         raise ValueError(f"pattern piece needs b >= 1, got {b}")
     p, t = _generators("p", "t")
     pw, tw = Word([(p, 1)]), Word([(t, 1)])
-    relator = pw * tw * pw * tw * pw.inverse() * tw.inverse() * pw.inverse() * tw.inverse()
-    pres = Presentation(f"pattern_piece(b={b})", (p, t), (relator,))
+    factored = ((pw * tw, 2), (tw * pw, -2))    # p t p t p^-1 t^-1 p^-1 t^-1
+    pres = Presentation(f"pattern_piece(b={b})", (p, t), (_expand(factored),), (factored,))
     mu_c = pw * tw * pw * tw.inverse()          # the gluing word for x
     head, k = tw, -b
     lam_c = head * (mu_c ** k)                   # r = t (pq)^-b
@@ -140,12 +149,15 @@ def cable_exterior_presentation(a: int, b: int) -> tuple[Presentation, Periphera
     x, y, p, t = _generators("x", "y", "p", "t")
     xw, yw, pw, tw = (Word([(g, 1)]) for g in (x, y, p, t))
     xy = xw * yw
-    r1 = (xy ** a) * xw * (xy ** -a) * yw.inverse()
-    lam_c = yw * (xy ** (2 * a)) * (xw ** (-4 * a - 1))
     glue = pw * tw * pw * tw.inverse()
-    r2 = lam_c * (tw * (glue ** -b)).inverse()
-    r3 = xw * glue.inverse()
-    pres = Presentation(f"cable_exterior(a={a},b={b})", (x, y, p, t), (r1, r2, r3))
+    factored = (
+        ((xy, a), (xw, 1), (xy, -a), (yw, -1)),                          # r1: C's relator
+        ((yw, 1), (xy, 2 * a), (xw, -4 * a - 1), (glue, b), (tw, -1)),   # r2: lambda_C (t glue^-b)^-1
+        ((xw, 1), (glue, -1)),                                           # r3: x = glue
+    )
+    pres = Presentation(
+        f"cable_exterior(a={a},b={b})", (x, y, p, t), tuple(map(_expand, factored)), factored
+    )
     q = tw * pw * tw.inverse()
     lam = tw * pw * (q ** -b) * tw * (pw ** (-3 * b - 1))
     peri = PeripheralSystem({"mu": pw, "lambda": lam}, {"a": a, "b": b})

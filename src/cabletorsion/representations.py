@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, Tuple
 
 import numpy as np
@@ -34,6 +35,7 @@ from .presentations import (
     Presentation,
     abelianization_exponents,
     cable_exterior_presentation,
+    pattern_piece_presentation,
 )
 from .words import Generator, GroupRingElement, Word
 
@@ -51,10 +53,6 @@ ABELIAN_GUARD = 1e-6          # |z^2 - 1| must exceed this in the AA family
 
 class RepresentationError(ValueError):
     pass
-
-
-def _mat(a, b, c, d) -> np.ndarray:
-    return np.array([[a, b], [c, d]], dtype=complex)
 
 
 FIXED_BITS = 200              # fraction bits of _Fixed: about 60 digits, absolute
@@ -152,18 +150,17 @@ def _mul2(x, y):
     ]
 
 
-def _inv2(x):
-    det = x[0][0] * x[1][1] - x[0][1] * x[1][0]
-    return [[x[1][1] / det, -x[0][1] / det], [-x[1][0] / det, x[0][0] / det]]
+def _adj2(x):
+    """The adjugate: the inverse of an SL(2) matrix, without a division."""
+    return [[x[1][1], -x[0][1]], [-x[1][0], x[0][0]]]
 
 
 def _pow2(x, n: int):
-    if n < 0:
-        return _pow2(_inv2(x), -n)
-    out = _m2(1, 0, 0, 1)
-    for _ in range(n):
-        out = _mul2(out, x)
-    return out
+    """x^n for n >= 1 by repeated squaring."""
+    if n == 1:
+        return x
+    half = _pow2(_mul2(x, x), n // 2)
+    return _mul2(half, x) if n % 2 else half
 
 
 def _neg2(x):
@@ -186,20 +183,21 @@ def _family_entries(family, z, a, b, omega1=None, omega2=None, omega3=None):
         x = _mul2(p, q)
         th = _m2(1, 0, z / w - 1 / z, 1)
         t_model = _m2(w ** b, (w ** b - w ** -b) / (w - 1 / w) / z, 0, w ** -b)
-        t = _mul2(_mul2(_inv2(th), t_model), th)
+        t = _mul2(_mul2(_adj2(th), t_model), th)
         return {"p": p, "x": x, "y": [row[:] for row in x], "t": t}
     if family == "NA":
         w = omega1
         p = _m2(z, 1 / (z + 1 / z), 0, 1 / z)
         x = _m2(z ** 2, 1, 0, z ** -2)
         y = _m2(z ** 2, 0, w + 1 / w - z ** 4 - z ** -4, z ** -2)
-        t = _neg2(_pow2(p, -8 * a + 2 * b - 4))
+        # one product per factor: squaring would cost the fixed-point r2 ten digits
+        t = _neg2(reduce(_mul2, [p] * (2 * b - 8 * a - 4), _m2(1, 0, 0, 1)))
         return {"p": p, "x": x, "y": y, "t": t}
     if family == "NN":
         w1, w3 = omega1, omega3
         p = _m2(z, 1, 0, 1 / z)
         th = _m2(1, 0, z / w3 - 1 / z, 1)
-        th_inv = _inv2(th)
+        th_inv = _adj2(th)
         x = _mul2(_mul2(th_inv, _m2(w3, 1 / z, 0, 1 / w3)), th)
         y_model = _m2(w3, 0, (w1 + 1 / w1 - w3 ** 2 - w3 ** -2) * z, 1 / w3)
         y = _mul2(_mul2(th_inv, y_model), th)
@@ -225,13 +223,18 @@ def _invariant_entries(case, z, omega=None):
 
 
 def _adjoint_entries(m):
-    """Generic-scalar version of adjoint_matrix on a 2x2 nested list."""
-    inv = _inv2(m)
-    cols = []
-    for basis in (_m2(0, 1, 0, 0), _m2(1, 0, 0, -1), _m2(0, 0, 1, 0)):
-        conj = _mul2(_mul2(inv, basis), m)
-        cols.append((conj[0][1], conj[0][0], conj[1][0]))
-    return [[cols[0][i], cols[1][i], cols[2][i]] for i in range(3)]
+    """adjoint_matrix of g = [[a, b], [c, d]] in SL(2), in closed form.
+
+    v -> g^-1 v g written out with g^-1 = [[d, -b], [-c, a]]: nine products
+    and no division, over any scalar type.
+    """
+    (a, b), (c, d) = m
+    bd, ac = b * d, a * c
+    return [
+        [d * d, bd + bd, -(b * b)],
+        [c * d, a * d + b * c, -(a * b)],
+        [-(c * c), -(ac + ac), a * a],
+    ]
 
 
 def hp_assignment(rep: "Representation"):
@@ -240,12 +243,10 @@ def hp_assignment(rep: "Representation"):
     Rebuilt from the defining data (xi, family, indices) through the
     FIXED_BITS-bit z and roots of ``Representation.hp_scalars``, so downstream
     extended-precision evaluation does not inherit float64 rounding from the
-    stored matrices.
+    stored matrices.  ``Representation.hp_entries`` keeps one copy.
     """
     z, roots = rep.hp_scalars()
-    ents = _family_entries(rep.family, z, rep.a, rep.b, **roots)
-    # A matrix can come out all-int (NA t = -p^0); lift it so _inv2 stays exact.
-    return {n: [[_lift(e) for e in row] for row in m] for n, m in ents.items()}
+    return _family_entries(rep.family, z, rep.a, rep.b, **roots)
 
 
 class _LazyAdjoints(dict):
@@ -258,21 +259,19 @@ class _LazyAdjoints(dict):
 
     def __missing__(self, name):
         m = self._entries[name]
-        adj = np.array(_adjoint_entries(_inv2(m) if self._inverse else m), dtype=object)
+        adj = np.array(_adjoint_entries(_adj2(m) if self._inverse else m), dtype=object)
         self[name] = adj
         return adj
 
 
 def hp_invariant_vector(case: str, rep: "Representation"):
-    """Extended-precision counterpart of invariant_vector (list of ``_Fixed`` / int)."""
-    z, roots = rep.hp_scalars()
-    return _invariant_entries(case, z, roots.get("omega2" if case == "U" else "omega3"))
-
-
-def check_sl2(m: np.ndarray, tol: float = SL2_DET_TOL) -> None:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det - 1) > tol:
-        raise RepresentationError(f"matrix determinant {det} is not 1 within {tol}")
+    """invariant_vector as an object array of ``_Fixed`` / int, kept on ``rep``."""
+    vec = rep._hp_vectors.get(case)
+    if vec is None:
+        z, roots = rep.hp_scalars()
+        omega = roots.get("omega2" if case == "U" else "omega3")
+        vec = rep._hp_vectors[case] = np.array(_invariant_entries(case, z, omega), dtype=object)
+    return vec
 
 
 def adjoint_matrix(m) -> np.ndarray:
@@ -296,6 +295,7 @@ class Representation:
 
     ``assignment`` is keyed by generator name.  Inverses, adjoints and their
     inverses are cached at construction; instances are treated as immutable.
+    ``certified`` holds the relators ``rep_build`` checked (none if hand-built).
     """
 
     family: str
@@ -311,12 +311,17 @@ class Representation:
     _inverses: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _adjoints: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _adjoint_invs: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    certified: frozenset = field(default_factory=frozenset, init=False, repr=False)
     _hp_scalars: tuple | None = field(default=None, repr=False)
+    _hp_entries: dict | None = field(default=None, repr=False)
     _hp_adjoints: tuple | None = field(default=None, repr=False)
+    _hp_vectors: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for name, m in self.assignment.items():
-            check_sl2(m)
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            if abs(det - 1) > SL2_DET_TOL:
+                raise RepresentationError(f"matrix determinant {det} is not 1 within {SL2_DET_TOL}")
             self._inverses[name] = np.linalg.inv(m)
             adj = adjoint_matrix(m)
             self._adjoints[name] = adj
@@ -346,12 +351,18 @@ class Representation:
             self._hp_scalars = (z, roots)
         return self._hp_scalars
 
+    def hp_entries(self):
+        """``hp_assignment`` of this representation, built once and kept."""
+        if self._hp_entries is None:
+            self._hp_entries = hp_assignment(self)
+        return self._hp_entries
+
     def hp_adjoints(self):
         """(Ad(g), Ad(g^-1)) by name as object arrays of ``_Fixed``, each
         matrix built on first lookup and kept on the instance (never in a
         process-wide cache); the loop walks read only a few of the eight."""
         if self._hp_adjoints is None:
-            ents = hp_assignment(self)
+            ents = self.hp_entries()
             self._hp_adjoints = (_LazyAdjoints(ents, False), _LazyAdjoints(ents, True))
         return self._hp_adjoints
 
@@ -415,65 +426,64 @@ class RelationReport:
         return self.max_deviation <= self.tol
 
 
-def verify_relations(pres: Presentation, rep: Representation, tol: float = RELATION_TOL) -> RelationReport:
-    """Max-entry deviation of each relator's SL(2,C) value from the identity."""
+def verify_relations(pres: Presentation, rep: Representation, tol: float = RELATION_TOL,
+                     skip=frozenset()) -> RelationReport:
+    """Max-entry deviation from the identity of each relator not in ``skip``,
+    evaluated letter by letter on the float64 matrices."""
     for g in pres.generators:
         if not rep.assigns(g):
             raise RepresentationError(f"representation does not assign generator {g.name!r}")
     devs = []
     for rel in pres.relators:
-        value = sl2_word_value(rep, rel)
-        devs.append(float(np.max(np.abs(value - np.eye(2)))))
+        if rel not in skip:
+            value = sl2_word_value(rep, rel)
+            devs.append(float(np.max(np.abs(value - np.eye(2)))))
     return RelationReport(tuple(devs), tol)
 
 
 def ensure_relations(pres: Presentation, rep: Representation, tol: float = RELATION_TOL, context: str = "") -> None:
-    """Raise unless every relator holds, rechecking in extended precision.
+    """Raise unless every relator of ``pres`` holds for ``rep`` within ``tol``.
 
-    The fast float64 screen can fall short of the 1e-10 gate on long relators
-    at the edge of the xi range even when the relation holds exactly; when the
-    representation carries family data, the FIXED_BITS-bit fixed-point check
-    (``_verify_relations_hp``) gets the last word.
+    Relators ``rep_build`` certified are skipped; every other one, and all of
+    a hand-built representation's, is evaluated in float64, with no retry.
     """
-    report = verify_relations(pres, rep, tol)
-    if not report.ok and _has_defining_data(rep):
-        report = _verify_relations_hp(pres, rep, tol)
+    report = verify_relations(pres, rep, tol, skip=rep.certified)
     if not report.ok:
         prefix = f"{context or pres.label} relators fail verification"
         raise RepresentationError(f"{prefix}: deviations {report.deviations}")
 
 
-def _has_defining_data(rep: Representation) -> bool:
-    """Whether the matrices can be rebuilt from (family, xi, a, b, index).
+def _certify_relations(rep: Representation) -> RelationReport:
+    """The one relation check of a representation built from family data.
 
-    Hand-built assignments (perturbed tests, partial maps) carry no such data
-    and must stand or fall with the float64 check.
+    The cable relators r1, r2, r3 and the pattern relator, from their factored
+    forms (powers by squaring, inverses as adjugates: about 4a + 2 log2 b + 20
+    2x2 products).  AN, NA and NN run on ``hp_entries``, since float64 loses
+    the identity to cancellation between entries of size z^(+-4b); AA runs in
+    float64, where diagonal products do not cancel and 200 absolute bits would
+    flush z^(-4b) to zero.  Raises if a relator fails, else marks them
+    ``rep.certified`` and returns the deviations (r1, r2, r3, pattern).
     """
-    if rep.family not in FAMILIES or rep.a < 1 or rep.b < 1:
-        return False
-    expected = {"AA": 0, "AN": 1, "NA": 1, "NN": 2}[rep.family]
-    return len(rep.index) == expected
+    cable, _ = cable_exterior_presentation(rep.a, rep.b)
+    pattern, _ = pattern_piece_presentation(rep.b)
+    mats = {n: m.tolist() for n, m in rep.assignment.items()} if rep.family == "AA" else rep.hp_entries()
+    powers: dict = {}
 
+    def power(word, e):  # w^|e| once per check, w^-|e| as its adjugate
+        if (word, abs(e)) not in powers:
+            value = reduce(_mul2, (mats[g.name] if s == 1 else _adj2(mats[g.name]) for g, s in word.letters))
+            powers[word, abs(e)] = _pow2(value, abs(e))
+        return powers[word, abs(e)] if e > 0 else _adj2(powers[word, abs(e)])
 
-def _verify_relations_hp(pres: Presentation, rep: Representation, tol: float) -> RelationReport:
-    """Relator check with the matrices rebuilt as FIXED_BITS-bit ``_Fixed`` scalars.
-
-    Long relators multiply entries of size z^(+-4b) and float64 cannot always
-    certify the identity to 1e-10 at the edge of the xi range; the deviation
-    at extended precision decides whether the relation genuinely holds.
-    """
-    entries = hp_assignment(rep)
-    inverses = {name: _inv2(m) for name, m in entries.items()}
     devs = []
-    for rel in pres.relators:
-        value = _m2(1, 0, 0, 1)
-        for gen, sign in rel.letters:
-            step = entries[gen.name] if sign == 1 else inverses[gen.name]
-            value = _mul2(value, step)
-        devs.append(max(
-            abs(complex(value[i][j] - (1 if i == j else 0))) for i in range(2) for j in range(2)
-        ))
-    return RelationReport(tuple(devs), tol)
+    for factors in cable.factored + pattern.factored:
+        value = reduce(_mul2, (power(word, e) for word, e in factors))
+        devs.append(max(abs(complex(value[i][j] - int(i == j))) for i in (0, 1) for j in (0, 1)))
+    report = RelationReport(tuple(devs), RELATION_TOL)
+    if not report.ok:
+        raise RepresentationError(f"{rep.family} relators fail verification: deviations {report.deviations}")
+    rep.certified = frozenset(cable.relators + pattern.relators)
+    return report
 
 
 # -- family constructors ---------------------------------------------------------
@@ -527,8 +537,8 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
     """Build a verified representation of the cable-exterior group.
 
     The returned assignment covers the generators x, y, p, t of the cable
-    presentation; every relator is checked to the identity within 1e-10
-    before the representation is handed back.
+    presentation; the cable and pattern relators are checked to the identity
+    within 1e-10 once, by ``_certify_relations``, before it is handed back.
     """
     if family not in FAMILIES:
         raise RepresentationError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -568,8 +578,7 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
         family=family, assignment=assignment, xi=xi, a=a, b=b, index=index,
         z=z, omega1=omega1, omega2=omega2, omega3=omega3,
     )
-    pres, _ = cable_exterior_presentation(a, b)
-    ensure_relations(pres, rep, context=family)
+    _certify_relations(rep)
     return rep
 
 
@@ -584,7 +593,7 @@ def abelian_representation(xi: complex, pres: Presentation) -> Representation:
     if abs(z * z - 1) <= ABELIAN_GUARD:
         raise RepresentationError("z^2 too close to 1 for an abelian representation")
     exps = abelianization_exponents(pres)
-    assignment = {g.name: _mat(z ** e, 0, 0, z ** -e) for g, e in exps.items()}
+    assignment = {g.name: np.diag([z ** e, z ** -e]) for g, e in exps.items()}
     return Representation(family="AA", assignment=assignment, xi=xi, z=z)
 
 

@@ -12,14 +12,14 @@ from cabletorsion.chains import (
     presentation_complex,
     torus_complex,
 )
-from cabletorsion.mayer_vietoris import _gluing_chains
+from cabletorsion import linalg
+from cabletorsion.mayer_vietoris import _gluing_chains, tor_E
 from cabletorsion.presentations import (
     cable_exterior_presentation,
     pattern_piece_presentation,
     torus_piece_presentation,
 )
 from cabletorsion.representations import (
-    _adjoint_entries,
     _family_entries,
     _invariant_entries,
     abelian_representation,
@@ -157,6 +157,21 @@ class TestHomologyTables:
         for pres, rep, dims in table:
             assert homology(presentation_complex(pres, rep)).dims == dims
 
+    @pytest.mark.parametrize(
+        "family, a, b, index", [("AN", 1, 6, 0), ("NA", 1, 6, 0), ("NN", 1, 7, (0, 0)), ("AN", 3, 40, 5)]
+    )
+    def test_dims_are_the_kernel_minus_image_count(self, family, a, b, index):
+        """Betti numbers from ranks equal dim Z_i - dim B_i from explicit bases."""
+        result = tor_E(family, a, b, index, XI)
+        complexes = [(piece.complex, linalg.DEFAULT_RANK_TOL) for piece in result.pieces.values()]
+        for cplx, tol in complexes + [(result.sequence, 1e-8)]:
+            want = tuple(
+                (n if i == 0 else len(linalg.kernel_basis(cplx.d(i), tol)))
+                - len(linalg.image_pivots(cplx.d(i + 1), tol)[0])
+                for i, n in enumerate(cplx.dims)
+            )
+            assert homology(cplx, tol).dims == want
+
     def test_gluing_torus_dims(self, rep_an):
         presC, periC = torus_piece_presentation(1)
         cplx = torus_complex(
@@ -255,14 +270,25 @@ def _three_presentations(a, b):
     ]
 
 
+def _mp_adjoint(m):
+    """Ad(g) by its definition: the conjugates g^-1 v g of E, H, F, in mpmath."""
+    g = mpmath.matrix(m)
+    inv = g ** -1
+    cols = []
+    for basis in ([[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]):
+        conj = inv * mpmath.matrix(basis) * g
+        cols.append((conj[0, 1], conj[0, 0], conj[1, 0]))
+    return mpmath.matrix([[col[i] for col in cols] for i in range(3)])
+
+
 def _hp_reference(word, rep, pres, case, dps=40):
     """Fox blocks as mpmath scalars at dps digits, by a 3x3 matrix accumulator
     applied to v per letter.  The matrices come from the family formulas on
-    mpmath scalars, not from the fixed-point path under test."""
+    mpmath scalars and conjugation, not from the fixed-point path under test."""
     with mpmath.mp.workdps(dps):
         z, roots = mp_family_scalars(rep)
         ents = _family_entries(rep.family, z, rep.a, rep.b, **roots)
-        adj = {n: mpmath.matrix(_adjoint_entries(m)) for n, m in ents.items()}
+        adj = {n: _mp_adjoint(m) for n, m in ents.items()}
         omega = roots.get("omega2" if case == "U" else "omega3")
         vec = mpmath.matrix(_invariant_entries(case, z, omega))
         blocks = {g.name: mpmath.matrix(3, 1) for g in pres.generators}

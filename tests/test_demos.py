@@ -11,15 +11,25 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def _run(demo):
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(demo)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    proc = _run(demo)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_family_sweep_prints_real_values_as_real():
+    # the sign of a rounding-noise imaginary part must not reach the output
+    out = _run(ROOT / "demos" / "04_family_sweep.py").stdout
+    assert "engine +29.672214  " in out and "0.000000j" not in out

@@ -87,6 +87,32 @@ def test_gluing_longitude_splits_through_mu_c(a, b):
         assert head * peri["mu_C"] ** k == peri["lambda_C"], pres.label
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(a, b) for a in range(1, 6) for b in (6, 7, 10, 12, 40, 80) if 2 * b + 1 > 4 * (2 * a + 1)],
+)
+def test_factored_relators_equal_the_flat_words(a, b):
+    """Each factored relator, multiplied out here, is the flat relator word."""
+    cable, _ = cable_exterior_presentation(a, b)
+    x, y, p, t = (cable.word(n) for n in "xypt")
+    xy, glue = x * y, p * t * p * t.inverse()
+    lam_c = y * xy ** (2 * a) * x ** (-4 * a - 1)
+    r1 = xy ** a * x * xy ** -a * y.inverse()
+    flat = {
+        cable: (r1, lam_c * (t * glue ** -b).inverse(), x * glue.inverse()),
+        torus_piece_presentation(a)[0]: (r1,),
+    }
+    pattern, _ = pattern_piece_presentation(b)
+    flat[pattern] = (pattern.word("p t p t p^-1 t^-1 p^-1 t^-1"),)
+    for pres, words in flat.items():
+        assert len(pres.factored) == len(pres.relators) == len(words), pres.label
+        for factors, relator, word in zip(pres.factored, pres.relators, words):
+            product = Word()
+            for w, e in factors:
+                product = product * w ** e
+            assert product == relator == word, pres.label
+
+
 class TestCableExterior:
     def test_shape_at_1_6(self):
         pres, peri = cable_exterior_presentation(1, 6)

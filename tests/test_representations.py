@@ -1,10 +1,16 @@
 import cmath
+import os
 import random
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import cabletorsion.representations as representations
+from cabletorsion.chains import presentation_complex
+from cabletorsion.mayer_vietoris import tor_E, tor_E_abelian
 from cabletorsion.presentations import (
     cable_exterior_presentation,
     pattern_piece_presentation,
@@ -17,14 +23,14 @@ from cabletorsion.representations import (
     RepresentationError,
     _Fixed,
     _adjoint_entries,
+    _certify_relations,
     _family_entries,
-    _inv2,
-    _verify_relations_hp,
+    _mul2,
     abelian_representation,
     adjoint_matrix,
     evaluate_ring,
     evaluate_word,
-    hp_assignment,
+    hp_invariant_vector,
     index_range,
     invariant_vector,
     na_matrices,
@@ -356,14 +362,100 @@ def test_hp_adjoints_are_built_on_first_lookup():
     rep = rep_build("NN", XI, 1, 7, (0, 0))
     forward, backward = rep.hp_adjoints()
     assert not forward and not backward
-    ents = hp_assignment(rep)
+    ents = rep.hp_entries()  # the matrices the relation check ran on
+    t = ents["t"]
     for table, name, m in (
-        (forward, "p", ents["p"]), (forward, "t", ents["t"]), (backward, "t", _inv2(ents["t"])),
+        (forward, "p", ents["p"]), (forward, "t", t),
+        (backward, "t", [[t[1][1], -t[0][1]], [-t[1][0], t[0][0]]]),
     ):
         want = np.array(_adjoint_entries(m), dtype=object)
         assert [complex(v) for v in table[name].flat] == [complex(v) for v in want.flat], name
     assert set(forward) == {"p", "t"} and set(backward) == {"t"}
     assert rep.hp_adjoints()[0]["p"] is forward["p"]
+    assert hp_invariant_vector("Ut", rep) is hp_invariant_vector("Ut", rep)  # kept on rep
+
+
+def _random_sl2(gen):
+    a, b, c = (complex(gen.gauss(0, 1), gen.gauss(0, 1)) for _ in range(3))
+    return np.array([[a, b], [c, (1 + b * c) / a]])
+
+
+def test_closed_form_adjoint_matches_conjugation():
+    """_adjoint_entries against adjoint_matrix (m^-1 v m computed by numpy),
+    for g and, through the adjugate [[d, -b], [-c, a]], for g^-1."""
+    gen = random.Random(20261018)
+    for _ in range(50):
+        m = _random_sl2(gen)
+        (a, b), (c, d) = m.tolist()
+        ad = adjoint_matrix(m)
+        assert_close(np.array(_adjoint_entries(m.tolist()), dtype=complex), ad, 1e-12)
+        inverse = np.array(_adjoint_entries([[d, -b], [-c, a]]), dtype=complex)
+        assert_close(inverse, adjoint_matrix(np.linalg.inv(m)), 1e-12)
+        assert_close(inverse @ ad, np.eye(3), 1e-10)
+
+
+class TestRelationCheck:
+    """rep_build's one relation check: factored relators, fixed point off AA."""
+
+    @pytest.mark.parametrize(
+        "family, index", [("AA", None), ("AN", 0), ("NA", 0), ("NN", (0, 0))]
+    )
+    def test_perturbed_family_entries_fail(self, family, index, monkeypatch):
+        rep_build(family, XI, 1, 7, index)  # holds unperturbed
+        original = representations._family_entries
+
+        def perturbed(fam, z, *args, **kwargs):
+            ents = original(fam, z, *args, **kwargs)
+            eps = 1e-6 if isinstance(z, complex) else _Fixed(round(1e-6 * 2 ** FIXED_BITS))
+            ents["p"] = _mul2(ents["p"], [[1, eps], [0, 1]])  # stays in SL(2)
+            return ents
+
+        monkeypatch.setattr(representations, "_family_entries", perturbed)
+        with pytest.raises(RepresentationError, match=f"{family} relators fail verification"):
+            rep_build(family, XI, 1, 7, index)
+
+    def test_foreign_presentation_is_still_checked(self, rep_na, monkeypatch):
+        evaluated = []
+        original = representations.sl2_word_value
+        monkeypatch.setattr(
+            representations, "sl2_word_value", lambda rep, w: evaluated.append(w) or original(rep, w)
+        )
+        presentation_complex(pattern_piece_presentation(B)[0], rep_na)
+        presentation_complex(torus_piece_presentation(A)[0], rep_na)
+        assert evaluated == []  # both relators were certified by rep_build
+        foreign, _ = torus_piece_presentation(2)
+        with pytest.raises(RepresentationError, match=r"torus_piece\(a=2\) relators fail"):
+            presentation_complex(foreign, rep_na)
+        assert evaluated == list(foreign.relators)
+
+    def test_hand_built_representation_is_checked_in_float64(self, rep_na):
+        bad = na_matrices(rep_na.z, rep_na.omega1 * cmath.exp(1e-3j), A, B)
+        rep_bad = Representation("NA", bad, xi=XI, a=A, b=B, index=(0,), z=rep_na.z)
+        assert rep_bad.certified == frozenset()
+        with pytest.raises(RepresentationError, match="relators fail verification"):
+            presentation_complex(torus_piece_presentation(A)[0], rep_bad)
+
+    def test_one_check_per_tor_e(self, monkeypatch):
+        counts = {"check": 0, "float64": 0, "hp_assignment": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name, attr in (
+            ("check", "_certify_relations"),
+            ("float64", "sl2_word_value"),
+            ("hp_assignment", "hp_assignment"),
+        ):
+            monkeypatch.setattr(representations, attr, counting(name, getattr(representations, attr)))
+        for family, index in (("AN", (0,)), ("NA", (0,)), ("NN", (0, 0))):
+            tor_E(family, 1, 7, index, XI)
+        tor_E_abelian(1, 7, XI)
+        # one check each; the fixed-point matrices are built once per
+        # non-abelian representation and reused by the loop walks
+        assert counts == {"check": 4, "float64": 0, "hp_assignment": 3}
 
 
 class TestNAEdgeRelations:
@@ -372,8 +464,12 @@ class TestNAEdgeRelations:
     def test_relations_hold_in_extended_precision(self):
         rep = rep_build("NA", 1 + 0j, 3, 40, (0,))
         pres, _ = cable_exterior_presentation(3, 40)
-        assert not verify_relations(pres, rep).ok  # the float64 screen falls short
-        assert _verify_relations_hp(pres, rep, RELATION_TOL).max_deviation <= 1e-20
+        pattern, _ = pattern_piece_presentation(40)
+        assert not verify_relations(pres, rep).ok  # the float64 letter walk falls short
+        report = _certify_relations(rep)  # the factored fixed-point check
+        assert len(report.deviations) == 4
+        assert max(report.deviations) <= 1e-20  # r1, r2, r3 and the pattern relator
+        assert rep.certified == frozenset(pres.relators + pattern.relators)
         with mpmath.mp.workdps(80):
             z, roots = mp_family_scalars(rep)
             ents = _family_entries("NA", z, 3, 40, **roots)
@@ -383,3 +479,18 @@ class TestNAEdgeRelations:
                     value = value * mpmath.matrix(ents[gen.name]) ** sign
                 dev = value - mpmath.eye(2)
                 assert max(abs(dev[i, j]) for i in range(2) for j in range(2)) <= 1e-20, rel
+
+
+def test_abelian_route_does_not_import_mpmath():
+    """AA checks its relators in float64, so the direct route never needs the
+    fixed-point scalars and their mpmath exp / expjpi."""
+    code = (
+        "import sys\n"
+        "from cabletorsion.mayer_vietoris import tor_E_abelian\n"
+        "tor_E_abelian(4, 80, 0.05 + 0.1j)\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(representations.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
