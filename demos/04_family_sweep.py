@@ -19,7 +19,7 @@ def show(value: complex) -> str:
 
 from cabletorsion import tor_E, tor_E_abelian, torsion_equal
 from cabletorsion.closed_forms import tau0, tau1, tau2, tau3
-from cabletorsion.mayer_vietoris import family_index_range
+from cabletorsion.representations import index_range
 
 a, b, xi = 1, 7, 0.25 - 0.45j
 print(f"cable T(2,{2 * a + 1})^(2,{2 * b + 1}), xi = {xi}")
@@ -35,7 +35,7 @@ for family, amplitude in (
     ("NA", lambda idx: tau2(xi, idx[0], a, b)),
     ("NN", lambda idx: tau3(xi, idx[0], idx[1], a, b)),
 ):
-    for index in family_index_range(family, a, b):
+    for index in index_range(family, a, b):
         result = tor_E(family, a, b, index, xi)
         ref = 1 / amplitude(index) ** 2
         ok = torsion_equal(result.value, ref, 1e-6)

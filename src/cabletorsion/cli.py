@@ -22,13 +22,13 @@ import numpy as np
 
 from . import closed_forms
 from .chains import presentation_complex, torus_complex
-from .mayer_vietoris import family_index_range, tor_E, tor_E_abelian
+from .mayer_vietoris import tor_E, tor_E_abelian
 from .presentations import (
     cable_exterior_presentation,
     presentation_to_json,
     torus_piece_presentation,
 )
-from .representations import abelian_representation, rep_build
+from .representations import abelian_representation, index_range, rep_build
 from .torsion import HomologyLift, reidemeister_torsion, torsion_equal
 from .words import Word, fox_fundamental_defect
 
@@ -117,7 +117,7 @@ def cmd_sweep(args) -> int:
     xi = args.xi
     rows = []
     all_match = True
-    for index in family_index_range(args.family, args.a, args.b):
+    for index in index_range(args.family, args.a, args.b):
         if args.family == "AA":
             engine = tor_E_abelian(args.a, args.b, xi).value
         else:
@@ -189,7 +189,7 @@ def _suite_torus(rng, checks):
 def _suite_family(family, rng, checks):
     grid = [(1, 6), (1, 7), (2, 10)]
     for a, b in grid:
-        indices = family_index_range(family, a, b)
+        indices = index_range(family, a, b)
         if not indices:
             checks.append((f"{family} (a,b)=({a},{b}) index range empty", True))
             continue

@@ -15,7 +15,8 @@ the outer torus; v = v' in the NA family):
     S:  f~ x v;  mu~ x v, la~ x v;  basepoint x v
     C:  (I - Ad(y (xy)^a)) v on the 2-cell when the torus side is irreducible
         (the gluing-torus commutator word splits as the relator times a
-        conjugate of its inverse), x~ x v in degree 1
+        conjugate of its inverse), x~ x v in degree 1, basepoint x v in
+        degree 0 when the torus side is abelian
     D:  f~ x v and f~ x v' in degree 2, p~ x v' and t~ x v in degree 1,
         basepoint x v in degree 0 when the pattern side is abelian
 
@@ -26,11 +27,14 @@ against the piece's homology basis.  The chains are walked in fixed point
 (h = t, k = -b in D; h = y (xy)^{2a}, k = -(4a+1) in C): the vector is fixed
 by the whole gluing-torus subgroup, so chain(la_C) = chain(h) + k chain(mu_C),
 and a call walks 4a + 7 letters whatever b is.
-phi_2 and phi_0 use the conjugate-relator decompositions quoted above.  The
-connecting maps psi_k and delta_k are then pinned by exactness plus the
-normalization that each designated generating class maps to the matching
-basis vector of H_*(E); the assembled nine-slot complex is verified exact
-before its torsion is taken.
+phi_2 and phi_0 are read off the lift catalogue: the first lift of C and of D
+in degrees 2 and 0 is the image of the class of S there (the conjugate-relator
+decomposition above is baked into C's degree-2 lift), so both are unit
+columns and only phi_1 depends on the representation.  The connecting maps
+psi_k and delta_k are then pinned by exactness plus the normalization that
+each designated generating class maps to the matching basis vector of
+H_*(E); the assembled nine-slot complex is verified exact before its torsion
+is taken.
 """
 
 from __future__ import annotations
@@ -59,13 +63,10 @@ from .presentations import (
 from .representations import (
     Representation,
     evaluate_word,
-    index_range,
     invariant_vector,
     rep_build,
 )
 from .torsion import HomologyLift, TorsionValue, reidemeister_torsion
-
-NONABELIAN_FAMILIES = ("AN", "NA", "NN")
 
 EXACTNESS_TOL = 1e-8          # rank tolerance under which the nine-slot sequence must be exact
 
@@ -92,45 +93,51 @@ class PieceData:
     peripheral: PeripheralSystem | None = None
 
 
-_GLUING_CASE = {"AN": "U", "NA": "W", "NN": "Ut"}
+# Per non-abelian family: the invariant-vector cases of the gluing torus and
+# the outer torus; which coordinate of H_k(C) + H_k(D) maps to each basis
+# vector of H_k(E); and the delta-image of any remaining H_1(E) basis vector
+# (the gamma class, specified only through its connecting image in H_0(S)).
+_MV_TABLE = {
+    "AN": {"cases": ("U", "V"), "hE": (0, 1, 1), "designated2": (1,), "designated1": (1,),
+           "gamma_images": ()},
+    "NA": {"cases": ("W", "W"), "hE": (0, 1, 1), "designated2": (1,), "designated1": (1,),
+           "gamma_images": ()},
+    "NN": {"cases": ("Ut", "Vt"), "hE": (0, 2, 2), "designated2": (1, 2), "designated1": (1,),
+           "gamma_images": (0,)},
+}
 
 
-def _family_vectors(family: str, rep: Representation):
-    """(gluing-torus vector, outer-torus vector) for the family."""
-    if family == "AN":
-        return invariant_vector("U", rep), invariant_vector("V", rep)
-    if family == "NA":
-        w = invariant_vector("W", rep)
-        return w, w
-    if family == "NN":
-        return invariant_vector("Ut", rep), invariant_vector("Vt", rep)
-    raise MayerVietorisError(f"family {family!r} has no Mayer-Vietoris route")
+def _family_vectors(rep: Representation):
+    """(gluing-torus vector, outer-torus vector) of the representation's family."""
+    if rep.family not in _MV_TABLE:
+        raise MayerVietorisError(f"family {rep.family!r} has no Mayer-Vietoris route")
+    return tuple(invariant_vector(case, rep) for case in _MV_TABLE[rep.family]["cases"])
 
 
-def build_torus_piece(family: str, rep: Representation, a: int) -> PieceData:
-    """The torus-knot piece C with the family's designated homology lifts."""
-    pres, peri = torus_piece_presentation(a)
+def build_torus_piece(rep: Representation) -> PieceData:
+    """The torus-knot piece C of ``rep`` with the family's designated homology lifts."""
+    pres, peri = torus_piece_presentation(rep.a)
     cplx = presentation_complex(pres, rep)
-    v, _ = _family_vectors(family, rep)
+    v, _ = _family_vectors(rep)
     x_chain = _pad(v, 0, 2)
-    if family == "AN":
+    if rep.family[0] == "A":  # abelian torus side
         lifts = {1: [x_chain], 0: [v]}
     else:
         # The S-commutator word equals the relator times a conjugate of its
         # inverse, so [S] includes as (I - Ad(y (xy)^a)) v on the 2-cell.
-        conj = pres.word("y") * (pres.word("x y") ** a)
+        conj = pres.word("y") * (pres.word("x y") ** rep.a)
         h2 = (np.eye(3) - evaluate_word(rep, conj)) @ v
         lifts = {2: [h2], 1: [x_chain]}
     tor = reidemeister_torsion(cplx, lifts)
     return PieceData("C", cplx, lifts, tor, pres, peri)
 
 
-def build_pattern_piece(family: str, rep: Representation, b: int) -> PieceData:
-    """The pattern piece D with the family's designated homology lifts."""
-    pres, peri = pattern_piece_presentation(b)
+def build_pattern_piece(rep: Representation) -> PieceData:
+    """The pattern piece D of ``rep`` with the family's designated homology lifts."""
+    pres, peri = pattern_piece_presentation(rep.b)
     cplx = presentation_complex(pres, rep)
-    v, v_outer = _family_vectors(family, rep)
-    if family in ("AN", "NN"):
+    v, v_outer = _family_vectors(rep)
+    if rep.family[1] == "N":  # non-abelian pattern side
         lifts = {2: [v, v_outer], 1: [_pad(v_outer, 0, 2), _pad(v, 1, 2)]}
     else:
         lifts = {2: [v], 1: [_pad(v, 0, 2), _pad(v, 1, 2)], 0: [v]}
@@ -138,13 +145,13 @@ def build_pattern_piece(family: str, rep: Representation, b: int) -> PieceData:
     return PieceData("D", cplx, lifts, tor, pres, peri)
 
 
-def build_gluing_torus(family: str, rep: Representation, a: int) -> PieceData:
-    """The splitting torus S, built from the adjoint actions of mu_C and la_C."""
-    pres, peri = torus_piece_presentation(a)
+def build_gluing_torus(rep: Representation) -> PieceData:
+    """The splitting torus S of ``rep``, built from the adjoint actions of mu_C and la_C."""
+    pres, peri = torus_piece_presentation(rep.a)
     m_action = evaluate_word(rep, peri["mu_C"])
     l_action = evaluate_word(rep, peri["lambda_C"])
     cplx = torus_complex(m_action, l_action)
-    v, _ = _family_vectors(family, rep)
+    v, _ = _family_vectors(rep)
     lifts = {2: [v], 1: [_pad(v, 0, 2), _pad(v, 1, 2)], 0: [v]}
     tor = reidemeister_torsion(cplx, lifts)
     return PieceData("S", cplx, lifts, tor)
@@ -175,63 +182,28 @@ class InducedMaps:
     phi0: np.ndarray
 
 
-def induced_maps(
-    family: str,
-    rep: Representation,
-    piece_c: PieceData,
-    piece_d: PieceData,
-    torus: PieceData,
-) -> InducedMaps:
-    v, _ = _family_vectors(family, rep)
-    case = _GLUING_CASE[family]
-    pres_c, peri_c = piece_c.presentation, piece_c.peripheral
-    pres_d, peri_d = piece_d.presentation, piece_d.peripheral
+def induced_maps(rep: Representation, piece_c: PieceData, piece_d: PieceData) -> InducedMaps:
+    """phi_2, phi_1, phi_0 of the splitting of ``rep`` into ``piece_c`` and ``piece_d``.
 
-    # phi_1: push mu_C and la_C into each piece and take class coordinates.
-    rows_c: List[np.ndarray] = []
-    rows_d: List[np.ndarray] = []
+    phi_1 pushes mu_C and la_C into each piece and takes class coordinates.
+    phi_2 and phi_0 send the one class of S to the first lift of each piece
+    that has one in that degree, so they are unit columns.
+    """
+    case = _MV_TABLE[rep.family]["cases"][0]
+    cols = []
     for cyc_c, cyc_d in zip(
-        _gluing_chains(rep, pres_c, peri_c, case), _gluing_chains(rep, pres_d, peri_d, case)
+        _gluing_chains(rep, piece_c.presentation, piece_c.peripheral, case),
+        _gluing_chains(rep, piece_d.presentation, piece_d.peripheral, case),
     ):
-        rows_c.append(class_coordinates(cyc_c, piece_c.lifts[1], piece_c.complex, 1))
-        rows_d.append(class_coordinates(cyc_d, piece_d.lifts[1], piece_d.complex, 1))
-    phi1 = np.column_stack([np.concatenate([rc, rd]) for rc, rd in zip(rows_c, rows_d)])
+        cols.append(np.concatenate([
+            class_coordinates(cyc_c, piece_c.lifts[1], piece_c.complex, 1),
+            class_coordinates(cyc_d, piece_d.lifts[1], piece_d.complex, 1),
+        ]))
 
-    # phi_2: the S-commutator bounds the D 2-cell directly, and bounds the C
-    # 2-cell after the conjugate-relator decomposition already baked into the
-    # degree-2 lift of C.
-    cols2: List[np.ndarray] = []
-    c_part: List[np.ndarray] = []
-    if piece_c.lifts.get(2):
-        conj = pres_c.word("y") * (pres_c.word("x y") ** rep.a)
-        chain = (np.eye(3) - evaluate_word(rep, conj)) @ v
-        c_part = [class_coordinates(chain, piece_c.lifts[2], piece_c.complex, 2)]
-    d_part = [class_coordinates(v, piece_d.lifts[2], piece_d.complex, 2)]
-    cols2.append(np.concatenate(c_part + d_part))
-    phi2 = np.column_stack(cols2)
+    def unit_column(k):
+        return np.vstack([np.eye(len(p.lifts.get(k, [])), 1, dtype=complex) for p in (piece_c, piece_d)])
 
-    # phi_0: both pieces share the basepoint, so the chain is v itself.
-    parts0: List[np.ndarray] = []
-    for piece in (piece_c, piece_d):
-        if piece.lifts.get(0):
-            parts0.append(class_coordinates(v, piece.lifts[0], piece.complex, 0))
-    phi0 = (
-        np.column_stack([np.concatenate(parts0)])
-        if parts0
-        else np.zeros((0, 1), dtype=complex)
-    )
-    return InducedMaps(phi2, phi1, phi0)
-
-
-# Designated generating classes per family: which coordinate of
-# H_k(C) + H_k(D) maps to each basis vector of H_k(E), and the delta-image of
-# any remaining H_1(E) basis vector (the gamma class, specified only through
-# its connecting image in H_0(S)).
-_MV_TABLE = {
-    "AN": {"hE": (0, 1, 1), "designated2": (1,), "designated1": (1,), "gamma_images": ()},
-    "NA": {"hE": (0, 1, 1), "designated2": (1,), "designated1": (1,), "gamma_images": ()},
-    "NN": {"hE": (0, 2, 2), "designated2": (1, 2), "designated1": (1,), "gamma_images": (0,)},
-}
+    return InducedMaps(unit_column(2), np.column_stack(cols), unit_column(0))
 
 
 def _quotient_rows(phi: np.ndarray, designated: Sequence[int]) -> np.ndarray:
@@ -330,17 +302,17 @@ class TorEResult:
 
 def tor_E(family: str, a: int, b: int, index, xi: complex) -> TorEResult:
     """Glued torsion of the cable exterior for a non-abelian family."""
-    if family not in NONABELIAN_FAMILIES:
+    if family not in _MV_TABLE:
         raise MayerVietorisError(
             f"family {family!r} does not go through the gluing formula; "
             "the abelian case uses tor_E_abelian"
         )
     rep = rep_build(family, xi, a, b, index)
-    piece_c = build_torus_piece(family, rep, a)
-    piece_d = build_pattern_piece(family, rep, b)
-    torus = build_gluing_torus(family, rep, a)
+    piece_c = build_torus_piece(rep)
+    piece_d = build_pattern_piece(rep)
+    torus = build_gluing_torus(rep)
     pieces = {"C": piece_c, "D": piece_d, "S": torus}
-    maps = induced_maps(family, rep, piece_c, piece_d, torus)
+    maps = induced_maps(rep, piece_c, piece_d)
     seq = build_mv_sequence(family, maps, pieces)
     tor_h = mv_torsion(seq)
     value = piece_c.torsion * piece_d.torsion / (torus.torsion * tor_h)
@@ -368,9 +340,3 @@ def tor_E_abelian(a: int, b: int, xi: complex) -> TorsionValue:
     ]
     return reidemeister_torsion(cplx, lifts)
 
-
-def family_index_range(family: str, a: int, b: int) -> list[tuple[int, ...]]:
-    """Admissible indices, empty when the family has no representations there."""
-    if family not in ("AA",) + NONABELIAN_FAMILIES:
-        raise MayerVietorisError(f"unknown family {family!r}")
-    return index_range(family, a, b)

@@ -294,7 +294,8 @@ class Representation:
     """Generator-to-SL(2,C) assignment, with family bookkeeping.
 
     ``assignment`` is keyed by generator name.  Inverses, adjoints and their
-    inverses are cached at construction; instances are treated as immutable.
+    inverses are cached at construction, the fixed-point data on first use;
+    none of them is a constructor argument.  Instances are treated as immutable.
     ``certified`` holds the relators ``rep_build`` checked (none if hand-built).
     """
 
@@ -308,14 +309,14 @@ class Representation:
     omega1: complex | None = None
     omega2: complex | None = None
     omega3: complex | None = None
-    _inverses: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    _adjoints: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    _adjoint_invs: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _inverses: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _adjoints: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _adjoint_invs: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
     certified: frozenset = field(default_factory=frozenset, init=False, repr=False)
-    _hp_scalars: tuple | None = field(default=None, repr=False)
-    _hp_entries: dict | None = field(default=None, repr=False)
-    _hp_adjoints: tuple | None = field(default=None, repr=False)
-    _hp_vectors: dict = field(default_factory=dict, repr=False)
+    _hp_scalars: tuple | None = field(default=None, init=False, repr=False)
+    _hp_entries: dict | None = field(default=None, init=False, repr=False)
+    _hp_adjoints: tuple | None = field(default=None, init=False, repr=False)
+    _hp_vectors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name, m in self.assignment.items():
@@ -333,15 +334,7 @@ class Representation:
         if self._hp_scalars is None:
             import mpmath
 
-            a, b = self.a, self.b
-            fractions = {}  # name -> (k, den) of omega = exp(i pi (2k+1)/den)
-            if self.family == "AN":
-                fractions = {"omega2": (self.index[0], 2 * b + 1)}
-            elif self.family == "NA":
-                fractions = {"omega1": (self.index[0], 2 * a + 1)}
-            elif self.family == "NN":
-                l, m = self.index
-                fractions = {"omega1": (m, 2 * a + 1), "omega3": (l, 2 * b + 1 - 4 * (2 * a + 1))}
+            fractions = _root_fractions(self.family, self.a, self.b, self.index)
             with mpmath.mp.workprec(FIXED_BITS + 16):
                 z = _Fixed.from_mpc(mpmath.exp(mpmath.mpc(self.xi) / 2))
                 roots = {
@@ -519,6 +512,18 @@ def index_range(family: str, a: int, b: int) -> list[tuple[int, ...]]:
     raise RepresentationError(f"unknown family {family!r}")
 
 
+def _root_fractions(family: str, a: int, b: int, index) -> Dict[str, Tuple[int, int]]:
+    """(k, den) by root name, for omega = exp(i pi (2k+1)/den) of the family."""
+    if family == "AN":
+        return {"omega2": (index[0], 2 * b + 1)}
+    if family == "NA":
+        return {"omega1": (index[0], 2 * a + 1)}
+    if family == "NN":
+        l, m = index
+        return {"omega1": (m, 2 * a + 1), "omega3": (l, 2 * b + 1 - 4 * (2 * a + 1))}
+    return {}
+
+
 def _normalize_index(family: str, index) -> Tuple[int, ...]:
     if index is None:
         index = ()
@@ -557,26 +562,15 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
             f"index {index} outside the admissible range for {family} at (a,b)=({a},{b})"
         )
     z = cmath.exp(xi / 2)
-    omega1 = omega2 = omega3 = None
-    if family == "AA":
-        if abs(z * z - 1) <= ABELIAN_GUARD:
-            raise RepresentationError("z^2 too close to 1 for the abelian family")
-    elif family == "AN":
-        (j,) = index
-        omega2 = cmath.exp(1j * cmath.pi * (2 * j + 1) / (2 * b + 1))
-    elif family == "NA":
-        (k,) = index
-        omega1 = cmath.exp(1j * cmath.pi * (2 * k + 1) / (2 * a + 1))
-    else:
-        l, m = index
-        omega1 = cmath.exp(1j * cmath.pi * (2 * m + 1) / (2 * a + 1))
-        omega3 = cmath.exp(1j * cmath.pi * (2 * l + 1) / (2 * b + 1 - 4 * (2 * a + 1)))
-    assignment = _to_numpy_assignment(
-        _family_entries(family, z, a, b, omega1=omega1, omega2=omega2, omega3=omega3)
-    )
+    if family == "AA" and abs(z * z - 1) <= ABELIAN_GUARD:
+        raise RepresentationError("z^2 too close to 1 for the abelian family")
+    roots = {
+        name: cmath.exp(1j * cmath.pi * (2 * k + 1) / den)
+        for name, (k, den) in _root_fractions(family, a, b, index).items()
+    }
+    assignment = _to_numpy_assignment(_family_entries(family, z, a, b, **roots))
     rep = Representation(
-        family=family, assignment=assignment, xi=xi, a=a, b=b, index=index,
-        z=z, omega1=omega1, omega2=omega2, omega3=omega3,
+        family=family, assignment=assignment, xi=xi, a=a, b=b, index=index, z=z, **roots
     )
     _certify_relations(rep)
     return rep

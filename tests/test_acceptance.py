@@ -16,7 +16,6 @@ from cabletorsion.closed_forms import alexander, theorem_rhs
 from cabletorsion.mayer_vietoris import (
     build_pattern_piece,
     build_torus_piece,
-    family_index_range,
     tor_E,
 )
 from cabletorsion.presentations import (
@@ -26,6 +25,7 @@ from cabletorsion.presentations import (
 from cabletorsion.representations import (
     abelian_representation,
     evaluate_word,
+    index_range,
     invariant_vector,
     rep_build,
 )
@@ -89,7 +89,7 @@ def test_criterion_3_an_end_to_end():
     """AN family: glued torsion matches the theorem for every j on the grid."""
     runs = 0
     for a, b in GRID:
-        for (j,) in family_index_range("AN", a, b):
+        for (j,) in index_range("AN", a, b):
             result = tor_E("AN", a, b, j, XI)
             assert torsion_equal(result.value, theorem_rhs("AN", a, b, j), 1e-6)
             assert torsion_equal(result.tor_d, 0.5, 1e-8)
@@ -105,7 +105,7 @@ def test_criterion_4_na_end_to_end(rng):
     """NA family: every k, 5 random xi each, with all stated intermediates."""
     runs = 0
     for a, b in GRID:
-        for (k,) in family_index_range("NA", a, b):
+        for (k,) in index_range("NA", a, b):
             for _ in range(5):
                 xi = random_xi(rng)
                 result = tor_E("NA", a, b, k, xi)
@@ -126,7 +126,7 @@ def test_criterion_5_nn_end_to_end():
     runs = 0
     empty_pairs = []
     for a, b in GRID:
-        indices = family_index_range("NN", a, b)
+        indices = index_range("NN", a, b)
         if not indices:
             empty_pairs.append((a, b))
             continue
@@ -211,14 +211,11 @@ def test_criterion_7_engine_properties(rng):
 
 def test_criterion_8_induced_map_goldens():
     """phi_1 equals the displayed integer matrices entrywise."""
-    from cabletorsion.mayer_vietoris import build_gluing_torus, induced_maps
+    from cabletorsion.mayer_vietoris import induced_maps
 
     def phi1(family, a, b, index):
         rep = rep_build(family, XI, a, b, index)
-        c = build_torus_piece(family, rep, a)
-        d = build_pattern_piece(family, rep, b)
-        s = build_gluing_torus(family, rep, a)
-        return induced_maps(family, rep, c, d, s).phi1
+        return induced_maps(rep, build_torus_piece(rep), build_pattern_piece(rep)).phi1
 
     goldens = [
         ("AN", 1, 6, 0, [[1, 0], [0, 0], [-2, 13]]),

@@ -159,7 +159,7 @@ class TestTorusKnotPair:
         for a, b in ((1, 6), (2, 10)):
             for k in range(a):
                 rep = rep_build("NA", XI, a, b, k)
-                piece = build_torus_piece("NA", rep, a)
+                piece = build_torus_piece(rep)
                 k_odd = 2 * k + 1
                 ref = 1 / tau_torus(k_odd, 2, 2 * a + 1) ** 2
                 assert abs(abs(piece.torsion.value) - abs(ref)) <= 1e-8 * abs(ref)

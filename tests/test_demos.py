@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -29,7 +30,13 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_family_sweep_prints_real_values_as_real():
-    # the sign of a rounding-noise imaginary part must not reach the output
-    out = _run(ROOT / "demos" / "04_family_sweep.py").stdout
-    assert "engine +29.672214  " in out and "0.000000j" not in out
+@pytest.mark.parametrize(
+    "demo, real_value",
+    [("03_pieces_and_gluing.py", "Tor = +2.594224\n"), ("04_family_sweep.py", "engine +29.672214  ")],
+    ids=["03_pieces_and_gluing.py", "04_family_sweep.py"],
+)
+def test_family_sweep_prints_real_values_as_real(demo, real_value):
+    # the sign of rounding noise (an imaginary part, a negative zero) must not reach the output
+    out = _run(ROOT / "demos" / demo).stdout
+    assert real_value in out and "0.000000j" not in out
+    assert not re.search(r"-0\.(?!\d)", out)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cabletorsion import mayer_vietoris
-from cabletorsion.chains import homology, presentation_complex
+from cabletorsion.chains import class_coordinates, homology, presentation_complex
 from cabletorsion.closed_forms import tau0, theorem_rhs
 from cabletorsion.linalg import numerical_rank
 from cabletorsion.mayer_vietoris import (
@@ -13,14 +13,13 @@ from cabletorsion.mayer_vietoris import (
     build_mv_sequence,
     build_pattern_piece,
     build_torus_piece,
-    family_index_range,
     induced_maps,
     mv_torsion,
     tor_E,
     tor_E_abelian,
 )
-from cabletorsion.presentations import cable_exterior_presentation
-from cabletorsion.representations import rep_build
+from cabletorsion.presentations import cable_exterior_presentation, torus_piece_presentation
+from cabletorsion.representations import evaluate_word, index_range, invariant_vector, rep_build
 from cabletorsion.torsion import TorsionError, torsion_equal
 from conftest import assert_close
 
@@ -29,12 +28,8 @@ XI = 0.3 + 0.1j
 
 def assemble(family, a, b, index):
     rep = rep_build(family, XI, a, b, index)
-    pieces = {
-        "C": build_torus_piece(family, rep, a),
-        "D": build_pattern_piece(family, rep, b),
-        "S": build_gluing_torus(family, rep, a),
-    }
-    maps = induced_maps(family, rep, pieces["C"], pieces["D"], pieces["S"])
+    pieces = {"C": build_torus_piece(rep), "D": build_pattern_piece(rep), "S": build_gluing_torus(rep)}
+    maps = induced_maps(rep, pieces["C"], pieces["D"])
     return rep, pieces, maps
 
 
@@ -65,6 +60,29 @@ class TestInducedMapGoldens:
         assert_close(maps_na.phi0, [[1]], 1e-9)
         _, _, maps_nn = assemble("NN", 1, 7, (0, 0))
         assert maps_nn.phi0.shape == (0, 1)
+
+    @pytest.mark.parametrize("family, a, b, index, case", [
+        ("AN", 1, 6, 0, "U"), ("NA", 1, 6, 0, "W"), ("NA", 2, 10, 1, "W"), ("NN", 1, 7, (0, 0), "Ut"),
+    ])
+    def test_phi2_phi0_unit_columns_match_class_coordinates(self, family, a, b, index, case):
+        # Reference: the classes of S pushed into each piece and solved for by
+        # least squares against its lifts, as a chain-level computation.
+        rep, pieces, maps = assemble(family, a, b, index)
+        c, d = pieces["C"], pieces["D"]
+        v = invariant_vector(case, rep)
+        pres, _ = torus_piece_presentation(a)
+        conj = pres.word("y") * (pres.word("x y") ** a)
+        images2 = [(c, (np.eye(3) - evaluate_word(rep, conj)) @ v), (d, v)]
+        phi2 = np.concatenate([
+            class_coordinates(chain, piece.lifts[2], piece.complex, 2)
+            for piece, chain in images2 if piece.lifts.get(2)
+        ])
+        phi0 = np.concatenate([np.zeros(0)] + [
+            class_coordinates(v, piece.lifts[0], piece.complex, 0) for piece in (c, d) if piece.lifts.get(0)
+        ])
+        assert maps.phi2.shape == (len(phi2), 1) and maps.phi0.shape == (len(phi0), 1)
+        assert np.max(np.abs(maps.phi2[:, 0] - phi2)) <= 1e-10
+        assert np.max(np.abs(maps.phi0[:, 0] - phi0), initial=0.0) <= 1e-10
 
 
 class TestSequence:
@@ -195,6 +213,6 @@ class TestTorE:
         assert homology(presentation_complex(pres7, rep_nn)).dims == (0, 2, 2)
 
     def test_empty_index_ranges(self):
-        assert family_index_range("NN", 1, 6) == []
-        assert family_index_range("NN", 2, 10) == []
-        assert family_index_range("AN", 1, 6) == [(j,) for j in range(6)]
+        assert index_range("NN", 1, 6) == []
+        assert index_range("NN", 2, 10) == []
+        assert index_range("AN", 1, 6) == [(j,) for j in range(6)]

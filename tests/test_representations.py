@@ -102,6 +102,9 @@ class TestFamilyMatrices:
         assert_close(rep_an.omega2, cmath.exp(1j * cmath.pi / 13))
         assert_close(rep_na.omega1, cmath.exp(1j * cmath.pi / 3))
         assert abs(rep_nn.omega3 ** (2 * 7 + 1 - 4 * (2 * 1 + 1)) + 1) < 1e-12
+        for rep in (rep_an, rep_na, rep_nn):  # the fixed-point roots come from the same indices
+            _, roots = rep.hp_scalars()
+            assert roots and all(abs(complex(w) - getattr(rep, name)) < 1e-15 for name, w in roots.items())
 
 
 class TestValidation:
@@ -373,6 +376,14 @@ def test_hp_adjoints_are_built_on_first_lookup():
     assert set(forward) == {"p", "t"} and set(backward) == {"t"}
     assert rep.hp_adjoints()[0]["p"] is forward["p"]
     assert hp_invariant_vector("Ut", rep) is hp_invariant_vector("Ut", rep)  # kept on rep
+
+
+@pytest.mark.parametrize("cache", ["_inverses", "_adjoints", "_adjoint_invs", "_hp_scalars",
+                                   "_hp_entries", "_hp_adjoints", "_hp_vectors"])
+def test_caches_are_not_constructor_arguments(cache):
+    # cached data derived from ``assignment`` cannot be passed in disagreeing with it
+    with pytest.raises(TypeError):
+        Representation("AA", {"p": np.eye(2, dtype=complex)}, **{cache: {}})
 
 
 def _random_sl2(gen):
