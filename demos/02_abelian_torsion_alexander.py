@@ -14,7 +14,6 @@ the 13-crossing cable exterior, where the same diagonal family reproduces the
 import numpy as np
 
 from cabletorsion import (
-    HomologyLift,
     abelian_representation,
     presentation_complex,
     reidemeister_torsion,
@@ -33,9 +32,7 @@ for a in (1, 2):
         cplx = presentation_complex(pres, rep)
         meridian_lift = np.zeros(6, dtype=complex)
         meridian_lift[1] = 1.0  # x~ tensor H
-        tor = reidemeister_torsion(
-            cplx, [HomologyLift(1, [meridian_lift]), HomologyLift(0, [H])]
-        )
+        tor = reidemeister_torsion(cplx, {1: [meridian_lift], 0: [H]})
         z = rep.z
         reference = (alexander(pres, z ** 2) / (z - 1 / z)) ** 2
         print(f"  xi = {xi}:  engine {tor.value:+.6f}")

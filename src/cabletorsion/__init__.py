@@ -49,7 +49,6 @@ from .chains import (
     torus_complex,
 )
 from .torsion import (
-    HomologyLift,
     TorsionValue,
     reidemeister_torsion,
     torsion_equal,
@@ -81,7 +80,7 @@ __all__ = [
     "image_pivots", "kernel_basis", "numerical_rank",
     "BasedChainComplex", "chain_of_loop", "class_coordinates", "homology",
     "presentation_complex", "torus_complex",
-    "HomologyLift", "TorsionValue", "reidemeister_torsion", "torsion_equal",
+    "TorsionValue", "reidemeister_torsion", "torsion_equal",
     "InducedMaps", "TorEResult", "build_mv_sequence", "build_gluing_torus",
     "build_pattern_piece", "build_torus_piece", "induced_maps", "mv_torsion",
     "tor_E", "tor_E_abelian", "closed_forms",

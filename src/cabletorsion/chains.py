@@ -39,7 +39,7 @@ SL2_BASIS_NAMES = ("E", "H", "F")
 
 BOUNDARY_SQUARE_TOL = 1e-9    # |d_i d_(i+1)| / (|d_i| |d_(i+1)|): the matrices form a complex
 COMMUTATOR_TOL = 1e-9         # |ML - LM| / (|M| |L|): the peripheral actions commute
-CYCLE_TOL = 1e-8              # class_coordinates: the vector is a cycle in the lifts' span
+CYCLE_TOL = 1e-8              # class_coordinates: the vector is a cycle
 SUBGROUP_TOL = 1e-20          # |Ad(word) v - v| / |v| after a fixed-point loop walk: it kept its digits
 
 
@@ -199,38 +199,22 @@ def homology(cplx: BasedChainComplex, tol: float = linalg.DEFAULT_RANK_TOL) -> H
     return HomologySummary(tuple(n - ranks[i] - ranks[i + 1] for i, n in enumerate(cplx.dims)))
 
 
-def class_coordinates(
-    cycle,
-    lifts: Sequence,
-    cplx: BasedChainComplex,
-    degree: int,
-    tol: float = CYCLE_TOL,
-) -> np.ndarray:
-    """Coordinates of a cycle against homology lifts, modulo boundaries.
+def class_coordinates(cycle, basis, cplx: BasedChainComplex, degree: int) -> np.ndarray:
+    """Coordinates of a cycle against the homology lifts, modulo boundaries.
 
-    Solves [lifts | boundary-basis] c = cycle by least squares and returns the
-    lift block; a residual above ``tol`` (times the cycle norm) means the
-    cycle is not in the span, i.e. wrong basis or degenerate parameters.
+    ``basis`` is the piece's assembled basis in ``degree``
+    (``TorsionValue.bases``): the cycle is solved against it and the lift
+    block returned, so the ranks are the torsion's own.  A cycle has no
+    component on the b_i columns, whose boundaries are independent; a vector
+    that is not a cycle raises.
     """
     cycle = np.asarray(cycle, dtype=complex)
     d_this = cplx.d(degree)
     if d_this.size:
         bnorm = np.linalg.norm(d_this @ cycle)
-        if bnorm > tol * max(np.linalg.norm(d_this) * np.linalg.norm(cycle), 1.0):
+        if bnorm > CYCLE_TOL * max(np.linalg.norm(d_this) * np.linalg.norm(cycle), 1.0):
             raise ChainComplexError(f"vector is not a cycle in degree {degree}")
-    d_up = cplx.d(degree + 1)
-    b_basis = linalg.image_basis_orthonormal(d_up)
-    columns = [np.asarray(v, dtype=complex) for v in lifts] + list(b_basis.T)
-    if not columns:
-        raise ChainComplexError("no lifts supplied")
-    system = np.column_stack(columns)
-    sol, *_ = np.linalg.lstsq(system, cycle, rcond=None)
-    residual = np.linalg.norm(system @ sol - cycle)
-    if residual > tol * max(np.linalg.norm(cycle), 1.0):
-        raise ChainComplexError(
-            f"cycle not in span of lifts + boundaries (residual {residual:.3e})"
-        )
-    return sol[: len(lifts)]
+    return np.linalg.solve(basis.matrix, cycle)[basis.lifts]
 
 
 def chain_of_loop(word: Word, vector, rep: Representation, pres: Presentation) -> np.ndarray:

@@ -2,11 +2,8 @@
 
 Complex numbers enter as "re,im" pairs and leave as two-element [re, im]
 arrays; JSON records carry a "schema": "1" field.  Exit codes: 0 all matches
-pass, 1 verification failure, 2 invalid parameters.  The TORSION_TOL_RANK
-environment variable sets the tolerance of the ranks read from singular values
-(``homology``, ``class_coordinates`` and the Mayer-Vietoris quotient); it must
-be finite and in (0, 1), otherwise the command exits 2.  Torsion ranks come
-from the homology lift counts, not from this tolerance.
+pass, 1 verification failure, 2 invalid parameters.  Every rank the torsions
+and the gluing use comes from the homology lift counts.
 """
 
 from __future__ import annotations
@@ -17,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .presentations import (
     torus_piece_presentation,
 )
 from .representations import abelian_representation, index_range, rep_build
-from .torsion import HomologyLift, reidemeister_torsion, torsion_equal
+from .torsion import reidemeister_torsion, torsion_equal
 from .words import Word, fox_fundamental_defect
 
 DEFAULT_TOL_MATCH = 1e-6
@@ -159,7 +157,7 @@ def _suite_abelian(rng, checks):
             h_vec = np.array([0, 1, 0], dtype=complex)
             lift1 = np.zeros(6, dtype=complex)
             lift1[1] = 1.0
-            tor = reidemeister_torsion(cplx, [HomologyLift(1, [lift1]), HomologyLift(0, [h_vec])])
+            tor = reidemeister_torsion(cplx, {1: [lift1], 0: [h_vec]})
             z = cmath.exp(xi / 2)
             ref = (closed_forms.alexander(("torus", a), z ** 2) / (z - 1 / z)) ** 2
             checks.append(
@@ -169,11 +167,11 @@ def _suite_abelian(rng, checks):
 
 def _suite_torus(rng, checks):
     h_vec = np.array([0, 1, 0], dtype=complex)
-    lifts = [
-        HomologyLift(2, [h_vec]),
-        HomologyLift(1, [np.concatenate([h_vec, np.zeros(3)]), np.concatenate([np.zeros(3), h_vec])]),
-        HomologyLift(0, [h_vec]),
-    ]
+    lifts = {
+        2: [h_vec],
+        1: [np.concatenate([h_vec, np.zeros(3)]), np.concatenate([np.zeros(3), h_vec])],
+        0: [h_vec],
+    }
     done = 0
     while done < 50:
         zeta = cmath.exp(complex(rng.normal(), rng.normal()))
@@ -248,12 +246,12 @@ def _suite_properties(rng, checks):
 
 
 SUITES = {
-    "abelian": lambda rng, checks: _suite_abelian(rng, checks),
-    "torus": lambda rng, checks: _suite_torus(rng, checks),
-    "AN": lambda rng, checks: _suite_family("AN", rng, checks),
-    "NA": lambda rng, checks: _suite_family("NA", rng, checks),
-    "NN": lambda rng, checks: _suite_family("NN", rng, checks),
-    "properties": lambda rng, checks: _suite_properties(rng, checks),
+    "abelian": _suite_abelian,
+    "torus": _suite_torus,
+    "AN": partial(_suite_family, "AN"),
+    "NA": partial(_suite_family, "NA"),
+    "NN": partial(_suite_family, "NN"),
+    "properties": _suite_properties,
 }
 
 

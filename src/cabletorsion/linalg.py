@@ -4,20 +4,19 @@ Rank decisions use singular values (rank = number of sigma > tol * sigma_max,
 counted once in ``_rank``); pivot selection for image bases uses
 column-pivoted orthogonalization on the same matrix, with deterministic
 tie-breaking (largest remaining column norm, lowest index on ties) so repeated
-runs pick identical bases.  The default tolerance comes from the
-``TORSION_TOL_RANK`` environment variable, read at import and validated at
-first use: it must be finite and in (0, 1).
+runs pick identical bases.  Every rank the torsions and the gluing use comes
+from the homology lift counts (see ``torsion``); singular values are read only
+by checks (the Betti numbers of ``chains.homology`` and the span and exactness
+checks of the Mayer-Vietoris sequence), at the named tolerances.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from typing import Sequence
 
 import numpy as np
 
-DEFAULT_RANK_TOL = float(os.environ.get("TORSION_TOL_RANK", "1e-9"))
+DEFAULT_RANK_TOL = 1e-9       # sigma / sigma_max above which a singular value counts as rank
 PIVOT_TOL = 1e-13             # greedy pivots: a chosen column adds a direction of the span
 PIVOT_ORDER_TOL = 1e-12       # pivots from a given order: a kept column enlarges the span
 
@@ -33,11 +32,6 @@ def _as_matrix(m) -> np.ndarray:
 
 def _rank(sigma: np.ndarray, tol: float) -> int:
     """Number of singular values above tol * sigma_max (sigma sorted descending)."""
-    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
-        raise ValueError(
-            f"rank tolerance {tol!r} must be finite and in (0, 1); "
-            "TORSION_TOL_RANK sets the default"
-        )
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > tol * sigma[0]))

@@ -21,12 +21,13 @@ the outer torus; v = v' in the NA family):
         basepoint x v in degree 0 when the pattern side is abelian
 
 phi_1 is computed honestly: express mu_C and la_C in each piece's generators,
-take their loop chains on the gluing-torus vector, and read coordinates
-against the piece's homology basis.  The chains are walked in fixed point
-(``chain_of_loop_hp``), and the longitude through its split la_C = h mu_C^k
-(h = t, k = -b in D; h = y (xy)^{2a}, k = -(4a+1) in C): the vector is fixed
-by the whole gluing-torus subgroup, so chain(la_C) = chain(h) + k chain(mu_C),
-and a call walks 4a + 7 letters whatever b is.
+take their loop chains on the gluing-torus vector, and solve for their lift
+coordinates in the degree-1 basis the piece's torsion was assembled in
+(``TorsionValue.bases``), so no rank is read twice.  The chains are walked
+in fixed point (``chain_of_loop_hp``), and the longitude through its split
+la_C = h mu_C^k (h = t, k = -b in D; h = y (xy)^{2a}, k = -(4a+1) in C): the
+vector is fixed by the whole gluing-torus subgroup, so chain(la_C) =
+chain(h) + k chain(mu_C), and a call walks 4a + 7 letters whatever b is.
 phi_2 and phi_0 are read off the lift catalogue: the first lift of C and of D
 in degrees 2 and 0 is the image of the class of S there (the conjugate-relator
 decomposition above is baked into C's degree-2 lift), so both are unit
@@ -66,7 +67,7 @@ from .representations import (
     invariant_vector,
     rep_build,
 )
-from .torsion import HomologyLift, TorsionValue, reidemeister_torsion
+from .torsion import TorsionValue, reidemeister_torsion
 
 EXACTNESS_TOL = 1e-8          # rank tolerance under which the nine-slot sequence must be exact
 
@@ -185,7 +186,8 @@ class InducedMaps:
 def induced_maps(rep: Representation, piece_c: PieceData, piece_d: PieceData) -> InducedMaps:
     """phi_2, phi_1, phi_0 of the splitting of ``rep`` into ``piece_c`` and ``piece_d``.
 
-    phi_1 pushes mu_C and la_C into each piece and takes class coordinates.
+    phi_1 pushes mu_C and la_C into each piece and takes class coordinates in
+    the piece's assembled degree-1 basis.
     phi_2 and phi_0 send the one class of S to the first lift of each piece
     that has one in that degree, so they are unit columns.
     """
@@ -196,8 +198,8 @@ def induced_maps(rep: Representation, piece_c: PieceData, piece_d: PieceData) ->
         _gluing_chains(rep, piece_d.presentation, piece_d.peripheral, case),
     ):
         cols.append(np.concatenate([
-            class_coordinates(cyc_c, piece_c.lifts[1], piece_c.complex, 1),
-            class_coordinates(cyc_d, piece_d.lifts[1], piece_d.complex, 1),
+            class_coordinates(cyc_c, piece_c.torsion.bases[1], piece_c.complex, 1),
+            class_coordinates(cyc_d, piece_d.torsion.bases[1], piece_d.complex, 1),
         ]))
 
     def unit_column(k):
@@ -209,23 +211,17 @@ def induced_maps(rep: Representation, piece_c: PieceData, piece_d: PieceData) ->
 def _quotient_rows(phi: np.ndarray, designated: Sequence[int]) -> np.ndarray:
     """Rows of psi: kill im(phi), send designated class q to basis vector q.
 
-    The functional is unique because im(phi) plus the designated classes span;
-    it is read off the inverse of [phi | e_designated].
+    phi is injective (the ``_MV_TABLE`` counts make it so), and the
+    functional is unique because im(phi) plus the designated classes span; it
+    is read off the inverse of [phi | e_designated].
     """
     n = phi.shape[0]
-    rank = linalg.numerical_rank(phi)
-    cols = [phi[:, j] for j in linalg.pivot_columns(phi, rank)]
-    for d in designated:
-        unit = np.zeros(n, dtype=complex)
-        unit[d] = 1.0
-        cols.append(unit)
-    basis = np.column_stack(cols)
+    basis = np.column_stack([phi, np.eye(n, dtype=complex)[:, list(designated)]])
     if basis.shape[0] != basis.shape[1] or linalg.numerical_rank(basis) < n:
         raise MayerVietorisError(
             "image of phi plus designated classes do not span the middle slot"
         )
-    inv = np.linalg.inv(basis)
-    return inv[rank:, :]
+    return np.linalg.inv(basis)[phi.shape[1]:, :]
 
 
 def build_mv_sequence(family: str, maps: InducedMaps, pieces: Dict[str, PieceData]) -> BasedChainComplex:
@@ -334,9 +330,6 @@ def tor_E_abelian(a: int, b: int, xi: complex) -> TorsionValue:
     cplx = presentation_complex(pres, rep)
     h_vec = invariant_vector("H", rep)
     p_block = [g.name for g in pres.generators].index("p")
-    lifts = [
-        HomologyLift(1, [_pad(h_vec, p_block, len(pres.generators))]),
-        HomologyLift(0, [h_vec]),
-    ]
+    lifts = {1: [_pad(h_vec, p_block, len(pres.generators))], 0: [h_vec]}
     return reidemeister_torsion(cplx, lifts)
 

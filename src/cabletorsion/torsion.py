@@ -13,15 +13,15 @@ multiplication by -1.
 
 The size of each b_i, rank(d_i), is fixed by the chain dimensions and the
 number of lifts per degree, so the engine reads no rank from singular values.
-``TORSION_TOL_RANK`` (a value in (0, 1)) governs only the SVD rank readings
-elsewhere: ``chains.homology``, ``chains.class_coordinates`` and the
-Mayer-Vietoris quotient.
+The assembled bases come back with the value (``TorsionValue.bases``): class
+coordinates are solved against them, so every rank of the gluing pipeline
+comes from the lift counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -36,10 +36,25 @@ class TorsionError(ValueError):
 
 
 @dataclass(frozen=True)
+class AssembledBasis:
+    """d_{i+1}(b_{i+1}) u lifts_i u b_i as the columns of ``matrix``; ``lifts`` slices the lifts."""
+
+    matrix: np.ndarray
+    lifts: slice
+
+
+@dataclass(frozen=True)
 class TorsionValue:
-    """A nonzero complex number carrying an intrinsic sign ambiguity."""
+    """A nonzero complex number carrying an intrinsic sign ambiguity.
+
+    A value returned by ``reidemeister_torsion`` keeps the assembled basis of
+    each nonzero degree in ``bases``; products and quotients keep none.
+    """
 
     value: complex
+    bases: Dict[int, AssembledBasis] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __mul__(self, other):
         return TorsionValue(self.value * _raw(other))
@@ -64,43 +79,28 @@ def torsion_equal(x, y, rel_tol: float = 1e-9) -> bool:
     return min(abs(xv - yv), abs(xv + yv)) <= rel_tol * abs(yv)
 
 
-@dataclass(frozen=True)
-class HomologyLift:
-    """Chosen cycle representatives of a homology basis in one degree."""
-
-    degree: int
-    chains: Sequence[np.ndarray]
-
-
-def _lift_table(lifts, top: int) -> Dict[int, List[np.ndarray]]:
+def _lift_table(lifts: Mapping[int, Sequence] | None, top: int) -> Dict[int, List[np.ndarray]]:
     table: Dict[int, List[np.ndarray]] = {i: [] for i in range(top + 1)}
-    if lifts is None:
-        return table
-    if isinstance(lifts, Mapping):
-        items: Iterable = (HomologyLift(deg, chains) for deg, chains in lifts.items())
-    else:
-        items = lifts
-    for lift in items:
-        if not 0 <= lift.degree <= top:
-            raise TorsionError(f"lift degree {lift.degree} outside complex")
-        table[lift.degree].extend(np.asarray(c, dtype=complex) for c in lift.chains)
+    for degree, chains in (lifts or {}).items():
+        if not 0 <= degree <= top:
+            raise TorsionError(f"lift degree {degree} outside complex")
+        table[degree].extend(np.asarray(c, dtype=complex) for c in chains)
     return table
 
 
 def reidemeister_torsion(
     cplx: BasedChainComplex,
-    lifts=None,
+    lifts: Mapping[int, Sequence] | None = None,
     rng: np.random.Generator | None = None,
 ) -> TorsionValue:
-    """Torsion of the based complex; ``lifts`` may be HomologyLifts or a degree map.
+    """Torsion of the based complex with homology lifts ``{degree: [chains]}``.
 
     The boundary ranks come from the lift counts alone (``_lift_ranks``); no
-    singular values are read, so ``TORSION_TOL_RANK`` plays no part here.
-    Pivot feasibility, the cycle residual of every lift and the conditioning
-    of every assembled basis are checked, and each failure raises a
-    TorsionError.  Passing ``rng`` draws a random admissible b_i selection
-    instead of the deterministic pivot choice (used to confirm the result is
-    independent of that choice).
+    singular values are read.  Pivot feasibility, the cycle residual of every
+    lift and the conditioning of every assembled basis are checked, and each
+    failure raises a TorsionError.  Passing ``rng`` draws a random admissible
+    b_i selection instead of the deterministic pivot choice (used to confirm
+    the result is independent of that choice).
     """
     top = cplx.top
     table = _lift_table(lifts, top)
@@ -131,6 +131,7 @@ def reidemeister_torsion(
                     )
 
     result = 1.0 + 0.0j
+    bases: Dict[int, AssembledBasis] = {}
     for i in range(top + 1):
         dim = cplx.dims[i]
         if dim == 0:
@@ -139,6 +140,7 @@ def reidemeister_torsion(
         d_up = cplx.d(i + 1)
         for j in b_cols.get(i + 1, []):
             cols.append(d_up[:, j])
+        lift_cols = slice(len(cols), len(cols) + len(table[i]))
         cols.extend(table[i])
         for j in b_cols.get(i, []):
             unit = np.zeros(dim, dtype=complex)
@@ -151,9 +153,12 @@ def reidemeister_torsion(
                 f"assembled basis singular in degree {i}; "
                 "wrong lifts or degenerate parameters"
             )
+        bases[i] = AssembledBasis(assembled, lift_cols)
         det = np.linalg.det(assembled)
         result *= det ** ((-1) ** (i + 1))
-    return TorsionValue(result)
+    tor = TorsionValue(result)
+    tor.bases.update(bases)
+    return tor
 
 
 def _choose_b(matrix: np.ndarray, rank: int, rng) -> list[int]:

@@ -29,7 +29,7 @@ from cabletorsion.representations import (
     invariant_vector,
     rep_build,
 )
-from cabletorsion.torsion import HomologyLift, reidemeister_torsion, torsion_equal
+from cabletorsion.torsion import reidemeister_torsion, torsion_equal
 from cabletorsion.words import fox_fundamental_defect
 from conftest import random_word
 
@@ -57,7 +57,7 @@ def test_criterion_1_abelian_alexander(rng):
             xi = random_xi(rng)
             rep = abelian_representation(xi, pres)
             cplx = presentation_complex(pres, rep)
-            tor = reidemeister_torsion(cplx, [HomologyLift(1, [lift1]), HomologyLift(0, [h])])
+            tor = reidemeister_torsion(cplx, {1: [lift1], 0: [h]})
             z = rep.z
             ref = (alexander(pres, z ** 2) / (z - 1 / z)) ** 2
             assert torsion_equal(tor, ref, 1e-8), f"T(2,{2*a+1}) at xi={xi}"
@@ -68,11 +68,11 @@ def test_criterion_1_abelian_alexander(rng):
 def test_criterion_2_torus_torsion(rng):
     """Tor(S) = +-1 for 50 random commuting diagonal peripheral actions."""
     h = np.array([0, 1, 0], dtype=complex)
-    lifts = [
-        HomologyLift(2, [h]),
-        HomologyLift(1, [np.concatenate([h, np.zeros(3)]), np.concatenate([np.zeros(3), h])]),
-        HomologyLift(0, [h]),
-    ]
+    lifts = {
+        2: [h],
+        1: [np.concatenate([h, np.zeros(3)]), np.concatenate([np.zeros(3), h])],
+        0: [h],
+    }
     done = 0
     while done < 50:
         zeta = cmath.exp(complex(rng.normal(), rng.normal()))

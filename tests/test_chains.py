@@ -13,7 +13,7 @@ from cabletorsion.chains import (
     torus_complex,
 )
 from cabletorsion import linalg
-from cabletorsion.mayer_vietoris import _gluing_chains, tor_E
+from cabletorsion.mayer_vietoris import _gluing_chains, build_pattern_piece, build_torus_piece, tor_E
 from cabletorsion.presentations import (
     cable_exterior_presentation,
     pattern_piece_presentation,
@@ -50,6 +50,11 @@ def rep_an():
 @pytest.fixture(scope="module")
 def rep_na():
     return rep_build("NA", XI, 1, 6, 0)
+
+
+def piece_coordinates(piece, cycle, degree=1):
+    """class_coordinates in the basis the piece's torsion was assembled in."""
+    return class_coordinates(cycle, piece.torsion.bases[degree], piece.complex, degree)
 
 
 class TestPresentationComplex:
@@ -181,37 +186,28 @@ class TestHomologyTables:
 
 
 class TestClassCoordinates:
+    # D of AN has lifts V, U on p~ and t~ in degree 1; C of NA has W on x~
     def test_lift_against_itself(self, rep_an):
-        pres, _ = pattern_piece_presentation(6)
-        cplx = presentation_complex(pres, rep_an)
-        u = invariant_vector("U", rep_an)
-        v = invariant_vector("V", rep_an)
-        lifts = [pad(v, 0), pad(u, 1)]
-        coords = class_coordinates(lifts[0], lifts, cplx, 1)
+        piece = build_pattern_piece(rep_an)
+        coords = piece_coordinates(piece, piece.lifts[1][0])
         assert_close(coords, [1, 0])
 
     def test_mu_c_lands_on_minus_two_t(self, rep_an):
-        pres, peri = pattern_piece_presentation(6)
-        cplx = presentation_complex(pres, rep_an)
+        piece = build_pattern_piece(rep_an)
         u = invariant_vector("U", rep_an)
-        v = invariant_vector("V", rep_an)
-        cycle = chain_of_loop(peri["mu_C"], u, rep_an, pres)
-        coords = class_coordinates(cycle, [pad(v, 0), pad(u, 1)], cplx, 1)
-        assert_close(coords, [0, -2], 1e-9)
+        cycle = chain_of_loop(piece.peripheral["mu_C"], u, rep_an, piece.presentation)
+        assert_close(piece_coordinates(piece, cycle), [0, -2], 1e-9)
 
     def test_lambda_c_on_torus_side_na(self, rep_na):
-        pres, peri = torus_piece_presentation(1)
-        cplx = presentation_complex(pres, rep_na)
+        piece = build_torus_piece(rep_na)
         w = invariant_vector("W", rep_na)
-        cycle = chain_of_loop(peri["lambda_C"], w, rep_na, pres)
-        coords = class_coordinates(cycle, [pad(w, 0)], cplx, 1)
-        assert_close(coords, [-2 * (2 * 1 + 1)], 1e-9)
+        cycle = chain_of_loop(piece.peripheral["lambda_C"], w, rep_na, piece.presentation)
+        assert_close(piece_coordinates(piece, cycle), [-2 * (2 * 1 + 1)], 1e-9)
 
     def test_non_cycle_rejected(self, rep_an):
-        pres, _ = pattern_piece_presentation(6)
-        cplx = presentation_complex(pres, rep_an)
+        piece = build_pattern_piece(rep_an)
         with pytest.raises(ChainComplexError):
-            class_coordinates(np.ones(6), [pad(invariant_vector("U", rep_an), 1)], cplx, 1)
+            piece_coordinates(piece, np.ones(6))
 
 
 class TestChainOfLoop:
@@ -232,12 +228,10 @@ class TestChainOfLoop:
 
     def test_lambda_c_is_null_class_in_torus_piece_an(self, rep_an):
         # the longitude of the torus piece bounds once U is used
-        pres, peri = torus_piece_presentation(1)
-        cplx = presentation_complex(pres, rep_an)
+        piece = build_torus_piece(rep_an)
         u = invariant_vector("U", rep_an)
-        cycle = chain_of_loop(peri["lambda_C"], u, rep_an, pres)
-        coords = class_coordinates(cycle, [pad(u, 0)], cplx, 1)
-        assert_close(coords, [0], 1e-9)
+        cycle = chain_of_loop(piece.peripheral["lambda_C"], u, rep_an, piece.presentation)
+        assert_close(piece_coordinates(piece, cycle), [0], 1e-9)
 
     def test_crossed_homomorphism_rule(self, rng, rep_an):
         # chain(uv, w) = chain(u, w) + chain(v, evaluate(u) w)
@@ -253,13 +247,10 @@ class TestChainOfLoop:
             assert_close(lhs, rhs, 1e-9)
 
     def test_relator_chain_is_boundary(self, rep_an):
-        pres, _ = pattern_piece_presentation(6)
-        cplx = presentation_complex(pres, rep_an)
+        piece = build_pattern_piece(rep_an)
         u = invariant_vector("U", rep_an)
-        v = invariant_vector("V", rep_an)
-        cycle = chain_of_loop(pres.relators[0], u, rep_an, pres)
-        coords = class_coordinates(cycle, [pad(v, 0), pad(u, 1)], cplx, 1)
-        assert_close(coords, [0, 0], 1e-9)
+        cycle = chain_of_loop(piece.presentation.relators[0], u, rep_an, piece.presentation)
+        assert_close(piece_coordinates(piece, cycle), [0, 0], 1e-9)
 
 
 def _three_presentations(a, b):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from cabletorsion import mayer_vietoris
-from cabletorsion.chains import class_coordinates, homology, presentation_complex
+from cabletorsion.chains import ChainComplexError, class_coordinates, homology, presentation_complex
 from cabletorsion.closed_forms import tau0, theorem_rhs
 from cabletorsion.linalg import numerical_rank
 from cabletorsion.mayer_vietoris import (
+    _MV_TABLE,
     MayerVietorisError,
+    _gluing_chains,
     build_gluing_torus,
     build_mv_sequence,
     build_pattern_piece,
@@ -74,15 +76,77 @@ class TestInducedMapGoldens:
         conj = pres.word("y") * (pres.word("x y") ** a)
         images2 = [(c, (np.eye(3) - evaluate_word(rep, conj)) @ v), (d, v)]
         phi2 = np.concatenate([
-            class_coordinates(chain, piece.lifts[2], piece.complex, 2)
+            class_coordinates(chain, piece.torsion.bases[2], piece.complex, 2)
             for piece, chain in images2 if piece.lifts.get(2)
         ])
         phi0 = np.concatenate([np.zeros(0)] + [
-            class_coordinates(v, piece.lifts[0], piece.complex, 0) for piece in (c, d) if piece.lifts.get(0)
+            class_coordinates(v, piece.torsion.bases[0], piece.complex, 0)
+            for piece in (c, d) if piece.lifts.get(0)
         ])
         assert maps.phi2.shape == (len(phi2), 1) and maps.phi0.shape == (len(phi0), 1)
         assert np.max(np.abs(maps.phi2[:, 0] - phi2)) <= 1e-10
         assert np.max(np.abs(maps.phi0[:, 0] - phi0), initial=0.0) <= 1e-10
+
+
+def lstsq_coordinates(cycle, lifts, cplx, degree):
+    """Reference class coordinates: the lifts next to an orthonormal basis of
+    im d_(degree+1) from its SVD (rank at 1e-9 sigma_max), solved by least squares."""
+    d_up = cplx.d(degree + 1)
+    columns = list(lifts)
+    if d_up.size:
+        u, sigma, _ = np.linalg.svd(d_up)
+        columns += list(u[:, :int(np.count_nonzero(sigma > 1e-9 * sigma[0]))].T)
+    sol, *_ = np.linalg.lstsq(np.column_stack(columns), cycle, rcond=None)
+    return sol[:len(lifts)]
+
+
+class TestAssembledBasisCoordinates:
+    """class_coordinates in the torsion's assembled basis against least squares."""
+
+    @pytest.mark.parametrize("family, a, b, index", [
+        ("AN", 1, 6, 0), ("NA", 1, 6, 0), ("NA", 2, 10, 1), ("NN", 1, 7, (0, 0)),
+        ("AN", 3, 40, 5), ("NN", 3, 40, (25, 2)),
+    ])
+    def test_every_piece_and_degree_matches_least_squares(self, rng, family, a, b, index):
+        rep, pieces, maps = assemble(family, a, b, index)
+        case = _MV_TABLE[family]["cases"][0]
+        gluing = {
+            name: _gluing_chains(rep, pieces[name].presentation, pieces[name].peripheral, case)
+            for name in ("C", "D")
+        }
+        for piece in pieces.values():
+            for k, lifts in piece.lifts.items():
+                if not lifts:
+                    continue
+                # each lift, a random class plus a boundary of comparable size,
+                # and in degree 1 the chains of mu_C and la_C
+                d_up = piece.complex.d(k + 1)
+                coeffs = rng.normal(size=len(lifts)) + 1j * rng.normal(size=len(lifts))
+                boundary = d_up @ rng.normal(size=d_up.shape[1]) / max(np.linalg.norm(d_up), 1.0)
+                mixed = np.column_stack(lifts) @ coeffs + boundary
+                cycles = list(lifts) + [mixed] + list(gluing.get(piece.name, ()) if k == 1 else ())
+                for cycle in cycles:
+                    assert_close(
+                        class_coordinates(cycle, piece.torsion.bases[k], piece.complex, k),
+                        lstsq_coordinates(cycle, lifts, piece.complex, k),
+                        1e-10, f"{piece.name} degree {k}",
+                    )
+                assert_close(
+                    class_coordinates(mixed, piece.torsion.bases[k], piece.complex, k),
+                    coeffs, 1e-10, f"{piece.name} degree {k} random class",
+                )
+            if piece.name != "S":
+                with pytest.raises(ChainComplexError, match="not a cycle"):
+                    class_coordinates(np.ones(piece.complex.dims[1]), piece.torsion.bases[1], piece.complex, 1)
+        # phi_1 is the coordinates of the gluing chains, C stacked over D
+        reference = np.column_stack([
+            np.concatenate([
+                lstsq_coordinates(gluing[name][col], pieces[name].lifts[1], pieces[name].complex, 1)
+                for name in ("C", "D")
+            ])
+            for col in range(2)
+        ])
+        assert_close(maps.phi1, reference, 1e-10, "phi_1")
 
 
 class TestSequence:

@@ -18,7 +18,6 @@ from cabletorsion.representations import (
     rep_build,
 )
 from cabletorsion.torsion import (
-    HomologyLift,
     TorsionError,
     TorsionValue,
     reidemeister_torsion,
@@ -164,10 +163,20 @@ class TestEngineProperties:
         with pytest.raises(TorsionError):
             reidemeister_torsion(cplx, bad)
 
-    def test_homology_lift_objects_accepted(self, an_pattern):
+    def test_assembled_bases_come_back_with_the_value(self, an_pattern):
+        # one basis per nonzero degree, lifts in their slice, determinants
+        # multiplying to the value; equality and repr ignore the bases
         cplx, lifts, base = an_pattern
-        as_objects = [HomologyLift(d, vs) for d, vs in lifts.items()]
-        assert torsion_equal(reidemeister_torsion(cplx, as_objects), base, 1e-12)
+        tor = reidemeister_torsion(cplx, lifts)
+        assert sorted(tor.bases) == [0, 1, 2]
+        product = 1.0 + 0.0j
+        for i, basis in tor.bases.items():
+            assert basis.matrix.shape == (cplx.dims[i], cplx.dims[i])
+            assert list(basis.matrix[:, basis.lifts].T.tolist()) == [list(c) for c in lifts.get(i, [])]
+            product *= np.linalg.det(basis.matrix) ** ((-1) ** (i + 1))
+        assert product == tor.value
+        assert tor == TorsionValue(tor.value) and repr(tor) == repr(TorsionValue(tor.value))
+        assert (tor * 2).bases == {}
 
     def test_singular_assembled_basis_names_the_degree(self):
         # a degree-0 "lift" that is itself a boundary makes the assembled
