@@ -7,11 +7,13 @@ tie-breaking (largest remaining column norm, lowest index on ties) so repeated
 runs pick identical bases.  Every rank the torsions and the gluing use comes
 from the homology lift counts (see ``torsion``); singular values are read only
 by checks (the Betti numbers of ``chains.homology`` and the span and exactness
-checks of the Mayer-Vietoris sequence), at the named tolerances.
+checks of the Mayer-Vietoris sequence), at the named tolerances.  Every
+tolerance passed to a rank reader must be finite and in (0, 1).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +34,8 @@ def _as_matrix(m) -> np.ndarray:
 
 def _rank(sigma: np.ndarray, tol: float) -> int:
     """Number of singular values above tol * sigma_max (sigma sorted descending)."""
+    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
+        raise ValueError(f"rank tolerance {tol!r} must be finite and in (0, 1)")
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > tol * sigma[0]))

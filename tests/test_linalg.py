@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cabletorsion.linalg import (
     image_basis_orthonormal,
@@ -44,12 +45,9 @@ class TestKernelBasis:
             m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
             assert numerical_rank(m) + len(kernel_basis(m)) == cols
 
-
-class TestEmptyMatrices:
-    def test_ranks_and_bases_of_empty_matrices(self):
-        assert numerical_rank(np.zeros((0, 3))) == 0
-        assert len(kernel_basis(np.zeros((0, 3)))) == 3
-        assert image_basis_orthonormal(np.zeros((3, 0))).shape == (3, 0)
+    def test_rejects_nonpositive_tol(self):
+        with pytest.raises(ValueError):
+            kernel_basis(np.eye(2), 0.0)
 
 
 class TestImagePivots:
@@ -86,3 +84,21 @@ class TestImagePivots:
         idx = pivot_columns(m, rank, order=[2, 1, 0])
         assert len(idx) == rank
 
+
+class TestRankTolerance:
+    # one rule decides every rank reading: a tolerance outside (0, 1) would
+    # count roundoff singular values (or nothing) as rank, so it is refused
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, float("nan"), float("inf")])
+    def test_every_rank_reader_rejects_bad_tol(self, tol):
+        m = np.diag([1.0, 0.0])
+        for reader in (numerical_rank, kernel_basis, image_basis_orthonormal, image_pivots):
+            with pytest.raises(ValueError, match="must be finite and in"):
+                reader(m, tol)
+
+    def test_empty_matrix_still_checks_tol(self):
+        for reader in (numerical_rank, kernel_basis, image_basis_orthonormal):
+            with pytest.raises(ValueError):
+                reader(np.zeros((0, 3)), -1.0)
+        assert numerical_rank(np.zeros((0, 3))) == 0
+        assert len(kernel_basis(np.zeros((0, 3)))) == 3
+        assert image_basis_orthonormal(np.zeros((3, 0))).shape == (3, 0)
