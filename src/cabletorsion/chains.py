@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .presentations import Presentation
-from .representations import Representation, ensure_relations, hp_invariant_vector
+from .representations import Representation, _to_complex, ensure_relations, hp_invariant_vector
 from .words import Generator, Word
 
 SL2_BASIS_NAMES = ("E", "H", "F")
@@ -130,9 +130,10 @@ def _fox_walk_to_end(word: Word, generators: Sequence[Generator], start, forward
 
     With u the prefix so far, a letter g adds Ad(u) start to block g, then
     extends u; g^-1 extends u first, then subtracts (d(g^-1)/dg = -g^-1).
-    ``forward`` / ``backward`` map names to Ad(g) / Ad(g)^-1 of any array type.
+    ``forward`` / ``backward`` map names to Ad(g) / Ad(g)^-1 as numpy arrays
+    or flat fixed-point ``_Flat``; ``start - start`` is the zero block.
     """
-    blocks = {g.name: np.zeros_like(start) for g in generators}
+    blocks = {g.name: start - start for g in generators}
     acc = start
     for gen, sign in word.letters:
         name = gen.name
@@ -234,10 +235,11 @@ def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: 
     Peripheral words pile up adjoint products of size z^(+-4 len) that cancel
     down to a small chain; in float64 that costs eight or more digits at the
     edge of the xi range, which is too coarse for the induced-map entries.
-    So the invariant 3-vector is walked in FIXED_BITS-bit fixed point
-    (``_Fixed``, 9 products per letter) through the adjoints cached on the
-    representation (``Representation.hp_adjoints``); only the finished chain
-    is downcast, correctly rounded.  Callers keep the words short: a longitude
+    So the invariant 3-vector is walked in FIXED_BITS-bit fixed point, as a
+    flat ``_Flat`` of six ints, through the flat 3x3 adjoints cached on the
+    representation (``Representation.hp_adjoints``): one 3x3-times-vector
+    kernel per letter, each entry shifted once.  Only the finished chain is
+    downcast, correctly rounded.  Callers keep the words short: a longitude
     is walked as its split h mu_C^k (``PeripheralSystem.splits``), never
     letter by letter.
 
@@ -251,12 +253,12 @@ def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: 
     forward, backward = rep.hp_adjoints()
     vector = hp_invariant_vector(case, rep)
     blocks, end = _fox_walk_to_end(word, pres.generators, vector, forward, backward)
-    deviation = max(abs(complex(e - v)) for e, v in zip(end, vector))
-    scale = max(abs(complex(v)) for v in vector)
+    deviation = max(map(abs, _to_complex(end - vector)))
+    scale = max(map(abs, _to_complex(vector)))
     if deviation > SUBGROUP_TOL * scale:
         raise ChainComplexError(
             f"the {case} vector is not returned by a loop of {len(word)} letters "
             f"(relative deviation {deviation / scale:.3e} > {SUBGROUP_TOL:g}): "
             "the word is not in the gluing-torus subgroup or the fixed-point walk lost its digits"
         )
-    return np.array([complex(v) for block in blocks for v in block])
+    return np.array([v for block in blocks for v in _to_complex(block)])

@@ -25,8 +25,9 @@ product Ad(v) Ad(u) (so p t evaluates to T P).
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Dict, Tuple
 
 import numpy as np
@@ -60,7 +61,9 @@ _ONE = 1 << FIXED_BITS
 
 
 class _Fixed:
-    """A complex number as two Python ints scaled by 2^FIXED_BITS.
+    """A complex number as two Python ints scaled by 2^FIXED_BITS: the scalar
+    of the family formulas, which run once per representation (the hot loops
+    use the flat kernels below).
 
     Sums are exact and a product is the exact integer product shifted back
     once, so the error is absolute: about 2^-FIXED_BITS per operation, whatever
@@ -71,12 +74,6 @@ class _Fixed:
 
     def __init__(self, re: int, im: int = 0):
         self.re, self.im = re, im
-
-    @classmethod
-    def from_mpc(cls, x) -> "_Fixed":
-        import mpmath
-
-        return cls(*(int(mpmath.nint(mpmath.ldexp(part, FIXED_BITS))) for part in (x.real, x.imag)))
 
     def __add__(self, other):
         o = _lift(other)
@@ -134,6 +131,100 @@ def _lift(x) -> _Fixed:
     return x if isinstance(x, _Fixed) else _Fixed(x << FIXED_BITS)
 
 
+def _fixed_mp(f) -> Tuple[int, int]:
+    """f(mpmath) at FIXED_BITS + 16 bits, rounded to the nearest fixed-point (re, im)."""
+    import mpmath
+
+    with mpmath.mp.workprec(FIXED_BITS + 16):
+        x = f(mpmath)
+        return tuple(int(mpmath.nint(mpmath.ldexp(part, FIXED_BITS))) for part in (x.real, x.imag))
+
+
+@lru_cache(maxsize=64)
+def _fixed_z(xi: complex) -> Tuple[int, int]:
+    """z = exp(xi/2), once per distinct xi."""
+    return _fixed_mp(lambda mpmath: mpmath.exp(mpmath.mpc(xi) / 2))
+
+
+@lru_cache(maxsize=512)
+def _fixed_root(k: int, den: int) -> Tuple[int, int]:
+    """omega = exp(i pi (2k+1)/den), once per distinct (k, den)."""
+    return _fixed_mp(lambda mpmath: mpmath.expjpi(mpmath.mpf(2 * k + 1) / den))
+
+
+# Flat fixed-point kernels for the hot loops (relation check, loop walks): a
+# 2x2, 3x3 or 3-vector is one tuple of ints, (re, im) of each entry scaled by
+# 2^FIXED_BITS, row-major; each entry is its exact sum of products, shifted once.
+
+
+def _flat(entries) -> tuple:
+    """``_Fixed`` / int scalars, in order, as one flat tuple of ints."""
+    return tuple(part for x in map(_lift, entries) for part in (x.re, x.im))
+
+
+def _to_complex(flat) -> list:
+    """The correctly rounded complex values of flat (re, im) pairs."""
+    it = iter(flat)
+    return [complex(re / _ONE, im / _ONE) for re, im in zip(it, it)]  # int / int rounds correctly
+
+
+def _fmul2(x, y) -> tuple:
+    """The 2x2 product of flat fixed-point matrices."""
+    er, ei, fr, fi, gr, gi, hr, hi = y
+    out = []
+    for k in (0, 4):
+        ar, ai, br, bi = x[k:k + 4]
+        out += ((ar * er - ai * ei + br * gr - bi * gi) >> FIXED_BITS,
+                (ar * ei + ai * er + br * gi + bi * gr) >> FIXED_BITS,
+                (ar * fr - ai * fi + br * hr - bi * hi) >> FIXED_BITS,
+                (ar * fi + ai * fr + br * hi + bi * hr) >> FIXED_BITS)
+    return tuple(out)
+
+
+def _fadj2(x) -> tuple:
+    """The adjugate of a flat fixed-point 2x2 (its inverse in SL(2))."""
+    ar, ai, br, bi, cr, ci, dr, di = x
+    return (dr, di, -br, -bi, -cr, -ci, ar, ai)
+
+
+class _Flat(tuple):
+    """A flat fixed-point 3-vector (6 ints) or 3x3 (18 ints) for the loop
+    walks: ``+`` and ``-`` act entrywise, and 3x3 ``@`` 3-vector is one step."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Flat(map(operator.add, self, other))
+
+    def __sub__(self, other):
+        return _Flat(map(operator.sub, self, other))
+
+    def __matmul__(self, v):
+        v0r, v0i, v1r, v1i, v2r, v2i = v
+        out = []
+        for k in (0, 6, 12):
+            ar, ai, br, bi, cr, ci = self[k:k + 6]
+            out += ((ar * v0r - ai * v0i + br * v1r - bi * v1i + cr * v2r - ci * v2i) >> FIXED_BITS,
+                    (ar * v0i + ai * v0r + br * v1i + bi * v1r + cr * v2i + ci * v2r) >> FIXED_BITS)
+        return _Flat(out)
+
+
+def _fadjoint(m) -> _Flat:
+    """``_adjoint_entries`` of a flat 2x2, written out as a flat 3x3."""
+    ar, ai, br, bi, cr, ci, dr, di = m
+    return _Flat(part >> FIXED_BITS for part in (
+        dr * dr - di * di, 2 * dr * di,
+        2 * (br * dr - bi * di), 2 * (br * di + bi * dr),
+        bi * bi - br * br, -2 * br * bi,
+        cr * dr - ci * di, cr * di + ci * dr,
+        ar * dr - ai * di + br * cr - bi * ci, ar * di + ai * dr + br * ci + bi * cr,
+        ai * bi - ar * br, -(ar * bi + ai * br),
+        ci * ci - cr * cr, -2 * cr * ci,
+        -2 * (ar * cr - ai * ci), -2 * (ar * ci + ai * cr),
+        ar * ar - ai * ai, 2 * ar * ai,
+    ))
+
+
 # 2x2 helpers over a generic scalar domain (complex or _Fixed): the family
 # formulas are written once, in scalar arithmetic, so the float constructors
 # and the extended-precision path cannot drift apart.
@@ -155,12 +246,12 @@ def _adj2(x):
     return [[x[1][1], -x[0][1]], [-x[1][0], x[0][0]]]
 
 
-def _pow2(x, n: int):
-    """x^n for n >= 1 by repeated squaring."""
+def _pow2(x, n: int, mul=_mul2):
+    """x^n for n >= 1 by repeated squaring, with ``mul`` the 2x2 product."""
     if n == 1:
         return x
-    half = _pow2(_mul2(x, x), n // 2)
-    return _mul2(half, x) if n % 2 else half
+    half = _pow2(mul(x, x), n // 2, mul)
+    return mul(half, x) if n % 2 else half
 
 
 def _neg2(x):
@@ -243,15 +334,15 @@ def hp_assignment(rep: "Representation"):
     Rebuilt from the defining data (xi, family, indices) through the
     FIXED_BITS-bit z and roots of ``Representation.hp_scalars``, so downstream
     extended-precision evaluation does not inherit float64 rounding from the
-    stored matrices.  ``Representation.hp_entries`` keeps one copy.
+    stored matrices.  ``Representation.hp_entries`` keeps one flat copy.
     """
     z, roots = rep.hp_scalars()
     return _family_entries(rep.family, z, rep.a, rep.b, **roots)
 
 
 class _LazyAdjoints(dict):
-    """Ad(g), or Ad(g^-1) when ``inverse``, by generator name, built from the
-    ``_Fixed`` generator matrices on first lookup."""
+    """Ad(g), or Ad(g^-1) when ``inverse``, by generator name, as ``_Flat``
+    built from the flat generator matrices on first lookup."""
 
     def __init__(self, entries, inverse: bool):
         super().__init__()
@@ -259,18 +350,17 @@ class _LazyAdjoints(dict):
 
     def __missing__(self, name):
         m = self._entries[name]
-        adj = np.array(_adjoint_entries(_adj2(m) if self._inverse else m), dtype=object)
-        self[name] = adj
+        adj = self[name] = _fadjoint(_fadj2(m) if self._inverse else m)
         return adj
 
 
-def hp_invariant_vector(case: str, rep: "Representation"):
-    """invariant_vector as an object array of ``_Fixed`` / int, kept on ``rep``."""
+def hp_invariant_vector(case: str, rep: "Representation") -> _Flat:
+    """invariant_vector as a flat fixed-point ``_Flat``, kept on ``rep``."""
     vec = rep._hp_vectors.get(case)
     if vec is None:
         z, roots = rep.hp_scalars()
         omega = roots.get("omega2" if case == "U" else "omega3")
-        vec = rep._hp_vectors[case] = np.array(_invariant_entries(case, z, omega), dtype=object)
+        vec = rep._hp_vectors[case] = _Flat(_flat(_invariant_entries(case, z, omega)))
     return vec
 
 
@@ -329,31 +419,26 @@ class Representation:
             self._adjoint_invs[name] = np.linalg.inv(adj)
 
     def hp_scalars(self):
-        """(z, roots by name) as ``_Fixed``, from mpmath ``exp`` / ``expjpi`` at
-        FIXED_BITS + 16 bits; computed on first use and kept on the instance."""
+        """(z, roots by name) as ``_Fixed``, read from the bounded caches of
+        ``_fixed_z`` and ``_fixed_root`` (mpmath runs once per distinct xi and
+        per distinct root) on first use and kept on the instance."""
         if self._hp_scalars is None:
-            import mpmath
-
             fractions = _root_fractions(self.family, self.a, self.b, self.index)
-            with mpmath.mp.workprec(FIXED_BITS + 16):
-                z = _Fixed.from_mpc(mpmath.exp(mpmath.mpc(self.xi) / 2))
-                roots = {
-                    name: _Fixed.from_mpc(mpmath.expjpi(mpmath.mpf(2 * k + 1) / den))
-                    for name, (k, den) in fractions.items()
-                }
-            self._hp_scalars = (z, roots)
+            roots = {name: _Fixed(*_fixed_root(k, den)) for name, (k, den) in fractions.items()}
+            self._hp_scalars = (_Fixed(*_fixed_z(self.xi)), roots)
         return self._hp_scalars
 
     def hp_entries(self):
-        """``hp_assignment`` of this representation, built once and kept."""
+        """``hp_assignment`` of this representation as flat fixed-point 2x2s
+        (8 ints each), built once and kept."""
         if self._hp_entries is None:
-            self._hp_entries = hp_assignment(self)
+            self._hp_entries = {name: _flat(m[0] + m[1]) for name, m in hp_assignment(self).items()}
         return self._hp_entries
 
     def hp_adjoints(self):
-        """(Ad(g), Ad(g^-1)) by name as object arrays of ``_Fixed``, each
-        matrix built on first lookup and kept on the instance (never in a
-        process-wide cache); the loop walks read only a few of the eight."""
+        """(Ad(g), Ad(g^-1)) by name as flat ``_Flat``, each matrix built on
+        first lookup and kept on the instance (never in a process-wide cache);
+        the loop walks read only a few of the eight."""
         if self._hp_adjoints is None:
             ents = self.hp_entries()
             self._hp_adjoints = (_LazyAdjoints(ents, False), _LazyAdjoints(ents, True))
@@ -451,27 +536,33 @@ def _certify_relations(rep: Representation) -> RelationReport:
 
     The cable relators r1, r2, r3 and the pattern relator, from their factored
     forms (powers by squaring, inverses as adjugates: about 4a + 2 log2 b + 20
-    2x2 products).  AN, NA and NN run on ``hp_entries``, since float64 loses
-    the identity to cancellation between entries of size z^(+-4b); AA runs in
-    float64, where diagonal products do not cancel and 200 absolute bits would
-    flush z^(-4b) to zero.  Raises if a relator fails, else marks them
+    2x2 products).  AN, NA and NN run on the flat fixed-point ``hp_entries``
+    with ``_fmul2`` / ``_fadj2``, since float64 loses the identity to
+    cancellation between entries of size z^(+-4b); AA runs on float64 lists,
+    where diagonal products do not cancel and 200 absolute bits would flush
+    z^(-4b) to zero.  Raises if a relator fails, else marks them
     ``rep.certified`` and returns the deviations (r1, r2, r3, pattern).
     """
     cable, _ = cable_exterior_presentation(rep.a, rep.b)
     pattern, _ = pattern_piece_presentation(rep.b)
-    mats = {n: m.tolist() for n, m in rep.assignment.items()} if rep.family == "AA" else rep.hp_entries()
+    if rep.family == "AA":
+        mats, mul, adj = {n: m.tolist() for n, m in rep.assignment.items()}, _mul2, _adj2
+    else:
+        mats, mul, adj = rep.hp_entries(), _fmul2, _fadj2
     powers: dict = {}
 
     def power(word, e):  # w^|e| once per check, w^-|e| as its adjugate
         if (word, abs(e)) not in powers:
-            value = reduce(_mul2, (mats[g.name] if s == 1 else _adj2(mats[g.name]) for g, s in word.letters))
-            powers[word, abs(e)] = _pow2(value, abs(e))
-        return powers[word, abs(e)] if e > 0 else _adj2(powers[word, abs(e)])
+            value = reduce(mul, (mats[g.name] if s == 1 else adj(mats[g.name]) for g, s in word.letters))
+            powers[word, abs(e)] = _pow2(value, abs(e), mul)
+        return powers[word, abs(e)] if e > 0 else adj(powers[word, abs(e)])
 
     devs = []
     for factors in cable.factored + pattern.factored:
-        value = reduce(_mul2, (power(word, e) for word, e in factors))
-        devs.append(max(abs(complex(value[i][j] - int(i == j))) for i in (0, 1) for j in (0, 1)))
+        value = reduce(mul, (power(word, e) for word, e in factors))
+        off = ([v - e for v, e in zip(value[0] + value[1], (1, 0, 0, 1))] if rep.family == "AA"
+               else _to_complex(map(operator.sub, value, _flat((1, 0, 0, 1)))))
+        devs.append(max(map(abs, off)))
     report = RelationReport(tuple(devs), RELATION_TOL)
     if not report.ok:
         raise RepresentationError(f"{rep.family} relators fail verification: deviations {report.deviations}")

@@ -45,10 +45,11 @@ def _reduce(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
 class Word:
     """An element of a free group as a freely reduced sequence of signed letters."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_hash")
 
     def __init__(self, letters: Iterable[Letter] = ()):
         object.__setattr__(self, "letters", _reduce(letters))
+        object.__setattr__(self, "_hash", hash(self.letters))  # once: words key dicts and sets
 
     def __setattr__(self, *args):
         raise AttributeError("Word is immutable")
@@ -95,7 +96,7 @@ class Word:
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self):
-        return hash(self.letters)
+        return self._hash
 
     def __repr__(self):
         return f"Word({word_to_text(self)!r})"

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cabletorsion.representations import FIXED_BITS
+from cabletorsion.representations import FIXED_BITS, _Fixed
 from cabletorsion.words import Word
 
 
@@ -46,6 +46,12 @@ def mp_family_scalars(rep):
         l, m = rep.index
         return z, {"omega1": root(m, 2 * a + 1), "omega3": root(l, 2 * b + 1 - 4 * (2 * a + 1))}
     return z, {}
+
+
+def flat_to_mpc(flat):
+    """The values of flat fixed-point (re, im) int pairs in mpmath, rounded only
+    to the current mpmath precision."""
+    return [fixed_to_mpc(_Fixed(re, im)) for re, im in zip(flat[::2], flat[1::2])]
 
 
 def fixed_to_mpc(x):

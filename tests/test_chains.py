@@ -31,7 +31,7 @@ from cabletorsion.representations import (
     theta1_matrix,
 )
 from cabletorsion.words import fox_derivative
-from conftest import assert_close, fixed_to_mpc, mp_family_scalars, random_word
+from conftest import assert_close, flat_to_mpc, mp_family_scalars, random_word
 
 XI = 0.3 + 0.1j
 
@@ -356,10 +356,10 @@ class TestFoxWalkMatchesReference:
             for name in ("mu_C", "lambda_C"):
                 word = peri[name]
                 ref = _hp_reference(word, rep, pres, case, dps=80)
-                vector = np.array(hp_invariant_vector(case, rep), dtype=object)
+                vector = hp_invariant_vector(case, rep)
                 walked = _fox_walk(word, pres.generators, vector, *rep.hp_adjoints())
                 with mpmath.mp.workdps(80):
-                    got = [fixed_to_mpc(v) for block in walked for v in block]
+                    got = [v for block in walked for v in flat_to_mpc(block)]
                     err = mpmath.norm([g - r for g, r in zip(got, ref)]) / mpmath.norm(ref)
                 assert err <= 1e-30, (pres.label, name, float(err))
                 rounded = np.array([complex(v) for v in ref])

@@ -1,4 +1,6 @@
 import cmath
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,3 +282,27 @@ class TestTorE:
         assert index_range("NN", 1, 6) == []
         assert index_range("NN", 2, 10) == []
         assert index_range("AN", 1, 6) == [(j,) for j in range(6)]
+
+
+PRECISION_GOLDENS = json.loads(
+    (Path(__file__).parent / "golden" / "tor_E_precision_path.json").read_text()
+)["cases"]
+
+
+@pytest.mark.parametrize(
+    "case", PRECISION_GOLDENS,
+    ids=lambda c: f"{c['family']}{tuple(c['index'])}-({c['a']},{c['b']})-re{c['xi'][0]:+g}",
+)
+def test_precision_path_goldens(case):
+    """tor_E at the edge of the xi band, where the fixed-point relation check
+    and loop walks decide the digits, against values recorded before they
+    moved to flat integer kernels: within 1e-12 relative (the closed-form match
+    is 1e-6), and each recorded error with its type and message."""
+    args = (case["family"], case["a"], case["b"], tuple(case["index"]), complex(*case["xi"]))
+    if "error" in case:
+        with pytest.raises(Exception) as info:
+            tor_E(*args)
+        assert (type(info.value).__name__, str(info.value)) == (case["error"]["type"], case["error"]["message"])
+    else:
+        want = complex(*case["value"])
+        assert abs(tor_E(*args).value.value - want) <= 1e-12 * abs(want)

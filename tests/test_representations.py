@@ -23,9 +23,16 @@ from cabletorsion.representations import (
     RepresentationError,
     _Fixed,
     _adjoint_entries,
+    _Flat,
+    _adj2,
     _certify_relations,
+    _fadj2,
+    _fadjoint,
     _family_entries,
+    _flat,
+    _fmul2,
     _mul2,
+    _to_complex,
     abelian_representation,
     adjoint_matrix,
     evaluate_ring,
@@ -40,7 +47,7 @@ from cabletorsion.representations import (
     verify_relations,
 )
 from cabletorsion.words import GroupRingElement, Word, fox_derivative
-from conftest import assert_close, fixed_to_mpc, mp_family_scalars, random_word
+from conftest import assert_close, fixed_to_mpc, flat_to_mpc, mp_family_scalars, random_word
 
 XI = 0.3 + 0.1j
 A, B = 1, 6
@@ -361,18 +368,115 @@ class TestFixedPoint:
             assert complex(half) == 1.0
 
 
+def _random_fixed(gen):
+    """A full-width random fixed-point scalar in the unit square."""
+    return _Fixed(*(gen.getrandbits(FIXED_BITS + 1) - (1 << FIXED_BITS) for _ in range(2)))
+
+
+class TestFlatKernels:
+    """The flat kernels against the generic ``_Fixed`` formulas, within
+    2^-(FIXED_BITS-2) per entry (4 in units of the last bit), and against
+    mpmath at 80 digits, where the one shift per entry costs under 2 ulp."""
+
+    KERNEL_TOL = 4
+
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        gen = random.Random(20261019)
+        return [[[_random_fixed(gen) for _ in range(2)] for _ in range(2)] for _ in range(25)]
+
+    @staticmethod
+    def close(got, want, tol):
+        return len(got) == len(want) and max(abs(g - w) for g, w in zip(got, want)) <= tol
+
+    @staticmethod
+    def mp_entries(rows):
+        return [fixed_to_mpc(v) if isinstance(v, _Fixed) else v for row in rows for v in row]
+
+    def test_product_and_adjugate(self, matrices):
+        ulp = mpmath.ldexp(1, -FIXED_BITS)
+        for x, y in zip(matrices, matrices[1:]):
+            fx, fy = _flat(x[0] + x[1]), _flat(y[0] + y[1])
+            got = _fmul2(fx, fy)
+            assert self.close(got, _flat(sum(_mul2(x, y), [])), self.KERNEL_TOL)
+            assert _fadj2(fx) == _flat(sum(_adj2(x), []))
+            with mpmath.mp.workdps(80):
+                mx, my = (mpmath.matrix([[fixed_to_mpc(v) for v in row] for row in m]) for m in (x, y))
+                ref = mx * my
+                want = [ref[i, j] for i in (0, 1) for j in (0, 1)]
+                assert self.close(flat_to_mpc(got), want, 2 * ulp)
+
+    def test_adjoint(self, matrices):
+        ulp = mpmath.ldexp(1, -FIXED_BITS)
+        for m in matrices:
+            got = _fadjoint(_flat(m[0] + m[1]))
+            assert isinstance(got, _Flat)
+            assert self.close(got, _flat(sum(_adjoint_entries(m), [])), self.KERNEL_TOL)
+            with mpmath.mp.workdps(80):
+                exact = _adjoint_entries([[fixed_to_mpc(v) for v in row] for row in m])
+                assert self.close(flat_to_mpc(got), self.mp_entries(exact), 2 * ulp)
+
+    def test_walk_step(self):
+        ulp = mpmath.ldexp(1, -FIXED_BITS)
+        gen = random.Random(20261020)
+        for _ in range(25):
+            ad = [[_random_fixed(gen) for _ in range(3)] for _ in range(3)]
+            v, w = ([_random_fixed(gen) for _ in range(3)] for _ in range(2))
+            fad, fv, fw = _Flat(_flat(sum(ad, []))), _Flat(_flat(v)), _Flat(_flat(w))
+            got = fad @ fv
+            assert isinstance(got, _Flat)
+            generic = [sum((ad[i][j] * v[j] for j in range(3)), 0) for i in range(3)]
+            assert self.close(got, _flat(generic), self.KERNEL_TOL)
+            assert fv + fw == _flat([a + b for a, b in zip(v, w)])
+            assert fv - fw == _flat([a - b for a, b in zip(v, w)])
+            assert fv - fv == (0,) * 6  # the zero block a walk starts from
+            with mpmath.mp.workdps(80):
+                ref = mpmath.matrix([[fixed_to_mpc(e) for e in row] for row in ad]) * mpmath.matrix(
+                    [fixed_to_mpc(e) for e in v]
+                )
+                assert self.close(flat_to_mpc(got), [ref[i] for i in range(3)], 2 * ulp)
+
+
+class TestScalarCaches:
+    """z and the roots run through mpmath once per distinct xi / (k, den)."""
+
+    def test_same_xi_gives_the_same_z(self):
+        z1, _ = rep_build("AN", XI, 3, 40, (5,)).hp_scalars()
+        z2, _ = rep_build("NN", XI, 3, 40, (5, 1)).hp_scalars()
+        assert z1 is not z2 and (z1.re, z1.im) == (z2.re, z2.im)
+
+    def test_cached_values_match_fresh_mpmath(self):
+        def fresh(x):
+            return tuple(int(mpmath.nint(mpmath.ldexp(part, FIXED_BITS))) for part in (x.real, x.imag))
+
+        rep = rep_build("NN", XI, 3, 40, (5, 1))
+        z, roots = rep.hp_scalars()
+        with mpmath.mp.workprec(FIXED_BITS + 16):
+            assert (z.re, z.im) == fresh(mpmath.exp(mpmath.mpc(XI) / 2))
+            for name, k, den in (("omega1", 1, 7), ("omega3", 5, 53)):
+                want = fresh(mpmath.expjpi(mpmath.mpf(2 * k + 1) / den))
+                assert representations._fixed_root(k, den) == want
+                assert (roots[name].re, roots[name].im) == want
+
+    def test_caches_are_bounded(self):
+        for cache in (representations._fixed_z, representations._fixed_root):
+            maxsize = cache.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize <= 1024
+
+
 def test_hp_adjoints_are_built_on_first_lookup():
     rep = rep_build("NN", XI, 1, 7, (0, 0))
     forward, backward = rep.hp_adjoints()
     assert not forward and not backward
-    ents = rep.hp_entries()  # the matrices the relation check ran on
+    ents = representations.hp_assignment(rep)  # as _Fixed; hp_entries holds them flat
+    assert rep.hp_entries() == {name: _flat(m[0] + m[1]) for name, m in ents.items()}
     t = ents["t"]
     for table, name, m in (
         (forward, "p", ents["p"]), (forward, "t", t),
         (backward, "t", [[t[1][1], -t[0][1]], [-t[1][0], t[0][0]]]),
     ):
-        want = np.array(_adjoint_entries(m), dtype=object)
-        assert [complex(v) for v in table[name].flat] == [complex(v) for v in want.flat], name
+        want = [complex(v) for row in _adjoint_entries(m) for v in row]
+        assert _to_complex(table[name]) == want, name
     assert set(forward) == {"p", "t"} and set(backward) == {"t"}
     assert rep.hp_adjoints()[0]["p"] is forward["p"]
     assert hp_invariant_vector("Ut", rep) is hp_invariant_vector("Ut", rep)  # kept on rep

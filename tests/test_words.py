@@ -26,6 +26,18 @@ class TestWord:
         word = Word([(X, 1), (X, -1), (Y, 1)])
         assert word == Word([(Y, 1)])
 
+    def test_hash_agrees_across_constructions_and_words_stay_immutable(self):
+        parsed = w("x y x y")
+        powered = w("x y") ** 2
+        product = w("x") * w("y x") * Word([(Y, 1)])
+        reduced = Word([(X, 1), (Y, 1), (Y, -1), (Y, 1), (X, 1), (Y, 1)])
+        assert parsed == powered == product == reduced
+        assert len({hash(parsed), hash(powered), hash(product), hash(reduced)}) == 1
+        assert len({parsed, powered, product, reduced}) == 1
+        for attr in ("letters", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(parsed, attr, ())
+
     def test_reduction_is_idempotent(self, rng):
         for _ in range(50):
             word = random_word(rng, (X, Y))
