@@ -155,7 +155,7 @@ def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainC
     d2 = np.zeros((3 * n, 3 * m), dtype=complex)
     eye = np.eye(3, dtype=complex)
     for j, rel in enumerate(pres.relators):
-        blocks = _fox_walk(rel, pres.generators, eye, rep._adjoints, rep._adjoint_invs)
+        blocks = _fox_walk(rel, pres.generators, eye, rep.adjoints, rep.adjoint_invs)
         d2[:, 3 * j:3 * j + 3] = np.vstack(blocks)
     d1 = np.zeros((3, 3 * n), dtype=complex)
     for i, gen in enumerate(pres.generators):
@@ -225,7 +225,7 @@ def chain_of_loop(word: Word, vector, rep: Representation, pres: Presentation) -
     relator and an invariant vector this lands in the boundaries.
     """
     vector = np.asarray(vector, dtype=complex)
-    blocks = _fox_walk(word, pres.generators, vector, rep._adjoints, rep._adjoint_invs)
+    blocks = _fox_walk(word, pres.generators, vector, rep.adjoints, rep.adjoint_invs)
     return np.concatenate(blocks)
 
 
@@ -236,8 +236,8 @@ def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: 
     down to a small chain; in float64 that costs eight or more digits at the
     edge of the xi range, which is too coarse for the induced-map entries.
     So the invariant 3-vector is walked in FIXED_BITS-bit fixed point, as a
-    flat ``_Flat`` of six ints, through the flat 3x3 adjoints cached on the
-    representation (``Representation.hp_adjoints``): one 3x3-times-vector
+    flat ``_Flat`` of six ints, through the flat 3x3 adjoints that the
+    ``Representation.hp_adjoints`` property keeps: one 3x3-times-vector
     kernel per letter, each entry shifted once.  Only the finished chain is
     downcast, correctly rounded.  Callers keep the words short: a longitude
     is walked as its split h mu_C^k (``PeripheralSystem.splits``), never
@@ -250,7 +250,7 @@ def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: 
     Re xi = 1, ends 5e7 to 8e7 away); a deviation beyond SUBGROUP_TOL raises
     instead of returning such a chain.
     """
-    forward, backward = rep.hp_adjoints()
+    forward, backward = rep.hp_adjoints
     vector = hp_invariant_vector(case, rep)
     blocks, end = _fox_walk_to_end(word, pres.generators, vector, forward, backward)
     deviation = max(map(abs, _to_complex(end - vector)))

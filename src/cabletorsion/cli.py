@@ -107,7 +107,7 @@ def cmd_compute(args) -> int:
         }
     if args.dump_presentation:
         record["presentation"] = presentation_to_json(*cable_exterior_presentation(args.a, args.b))
-    print(json.dumps(record, indent=2 if args.format == "json" else None))
+    print(json.dumps(record, indent=2))
     return 0 if match else 1
 
 
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xi", type=_parse_complex, default=complex(0.3, 0.1),
                        help="complex as re,im (default 0.3,0.1)")
         p.add_argument("--tol-match", type=float, default=DEFAULT_TOL_MATCH)
-        p.add_argument("--format", choices=["json", "csv"], default=None)
         if with_index:
             p.add_argument("--j", type=int, default=None, help="AN index")
             p.add_argument("--k", type=int, default=None, help="NA index")
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--dump-complex", action="store_true")
     p_compute.add_argument("--dump-representation", action="store_true")
     p_compute.add_argument("--dump-presentation", action="store_true")
-    p_compute.set_defaults(func=cmd_compute, format="json")
+    p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="golden/property verification suites")
     p_verify.add_argument("--suite", default="all",
@@ -305,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="all indices of a family at fixed (a, b, xi)")
     add_params(p_sweep, with_index=False)
-    p_sweep.set_defaults(func=cmd_sweep, format="csv")
+    p_sweep.add_argument("--format", choices=["json", "csv"], default="csv")
+    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -313,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) is None:
-        args.format = "csv" if args.command == "sweep" else "json"
     try:
         return args.func(args)
     except (ValueError, KeyError) as err:

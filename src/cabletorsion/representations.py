@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Dict, Tuple
 
 import numpy as np
@@ -254,49 +254,65 @@ def _pow2(x, n: int, mul=_mul2):
     return mul(half, x) if n % 2 else half
 
 
-def _neg2(x):
-    return [[-e for e in row] for row in x]
-
-
 def _family_entries(family, z, a, b, omega1=None, omega2=None, omega3=None):
-    """Generator matrices as nested lists of scalars, one formula per family."""
+    """Generator matrices as nested lists of scalars, one formula per family;
+    each power or reciprocal a formula repeats is computed once."""
+    zi = 1 / z
     if family == "AA":
+        z2, zm2 = z ** 2, z ** -2
         return {
-            "p": _m2(z, 0, 0, 1 / z),
-            "x": _m2(z ** 2, 0, 0, z ** -2),
-            "y": _m2(z ** 2, 0, 0, z ** -2),
+            "p": _m2(z, 0, 0, zi),
+            "x": _m2(z2, 0, 0, zm2),
+            "y": _m2(z2, 0, 0, zm2),
             "t": _m2(z ** (2 * b), 0, 0, z ** (-2 * b)),
         }
     if family == "AN":
-        w = omega2
-        p = _m2(z, 1, 0, 1 / z)
-        q = _m2(z, 0, w + 1 / w - z ** 2 - z ** -2, 1 / z)
+        w, wi = omega2, 1 / omega2
+        wb, wmb = w ** b, w ** -b
+        p = _m2(z, 1, 0, zi)
+        q = _m2(z, 0, w + wi - z ** 2 - z ** -2, zi)
         x = _mul2(p, q)
-        th = _m2(1, 0, z / w - 1 / z, 1)
-        t_model = _m2(w ** b, (w ** b - w ** -b) / (w - 1 / w) / z, 0, w ** -b)
+        th = _m2(1, 0, z / w - zi, 1)
+        t_model = _m2(wb, (wb - wmb) / (w - wi) / z, 0, wmb)
         t = _mul2(_mul2(_adj2(th), t_model), th)
         return {"p": p, "x": x, "y": [row[:] for row in x], "t": t}
     if family == "NA":
         w = omega1
-        p = _m2(z, 1 / (z + 1 / z), 0, 1 / z)
-        x = _m2(z ** 2, 1, 0, z ** -2)
-        y = _m2(z ** 2, 0, w + 1 / w - z ** 4 - z ** -4, z ** -2)
+        z2, zm2 = z ** 2, z ** -2
+        p = _m2(z, 1 / (z + zi), 0, zi)
+        x = _m2(z2, 1, 0, zm2)
+        y = _m2(z2, 0, w + 1 / w - z ** 4 - z ** -4, zm2)
         # one product per factor: squaring would cost the fixed-point r2 ten digits
-        t = _neg2(reduce(_mul2, [p] * (2 * b - 8 * a - 4), _m2(1, 0, 0, 1)))
+        t = [[-e for e in row] for row in reduce(_mul2, [p] * (2 * b - 8 * a - 4), _m2(1, 0, 0, 1))]
         return {"p": p, "x": x, "y": y, "t": t}
     if family == "NN":
-        w1, w3 = omega1, omega3
-        p = _m2(z, 1, 0, 1 / z)
-        th = _m2(1, 0, z / w3 - 1 / z, 1)
+        w1, w3, w3i = omega1, omega3, 1 / omega3
+        p = _m2(z, 1, 0, zi)
+        th = _m2(1, 0, z / w3 - zi, 1)
         th_inv = _adj2(th)
-        x = _mul2(_mul2(th_inv, _m2(w3, 1 / z, 0, 1 / w3)), th)
-        y_model = _m2(w3, 0, (w1 + 1 / w1 - w3 ** 2 - w3 ** -2) * z, 1 / w3)
+        x = _mul2(_mul2(th_inv, _m2(w3, zi, 0, w3i)), th)
+        y_model = _m2(w3, 0, (w1 + 1 / w1 - w3 ** 2 - w3 ** -2) * z, w3i)
         y = _mul2(_mul2(th_inv, y_model), th)
         e = 4 * a - b + 1
-        t_model = _m2(w3 ** e, (w3 ** e - w3 ** -e) / (w3 - 1 / w3) / z, 0, w3 ** -e)
+        w3e, w3me = w3 ** e, w3 ** -e
+        t_model = _m2(w3e, (w3e - w3me) / (w3 - w3i) / z, 0, w3me)
         t = _mul2(_mul2(th_inv, t_model), th)
         return {"p": p, "x": x, "y": y, "t": t}
     raise RepresentationError(f"unknown family {family!r}")
+
+
+# (family, root name read by the formula) of each invariant-vector case
+_INVARIANT_CASES = {"H": ("AA", None), "U": ("AN", "omega2"), "V": ("AN", None),
+                    "W": ("NA", None), "Ut": ("NN", "omega3"), "Vt": ("NN", None)}
+
+
+def _invariant_root(case: str, family: str):
+    """The root ``case`` reads; raises unless the case is known and fits ``family``."""
+    if case not in _INVARIANT_CASES:
+        raise ValueError(f"unknown invariant-vector case {case!r}")
+    if _INVARIANT_CASES[case][0] != family:
+        raise ValueError(f"case {case!r} is incompatible with family {family}")
+    return _INVARIANT_CASES[case][1]
 
 
 def _invariant_entries(case, z, omega=None):
@@ -328,40 +344,39 @@ def _adjoint_entries(m):
     ]
 
 
+def _scalars(family: str, xi: complex, a: int, b: int, index, exact: bool):
+    """(z = exp(xi/2), roots omega = exp(i pi (2k+1)/den) by name): complex, or
+    ``_Fixed`` from the bounded caches of ``_fixed_z`` / ``_fixed_root`` when
+    ``exact``.  An index that does not fit the family raises."""
+    index = _normalize_index(family, index)
+    fractions = {}
+    if family == "AN":
+        fractions = {"omega2": (index[0], 2 * b + 1)}
+    elif family == "NA":
+        fractions = {"omega1": (index[0], 2 * a + 1)}
+    elif family == "NN":
+        l, m = index
+        fractions = {"omega1": (m, 2 * a + 1), "omega3": (l, 2 * b + 1 - 4 * (2 * a + 1))}
+    if exact:
+        roots = {name: _Fixed(*_fixed_root(k, den)) for name, (k, den) in fractions.items()}
+        return _Fixed(*_fixed_z(xi)), roots
+    roots = {name: cmath.exp(1j * cmath.pi * (2 * k + 1) / den) for name, (k, den) in fractions.items()}
+    return cmath.exp(xi / 2), roots
+
+
 def hp_assignment(rep: "Representation"):
-    """The representation's generator matrices rebuilt as ``_Fixed`` scalars.
-
-    Rebuilt from the defining data (xi, family, indices) through the
-    FIXED_BITS-bit z and roots of ``Representation.hp_scalars``, so downstream
-    extended-precision evaluation does not inherit float64 rounding from the
-    stored matrices.  ``Representation.hp_entries`` keeps one flat copy.
+    """The generator matrices rebuilt from the defining data as ``_Fixed``
+    scalars, so extended-precision evaluation does not inherit the float64
+    rounding of ``assignment``.  ``Representation.hp_entries`` keeps a flat copy.
     """
-    z, roots = rep.hp_scalars()
+    z, roots = _scalars(rep.family, rep.xi, rep.a, rep.b, rep.index, exact=True)
     return _family_entries(rep.family, z, rep.a, rep.b, **roots)
-
-
-class _LazyAdjoints(dict):
-    """Ad(g), or Ad(g^-1) when ``inverse``, by generator name, as ``_Flat``
-    built from the flat generator matrices on first lookup."""
-
-    def __init__(self, entries, inverse: bool):
-        super().__init__()
-        self._entries, self._inverse = entries, inverse
-
-    def __missing__(self, name):
-        m = self._entries[name]
-        adj = self[name] = _fadjoint(_fadj2(m) if self._inverse else m)
-        return adj
 
 
 def hp_invariant_vector(case: str, rep: "Representation") -> _Flat:
     """invariant_vector as a flat fixed-point ``_Flat``, kept on ``rep``."""
-    vec = rep._hp_vectors.get(case)
-    if vec is None:
-        z, roots = rep.hp_scalars()
-        omega = roots.get("omega2" if case == "U" else "omega3")
-        vec = rep._hp_vectors[case] = _Flat(_flat(_invariant_entries(case, z, omega)))
-    return vec
+    _invariant_root(case, rep.family)
+    return rep.hp_vectors[case]
 
 
 def adjoint_matrix(m) -> np.ndarray:
@@ -381,11 +396,13 @@ def adjoint_matrix(m) -> np.ndarray:
 
 @dataclass
 class Representation:
-    """Generator-to-SL(2,C) assignment, with family bookkeeping.
+    """Generator-to-SL(2,C) assignment (by generator name) and the data that define it.
 
-    ``assignment`` is keyed by generator name.  Inverses, adjoints and their
-    inverses are cached at construction, the fixed-point data on first use;
-    none of them is a constructor argument.  Instances are treated as immutable.
+    Family, xi, (a, b) and index fix everything else: z = exp(xi/2), the roots
+    omega1-3 (None where the family has no such root), the float64 inverses and
+    adjoints, and the fixed-point matrices, adjoints and invariant vectors.  Each
+    is derived on first read and kept; none is a constructor argument, so none
+    can disagree with the data.  Instances are treated as immutable.
     ``certified`` holds the relators ``rep_build`` checked (none if hand-built).
     """
 
@@ -395,54 +412,57 @@ class Representation:
     a: int = 0
     b: int = 0
     index: Tuple[int, ...] = ()
-    z: complex = 1.0
-    omega1: complex | None = None
-    omega2: complex | None = None
-    omega3: complex | None = None
-    _inverses: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _adjoints: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _adjoint_invs: Dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
     certified: frozenset = field(default_factory=frozenset, init=False, repr=False)
-    _hp_scalars: tuple | None = field(default=None, init=False, repr=False)
-    _hp_entries: dict | None = field(default=None, init=False, repr=False)
-    _hp_adjoints: tuple | None = field(default=None, init=False, repr=False)
-    _hp_vectors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for name, m in self.assignment.items():
+        for m in self.assignment.values():
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             if abs(det - 1) > SL2_DET_TOL:
                 raise RepresentationError(f"matrix determinant {det} is not 1 within {SL2_DET_TOL}")
-            self._inverses[name] = np.linalg.inv(m)
-            adj = adjoint_matrix(m)
-            self._adjoints[name] = adj
-            self._adjoint_invs[name] = np.linalg.inv(adj)
 
-    def hp_scalars(self):
-        """(z, roots by name) as ``_Fixed``, read from the bounded caches of
-        ``_fixed_z`` and ``_fixed_root`` (mpmath runs once per distinct xi and
-        per distinct root) on first use and kept on the instance."""
-        if self._hp_scalars is None:
-            fractions = _root_fractions(self.family, self.a, self.b, self.index)
-            roots = {name: _Fixed(*_fixed_root(k, den)) for name, (k, den) in fractions.items()}
-            self._hp_scalars = (_Fixed(*_fixed_z(self.xi)), roots)
-        return self._hp_scalars
+    @cached_property
+    def _complex_scalars(self):
+        return _scalars(self.family, self.xi, self.a, self.b, self.index, exact=False)
 
-    def hp_entries(self):
-        """``hp_assignment`` of this representation as flat fixed-point 2x2s
-        (8 ints each), built once and kept."""
-        if self._hp_entries is None:
-            self._hp_entries = {name: _flat(m[0] + m[1]) for name, m in hp_assignment(self).items()}
-        return self._hp_entries
+    @property
+    def z(self) -> complex:
+        return self._complex_scalars[0]
 
-    def hp_adjoints(self):
-        """(Ad(g), Ad(g^-1)) by name as flat ``_Flat``, each matrix built on
-        first lookup and kept on the instance (never in a process-wide cache);
-        the loop walks read only a few of the eight."""
-        if self._hp_adjoints is None:
-            ents = self.hp_entries()
-            self._hp_adjoints = (_LazyAdjoints(ents, False), _LazyAdjoints(ents, True))
-        return self._hp_adjoints
+    omega1, omega2, omega3 = (property(lambda rep, name=name: rep._complex_scalars[1].get(name))
+                              for name in ("omega1", "omega2", "omega3"))  # None where the family has none
+
+    @cached_property
+    def inverses(self) -> Dict[str, np.ndarray]:
+        return {name: np.linalg.inv(m) for name, m in self.assignment.items()}
+
+    @cached_property
+    def adjoints(self) -> Dict[str, np.ndarray]:
+        """Ad(g) by generator name (``adjoint_matrix``)."""
+        return {name: adjoint_matrix(m) for name, m in self.assignment.items()}
+
+    @cached_property
+    def adjoint_invs(self) -> Dict[str, np.ndarray]:
+        """Ad(g)^-1 by generator name."""
+        return {name: np.linalg.inv(adj) for name, adj in self.adjoints.items()}
+
+    @cached_property
+    def hp_entries(self) -> dict:
+        """``hp_assignment`` as flat fixed-point 2x2s (8 ints each)."""
+        return {name: _flat(m[0] + m[1]) for name, m in hp_assignment(self).items()}
+
+    @cached_property
+    def hp_adjoints(self) -> tuple:
+        """(Ad(g), Ad(g^-1)) by generator name as flat fixed-point ``_Flat``."""
+        ents = self.hp_entries
+        return ({name: _fadjoint(m) for name, m in ents.items()},
+                {name: _fadjoint(_fadj2(m)) for name, m in ents.items()})
+
+    @cached_property
+    def hp_vectors(self) -> dict:
+        """The family's invariant vectors by case as flat fixed-point ``_Flat``."""
+        z, roots = _scalars(self.family, self.xi, self.a, self.b, self.index, exact=True)
+        return {case: _Flat(_flat(_invariant_entries(case, z, roots.get(root))))
+                for case, (family, root) in _INVARIANT_CASES.items() if family == self.family}
 
     def _name(self, gen) -> str:
         return gen.name if isinstance(gen, Generator) else gen
@@ -451,7 +471,7 @@ class Representation:
         return self.assignment[self._name(gen)]
 
     def adjoint(self, gen) -> np.ndarray:
-        return self._adjoints[self._name(gen)]
+        return self.adjoints[self._name(gen)]
 
     def assigns(self, gen) -> bool:
         return self._name(gen) in self.assignment
@@ -465,7 +485,7 @@ def sl2_word_value(rep: Representation, word: Word) -> np.ndarray:
     out = np.eye(2, dtype=complex)
     for gen, sign in word.letters:
         name = gen.name
-        out = out @ (rep.assignment[name] if sign == 1 else rep._inverses[name])
+        out = out @ (rep.assignment[name] if sign == 1 else rep.inverses[name])
     return out
 
 
@@ -474,7 +494,7 @@ def evaluate_word(rep: Representation, word: Word) -> np.ndarray:
     out = np.eye(3, dtype=complex)
     for gen, sign in word.letters:
         name = gen.name
-        step = rep._adjoints[name] if sign == 1 else rep._adjoint_invs[name]
+        step = rep.adjoints[name] if sign == 1 else rep.adjoint_invs[name]
         out = step @ out
     return out
 
@@ -493,7 +513,6 @@ def evaluate_ring(rep: Representation, elem: GroupRingElement) -> np.ndarray:
 @dataclass(frozen=True)
 class RelationReport:
     deviations: Tuple[float, ...]
-    tol: float
 
     @property
     def max_deviation(self) -> float:
@@ -501,69 +520,74 @@ class RelationReport:
 
     @property
     def ok(self) -> bool:
-        return self.max_deviation <= self.tol
+        return self.max_deviation <= RELATION_TOL
 
 
-def verify_relations(pres: Presentation, rep: Representation, tol: float = RELATION_TOL,
-                     skip=frozenset()) -> RelationReport:
-    """Max-entry deviation from the identity of each relator not in ``skip``,
-    evaluated letter by letter on the float64 matrices."""
-    for g in pres.generators:
-        if not rep.assigns(g):
-            raise RepresentationError(f"representation does not assign generator {g.name!r}")
-    devs = []
-    for rel in pres.relators:
-        if rel not in skip:
-            value = sl2_word_value(rep, rel)
-            devs.append(float(np.max(np.abs(value - np.eye(2)))))
-    return RelationReport(tuple(devs), tol)
-
-
-def ensure_relations(pres: Presentation, rep: Representation, tol: float = RELATION_TOL, context: str = "") -> None:
-    """Raise unless every relator of ``pres`` holds for ``rep`` within ``tol``.
-
-    Relators ``rep_build`` certified are skipped; every other one, and all of
-    a hand-built representation's, is evaluated in float64, with no retry.
-    """
-    report = verify_relations(pres, rep, tol, skip=rep.certified)
-    if not report.ok:
-        prefix = f"{context or pres.label} relators fail verification"
-        raise RepresentationError(f"{prefix}: deviations {report.deviations}")
-
-
-def _certify_relations(rep: Representation) -> RelationReport:
-    """The one relation check of a representation built from family data.
-
-    The cable relators r1, r2, r3 and the pattern relator, from their factored
-    forms (powers by squaring, inverses as adjugates: about 4a + 2 log2 b + 20
-    2x2 products).  AN, NA and NN run on the flat fixed-point ``hp_entries``
-    with ``_fmul2`` / ``_fadj2``, since float64 loses the identity to
-    cancellation between entries of size z^(+-4b); AA runs on float64 lists,
-    where diagonal products do not cancel and 200 absolute bits would flush
-    z^(-4b) to zero.  Raises if a relator fails, else marks them
-    ``rep.certified`` and returns the deviations (r1, r2, r3, pattern).
-    """
-    cable, _ = cable_exterior_presentation(rep.a, rep.b)
-    pattern, _ = pattern_piece_presentation(rep.b)
-    if rep.family == "AA":
-        mats, mul, adj = {n: m.tolist() for n, m in rep.assignment.items()}, _mul2, _adj2
-    else:
-        mats, mul, adj = rep.hp_entries(), _fmul2, _fadj2
+def _relator_deviations(factored, mats, exact: bool) -> list:
+    """Max-entry deviation from the identity of each relator prod w^e in ``factored``,
+    on ``mats``: flat fixed-point 2x2s by name when ``exact``, else nested lists.
+    Powers by squaring, w^-|e| as the adjugate of w^|e|, each w^|e| once: about
+    4a + 2 log2 b + 20 2x2 products for the cable and pattern relators."""
+    mul, adj = (_fmul2, _fadj2) if exact else (_mul2, _adj2)
+    one = _flat((1, 0, 0, 1)) if exact else [[1, 0], [0, 1]]
     powers: dict = {}
 
-    def power(word, e):  # w^|e| once per check, w^-|e| as its adjugate
+    def power(word, e):
         if (word, abs(e)) not in powers:
-            value = reduce(mul, (mats[g.name] if s == 1 else adj(mats[g.name]) for g, s in word.letters))
-            powers[word, abs(e)] = _pow2(value, abs(e), mul)
+            letters = [mats[g.name] if s == 1 else adj(mats[g.name]) for g, s in word.letters]
+            powers[word, abs(e)] = _pow2(reduce(mul, letters) if letters else one, abs(e), mul)
         return powers[word, abs(e)] if e > 0 else adj(powers[word, abs(e)])
 
     devs = []
-    for factors in cable.factored + pattern.factored:
+    for factors in factored:
         value = reduce(mul, (power(word, e) for word, e in factors))
-        off = ([v - e for v, e in zip(value[0] + value[1], (1, 0, 0, 1))] if rep.family == "AA"
-               else _to_complex(map(operator.sub, value, _flat((1, 0, 0, 1)))))
+        off = (_to_complex(map(operator.sub, value, one)) if exact
+               else [v - e for row, ones in zip(value, one) for v, e in zip(row, ones)])
         devs.append(max(map(abs, off)))
-    report = RelationReport(tuple(devs), RELATION_TOL)
+    return devs
+
+
+def verify_relations(pres: Presentation, rep: Representation, skip=frozenset()) -> RelationReport:
+    """Max-entry deviation from the identity of each relator not in ``skip``, by
+    ``_relator_deviations`` on the float64 matrices: from the factored forms
+    when the presentation keeps them, else each relator as one factor."""
+    for g in pres.generators:
+        if not rep.assigns(g):
+            raise RepresentationError(f"representation does not assign generator {g.name!r}")
+    factored = pres.factored or [((rel, 1),) for rel in pres.relators]
+    todo = [factors for rel, factors in zip(pres.relators, factored) if rel not in skip]
+    if not todo:  # nothing left to check: build no float64 matrices
+        return RelationReport(())
+    mats = {g.name: rep.assignment[g.name].tolist() for g in pres.generators}
+    return RelationReport(tuple(_relator_deviations(todo, mats, exact=False)))
+
+
+def ensure_relations(pres: Presentation, rep: Representation) -> None:
+    """Raise unless every relator of ``pres`` holds for ``rep`` within RELATION_TOL.
+
+    Relators ``rep_build`` certified are skipped; every other one, and all of a
+    hand-built representation's, is checked by ``verify_relations``, with no retry.
+    """
+    report = verify_relations(pres, rep, skip=rep.certified)
+    if not report.ok:
+        raise RepresentationError(f"{pres.label} relators fail verification: deviations {report.deviations}")
+
+
+def _certify_relations(rep: Representation) -> RelationReport:
+    """The one relation check of a representation built from family data: the
+    factored cable relators r1, r2, r3 and the pattern relator.
+
+    AN, NA and NN run on the flat fixed-point ``hp_entries``, since float64
+    loses the identity to cancellation between entries of size z^(+-4b); AA
+    runs on float64 lists, where diagonal products do not cancel and 200
+    absolute bits would flush z^(-4b) to zero.  Raises if a relator fails,
+    else marks them ``rep.certified`` and returns the deviations.
+    """
+    cable, _ = cable_exterior_presentation(rep.a, rep.b)
+    pattern, _ = pattern_piece_presentation(rep.b)
+    exact = rep.family != "AA"
+    mats = rep.hp_entries if exact else {n: m.tolist() for n, m in rep.assignment.items()}
+    report = RelationReport(tuple(_relator_deviations(cable.factored + pattern.factored, mats, exact)))
     if not report.ok:
         raise RepresentationError(f"{rep.family} relators fail verification: deviations {report.deviations}")
     rep.certified = frozenset(cable.relators + pattern.relators)
@@ -603,29 +627,11 @@ def index_range(family: str, a: int, b: int) -> list[tuple[int, ...]]:
     raise RepresentationError(f"unknown family {family!r}")
 
 
-def _root_fractions(family: str, a: int, b: int, index) -> Dict[str, Tuple[int, int]]:
-    """(k, den) by root name, for omega = exp(i pi (2k+1)/den) of the family."""
-    if family == "AN":
-        return {"omega2": (index[0], 2 * b + 1)}
-    if family == "NA":
-        return {"omega1": (index[0], 2 * a + 1)}
-    if family == "NN":
-        l, m = index
-        return {"omega1": (m, 2 * a + 1), "omega3": (l, 2 * b + 1 - 4 * (2 * a + 1))}
-    return {}
-
-
 def _normalize_index(family: str, index) -> Tuple[int, ...]:
-    if index is None:
-        index = ()
-    if isinstance(index, int):
-        index = (index,)
-    index = tuple(index)
-    expected = {"AA": 0, "AN": 1, "NA": 1, "NN": 2}[family]
+    index = () if index is None else (index,) if isinstance(index, int) else tuple(index)
+    expected = {"AN": 1, "NA": 1, "NN": 2}.get(family, 0)
     if len(index) != expected:
-        raise RepresentationError(
-            f"family {family} takes {expected} index value(s), got {index}"
-        )
+        raise RepresentationError(f"family {family} takes {expected} index value(s), got {index}")
     return index
 
 
@@ -652,17 +658,11 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
         raise RepresentationError(
             f"index {index} outside the admissible range for {family} at (a,b)=({a},{b})"
         )
-    z = cmath.exp(xi / 2)
+    z, roots = _scalars(family, xi, a, b, index, exact=False)
     if family == "AA" and abs(z * z - 1) <= ABELIAN_GUARD:
         raise RepresentationError("z^2 too close to 1 for the abelian family")
-    roots = {
-        name: cmath.exp(1j * cmath.pi * (2 * k + 1) / den)
-        for name, (k, den) in _root_fractions(family, a, b, index).items()
-    }
     assignment = _to_numpy_assignment(_family_entries(family, z, a, b, **roots))
-    rep = Representation(
-        family=family, assignment=assignment, xi=xi, a=a, b=b, index=index, z=z, **roots
-    )
+    rep = Representation(family, assignment, xi, a, b, index)
     _certify_relations(rep)
     return rep
 
@@ -679,7 +679,7 @@ def abelian_representation(xi: complex, pres: Presentation) -> Representation:
         raise RepresentationError("z^2 too close to 1 for an abelian representation")
     exps = abelianization_exponents(pres)
     assignment = {g.name: np.diag([z ** e, z ** -e]) for g, e in exps.items()}
-    return Representation(family="AA", assignment=assignment, xi=xi, z=z)
+    return Representation(family="AA", assignment=assignment, xi=xi)
 
 
 # -- distinguished invariant vectors ---------------------------------------------
@@ -694,14 +694,6 @@ def invariant_vector(case: str, rep: Representation) -> np.ndarray:
     normalizations matter: the torsion scales with the homology basis, and the
     closed-form theorem values are tied to these vectors.
     """
-    z = rep.z
-    compatible = {
-        "H": ("AA",), "U": ("AN",), "V": ("AN",),
-        "W": ("NA",), "Ut": ("NN",), "Vt": ("NN",),
-    }
-    if case not in compatible:
-        raise ValueError(f"unknown invariant-vector case {case!r}")
-    if rep.family not in compatible[case]:
-        raise ValueError(f"case {case!r} is incompatible with family {rep.family}")
-    omega = rep.omega2 if case == "U" else rep.omega3
-    return np.array(_invariant_entries(case, z, omega), dtype=complex)
+    root = _invariant_root(case, rep.family)
+    z, roots = rep._complex_scalars
+    return np.array(_invariant_entries(case, z, roots.get(root)), dtype=complex)

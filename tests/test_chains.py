@@ -357,7 +357,7 @@ class TestFoxWalkMatchesReference:
                 word = peri[name]
                 ref = _hp_reference(word, rep, pres, case, dps=80)
                 vector = hp_invariant_vector(case, rep)
-                walked = _fox_walk(word, pres.generators, vector, *rep.hp_adjoints())
+                walked = _fox_walk(word, pres.generators, vector, *rep.hp_adjoints)
                 with mpmath.mp.workdps(80):
                     got = [v for block in walked for v in flat_to_mpc(block)]
                     err = mpmath.norm([g - r for g, r in zip(got, ref)]) / mpmath.norm(ref)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from cabletorsion.cli import main
 
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_all_seed7.txt"
@@ -53,6 +55,13 @@ class TestCompute:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    def test_format_is_refused(self, capsys):
+        # compute always prints its indented JSON record; --format belongs to sweep
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--family", "AN", "--a", "1", "--b", "6", "--j", "0", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_dump_complex(self, capsys):
         code, out, _ = run_cli(
             capsys, "compute", "--family", "AN", "--a", "1", "--b", "6",
@@ -85,6 +94,14 @@ class TestSweep:
                           "tor_re", "tor_im", "ref_re", "ref_im", "match"]
         assert len(lines) == 3  # header + k in {0, 1}
         assert all(line.endswith(",1") for line in lines[1:])
+
+    def test_na_sweep_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "NA", "--a", "2", "--b", "10", "--xi", "0.4,0.2",
+            "--format", "json",
+        )
+        record = json.loads(out)
+        assert code == 0 and record["schema"] == "1" and len(record["rows"]) == 2
 
     def test_empty_nn_sweep(self, capsys):
         code, out, _ = run_cli(

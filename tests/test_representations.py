@@ -110,7 +110,7 @@ class TestFamilyMatrices:
         assert_close(rep_na.omega1, cmath.exp(1j * cmath.pi / 3))
         assert abs(rep_nn.omega3 ** (2 * 7 + 1 - 4 * (2 * 1 + 1)) + 1) < 1e-12
         for rep in (rep_an, rep_na, rep_nn):  # the fixed-point roots come from the same indices
-            _, roots = rep.hp_scalars()
+            _, roots = representations._scalars(rep.family, rep.xi, rep.a, rep.b, rep.index, exact=True)
             assert roots and all(abs(complex(w) - getattr(rep, name)) < 1e-15 for name, w in roots.items())
 
 
@@ -140,24 +140,24 @@ class TestValidation:
 class TestVerifyRelations:
     def test_cable_relations_hold(self, rep_an):
         pres, _ = cable_exterior_presentation(A, B)
-        report = verify_relations(pres, rep_an, 1e-10)
+        report = verify_relations(pres, rep_an)
         assert report.ok and report.max_deviation < 1e-12
 
     def test_aa_diagonal_relations_are_exact(self):
         pres, _ = cable_exterior_presentation(A, B)
-        report = verify_relations(pres, rep_build("AA", XI, A, B), 1e-12)
-        assert report.ok
+        report = verify_relations(pres, rep_build("AA", XI, A, B))
+        assert report.ok and report.max_deviation <= 1e-12
 
     def test_perturbed_root_fails(self, rep_na):
         pres, _ = torus_piece_presentation(A)
         bad = na_matrices(rep_na.z, rep_na.omega1 * cmath.exp(1e-3j), A, B)
-        rep_bad = Representation("NA", bad, xi=XI, a=A, b=B, z=rep_na.z)
-        report = verify_relations(pres, rep_bad, 1e-10)
+        rep_bad = Representation("NA", bad, xi=XI, a=A, b=B, index=(0,))
+        report = verify_relations(pres, rep_bad)
         assert not report.ok
 
     def test_unassigned_generator_raises(self, rep_an):
         pres, _ = torus_piece_presentation(A)
-        partial = Representation("AN", {"x": rep_an.matrix("x")}, z=rep_an.z)
+        partial = Representation("AN", {"x": rep_an.matrix("x")}, xi=XI, a=A, b=B, index=(0,))
         with pytest.raises(RepresentationError):
             verify_relations(pres, partial)
 
@@ -441,16 +441,15 @@ class TestScalarCaches:
     """z and the roots run through mpmath once per distinct xi / (k, den)."""
 
     def test_same_xi_gives_the_same_z(self):
-        z1, _ = rep_build("AN", XI, 3, 40, (5,)).hp_scalars()
-        z2, _ = rep_build("NN", XI, 3, 40, (5, 1)).hp_scalars()
+        z1, _ = representations._scalars("AN", XI, 3, 40, (5,), exact=True)
+        z2, _ = representations._scalars("NN", XI, 3, 40, (5, 1), exact=True)
         assert z1 is not z2 and (z1.re, z1.im) == (z2.re, z2.im)
 
     def test_cached_values_match_fresh_mpmath(self):
         def fresh(x):
             return tuple(int(mpmath.nint(mpmath.ldexp(part, FIXED_BITS))) for part in (x.real, x.imag))
 
-        rep = rep_build("NN", XI, 3, 40, (5, 1))
-        z, roots = rep.hp_scalars()
+        z, roots = representations._scalars("NN", XI, 3, 40, (5, 1), exact=True)
         with mpmath.mp.workprec(FIXED_BITS + 16):
             assert (z.re, z.im) == fresh(mpmath.exp(mpmath.mpc(XI) / 2))
             for name, k, den in (("omega1", 1, 7), ("omega3", 5, 53)):
@@ -464,30 +463,59 @@ class TestScalarCaches:
             assert maxsize is not None and 0 < maxsize <= 1024
 
 
-def test_hp_adjoints_are_built_on_first_lookup():
+def test_hp_adjoints_are_built_from_hp_entries():
     rep = rep_build("NN", XI, 1, 7, (0, 0))
-    forward, backward = rep.hp_adjoints()
-    assert not forward and not backward
+    forward, backward = rep.hp_adjoints
     ents = representations.hp_assignment(rep)  # as _Fixed; hp_entries holds them flat
-    assert rep.hp_entries() == {name: _flat(m[0] + m[1]) for name, m in ents.items()}
-    t = ents["t"]
-    for table, name, m in (
-        (forward, "p", ents["p"]), (forward, "t", t),
-        (backward, "t", [[t[1][1], -t[0][1]], [-t[1][0], t[0][0]]]),
-    ):
-        want = [complex(v) for row in _adjoint_entries(m) for v in row]
-        assert _to_complex(table[name]) == want, name
-    assert set(forward) == {"p", "t"} and set(backward) == {"t"}
-    assert rep.hp_adjoints()[0]["p"] is forward["p"]
-    assert hp_invariant_vector("Ut", rep) is hp_invariant_vector("Ut", rep)  # kept on rep
+    assert rep.hp_entries == {name: _flat(m[0] + m[1]) for name, m in ents.items()}
+    assert set(forward) == set(backward) == {"x", "y", "p", "t"}
+    for name, m in ents.items():
+        (a, b), (c, d) = m
+        for table, g in ((forward, m), (backward, [[d, -b], [-c, a]])):
+            want = [complex(v) for row in _adjoint_entries(g) for v in row]
+            assert _to_complex(table[name]) == want, name
+    assert rep.hp_adjoints[0] is forward  # kept on rep
+    assert hp_invariant_vector("Ut", rep) is hp_invariant_vector("Ut", rep)
 
 
-@pytest.mark.parametrize("cache", ["_inverses", "_adjoints", "_adjoint_invs", "_hp_scalars",
-                                   "_hp_entries", "_hp_adjoints", "_hp_vectors"])
+@pytest.mark.parametrize("cache", ["inverses", "adjoints", "adjoint_invs", "hp_entries",
+                                   "hp_adjoints", "hp_vectors", "z", "omega1", "omega2", "omega3"])
 def test_caches_are_not_constructor_arguments(cache):
-    # cached data derived from ``assignment`` cannot be passed in disagreeing with it
+    # data derived from the defining data cannot be passed in disagreeing with it
     with pytest.raises(TypeError):
         Representation("AA", {"p": np.eye(2, dtype=complex)}, **{cache: {}})
+
+
+class TestDerivedData:
+    """z, the roots and the invariant vectors come from (family, xi, a, b, index) alone."""
+
+    @pytest.mark.parametrize(
+        "family, a, b, index",
+        [("AA", 1, 6, None), ("AN", 1, 6, 0), ("NA", 2, 12, 1), ("NN", 3, 40, (5, 1))],
+    )
+    def test_rebuilt_representation_derives_the_same_data(self, family, a, b, index):
+        built = rep_build(family, XI, a, b, index)
+        rebuilt = Representation(built.family, dict(built.assignment), built.xi, built.a, built.b, built.index)
+        for name in ("z", "omega1", "omega2", "omega3"):
+            assert getattr(rebuilt, name) == getattr(built, name), name
+        assert built.z == cmath.exp(complex(XI) / 2)
+        for case, (case_family, _) in representations._INVARIANT_CASES.items():
+            if case_family == family:
+                assert np.array_equal(invariant_vector(case, rebuilt), invariant_vector(case, built)), case
+                assert hp_invariant_vector(case, rebuilt) == hp_invariant_vector(case, built), case
+
+    @pytest.mark.parametrize("case, message", [("W", "incompatible with family AN"),
+                                               ("Q", "unknown invariant-vector case")])
+    def test_both_precisions_refuse_the_same_cases(self, rep_an, case, message):
+        for vector in (invariant_vector, hp_invariant_vector):
+            with pytest.raises(ValueError, match=message):
+                vector(case, rep_an)
+
+    def test_index_that_does_not_fit_the_family_raises(self, rep_an):
+        for index in ((), (0, 0)):
+            rep = Representation("AN", dict(rep_an.assignment), XI, A, B, index)
+            with pytest.raises(RepresentationError, match="index value"):
+                rep.omega2
 
 
 def _random_sl2(gen):
@@ -531,9 +559,10 @@ class TestRelationCheck:
 
     def test_foreign_presentation_is_still_checked(self, rep_na, monkeypatch):
         evaluated = []
-        original = representations.sl2_word_value
+        original = representations._relator_deviations
         monkeypatch.setattr(
-            representations, "sl2_word_value", lambda rep, w: evaluated.append(w) or original(rep, w)
+            representations, "_relator_deviations",
+            lambda factored, *args, **kw: evaluated.extend(factored) or original(factored, *args, **kw),
         )
         presentation_complex(pattern_piece_presentation(B)[0], rep_na)
         presentation_complex(torus_piece_presentation(A)[0], rep_na)
@@ -541,17 +570,17 @@ class TestRelationCheck:
         foreign, _ = torus_piece_presentation(2)
         with pytest.raises(RepresentationError, match=r"torus_piece\(a=2\) relators fail"):
             presentation_complex(foreign, rep_na)
-        assert evaluated == list(foreign.relators)
+        assert evaluated == list(foreign.factored)
 
     def test_hand_built_representation_is_checked_in_float64(self, rep_na):
         bad = na_matrices(rep_na.z, rep_na.omega1 * cmath.exp(1e-3j), A, B)
-        rep_bad = Representation("NA", bad, xi=XI, a=A, b=B, index=(0,), z=rep_na.z)
+        rep_bad = Representation("NA", bad, xi=XI, a=A, b=B, index=(0,))
         assert rep_bad.certified == frozenset()
         with pytest.raises(RepresentationError, match="relators fail verification"):
             presentation_complex(torus_piece_presentation(A)[0], rep_bad)
 
     def test_one_check_per_tor_e(self, monkeypatch):
-        counts = {"check": 0, "float64": 0, "hp_assignment": 0}
+        counts = {"check": 0, "evaluator": 0, "hp_assignment": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -561,16 +590,17 @@ class TestRelationCheck:
 
         for name, attr in (
             ("check", "_certify_relations"),
-            ("float64", "sl2_word_value"),
+            ("evaluator", "_relator_deviations"),
             ("hp_assignment", "hp_assignment"),
         ):
             monkeypatch.setattr(representations, attr, counting(name, getattr(representations, attr)))
         for family, index in (("AN", (0,)), ("NA", (0,)), ("NN", (0, 0))):
             tor_E(family, 1, 7, index, XI)
         tor_E_abelian(1, 7, XI)
-        # one check each; the fixed-point matrices are built once per
-        # non-abelian representation and reused by the loop walks
-        assert counts == {"check": 4, "float64": 0, "hp_assignment": 3}
+        # one check each, and no float64 re-check of the certified relators;
+        # the fixed-point matrices are built once per non-abelian
+        # representation and reused by the loop walks
+        assert counts == {"check": 4, "evaluator": 4, "hp_assignment": 3}
 
 
 class TestNAEdgeRelations:
@@ -580,7 +610,7 @@ class TestNAEdgeRelations:
         rep = rep_build("NA", 1 + 0j, 3, 40, (0,))
         pres, _ = cable_exterior_presentation(3, 40)
         pattern, _ = pattern_piece_presentation(40)
-        assert not verify_relations(pres, rep).ok  # the float64 letter walk falls short
+        assert not verify_relations(pres, rep).ok  # the factored float64 check falls short
         report = _certify_relations(rep)  # the factored fixed-point check
         assert len(report.deviations) == 4
         assert max(report.deviations) <= 1e-20  # r1, r2, r3 and the pattern relator
