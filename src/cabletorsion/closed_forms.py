@@ -1,10 +1,9 @@
 """Scalar reference formulas used as oracles against the torsion engine.
 
-Contains the four asymptotic-expansion amplitudes tau_0..tau_3 and their phase
-functions S_1..S_3, the torus-knot pair tau(k), S(xi; k), Alexander
-polynomials, and the closed-form right-hand sides of the three gluing
-theorems.  These are transcribed once and locked by golden tests; everything
-else in the package is measured against them.
+Contains the four asymptotic-expansion amplitudes tau_0..tau_3, the torus-knot
+amplitude tau(k), Alexander polynomials, and the closed-form right-hand sides
+of the three gluing theorems.  These are transcribed once and locked by golden
+tests; everything else in the package is measured against them.
 
 The Alexander polynomial is computed exactly: the Fox matrix is pushed through
 the abelianization into integer Laurent polynomials, the row of a
@@ -181,46 +180,7 @@ def tau3(xi: complex, l: int, m: int, a: int, b: int) -> complex:
     )
 
 
-# -- phase functions --------------------------------------------------------------
-
-
-def s1(xi: complex, j: int, b: int) -> complex:
-    xi = complex(xi)
-    return (
-        (2 * j + 1) * xi * math.pi * 1j
-        - (2 * b + 1) * xi ** 2 / 2
-        + (2 * j + 1) ** 2 * math.pi ** 2 / (2 * (2 * b + 1))
-    )
-
-
-def s2(xi: complex, k: int, a: int) -> complex:
-    xi = complex(xi)
-    return (
-        2 * (2 * k + 1) * xi * math.pi * 1j
-        - 2 * (2 * a + 1) * xi ** 2
-        + (2 * k + 1) ** 2 * math.pi ** 2 / (2 * (2 * a + 1))
-    )
-
-
-def s3(xi: complex, l: int, m: int, a: int, b: int) -> complex:
-    xi = complex(xi)
-    span = 2 * b + 1 - 4 * (2 * a + 1)
-    quad = (
-        (2 * l + 1) ** 2 * (2 * a + 1)
-        + (2 * m + 1) ** 2 * (2 * b + 1)
-        - 4 * (2 * l + 1) * (2 * m + 1) * (2 * a + 1)
-    )
-    return (
-        (2 * l + 1) * xi * math.pi * 1j
-        - (2 * b + 1) * xi ** 2 / 2
-        + math.pi ** 2 * quad / (2 * (2 * a + 1) * span)
-    )
-
-
-def s_torus(xi: complex, k: int, c: int, d: int) -> complex:
-    """The torus-knot phase -(2 k pi i - c d xi)^2 / (4 c d)."""
-    xi = complex(xi)
-    return -((2 * k * math.pi * 1j - c * d * xi) ** 2) / (4 * c * d)
+# -- torus-knot amplitude ------------------------------------------------------
 
 
 def tau_torus(k: int, c: int, d: int) -> complex:

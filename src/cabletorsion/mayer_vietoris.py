@@ -6,7 +6,14 @@ The gluing identity is
 
 where H* is the long exact sequence of the splitting, made into an acyclic
 based complex with the degree convention H_{3k} = H_k(E),
-H_{3k+1} = H_k(C) + H_k(D), H_{3k+2} = H_k(S).
+H_{3k+1} = H_k(C) + H_k(D), H_{3k+2} = H_k(S).  ``tor_E`` evaluates it with
+
+    Tor(H*) = 1 / det[phi_1 | e_designated1]
+
+(see the end of this docstring for why), and still builds S: Tor(S) is +-1,
+but the float64 peripheral-commutation check of S's complex is what rejects
+the AN (3,40) corners xi = -1 +- i, where the glued value would carry only
+8 to 9 digits.
 
 Each non-abelian family carries a catalog of homology lifts for the pieces,
 phrased through the family's invariant vectors (v on the gluing torus, v' on
@@ -34,13 +41,26 @@ decomposition above is baked into C's degree-2 lift), so both are unit
 columns and only phi_1 depends on the representation.  The connecting maps
 psi_k and delta_k are then pinned by exactness plus the normalization that
 each designated generating class maps to the matching basis vector of
-H_*(E); the assembled nine-slot complex is verified exact before its torsion
-is taken.
+H_*(E).
+
+Why one determinant is the whole of Tor(H*): delta_2 = 0, phi_2 and phi_0
+are unit columns and psi_0 is zero or empty, so the sequence splits into
+short exact pieces, and each piece but the degree-1 block is exact by
+construction with unit determinant.  The degree-1 block
+0 -> H_1(S) -> H_1(C) + H_1(D) -> H_1(E) is exact exactly when
+[phi_1 | e_designated1] is invertible, which ``_span_basis`` checks (the same
+rank test ``_quotient_rows`` applies when the sequence is built), and its
+torsion is then 1 / det of that matrix, with the sign the nine-slot torsion
+gives.  So the nine-slot complex (``build_mv_sequence``, checked exact there,
+and ``mv_torsion``) is built only on demand: by ``TorEResult.sequence`` for
+``cabletorsion compute --dump-complex``, by demo 03, and by the tests that
+cross-check it against the determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -208,6 +228,17 @@ def induced_maps(rep: Representation, piece_c: PieceData, piece_d: PieceData) ->
     return InducedMaps(unit_column(2), np.column_stack(cols), unit_column(0))
 
 
+def _span_basis(phi: np.ndarray, designated: Sequence[int]) -> np.ndarray:
+    """[phi | e_designated], checked to be square and of full numerical rank."""
+    n = phi.shape[0]
+    basis = np.column_stack([phi, np.eye(n, dtype=complex)[:, list(designated)]])
+    if basis.shape[0] != basis.shape[1] or linalg.numerical_rank(basis) < n:
+        raise MayerVietorisError(
+            "image of phi plus designated classes do not span the middle slot"
+        )
+    return basis
+
+
 def _quotient_rows(phi: np.ndarray, designated: Sequence[int]) -> np.ndarray:
     """Rows of psi: kill im(phi), send designated class q to basis vector q.
 
@@ -215,13 +246,7 @@ def _quotient_rows(phi: np.ndarray, designated: Sequence[int]) -> np.ndarray:
     functional is unique because im(phi) plus the designated classes span; it
     is read off the inverse of [phi | e_designated].
     """
-    n = phi.shape[0]
-    basis = np.column_stack([phi, np.eye(n, dtype=complex)[:, list(designated)]])
-    if basis.shape[0] != basis.shape[1] or linalg.numerical_rank(basis) < n:
-        raise MayerVietorisError(
-            "image of phi plus designated classes do not span the middle slot"
-        )
-    return np.linalg.inv(basis)[phi.shape[1]:, :]
+    return np.linalg.inv(_span_basis(phi, designated))[phi.shape[1]:, :]
 
 
 def build_mv_sequence(family: str, maps: InducedMaps, pieces: Dict[str, PieceData]) -> BasedChainComplex:
@@ -292,8 +317,12 @@ class TorEResult:
     tor_s: TorsionValue
     tor_h: TorsionValue
     maps: InducedMaps
-    sequence: BasedChainComplex
     pieces: Dict[str, PieceData]
+
+    @cached_property
+    def sequence(self) -> BasedChainComplex:
+        """The nine-slot sequence, built and checked exact on first read."""
+        return build_mv_sequence(self.family, self.maps, self.pieces)
 
 
 def tor_E(family: str, a: int, b: int, index, xi: complex) -> TorEResult:
@@ -309,12 +338,12 @@ def tor_E(family: str, a: int, b: int, index, xi: complex) -> TorEResult:
     torus = build_gluing_torus(rep)
     pieces = {"C": piece_c, "D": piece_d, "S": torus}
     maps = induced_maps(rep, piece_c, piece_d)
-    seq = build_mv_sequence(family, maps, pieces)
-    tor_h = mv_torsion(seq)
+    degree1 = _span_basis(maps.phi1, _MV_TABLE[family]["designated1"])
+    tor_h = TorsionValue(1 / np.linalg.det(degree1))
     value = piece_c.torsion * piece_d.torsion / (torus.torsion * tor_h)
     return TorEResult(
         family, a, b, rep.index, complex(xi), value,
-        piece_c.torsion, piece_d.torsion, torus.torsion, tor_h, maps, seq, pieces,
+        piece_c.torsion, piece_d.torsion, torus.torsion, tor_h, maps, pieces,
     )
 
 

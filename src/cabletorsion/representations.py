@@ -587,7 +587,13 @@ def _certify_relations(rep: Representation) -> RelationReport:
     pattern, _ = pattern_piece_presentation(rep.b)
     exact = rep.family != "AA"
     mats = rep.hp_entries if exact else {n: m.tolist() for n, m in rep.assignment.items()}
-    report = RelationReport(tuple(_relator_deviations(cable.factored + pattern.factored, mats, exact)))
+    try:
+        report = RelationReport(tuple(_relator_deviations(cable.factored + pattern.factored, mats, exact)))
+    except OverflowError:  # raised only by the fixed-point path's float64 rounding
+        raise RepresentationError(
+            f"{rep.family} fixed-point relator deviation is past the float64 range: "
+            f"FIXED_BITS = {FIXED_BITS} are too few at (a, b) = ({rep.a}, {rep.b}), xi = {rep.xi}"
+        ) from None
     if not report.ok:
         raise RepresentationError(f"{rep.family} relators fail verification: deviations {report.deviations}")
     rep.certified = frozenset(cable.relators + pattern.relators)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from cabletorsion.cli import main
+from cabletorsion.mayer_vietoris import build_mv_sequence, tor_E
 
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_all_seed7.txt"
 
@@ -70,6 +71,9 @@ class TestCompute:
         record = json.loads(out)
         assert record["mv_sequence"]["dims"] == [0, 1, 1, 1, 3, 2, 1, 2, 1]
         assert record["piece_complexes"]["D"]["dims"] == [3, 6, 3]
+        # the lazily built sequence is the one build_mv_sequence gives for the same pieces
+        result = tor_E("AN", 1, 6, (1,), 0.3 + 0.1j)
+        assert record["mv_sequence"] == build_mv_sequence("AN", result.maps, result.pieces).to_json_dict()
 
     def test_dump_representation_pairs(self, capsys):
         code, out, _ = run_cli(

@@ -7,9 +7,6 @@ from cabletorsion.closed_forms import (
     ClosedFormError,
     alexander,
     alexander_torus,
-    s1,
-    s2,
-    s_torus,
     tau0,
     tau1,
     tau2,
@@ -130,24 +127,6 @@ class TestTauAmplitudes:
         # cosh((2b+1-4(2a+1)) xi / 2) vanishes at xi = i pi for span 1
         with pytest.raises(ClosedFormError):
             tau2(cmath.pi * 1j, 0, 1, 6)
-
-
-class TestPhases:
-    def test_s1_at_zero_xi(self):
-        for j in range(6):
-            b = 6
-            expected = (2 * j + 1) ** 2 * math.pi ** 2 / (2 * (2 * b + 1))
-            assert abs(s1(0.0, j, b) - expected) < 1e-12
-
-    def test_s2_at_k0_a1(self):
-        expected = 2 * XI * math.pi * 1j - 6 * XI ** 2 + math.pi ** 2 / 6
-        assert abs(s2(XI, 0, 1) - expected) < 1e-12
-
-    def test_storus_direct_evaluation(self):
-        xi = 2j * math.pi
-        value = s_torus(xi, 1, 2, 3)
-        expected = -((2 * math.pi * 1j - 6 * xi) ** 2) / 24
-        assert abs(value - expected) < 1e-12
 
 
 class TestTorusKnotPair:

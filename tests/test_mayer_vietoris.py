@@ -11,6 +11,8 @@ from cabletorsion.closed_forms import tau0, theorem_rhs
 from cabletorsion.linalg import numerical_rank
 from cabletorsion.mayer_vietoris import (
     _MV_TABLE,
+    EXACTNESS_TOL,
+    InducedMaps,
     MayerVietorisError,
     _gluing_chains,
     build_gluing_torus,
@@ -282,6 +284,51 @@ class TestTorE:
         assert index_range("NN", 1, 6) == []
         assert index_range("NN", 2, 10) == []
         assert index_range("AN", 1, 6) == [(j,) for j in range(6)]
+
+
+GRID = [(1, 6), (1, 7), (2, 10)]
+CROSS_CHECK_CALLS = [
+    (family, a, b, index)
+    for a, b in GRID for family in ("AN", "NA", "NN") for index in index_range(family, a, b)
+] + [("AN", 3, 40, (0,)), ("AN", 3, 40, (39,)), ("NN", 3, 40, (0, 0)), ("NN", 3, 40, (25, 2))]
+
+
+class TestNineSlotCrossCheck:
+    """tor_E takes Tor(H*) from det[phi_1 | e_designated1]; the nine-slot
+    sequence, built on demand, must agree with it."""
+
+    @pytest.mark.parametrize("family, a, b, index", CROSS_CHECK_CALLS)
+    def test_sequence_route_agrees_with_the_determinant(self, family, a, b, index, monkeypatch):
+        result = tor_E(family, a, b, index, XI)
+        assert homology(result.sequence, tol=EXACTNESS_TOL).dims == (0,) * 9
+        # same value and the same sign, not just equal modulo sign
+        via_sequence = mv_torsion(result.sequence).value
+        assert abs(via_sequence - result.tor_h.value) <= 1e-12 * abs(result.tor_h.value)
+        assert torsion_equal(result.tor_s, 1.0, 1e-9)
+
+        # a rank-deficient phi_1 trips the span guard on both routes
+        deficient = InducedMaps(result.maps.phi2, result.maps.phi1.copy(), result.maps.phi0)
+        deficient.phi1[:, 1] = 2 * deficient.phi1[:, 0]
+        span = "image of phi plus designated classes do not span the middle slot"
+        with pytest.raises(MayerVietorisError, match=span):
+            build_mv_sequence(family, deficient, result.pieces)
+        monkeypatch.setattr(mayer_vietoris, "induced_maps", lambda *args: deficient)
+        with pytest.raises(MayerVietorisError, match=span):
+            tor_E(family, a, b, index, XI)
+
+    @pytest.mark.parametrize("family, a, b, index", [("AN", 3, 40, (5,)), ("NA", 2, 10, (1,)), ("NN", 1, 7, (0, 0))])
+    def test_hot_path_builds_no_sequence(self, family, a, b, index, monkeypatch):
+        want = tor_E(family, a, b, index, XI)
+
+        def refuse(*args):
+            raise AssertionError("tor_E built the nine-slot sequence")
+
+        monkeypatch.setattr(mayer_vietoris, "build_mv_sequence", refuse)
+        monkeypatch.setattr(mayer_vietoris, "mv_torsion", refuse)
+        got = tor_E(family, a, b, index, XI)
+        assert (got.value.value, got.tor_h.value) == (want.value.value, want.tor_h.value)
+        with pytest.raises(AssertionError, match="built the nine-slot sequence"):
+            got.sequence  # built on first read, through build_mv_sequence
 
 
 PRECISION_GOLDENS = json.loads(

@@ -557,6 +557,16 @@ class TestRelationCheck:
         with pytest.raises(RepresentationError, match=f"{family} relators fail verification"):
             rep_build(family, XI, 1, 7, index)
 
+    def test_deviation_past_float64_range_names_the_bit_count(self):
+        # NA (6,200): the fixed-point relator deviation does not fit a float64;
+        # the library error names the bit count, no OverflowError leaks out
+        with pytest.raises(
+            RepresentationError,
+            match=r"NA fixed-point relator deviation is past the float64 range: "
+                  r"FIXED_BITS = 200 are too few at \(a, b\) = \(6, 200\)",
+        ):
+            tor_E("NA", 6, 200, (1,), -0.848 + 0.828j)
+
     def test_foreign_presentation_is_still_checked(self, rep_na, monkeypatch):
         evaluated = []
         original = representations._relator_deviations
