@@ -118,15 +118,9 @@ def _sl2_labels(cells: Sequence[str]) -> Tuple[str, ...]:
     return tuple(f"{cell}*{s}" for cell in cells for s in SL2_BASIS_NAMES)
 
 
-def _fox_walk(
-    word: Word, generators: Sequence[Generator], start, forward, backward
-) -> list:
-    """Fox blocks of ``word`` applied to ``start``, one per generator, in one pass."""
-    return _fox_walk_to_end(word, generators, start, forward, backward)[0]
-
-
-def _fox_walk_to_end(word: Word, generators: Sequence[Generator], start, forward, backward):
-    """``_fox_walk`` plus its final accumulator, Ad(word) start.
+def _fox_walk(word: Word, generators: Sequence[Generator], start, forward, backward):
+    """(Fox blocks of ``word`` applied to ``start``, one per generator, in one
+    pass; the final accumulator, Ad(word) start).
 
     With u the prefix so far, a letter g adds Ad(u) start to block g, then
     extends u; g^-1 extends u first, then subtracts (d(g^-1)/dg = -g^-1).
@@ -155,7 +149,7 @@ def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainC
     d2 = np.zeros((3 * n, 3 * m), dtype=complex)
     eye = np.eye(3, dtype=complex)
     for j, rel in enumerate(pres.relators):
-        blocks = _fox_walk(rel, pres.generators, eye, rep.adjoints, rep.adjoint_invs)
+        blocks, _ = _fox_walk(rel, pres.generators, eye, rep.adjoints, rep.adjoint_invs)
         d2[:, 3 * j:3 * j + 3] = np.vstack(blocks)
     d1 = np.zeros((3, 3 * n), dtype=complex)
     for i, gen in enumerate(pres.generators):
@@ -168,16 +162,25 @@ def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainC
     return BasedChainComplex((3, 3 * n, 3 * m), (d1, d2), labels)
 
 
-def torus_complex(M, L) -> BasedChainComplex:
-    """Twisted complex of the torus from the commuting adjoint actions M, L."""
+def check_peripheral_actions(M, L) -> Tuple[np.ndarray, np.ndarray]:
+    """M and L as complex 3x3 arrays, checked finite and commuting at COMMUTATOR_TOL
+    (d1 d2 on the torus complex is [L, M]); ``tor_E`` checks S this way without building it."""
     M = np.asarray(M, dtype=complex)
     L = np.asarray(L, dtype=complex)
     if M.shape != (3, 3) or L.shape != (3, 3):
         raise ChainComplexError("torus complex needs two 3x3 matrices")
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(L))):
+        raise ChainComplexError("peripheral adjoint actions have non-finite entries")
     commutator = M @ L - L @ M
     scale = max(np.linalg.norm(M) * np.linalg.norm(L), 1.0)
     if np.linalg.norm(commutator) > COMMUTATOR_TOL * scale:
         raise ChainComplexError("peripheral adjoint actions do not commute")
+    return M, L
+
+
+def torus_complex(M, L) -> BasedChainComplex:
+    """Twisted complex of the torus from the commuting adjoint actions M, L."""
+    M, L = check_peripheral_actions(M, L)
     eye = np.eye(3)
     d2 = np.vstack([eye - L, M - eye])
     d1 = np.hstack([M - eye, L - eye])
@@ -200,22 +203,22 @@ def homology(cplx: BasedChainComplex, tol: float = linalg.DEFAULT_RANK_TOL) -> H
     return HomologySummary(tuple(n - ranks[i] - ranks[i + 1] for i, n in enumerate(cplx.dims)))
 
 
-def class_coordinates(cycle, basis, cplx: BasedChainComplex, degree: int) -> np.ndarray:
-    """Coordinates of a cycle against the homology lifts, modulo boundaries.
+def class_coordinates(cycles, basis, cplx: BasedChainComplex, degree: int) -> np.ndarray:
+    """Coordinates of a cycle, or of each column of ``cycles``, against the lifts.
 
     ``basis`` is the piece's assembled basis in ``degree``
-    (``TorsionValue.bases``): the cycle is solved against it and the lift
-    block returned, so the ranks are the torsion's own.  A cycle has no
-    component on the b_i columns, whose boundaries are independent; a vector
-    that is not a cycle raises.
+    (``TorsionValue.bases``): the cycles are solved against it at once and
+    the lift block returned, so the ranks are the torsion's own.  A cycle has
+    no component on the b_i columns, whose boundaries are independent; a
+    vector that is not a cycle raises.
     """
-    cycle = np.asarray(cycle, dtype=complex)
+    cycles = np.asarray(cycles, dtype=complex)
     d_this = cplx.d(degree)
-    if d_this.size:
-        bnorm = np.linalg.norm(d_this @ cycle)
-        if bnorm > CYCLE_TOL * max(np.linalg.norm(d_this) * np.linalg.norm(cycle), 1.0):
+    d_norm = np.linalg.norm(d_this)
+    for cycle in cycles.reshape(len(cycles), -1).T:
+        if np.linalg.norm(d_this @ cycle) > CYCLE_TOL * max(d_norm * np.linalg.norm(cycle), 1.0):
             raise ChainComplexError(f"vector is not a cycle in degree {degree}")
-    return np.linalg.solve(basis.matrix, cycle)[basis.lifts]
+    return np.linalg.solve(basis.matrix, cycles)[basis.lifts]
 
 
 def chain_of_loop(word: Word, vector, rep: Representation, pres: Presentation) -> np.ndarray:
@@ -225,7 +228,7 @@ def chain_of_loop(word: Word, vector, rep: Representation, pres: Presentation) -
     relator and an invariant vector this lands in the boundaries.
     """
     vector = np.asarray(vector, dtype=complex)
-    blocks = _fox_walk(word, pres.generators, vector, rep.adjoints, rep.adjoint_invs)
+    blocks, _ = _fox_walk(word, pres.generators, vector, rep.adjoints, rep.adjoint_invs)
     return np.concatenate(blocks)
 
 
@@ -252,7 +255,7 @@ def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: 
     """
     forward, backward = rep.hp_adjoints
     vector = hp_invariant_vector(case, rep)
-    blocks, end = _fox_walk_to_end(word, pres.generators, vector, forward, backward)
+    blocks, end = _fox_walk(word, pres.generators, vector, forward, backward)
     deviation = max(map(abs, _to_complex(end - vector)))
     scale = max(map(abs, _to_complex(vector)))
     if deviation > SUBGROUP_TOL * scale:

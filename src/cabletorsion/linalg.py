@@ -56,6 +56,11 @@ def kernel_basis(m, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
     return [vh[j].conj() for j in range(_rank(sigma, tol), arr.shape[1])]
 
 
+def _column_norms(arr: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(arr, axis=0)``, by the same formula, so pivots tie the same way."""
+    return np.sqrt(np.add.reduce((arr.conj() * arr).real, axis=0))
+
+
 def pivot_columns(m, rank: int, order: Sequence[int] | None = None) -> list[int]:
     """``rank`` column indices spanning the column space.
 
@@ -68,28 +73,30 @@ def pivot_columns(m, rank: int, order: Sequence[int] | None = None) -> list[int]
     arr = _as_matrix(m)
     if rank == 0:
         return []
-    work = arr.copy()
+    work = arr  # replaced, never written in place
     chosen: list[int] = []
-    scale0 = float(np.max(np.linalg.norm(arr, axis=0))) if arr.size else 0.0
+    norms = _column_norms(arr)
     if order is None:
+        scale0 = float(np.max(norms)) if arr.size else 0.0
         for _ in range(rank):
-            norms = np.linalg.norm(work, axis=0)
             j = int(np.argmax(norms))
             if norms[j] <= PIVOT_TOL * scale0:
                 raise np.linalg.LinAlgError("matrix rank smaller than requested pivots")
-            q = work[:, j] / norms[j]
             chosen.append(j)
-            work = work - np.outer(q, q.conj() @ work)
+            if len(chosen) < rank:  # no update after the last pivot
+                q = work[:, j] / norms[j]
+                work = work - np.outer(q, q.conj() @ work)
+                norms = _column_norms(work)
     else:
-        scale = max(np.linalg.norm(arr, axis=0).max(), 1.0)
+        scale = max(norms.max(), 1.0)
         for j in order:
             residual = np.linalg.norm(work[:, j])
             if residual > PIVOT_ORDER_TOL * scale:
-                q = work[:, j] / residual
                 chosen.append(j)
+                if len(chosen) == rank:
+                    break
+                q = work[:, j] / residual
                 work = work - np.outer(q, q.conj() @ work)
-            if len(chosen) == rank:
-                break
         if len(chosen) < rank:
             raise np.linalg.LinAlgError("candidate order does not span the column space")
     return sorted(chosen)

@@ -8,12 +8,15 @@ where H* is the long exact sequence of the splitting, made into an acyclic
 based complex with the degree convention H_{3k} = H_k(E),
 H_{3k+1} = H_k(C) + H_k(D), H_{3k+2} = H_k(S).  ``tor_E`` evaluates it with
 
-    Tor(H*) = 1 / det[phi_1 | e_designated1]
+    Tor(S) = 1,  Tor(H*) = 1 / det[phi_1 | e_designated1]
 
-(see the end of this docstring for why), and still builds S: Tor(S) is +-1,
-but the float64 peripheral-commutation check of S's complex is what rejects
-the AN (3,40) corners xi = -1 +- i, where the glued value would carry only
-8 to 9 digits.
+(see the end of this docstring for why) from C and D alone: Tor(S) is +-1 in
+the lifts below, and its float64 value only added rounding error (up to
+1.7e-10).  S's guard stays: M = Ad(mu_C) and L = Ad(la_C) must be finite and
+commute (``check_peripheral_actions``; [L, M] is d1 d2 on S), which rejects
+the AN (3,40) corners xi = -1 +- i, where the glued value would carry only 8
+to 9 digits.  S's lift-cycle check is implied by the SUBGROUP_TOL return of
+the fixed-point walks of mu_C and h in both pieces.
 
 Each non-abelian family carries a catalog of homology lifts for the pieces,
 phrased through the family's invariant vectors (v on the gluing torus, v' on
@@ -52,14 +55,15 @@ construction with unit determinant.  The degree-1 block
 rank test ``_quotient_rows`` applies when the sequence is built), and its
 torsion is then 1 / det of that matrix, with the sign the nine-slot torsion
 gives.  So the nine-slot complex (``build_mv_sequence``, checked exact there,
-and ``mv_torsion``) is built only on demand: by ``TorEResult.sequence`` for
-``cabletorsion compute --dump-complex``, by demo 03, and by the tests that
-cross-check it against the determinant.
+and ``mv_torsion``) and S (``build_gluing_torus``) are built only on demand:
+by ``TorEResult.sequence`` and ``TorEResult.pieces["S"]`` for ``cabletorsion
+compute --dump-complex``, by demo 03, and by the tests that cross-check them
+against the determinant and Tor(S) = +-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
@@ -69,6 +73,7 @@ from . import linalg
 from .chains import (
     BasedChainComplex,
     chain_of_loop_hp,
+    check_peripheral_actions,
     class_coordinates,
     homology,
     presentation_complex,
@@ -132,7 +137,7 @@ def _family_vectors(rep: Representation):
     """(gluing-torus vector, outer-torus vector) of the representation's family."""
     if rep.family not in _MV_TABLE:
         raise MayerVietorisError(f"family {rep.family!r} has no Mayer-Vietoris route")
-    return tuple(invariant_vector(case, rep) for case in _MV_TABLE[rep.family]["cases"])
+    return tuple(rep.vectors[case] for case in _MV_TABLE[rep.family]["cases"])
 
 
 def build_torus_piece(rep: Representation) -> PieceData:
@@ -168,10 +173,8 @@ def build_pattern_piece(rep: Representation) -> PieceData:
 
 def build_gluing_torus(rep: Representation) -> PieceData:
     """The splitting torus S of ``rep``, built from the adjoint actions of mu_C and la_C."""
-    pres, peri = torus_piece_presentation(rep.a)
-    m_action = evaluate_word(rep, peri["mu_C"])
-    l_action = evaluate_word(rep, peri["lambda_C"])
-    cplx = torus_complex(m_action, l_action)
+    _, peri = torus_piece_presentation(rep.a)
+    cplx = torus_complex(evaluate_word(rep, peri["mu_C"]), evaluate_word(rep, peri["lambda_C"]))
     v, _ = _family_vectors(rep)
     lifts = {2: [v], 1: [_pad(v, 0, 2), _pad(v, 1, 2)], 0: [v]}
     tor = reidemeister_torsion(cplx, lifts)
@@ -207,25 +210,23 @@ def induced_maps(rep: Representation, piece_c: PieceData, piece_d: PieceData) ->
     """phi_2, phi_1, phi_0 of the splitting of ``rep`` into ``piece_c`` and ``piece_d``.
 
     phi_1 pushes mu_C and la_C into each piece and takes class coordinates in
-    the piece's assembled degree-1 basis.
+    the piece's assembled degree-1 basis, both chains of a piece in one solve.
     phi_2 and phi_0 send the one class of S to the first lift of each piece
     that has one in that degree, so they are unit columns.
     """
     case = _MV_TABLE[rep.family]["cases"][0]
-    cols = []
-    for cyc_c, cyc_d in zip(
-        _gluing_chains(rep, piece_c.presentation, piece_c.peripheral, case),
-        _gluing_chains(rep, piece_d.presentation, piece_d.peripheral, case),
-    ):
-        cols.append(np.concatenate([
-            class_coordinates(cyc_c, piece_c.torsion.bases[1], piece_c.complex, 1),
-            class_coordinates(cyc_d, piece_d.torsion.bases[1], piece_d.complex, 1),
-        ]))
+    phi1 = np.vstack([
+        class_coordinates(
+            np.column_stack(_gluing_chains(rep, p.presentation, p.peripheral, case)),
+            p.torsion.bases[1], p.complex, 1,
+        )
+        for p in (piece_c, piece_d)
+    ])
 
     def unit_column(k):
         return np.vstack([np.eye(len(p.lifts.get(k, [])), 1, dtype=complex) for p in (piece_c, piece_d)])
 
-    return InducedMaps(unit_column(2), np.column_stack(cols), unit_column(0))
+    return InducedMaps(unit_column(2), phi1, unit_column(0))
 
 
 def _span_basis(phi: np.ndarray, designated: Sequence[int]) -> np.ndarray:
@@ -304,7 +305,7 @@ def mv_torsion(seq: BasedChainComplex) -> TorsionValue:
 
 @dataclass
 class TorEResult:
-    """Full record of one gluing computation."""
+    """Full record of one gluing computation; ``tor_s`` is exactly 1."""
 
     family: str
     a: int
@@ -317,7 +318,14 @@ class TorEResult:
     tor_s: TorsionValue
     tor_h: TorsionValue
     maps: InducedMaps
-    pieces: Dict[str, PieceData]
+    rep: Representation = field(repr=False)
+    piece_c: PieceData = field(repr=False)
+    piece_d: PieceData = field(repr=False)
+
+    @cached_property
+    def pieces(self) -> Dict[str, PieceData]:
+        """C, D and the splitting torus S, which is built on first read."""
+        return {"C": self.piece_c, "D": self.piece_d, "S": build_gluing_torus(self.rep)}
 
     @cached_property
     def sequence(self) -> BasedChainComplex:
@@ -335,15 +343,14 @@ def tor_E(family: str, a: int, b: int, index, xi: complex) -> TorEResult:
     rep = rep_build(family, xi, a, b, index)
     piece_c = build_torus_piece(rep)
     piece_d = build_pattern_piece(rep)
-    torus = build_gluing_torus(rep)
-    pieces = {"C": piece_c, "D": piece_d, "S": torus}
+    peri = piece_c.peripheral
+    check_peripheral_actions(evaluate_word(rep, peri["mu_C"]), evaluate_word(rep, peri["lambda_C"]))
     maps = induced_maps(rep, piece_c, piece_d)
     degree1 = _span_basis(maps.phi1, _MV_TABLE[family]["designated1"])
     tor_h = TorsionValue(1 / np.linalg.det(degree1))
-    value = piece_c.torsion * piece_d.torsion / (torus.torsion * tor_h)
     return TorEResult(
-        family, a, b, rep.index, complex(xi), value,
-        piece_c.torsion, piece_d.torsion, torus.torsion, tor_h, maps, pieces,
+        family, a, b, rep.index, complex(xi), piece_c.torsion * piece_d.torsion / tor_h,
+        piece_c.torsion, piece_d.torsion, TorsionValue(1 + 0j), tor_h, maps, rep, piece_c, piece_d,
     )
 
 

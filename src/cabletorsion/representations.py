@@ -458,6 +458,16 @@ class Representation:
                 {name: _fadjoint(_fadj2(m)) for name, m in ents.items()})
 
     @cached_property
+    def vectors(self) -> dict:
+        """The family's invariant vectors by case as read-only float64 arrays."""
+        z, roots = self._complex_scalars
+        vecs = {case: np.array(_invariant_entries(case, z, roots.get(root)), dtype=complex)
+                for case, (family, root) in _INVARIANT_CASES.items() if family == self.family}
+        for vec in vecs.values():
+            vec.flags.writeable = False
+        return vecs
+
+    @cached_property
     def hp_vectors(self) -> dict:
         """The family's invariant vectors by case as flat fixed-point ``_Flat``."""
         z, roots = _scalars(self.family, self.xi, self.a, self.b, self.index, exact=True)
@@ -700,6 +710,5 @@ def invariant_vector(case: str, rep: Representation) -> np.ndarray:
     normalizations matter: the torsion scales with the homology basis, and the
     closed-form theorem values are tied to these vectors.
     """
-    root = _invariant_root(case, rep.family)
-    z, roots = rep._complex_scalars
-    return np.array(_invariant_entries(case, z, roots.get(root)), dtype=complex)
+    _invariant_root(case, rep.family)
+    return rep.vectors[case]

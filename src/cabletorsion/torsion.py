@@ -108,8 +108,10 @@ def reidemeister_torsion(
 
     b_cols: Dict[int, list[int]] = {}
     for i in range(1, top + 2):
+        d_i = cplx.d(i)
+        order = None if rng is None or ranks[i] == 0 else rng.permutation(d_i.shape[1])
         try:
-            b_cols[i] = _choose_b(cplx.d(i), ranks[i], rng)
+            b_cols[i] = linalg.pivot_columns(d_i, ranks[i], order=order) if ranks[i] else []
         except np.linalg.LinAlgError:
             raise TorsionError(
                 f"boundary d_{i} cannot supply {ranks[i]} numerically independent "
@@ -119,16 +121,14 @@ def reidemeister_torsion(
 
     for i in range(top + 1):
         d_i = cplx.d(i)
+        d_norm = np.linalg.norm(d_i)
         for chain in table[i]:
             if chain.shape != (cplx.dims[i],):
                 raise TorsionError(f"degree-{i} lift has shape {chain.shape}")
-            if d_i.size:
-                resid = np.linalg.norm(d_i @ chain)
-                scale = max(np.linalg.norm(d_i) * np.linalg.norm(chain), 1.0)
-                if resid > LIFT_CYCLE_TOL * scale:
-                    raise TorsionError(
-                        f"degree-{i} lift is not a cycle (residual {resid / scale:.3e})"
-                    )
+            resid = np.linalg.norm(d_i @ chain)  # 0 for d_0, which is empty
+            scale = max(d_norm * np.linalg.norm(chain), 1.0)
+            if resid > LIFT_CYCLE_TOL * scale:
+                raise TorsionError(f"degree-{i} lift is not a cycle (residual {resid / scale:.3e})")
 
     result = 1.0 + 0.0j
     bases: Dict[int, AssembledBasis] = {}
@@ -136,17 +136,15 @@ def reidemeister_torsion(
         dim = cplx.dims[i]
         if dim == 0:
             continue
-        cols: list[np.ndarray] = []
-        d_up = cplx.d(i + 1)
-        for j in b_cols.get(i + 1, []):
-            cols.append(d_up[:, j])
-        lift_cols = slice(len(cols), len(cols) + len(table[i]))
-        cols.extend(table[i])
-        for j in b_cols.get(i, []):
-            unit = np.zeros(dim, dtype=complex)
-            unit[j] = 1.0
-            cols.append(unit)
-        assembled = np.column_stack(cols)
+        # the lift counts make the assembled basis square (``_lift_ranks``)
+        assembled = np.zeros((dim, dim), dtype=complex)
+        up = b_cols.get(i + 1, [])
+        lift_cols = slice(len(up), len(up) + len(table[i]))
+        assembled[:, :len(up)] = cplx.d(i + 1)[:, up]
+        for col, chain in enumerate(table[i], lift_cols.start):
+            assembled[:, col] = chain
+        for col, j in enumerate(b_cols.get(i, []), lift_cols.stop):
+            assembled[j, col] = 1.0
         sigma = np.linalg.svd(assembled, compute_uv=False)
         if sigma[0] == 0.0 or sigma[-1] < BASIS_CONDITION_TOL * sigma[0]:
             raise TorsionError(
@@ -159,15 +157,6 @@ def reidemeister_torsion(
     tor = TorsionValue(result)
     tor.bases.update(bases)
     return tor
-
-
-def _choose_b(matrix: np.ndarray, rank: int, rng) -> list[int]:
-    if rank == 0:
-        return []
-    if rng is None:
-        return linalg.pivot_columns(matrix, rank)
-    order = rng.permutation(matrix.shape[1])
-    return linalg.pivot_columns(matrix, rank, order=order)
 
 
 def _lift_ranks(cplx, table) -> Dict[int, int]:

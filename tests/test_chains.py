@@ -144,6 +144,11 @@ class TestTorusComplex:
         with pytest.raises(ChainComplexError):
             torus_complex(rep_na.adjoint("x"), rep_na.adjoint("y"))
 
+    def test_rejects_non_finite_actions_by_name(self):
+        # the check tor_E shares, before BasedChainComplex would see the entries
+        with pytest.raises(ChainComplexError, match="peripheral adjoint actions have non-finite entries"):
+            torus_complex(np.eye(3), np.full((3, 3), np.inf))
+
 
 class TestHomologyTables:
     def test_homology_dims_per_piece_and_family(self, rep_an, rep_na):
@@ -187,6 +192,16 @@ class TestHomologyTables:
 
 class TestClassCoordinates:
     # D of AN has lifts V, U on p~ and t~ in degree 1; C of NA has W on x~
+    def test_columns_are_solved_together_and_checked_one_by_one(self, rep_an):
+        piece = build_pattern_piece(rep_an)
+        cycles = np.column_stack(piece.lifts[1])
+        together = piece_coordinates(piece, cycles)
+        for col, lift in enumerate(piece.lifts[1]):
+            assert np.array_equal(together[:, col], piece_coordinates(piece, lift))
+        cycles[0, 1] += 1.0  # the second column is no longer a cycle
+        with pytest.raises(ChainComplexError, match="not a cycle"):
+            piece_coordinates(piece, cycles)
+
     def test_lift_against_itself(self, rep_an):
         piece = build_pattern_piece(rep_an)
         coords = piece_coordinates(piece, piece.lifts[1][0])
@@ -357,7 +372,7 @@ class TestFoxWalkMatchesReference:
                 word = peri[name]
                 ref = _hp_reference(word, rep, pres, case, dps=80)
                 vector = hp_invariant_vector(case, rep)
-                walked = _fox_walk(word, pres.generators, vector, *rep.hp_adjoints)
+                walked, _ = _fox_walk(word, pres.generators, vector, *rep.hp_adjoints)
                 with mpmath.mp.workdps(80):
                     got = [v for block in walked for v in flat_to_mpc(block)]
                     err = mpmath.norm([g - r for g, r in zip(got, ref)]) / mpmath.norm(ref)

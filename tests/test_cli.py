@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from cabletorsion.cli import main
-from cabletorsion.mayer_vietoris import build_mv_sequence, tor_E
+from cabletorsion.mayer_vietoris import build_gluing_torus, build_mv_sequence, tor_E
+from cabletorsion.representations import rep_build
 
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_all_seed7.txt"
 
@@ -74,6 +75,12 @@ class TestCompute:
         # the lazily built sequence is the one build_mv_sequence gives for the same pieces
         result = tor_E("AN", 1, 6, (1,), 0.3 + 0.1j)
         assert record["mv_sequence"] == build_mv_sequence("AN", result.maps, result.pieces).to_json_dict()
+        # S is built on demand for the dump, the same complex build_gluing_torus gives;
+        # the value takes Tor(S) as exactly 1
+        rep = rep_build("AN", 0.3 + 0.1j, 1, 6, (1,))
+        assert record["piece_complexes"]["S"] == build_gluing_torus(rep).complex.to_json_dict()
+        assert list(record["piece_complexes"]) == ["C", "D", "S"]
+        assert record["tor_S"] == [1.0, 0.0]
 
     def test_dump_representation_pairs(self, capsys):
         code, out, _ = run_cli(

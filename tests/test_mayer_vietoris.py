@@ -26,7 +26,7 @@ from cabletorsion.mayer_vietoris import (
 )
 from cabletorsion.presentations import cable_exterior_presentation, torus_piece_presentation
 from cabletorsion.representations import evaluate_word, index_range, invariant_vector, rep_build
-from cabletorsion.torsion import TorsionError, torsion_equal
+from cabletorsion.torsion import TorsionError, TorsionValue, torsion_equal
 from conftest import assert_close
 
 XI = 0.3 + 0.1j
@@ -304,7 +304,9 @@ class TestNineSlotCrossCheck:
         # same value and the same sign, not just equal modulo sign
         via_sequence = mv_torsion(result.sequence).value
         assert abs(via_sequence - result.tor_h.value) <= 1e-12 * abs(result.tor_h.value)
-        assert torsion_equal(result.tor_s, 1.0, 1e-9)
+        # the value takes Tor(S) as exactly 1; S, built on first read, agrees
+        assert result.tor_s == TorsionValue(1)
+        assert torsion_equal(result.pieces["S"].torsion, 1.0, 1e-9)
 
         # a rank-deficient phi_1 trips the span guard on both routes
         deficient = InducedMaps(result.maps.phi2, result.maps.phi1.copy(), result.maps.phi0)
@@ -321,14 +323,40 @@ class TestNineSlotCrossCheck:
         want = tor_E(family, a, b, index, XI)
 
         def refuse(*args):
-            raise AssertionError("tor_E built the nine-slot sequence")
+            raise AssertionError("tor_E built the nine-slot sequence or the splitting torus")
 
-        monkeypatch.setattr(mayer_vietoris, "build_mv_sequence", refuse)
-        monkeypatch.setattr(mayer_vietoris, "mv_torsion", refuse)
+        for name in ("build_mv_sequence", "mv_torsion", "build_gluing_torus", "torus_complex"):
+            monkeypatch.setattr(mayer_vietoris, name, refuse)
         got = tor_E(family, a, b, index, XI)
         assert (got.value.value, got.tor_h.value) == (want.value.value, want.tor_h.value)
-        with pytest.raises(AssertionError, match="built the nine-slot sequence"):
+        with pytest.raises(AssertionError, match="nine-slot sequence or the splitting torus"):
             got.sequence  # built on first read, through build_mv_sequence
+        with pytest.raises(AssertionError, match="nine-slot sequence or the splitting torus"):
+            got.pieces  # built on first read, S through build_gluing_torus
+
+
+class TestSplittingTorusDropped:
+    """Calls whose float64 torsion of S used to raise, though C, D and the
+    gluing are fine: tor_E no longer computes Tor(S)."""
+
+    @pytest.mark.parametrize("a, b, k, xi", [
+        (5, 23, 4, 0.704 - 0.753j), (5, 23, 3, -0.778 + 0.468j),
+        (4, 19, 1, -0.863 - 0.211j), (5, 23, 1, 0.991 + 0.552j),
+    ])
+    def test_na_matches_theorem(self, a, b, k, xi):
+        result = tor_E("NA", a, b, (k,), xi)
+        assert torsion_equal(result.value, theorem_rhs("NA", a, b, (k,), xi), 1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_peripheral_action_is_named(self, bad, monkeypatch):
+        # the commutator norm of a non-finite matrix compares False, so the
+        # commutation test alone would let these actions through
+        m, l = np.eye(3, dtype=complex), np.full((3, 3), bad, dtype=complex)
+        with np.errstate(invalid="ignore"):
+            assert not np.linalg.norm(m @ l - l @ m) > 1e-9 * max(np.linalg.norm(m) * np.linalg.norm(l), 1.0)
+        monkeypatch.setattr(mayer_vietoris, "evaluate_word", lambda rep, word: np.full((3, 3), bad))
+        with pytest.raises(ChainComplexError, match="peripheral adjoint actions have non-finite entries"):
+            tor_E("AN", 1, 6, (0,), XI)
 
 
 PRECISION_GOLDENS = json.loads(
@@ -344,7 +372,9 @@ def test_precision_path_goldens(case):
     """tor_E at the edge of the xi band, where the fixed-point relation check
     and loop walks decide the digits, against values recorded before they
     moved to flat integer kernels: within 1e-12 relative (the closed-form match
-    is 1e-6), and each recorded error with its type and message."""
+    is 1e-6), and each recorded error with its type and message.  A value
+    re-recorded since keeps its predecessor as ``old_value``, and must be
+    closer to the closed form than it."""
     args = (case["family"], case["a"], case["b"], tuple(case["index"]), complex(*case["xi"]))
     if "error" in case:
         with pytest.raises(Exception) as info:
@@ -353,3 +383,7 @@ def test_precision_path_goldens(case):
     else:
         want = complex(*case["value"])
         assert abs(tor_E(*args).value.value - want) <= 1e-12 * abs(want)
+        if "old_value" in case:
+            ref = theorem_rhs(*args)
+            old = complex(*case["old_value"])
+            assert min(abs(want - ref), abs(want + ref)) < min(abs(old - ref), abs(old + ref))

@@ -479,7 +479,7 @@ def test_hp_adjoints_are_built_from_hp_entries():
 
 
 @pytest.mark.parametrize("cache", ["inverses", "adjoints", "adjoint_invs", "hp_entries",
-                                   "hp_adjoints", "hp_vectors", "z", "omega1", "omega2", "omega3"])
+                                   "hp_adjoints", "hp_vectors", "vectors", "z", "omega1", "omega2", "omega3"])
 def test_caches_are_not_constructor_arguments(cache):
     # data derived from the defining data cannot be passed in disagreeing with it
     with pytest.raises(TypeError):
@@ -502,6 +502,9 @@ class TestDerivedData:
         for case, (case_family, _) in representations._INVARIANT_CASES.items():
             if case_family == family:
                 assert np.array_equal(invariant_vector(case, rebuilt), invariant_vector(case, built)), case
+                # built once per representation and shared, so it cannot be written
+                assert invariant_vector(case, built) is built.vectors[case]
+                assert not built.vectors[case].flags.writeable
                 assert hp_invariant_vector(case, rebuilt) == hp_invariant_vector(case, built), case
 
     @pytest.mark.parametrize("case, message", [("W", "incompatible with family AN"),
