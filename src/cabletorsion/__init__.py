@@ -36,7 +36,6 @@ from .representations import (
     index_range,
     invariant_vector,
     rep_build,
-    sl2_word_value,
     verify_relations,
 )
 from .linalg import image_pivots, kernel_basis, numerical_rank
@@ -76,7 +75,7 @@ __all__ = [
     "pattern_piece_presentation", "torus_piece_presentation",
     "Representation", "RepresentationError", "abelian_representation",
     "adjoint_matrix", "evaluate_ring", "evaluate_word", "index_range",
-    "invariant_vector", "rep_build", "sl2_word_value", "verify_relations",
+    "invariant_vector", "rep_build", "verify_relations",
     "image_pivots", "kernel_basis", "numerical_rank",
     "BasedChainComplex", "chain_of_loop", "class_coordinates", "homology",
     "presentation_complex", "torus_complex",

@@ -26,6 +26,7 @@ d2 = [[I-L], [M-I]] and d1 = [M-I | L-I] once M and L commute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -72,19 +73,18 @@ class BasedChainComplex:
             want = (self.dims[i], self.dims[i + 1])
             if arr.shape != want:
                 raise ChainComplexError(f"d_{i + 1} has shape {arr.shape}, expected {want}")
-            if arr.size and not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ChainComplexError(f"d_{i + 1} has non-finite entries")
             boundaries.append(arr)
         self.boundaries = tuple(boundaries)
         for i in range(len(self.boundaries) - 1):
             lower, upper = self.boundaries[i], self.boundaries[i + 1]
             if lower.size and upper.size:
-                prod = lower @ upper
-                scale = max(np.linalg.norm(lower) * np.linalg.norm(upper), 1.0)
-                if np.linalg.norm(prod) > BOUNDARY_SQUARE_TOL * scale:
+                residual = linalg.norm(lower @ upper)
+                scale = max(linalg.norm(lower) * linalg.norm(upper), 1.0)
+                if residual > BOUNDARY_SQUARE_TOL * scale:
                     raise ChainComplexError(
-                        f"d_{i + 1} d_{i + 2} != 0 (relative residual "
-                        f"{np.linalg.norm(prod) / scale:.3e})"
+                        f"d_{i + 1} d_{i + 2} != 0 (relative residual {residual / scale:.3e})"
                     )
 
     @property
@@ -100,9 +100,6 @@ class BasedChainComplex:
         if i == 0:
             return np.zeros((0, self.dims[0]), dtype=complex)
         raise IndexError(f"degree {i} outside complex of top degree {self.top}")
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * d for i, d in enumerate(self.dims))
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,12 +151,17 @@ def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainC
     d1 = np.zeros((3, 3 * n), dtype=complex)
     for i, gen in enumerate(pres.generators):
         d1[:, 3 * i:3 * i + 3] = rep.adjoint(gen) - np.eye(3)
-    labels = (
+    return BasedChainComplex((3, 3 * n, 3 * m), (d1, d2), _presentation_labels(pres))
+
+
+@lru_cache(maxsize=64)
+def _presentation_labels(pres: Presentation) -> Tuple[Tuple[str, ...], ...]:
+    """Basis labels of ``presentation_complex``, once per presentation."""
+    return (
         _sl2_labels(["v~"]),
         _sl2_labels([f"{g.name}~" for g in pres.generators]),
-        _sl2_labels([f"f{j + 1}~" for j in range(m)]),
+        _sl2_labels([f"f{j + 1}~" for j in range(len(pres.relators))]),
     )
-    return BasedChainComplex((3, 3 * n, 3 * m), (d1, d2), labels)
 
 
 def check_peripheral_actions(M, L) -> Tuple[np.ndarray, np.ndarray]:
@@ -169,11 +171,10 @@ def check_peripheral_actions(M, L) -> Tuple[np.ndarray, np.ndarray]:
     L = np.asarray(L, dtype=complex)
     if M.shape != (3, 3) or L.shape != (3, 3):
         raise ChainComplexError("torus complex needs two 3x3 matrices")
-    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(L))):
+    if not (np.isfinite(M).all() and np.isfinite(L).all()):
         raise ChainComplexError("peripheral adjoint actions have non-finite entries")
-    commutator = M @ L - L @ M
-    scale = max(np.linalg.norm(M) * np.linalg.norm(L), 1.0)
-    if np.linalg.norm(commutator) > COMMUTATOR_TOL * scale:
+    scale = max(linalg.norm(M) * linalg.norm(L), 1.0)
+    if linalg.norm(M @ L - L @ M) > COMMUTATOR_TOL * scale:
         raise ChainComplexError("peripheral adjoint actions do not commute")
     return M, L
 
@@ -214,9 +215,9 @@ def class_coordinates(cycles, basis, cplx: BasedChainComplex, degree: int) -> np
     """
     cycles = np.asarray(cycles, dtype=complex)
     d_this = cplx.d(degree)
-    d_norm = np.linalg.norm(d_this)
+    d_norm = linalg.norm(d_this)
     for cycle in cycles.reshape(len(cycles), -1).T:
-        if np.linalg.norm(d_this @ cycle) > CYCLE_TOL * max(d_norm * np.linalg.norm(cycle), 1.0):
+        if linalg.norm(d_this @ cycle) > CYCLE_TOL * max(d_norm * linalg.norm(cycle), 1.0):
             raise ChainComplexError(f"vector is not a cycle in degree {degree}")
     return np.linalg.solve(basis.matrix, cycles)[basis.lifts]
 
@@ -239,10 +240,11 @@ def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: 
     down to a small chain; in float64 that costs eight or more digits at the
     edge of the xi range, which is too coarse for the induced-map entries.
     So the invariant 3-vector is walked in FIXED_BITS-bit fixed point, as a
-    flat ``_Flat`` of six ints, through the flat 3x3 adjoints that the
-    ``Representation.hp_adjoints`` property keeps: one 3x3-times-vector
-    kernel per letter, each entry shifted once.  Only the finished chain is
-    downcast, correctly rounded.  Callers keep the words short: a longitude
+    flat ``_Flat`` of six ints, through the flat 3x3 adjoints of
+    ``Representation.hp_adjoints``, each built on its first lookup (the walks
+    of one ``tor_E`` read five of the eight): one 3x3-times-vector kernel per
+    letter, each entry shifted once.  Only the finished chain is downcast,
+    correctly rounded.  Callers keep the words short: a longitude
     is walked as its split h mu_C^k (``PeripheralSystem.splits``), never
     letter by letter.
 

@@ -23,6 +23,13 @@ PIVOT_TOL = 1e-13             # greedy pivots: a chosen column adds a direction 
 PIVOT_ORDER_TOL = 1e-12       # pivots from a given order: a kept column enlarges the span
 
 
+def norm(x: np.ndarray) -> float:
+    """The 2-norm of ``x`` flattened (Frobenius for a matrix), as
+    ``sqrt(vdot(x, x).real)``: ``np.linalg.norm`` up to rounding, for the
+    guards whose tolerances are the only readers of a norm."""
+    return math.sqrt(np.vdot(x, x).real)
+
+
 def _as_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2:

@@ -213,16 +213,7 @@ def abelianization_exponents(pres: Presentation) -> Dict[Generator, int]:
     return dict(zip(gens, ints))
 
 
-def meridian_generator(pres: Presentation) -> Generator:
-    """First generator whose abelianization exponent is 1 (a meridian class)."""
-    exps = abelianization_exponents(pres)
-    for g in pres.generators:
-        if exps[g] == 1:
-            return g
-    raise ValueError("presentation has no exponent-1 generator")
-
-
-# -- JSON round-tripping for the CLI ------------------------------------------
+# -- JSON for the CLI ------------------------------------------------------------
 
 
 def presentation_to_json(pres: Presentation, peri: PeripheralSystem | None = None) -> dict:
@@ -236,14 +227,3 @@ def presentation_to_json(pres: Presentation, peri: PeripheralSystem | None = Non
         if peri.metadata:
             doc["metadata"] = dict(peri.metadata)
     return doc
-
-
-def presentation_from_json(doc: dict) -> tuple[Presentation, PeripheralSystem | None]:
-    gens = _generators(*doc["generators"])
-    relators = tuple(parse_word(text, gens) for text in doc["relators"])
-    pres = Presentation(doc.get("label", "unlabeled"), gens, relators)
-    peri = None
-    if "peripheral" in doc:
-        words = {name: parse_word(text, gens) for name, text in doc["peripheral"].items()}
-        peri = PeripheralSystem(words, dict(doc.get("metadata", {})))
-    return pres, peri

@@ -43,6 +43,7 @@ from .words import Generator, GroupRingElement, Word
 E_MAT = np.array([[0, 1], [0, 0]], dtype=complex)
 H_MAT = np.array([[1, 0], [0, -1]], dtype=complex)
 F_MAT = np.array([[0, 0], [1, 0]], dtype=complex)
+_SL2_BASIS = np.stack([E_MAT, H_MAT, F_MAT])
 
 FAMILIES = ("AA", "AN", "NA", "NN")
 
@@ -369,7 +370,7 @@ def hp_assignment(rep: "Representation"):
     scalars, so extended-precision evaluation does not inherit the float64
     rounding of ``assignment``.  ``Representation.hp_entries`` keeps a flat copy.
     """
-    z, roots = _scalars(rep.family, rep.xi, rep.a, rep.b, rep.index, exact=True)
+    z, roots = rep._exact_scalars
     return _family_entries(rep.family, z, rep.a, rep.b, **roots)
 
 
@@ -380,18 +381,29 @@ def hp_invariant_vector(case: str, rep: "Representation") -> _Flat:
 
 
 def adjoint_matrix(m) -> np.ndarray:
-    """3x3 matrix of v -> m^-1 v m on sl(2,C) in the basis {E, H, F}.
+    """3x3 matrix of v -> m^-1 v m on sl(2,C) in the basis {E, H, F}, or a
+    stack of them for a stack of 2x2s.
 
     A traceless [[h, e], [f, -h]] has coordinates (e, h, f), so the columns
     are read off the conjugates of E, H, F directly.
     """
-    arr = np.asarray(m, dtype=complex)
-    inv = np.linalg.inv(arr)
-    cols = []
-    for basis in (E_MAT, H_MAT, F_MAT):
-        conj = inv @ basis @ arr
-        cols.append((conj[0, 1], conj[0, 0], conj[1, 0]))
-    return np.array(cols, dtype=complex).T
+    arr = np.asarray(m, dtype=complex)[..., None, :, :]
+    conj = np.linalg.inv(arr) @ _SL2_BASIS @ arr  # the conjugates of E, H and F
+    return np.ascontiguousarray(conj[..., (0, 0, 1), (1, 0, 0)]).swapaxes(-1, -2)
+
+
+class _LazyAdjoints(dict):
+    """Flat fixed-point Ad(g), or Ad(g^-1) when ``inverse``, by generator name,
+    each built from the flat 2x2 ``entries`` on first lookup."""
+
+    def __init__(self, entries, inverse: bool):
+        super().__init__()
+        self._entries, self._inverse = entries, inverse
+
+    def __missing__(self, name):
+        m = self._entries[name]
+        adj = self[name] = _fadjoint(_fadj2(m) if self._inverse else m)
+        return adj
 
 
 @dataclass
@@ -399,10 +411,12 @@ class Representation:
     """Generator-to-SL(2,C) assignment (by generator name) and the data that define it.
 
     Family, xi, (a, b) and index fix everything else: z = exp(xi/2), the roots
-    omega1-3 (None where the family has no such root), the float64 inverses and
-    adjoints, and the fixed-point matrices, adjoints and invariant vectors.  Each
-    is derived on first read and kept; none is a constructor argument, so none
-    can disagree with the data.  Instances are treated as immutable.
+    omega1-3 (None where the family has no such root), the float64 adjoints and
+    their inverses (one stacked call each), and the fixed-point matrices,
+    adjoints (each on its first lookup) and invariant vectors, which share one
+    fixed-point z and roots.  Each is derived on first read and kept; none is a
+    constructor argument, so none can disagree with the data.  Instances are
+    treated as immutable.
     ``certified`` holds the relators ``rep_build`` checked (none if hand-built).
     """
 
@@ -424,6 +438,11 @@ class Representation:
     def _complex_scalars(self):
         return _scalars(self.family, self.xi, self.a, self.b, self.index, exact=False)
 
+    @cached_property
+    def _exact_scalars(self):
+        """``_scalars`` as ``_Fixed``, shared by ``hp_assignment`` and ``hp_vectors``."""
+        return _scalars(self.family, self.xi, self.a, self.b, self.index, exact=True)
+
     @property
     def z(self) -> complex:
         return self._complex_scalars[0]
@@ -432,18 +451,14 @@ class Representation:
                               for name in ("omega1", "omega2", "omega3"))  # None where the family has none
 
     @cached_property
-    def inverses(self) -> Dict[str, np.ndarray]:
-        return {name: np.linalg.inv(m) for name, m in self.assignment.items()}
-
-    @cached_property
     def adjoints(self) -> Dict[str, np.ndarray]:
-        """Ad(g) by generator name (``adjoint_matrix``)."""
-        return {name: adjoint_matrix(m) for name, m in self.assignment.items()}
+        """Ad(g) by generator name, from one stacked ``adjoint_matrix`` call."""
+        return dict(zip(self.assignment, adjoint_matrix(list(self.assignment.values()))))
 
     @cached_property
     def adjoint_invs(self) -> Dict[str, np.ndarray]:
-        """Ad(g)^-1 by generator name."""
-        return {name: np.linalg.inv(adj) for name, adj in self.adjoints.items()}
+        """Ad(g)^-1 by generator name, from one stacked inverse."""
+        return dict(zip(self.adjoints, np.linalg.inv(list(self.adjoints.values()))))
 
     @cached_property
     def hp_entries(self) -> dict:
@@ -452,10 +467,9 @@ class Representation:
 
     @cached_property
     def hp_adjoints(self) -> tuple:
-        """(Ad(g), Ad(g^-1)) by generator name as flat fixed-point ``_Flat``."""
-        ents = self.hp_entries
-        return ({name: _fadjoint(m) for name, m in ents.items()},
-                {name: _fadjoint(_fadj2(m)) for name, m in ents.items()})
+        """(Ad(g), Ad(g^-1)) by generator name as flat fixed-point ``_Flat``,
+        each built on first lookup: the walks of an AN or NN ``tor_E`` read five of the eight."""
+        return _LazyAdjoints(self.hp_entries, False), _LazyAdjoints(self.hp_entries, True)
 
     @cached_property
     def vectors(self) -> dict:
@@ -470,7 +484,7 @@ class Representation:
     @cached_property
     def hp_vectors(self) -> dict:
         """The family's invariant vectors by case as flat fixed-point ``_Flat``."""
-        z, roots = _scalars(self.family, self.xi, self.a, self.b, self.index, exact=True)
+        z, roots = self._exact_scalars
         return {case: _Flat(_flat(_invariant_entries(case, z, roots.get(root))))
                 for case, (family, root) in _INVARIANT_CASES.items() if family == self.family}
 
@@ -488,15 +502,6 @@ class Representation:
 
 
 # -- evaluation ----------------------------------------------------------------
-
-
-def sl2_word_value(rep: Representation, word: Word) -> np.ndarray:
-    """Plain (covariant) evaluation of a word: letters multiply left to right."""
-    out = np.eye(2, dtype=complex)
-    for gen, sign in word.letters:
-        name = gen.name
-        out = out @ (rep.assignment[name] if sign == 1 else rep.inverses[name])
-    return out
 
 
 def evaluate_word(rep: Representation, word: Word) -> np.ndarray:
@@ -536,17 +541,24 @@ class RelationReport:
 def _relator_deviations(factored, mats, exact: bool) -> list:
     """Max-entry deviation from the identity of each relator prod w^e in ``factored``,
     on ``mats``: flat fixed-point 2x2s by name when ``exact``, else nested lists.
-    Powers by squaring, w^-|e| as the adjugate of w^|e|, each w^|e| once: about
-    4a + 2 log2 b + 20 2x2 products for the cable and pattern relators."""
+
+    One power table serves every relator: each base word w is multiplied out
+    once, w^n is built once, by squaring from w or as (w^(n/2))^2 when that is
+    in the table, and w^-n is the adjugate of w^n.  That is 31 2x2 products for
+    the cable and pattern relators at (a, b) = (3, 40), growing as log a + log b."""
     mul, adj = (_fmul2, _fadj2) if exact else (_mul2, _adj2)
     one = _flat((1, 0, 0, 1)) if exact else [[1, 0], [0, 1]]
-    powers: dict = {}
+    powers: dict = {}  # (w, n) -> w^n, n >= 1
 
     def power(word, e):
-        if (word, abs(e)) not in powers:
-            letters = [mats[g.name] if s == 1 else adj(mats[g.name]) for g, s in word.letters]
-            powers[word, abs(e)] = _pow2(reduce(mul, letters) if letters else one, abs(e), mul)
-        return powers[word, abs(e)] if e > 0 else adj(powers[word, abs(e)])
+        n = abs(e)
+        if (word, n) not in powers:
+            if (word, 1) not in powers:
+                letters = [mats[g.name] if s == 1 else adj(mats[g.name]) for g, s in word.letters]
+                powers[word, 1] = reduce(mul, letters) if letters else one
+            half = powers.get((word, n // 2)) if n % 2 == 0 else None
+            powers[word, n] = _pow2(powers[word, 1], n, mul) if half is None else mul(half, half)
+        return powers[word, n] if e > 0 else adj(powers[word, n])
 
     devs = []
     for factors in factored:
@@ -623,11 +635,6 @@ def theta1_matrix(z: complex, omega: complex) -> np.ndarray:
 
 def _to_numpy_assignment(entries) -> Dict[str, np.ndarray]:
     return {name: np.array(m, dtype=complex) for name, m in entries.items()}
-
-
-def na_matrices(z: complex, omega1: complex, a: int, b: int) -> Dict[str, np.ndarray]:
-    """Generator matrices of the NA family; t = -p^(2b-8a-4) on the abelian side."""
-    return _to_numpy_assignment(_family_entries("NA", z, a, b, omega1=omega1))
 
 
 def index_range(family: str, a: int, b: int) -> list[tuple[int, ...]]:

@@ -121,12 +121,12 @@ def reidemeister_torsion(
 
     for i in range(top + 1):
         d_i = cplx.d(i)
-        d_norm = np.linalg.norm(d_i)
+        d_norm = linalg.norm(d_i)
         for chain in table[i]:
             if chain.shape != (cplx.dims[i],):
                 raise TorsionError(f"degree-{i} lift has shape {chain.shape}")
-            resid = np.linalg.norm(d_i @ chain)  # 0 for d_0, which is empty
-            scale = max(d_norm * np.linalg.norm(chain), 1.0)
+            resid = linalg.norm(d_i @ chain)  # 0 for d_0, which is empty
+            scale = max(d_norm * linalg.norm(chain), 1.0)
             if resid > LIFT_CYCLE_TOL * scale:
                 raise TorsionError(f"degree-{i} lift is not a cycle (residual {resid / scale:.3e})")
 

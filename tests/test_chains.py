@@ -71,7 +71,7 @@ class TestPresentationComplex:
         pres, _ = cable_exterior_presentation(1, 6)
         cplx = presentation_complex(pres, rep_an)
         assert cplx.dims == (3, 12, 9)
-        assert cplx.euler_characteristic() == 0
+        assert sum((-1) ** i * d for i, d in enumerate(cplx.dims)) == 0  # Euler characteristic
 
     def test_pattern_d2_matches_factorized_display(self, rep_an):
         # the 6x3 differential of the pattern piece factors through theta1

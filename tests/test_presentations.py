@@ -4,13 +4,11 @@ from cabletorsion.presentations import (
     Presentation,
     abelianization_exponents,
     cable_exterior_presentation,
-    meridian_generator,
     pattern_piece_presentation,
-    presentation_from_json,
     presentation_to_json,
     torus_piece_presentation,
 )
-from cabletorsion.words import Word
+from cabletorsion.words import Word, parse_word
 
 
 class TestTorusPiece:
@@ -135,7 +133,6 @@ class TestCableExterior:
         pres, _ = cable_exterior_presentation(1, b)
         exps = {g.name: e for g, e in abelianization_exponents(pres).items()}
         assert exps == {"x": 2, "y": 2, "p": 1, "t": 2 * b}
-        assert meridian_generator(pres).name == "p"
 
     def test_substituting_the_gluing_word_eliminates_x(self):
         # Substituting x -> p t p t^-1 into relators 1 and 2 must produce
@@ -170,10 +167,10 @@ class TestValidationAndJson:
     def test_json_round_trip(self):
         pres, peri = cable_exterior_presentation(1, 6)
         doc = presentation_to_json(pres, peri)
-        back, peri_back = presentation_from_json(doc)
-        assert [g.name for g in back.generators] == [g.name for g in pres.generators]
-        assert back.relators == pres.relators
-        assert peri_back.words == peri.words
+        assert doc["generators"] == [g.name for g in pres.generators]
+        assert [parse_word(text, pres.generators) for text in doc["relators"]] == list(pres.relators)
+        peripheral = {name: parse_word(text, pres.generators) for name, text in doc["peripheral"].items()}
+        assert peripheral == dict(peri.words)
 
 
 class TestCaching:

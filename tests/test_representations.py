@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 
 import mpmath
 import numpy as np
@@ -33,6 +34,7 @@ from cabletorsion.representations import (
     _fmul2,
     _mul2,
     _to_complex,
+    _to_numpy_assignment,
     abelian_representation,
     adjoint_matrix,
     evaluate_ring,
@@ -40,9 +42,7 @@ from cabletorsion.representations import (
     hp_invariant_vector,
     index_range,
     invariant_vector,
-    na_matrices,
     rep_build,
-    sl2_word_value,
     theta1_matrix,
     verify_relations,
 )
@@ -51,6 +51,7 @@ from conftest import assert_close, fixed_to_mpc, flat_to_mpc, mp_family_scalars,
 
 XI = 0.3 + 0.1j
 A, B = 1, 6
+BAND_CORNERS = [complex(re, im) for re in (-1.0, -0.05, 0.05, 1.0) for im in (-1.0, 1.0)]
 
 
 @pytest.fixture(scope="module")
@@ -80,20 +81,23 @@ class TestFamilyMatrices:
         z, w2 = rep_an.z, rep_an.omega2
         assert_close(rep_an.matrix("p"), [[z, 1], [0, 1 / z]])
         pres, _ = pattern_piece_presentation(B)
-        q_value = sl2_word_value(rep_an, pres.word("t p t^-1"))
+        q_value = reduce(np.matmul, (np.linalg.matrix_power(rep_an.assignment[g.name], s)
+                                     for g, s in pres.word("t p t^-1").letters))
         assert_close(q_value, [[z, 0], [w2 + 1 / w2 - z ** 2 - z ** -2, 1 / z]])
         assert abs(w2 ** (2 * B + 1) + 1) < 1e-12 and abs(w2 + 1) > 1e-6
 
     def test_na_longitude_of_torus_piece(self, rep_na):
         # rho(lambda_C) = -rho(p)^(-8a-4)
         pres, peri = torus_piece_presentation(A)
-        value = sl2_word_value(rep_na, peri["lambda_C"])
+        value = reduce(np.matmul, (np.linalg.matrix_power(rep_na.assignment[g.name], s)
+                                   for g, s in peri["lambda_C"].letters))
         p_inv = np.linalg.inv(rep_na.matrix("p"))
         assert_close(value, -np.linalg.matrix_power(p_inv, 8 * A + 4))
 
     def test_nn_cable_longitude_diagonal(self, rep_nn):
         _, peri = cable_exterior_presentation(1, 7)
-        value = sl2_word_value(rep_nn, peri["lambda"])
+        value = reduce(np.matmul, (np.linalg.matrix_power(rep_nn.assignment[g.name], s)
+                                   for g, s in peri["lambda"].letters))
         z = rep_nn.z
         assert abs(value[1, 0]) < 1e-12
         assert_close(value[0, 0], -z ** (-4 * 7 - 2))
@@ -150,7 +154,8 @@ class TestVerifyRelations:
 
     def test_perturbed_root_fails(self, rep_na):
         pres, _ = torus_piece_presentation(A)
-        bad = na_matrices(rep_na.z, rep_na.omega1 * cmath.exp(1e-3j), A, B)
+        bad_root = rep_na.omega1 * cmath.exp(1e-3j)
+        bad = _to_numpy_assignment(_family_entries("NA", rep_na.z, A, B, omega1=bad_root))
         rep_bad = Representation("NA", bad, xi=XI, a=A, b=B, index=(0,))
         report = verify_relations(pres, rep_bad)
         assert not report.ok
@@ -186,6 +191,23 @@ class TestAdjoint:
             adjoint_matrix(m2 @ m1),
             1e-10,
         )
+
+    @pytest.mark.parametrize("family", ["AA", "AN", "NA", "NN"])
+    def test_stacked_calls_equal_per_matrix_calls(self, family):
+        # Representation.adjoints and adjoint_invs come from one stacked call each
+        index = None if family == "AA" else index_range(family, 3, 40)[0]
+        for xi in BAND_CORNERS:
+            rep = rep_build(family, xi, 3, 40, index)
+            stack = np.array(list(rep.assignment.values()))
+            adjoints = adjoint_matrix(stack)
+            inverses = np.linalg.inv(adjoints)
+            for name, m, ad, inv in zip(rep.assignment, stack, adjoints, inverses):
+                np.testing.assert_allclose(ad, adjoint_matrix(m), rtol=1e-15, atol=0)
+                np.testing.assert_allclose(inv, np.linalg.inv(adjoint_matrix(m)), rtol=1e-15, atol=0)
+                np.testing.assert_allclose(rep.adjoints[name], adjoint_matrix(m), rtol=1e-15, atol=0)
+                np.testing.assert_allclose(rep.adjoint_invs[name], np.linalg.inv(ad), rtol=1e-15, atol=0)
+            one = adjoint_matrix(stack[:1])  # a one-matrix stack
+            np.testing.assert_allclose(one, adjoint_matrix(stack[0])[None], rtol=1e-15, atol=0)
 
     def test_determinant_one(self, rep_nn):
         for name in "xypt":
@@ -468,17 +490,41 @@ def test_hp_adjoints_are_built_from_hp_entries():
     forward, backward = rep.hp_adjoints
     ents = representations.hp_assignment(rep)  # as _Fixed; hp_entries holds them flat
     assert rep.hp_entries == {name: _flat(m[0] + m[1]) for name, m in ents.items()}
-    assert set(forward) == set(backward) == {"x", "y", "p", "t"}
+    assert set(ents) == {"x", "y", "p", "t"}
+    assert not forward and not backward  # nothing is built before a lookup
     for name, m in ents.items():
         (a, b), (c, d) = m
         for table, g in ((forward, m), (backward, [[d, -b], [-c, a]])):
             want = [complex(v) for row in _adjoint_entries(g) for v in row]
             assert _to_complex(table[name]) == want, name
+            assert table[name] is table[name]  # built once, then kept
+    assert set(forward) == set(backward) == set(ents)
     assert rep.hp_adjoints[0] is forward  # kept on rep
     assert hp_invariant_vector("Ut", rep) is hp_invariant_vector("Ut", rep)
 
 
-@pytest.mark.parametrize("cache", ["inverses", "adjoints", "adjoint_invs", "hp_entries",
+@pytest.mark.parametrize("family, index", [("AN", (5,)), ("NN", (5, 1))])
+def test_tor_e_builds_the_five_adjoints_its_walks_read(family, index, monkeypatch):
+    # the walks of mu_C and h read Ad(x), Ad(y), Ad(p), Ad(t) and Ad(t^-1) of the eight
+    calls = _count_calls(monkeypatch, "_fadjoint")
+    tor_E(family, 3, 40, index, XI)
+    assert calls == [5]
+
+
+def _count_calls(monkeypatch, attr):
+    """Count the calls of ``representations.<attr>`` in a one-item list."""
+    calls = [0]
+    original = getattr(representations, attr)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(representations, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("cache", ["adjoints", "adjoint_invs", "hp_entries",
                                    "hp_adjoints", "hp_vectors", "vectors", "z", "omega1", "omega2", "omega3"])
 def test_caches_are_not_constructor_arguments(cache):
     # data derived from the defining data cannot be passed in disagreeing with it
@@ -586,11 +632,19 @@ class TestRelationCheck:
         assert evaluated == list(foreign.factored)
 
     def test_hand_built_representation_is_checked_in_float64(self, rep_na):
-        bad = na_matrices(rep_na.z, rep_na.omega1 * cmath.exp(1e-3j), A, B)
+        bad_root = rep_na.omega1 * cmath.exp(1e-3j)
+        bad = _to_numpy_assignment(_family_entries("NA", rep_na.z, A, B, omega1=bad_root))
         rep_bad = Representation("NA", bad, xi=XI, a=A, b=B, index=(0,))
         assert rep_bad.certified == frozenset()
         with pytest.raises(RepresentationError, match="relators fail verification"):
             presentation_complex(torus_piece_presentation(A)[0], rep_bad)
+
+    @pytest.mark.parametrize("family, index", [("AN", (5,)), ("NA", (1,)), ("NN", (5, 1))])
+    def test_one_power_table_per_build(self, family, index, monkeypatch):
+        # each base word multiplied out once, (xy)^(2a) as ((xy)^a)^2: 31 products at (3, 40)
+        calls = _count_calls(monkeypatch, "_fmul2")
+        rep_build(family, XI, 3, 40, index)
+        assert calls == [31]
 
     def test_one_check_per_tor_e(self, monkeypatch):
         counts = {"check": 0, "evaluator": 0, "hp_assignment": 0}
