@@ -38,7 +38,7 @@ from .representations import (
     rep_build,
     verify_relations,
 )
-from .linalg import image_pivots, kernel_basis, numerical_rank
+from .linalg import kernel_basis, numerical_rank
 from .chains import (
     BasedChainComplex,
     chain_of_loop,
@@ -76,7 +76,7 @@ __all__ = [
     "Representation", "RepresentationError", "abelian_representation",
     "adjoint_matrix", "evaluate_ring", "evaluate_word", "index_range",
     "invariant_vector", "rep_build", "verify_relations",
-    "image_pivots", "kernel_basis", "numerical_rank",
+    "kernel_basis", "numerical_rank",
     "BasedChainComplex", "chain_of_loop", "class_coordinates", "homology",
     "presentation_complex", "torus_complex",
     "TorsionValue", "reidemeister_torsion", "torsion_equal",

@@ -12,8 +12,8 @@ differentials are
 d1 d2 = 0 is the fundamental identity of the free calculus pushed through the
 (anti-homomorphic) adjoint evaluation, and is asserted at construction.
 
-The d2 formula is the definition; the computation is one prefix walk per word
-(``_fox_walk``) that fills every generator's block, bit for bit equal to it.
+The d2 formula is the definition; a prefix walk (``_fox_walk``) fills it bit
+for bit, except long powers of factored relators, summed (``_walk_plan``).
 Loop chains walk the 3-vector the chain is applied to, not the 3x3 prefix.
 Relators that ``rep_build`` did not certify are checked in float64 before a
 complex is built.  Betti numbers are dim C_i - rank d_i - rank d_(i+1).
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .presentations import Presentation
-from .representations import Representation, _to_complex, ensure_relations, hp_invariant_vector
+from .representations import Representation, _pow2, _to_complex, ensure_relations, hp_invariant_vector
 from .words import Generator, Word
 
 SL2_BASIS_NAMES = ("E", "H", "F")
@@ -139,19 +139,43 @@ def _fox_walk(word: Word, generators: Sequence[Generator], start, forward, backw
 
 def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainComplex:
     """The twisted chain complex of the presentation 2-complex, on relators
-    that hold (``ensure_relations`` checks those ``rep_build`` did not)."""
+    that hold (``ensure_relations`` checks those ``rep_build`` did not), each
+    walked by its ``_walk_plan`` on one prefix Ad(u).  A summed w^k adds Fox's
+    d(w^k)/dg = (1 + w + ... + w^(k-1)) dw/dg at u, B_g(w) S_k Ad(u), and leaves
+    Ad(w)^k Ad(u); (S_k, Ad(w)^k) = (I, Ad(w))^k under (S, P)(S', P') = (S + P S', P P')."""
     ensure_relations(pres, rep)
-    n = len(pres.generators)
-    m = len(pres.relators)
-    d2 = np.zeros((3 * n, 3 * m), dtype=complex)
+    n, m = len(pres.generators), len(pres.relators)
     eye = np.eye(3, dtype=complex)
-    for j, rel in enumerate(pres.relators):
-        blocks, _ = _fox_walk(rel, pres.generators, eye, rep.adjoints, rep.adjoint_invs)
+    d2 = np.zeros((3 * n, 3 * m), dtype=complex)
+    for j, steps in enumerate(_walk_plan(pres)):
+        blocks, acc = None, eye
+        for word, k in steps:
+            part, end = _fox_walk(word, pres.generators, eye if k > 1 else acc, rep.adjoints, rep.adjoint_invs)
+            if k > 1:
+                sums, power = _pow2((eye, end), k, lambda x, y: (x[0] + x[1] @ y[0], x[1] @ y[1]))
+                head, end = sums @ acc, power @ acc
+                part = [block @ head for block in part]
+            blocks, acc = part if blocks is None else list(map(np.add, blocks, part)), end
         d2[:, 3 * j:3 * j + 3] = np.vstack(blocks)
     d1 = np.zeros((3, 3 * n), dtype=complex)
     for i, gen in enumerate(pres.generators):
         d1[:, 3 * i:3 * i + 3] = rep.adjoint(gen) - np.eye(3)
     return BasedChainComplex((3, 3 * n, 3 * m), (d1, d2), _presentation_labels(pres))
+
+
+@lru_cache(maxsize=64)
+def _walk_plan(pres: Presentation) -> Tuple[Tuple[Tuple[Word, int], ...], ...]:
+    """Per relator, a step (w, k) per factor w^e, or (w^-1)^-e when e < 0:
+    summed if that takes fewer 3x3 products (|w|, two per ``_pow2`` product, two
+    onto the prefix, one per block) than its k |w| letters, else walked as
+    (w^k, 1).  A relator with nothing summed, as every piece relator up to a = 7,
+    is one walk of its own word."""
+    def step(word, e):
+        base, k = (word, e) if e > 0 else (word.inverse(), -e)
+        cost = len(base) + 2 * (k.bit_length() + bin(k).count("1")) - 2 + len(pres.generators)
+        return (base, k) if cost < k * len(base) else (base ** k, 1)
+    plans = [tuple(step(*f) for f in factors) for factors in pres.factored or [()] * len(pres.relators)]
+    return tuple(s if any(k > 1 for _, k in s) else ((rel, 1),) for rel, s in zip(pres.relators, plans))
 
 
 @lru_cache(maxsize=64)

@@ -109,15 +109,6 @@ def pivot_columns(m, rank: int, order: Sequence[int] | None = None) -> list[int]
     return sorted(chosen)
 
 
-def image_pivots(m, tol: float = DEFAULT_RANK_TOL) -> tuple[list[int], np.ndarray]:
-    """Pivot column indices plus the corresponding column-space basis."""
-    arr = _as_matrix(m)
-    rank = numerical_rank(arr, tol)
-    idx = pivot_columns(arr, rank)
-    basis = arr[:, idx] if idx else np.zeros((arr.shape[0], 0), dtype=complex)
-    return idx, basis
-
-
 def image_basis_orthonormal(m, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column space (left singular vectors).
 

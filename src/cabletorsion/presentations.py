@@ -17,7 +17,7 @@ In both pieces the gluing-torus longitude also comes split as
 lambda_C = h mu_C^k with h in the gluing-torus subgroup: h = t, k = -b on the
 pattern side and h = y (xy)^{2a}, k = -(4a+1) on the torus side.  Likewise
 each relator is kept factored next to its word, e.g. r2 = y (xy)^{2a}
-x^{-4a-1} (p t p t^-1)^b t^-1, so a relation check can square the powers.
+x^{-4a-1} (p t p t^-1)^b t^-1: the relation check squares its powers, d2 sums them.
 All presentations here have deficiency one; each builder is cached per argument.
 """
 
@@ -57,10 +57,6 @@ class Presentation:
             stray = rel.generators() - allowed
             if stray:
                 raise ValueError(f"relator uses generators not in presentation: {stray}")
-
-    @property
-    def deficiency(self) -> int:
-        return len(self.generators) - len(self.relators)
 
     def generator(self, name: str) -> Generator:
         for g in self.generators:

@@ -497,9 +497,6 @@ class Representation:
     def adjoint(self, gen) -> np.ndarray:
         return self.adjoints[self._name(gen)]
 
-    def assigns(self, gen) -> bool:
-        return self._name(gen) in self.assignment
-
 
 # -- evaluation ----------------------------------------------------------------
 
@@ -574,7 +571,7 @@ def verify_relations(pres: Presentation, rep: Representation, skip=frozenset()) 
     ``_relator_deviations`` on the float64 matrices: from the factored forms
     when the presentation keeps them, else each relator as one factor."""
     for g in pres.generators:
-        if not rep.assigns(g):
+        if g.name not in rep.assignment:
             raise RepresentationError(f"representation does not assign generator {g.name!r}")
     factored = pres.factored or [((rel, 1),) for rel in pres.relators]
     todo = [factors for rel, factors in zip(pres.relators, factored) if rel not in skip]
@@ -623,14 +620,6 @@ def _certify_relations(rep: Representation) -> RelationReport:
 
 
 # -- family constructors ---------------------------------------------------------
-
-
-def theta1_matrix(z: complex, omega: complex) -> np.ndarray:
-    """3x3 conjugator carrying the upper-triangular adjoint models of the x-action."""
-    d = omega ** -1 * z - z ** -1
-    return np.array(
-        [[1, 0, 0], [d, 1, 0], [-d * d, -2 * d, 1]], dtype=complex
-    )
 
 
 def _to_numpy_assignment(entries) -> Dict[str, np.ndarray]:

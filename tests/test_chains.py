@@ -5,6 +5,7 @@ import pytest
 from cabletorsion.chains import (
     ChainComplexError,
     _fox_walk,
+    _walk_plan,
     chain_of_loop,
     chain_of_loop_hp,
     class_coordinates,
@@ -15,6 +16,7 @@ from cabletorsion.chains import (
 from cabletorsion import linalg
 from cabletorsion.mayer_vietoris import _gluing_chains, build_pattern_piece, build_torus_piece, tor_E
 from cabletorsion.presentations import (
+    Presentation,
     cable_exterior_presentation,
     pattern_piece_presentation,
     torus_piece_presentation,
@@ -28,9 +30,8 @@ from cabletorsion.representations import (
     hp_invariant_vector,
     invariant_vector,
     rep_build,
-    theta1_matrix,
 )
-from cabletorsion.words import fox_derivative
+from cabletorsion.words import Word, fox_derivative
 from conftest import assert_close, flat_to_mpc, mp_family_scalars, random_word
 
 XI = 0.3 + 0.1j
@@ -79,7 +80,8 @@ class TestPresentationComplex:
         pres, _ = pattern_piece_presentation(6)
         cplx = presentation_complex(pres, rep_an)
         z, w2 = rep_an.z, rep_an.omega2
-        theta = theta1_matrix(z, w2)
+        d = w2 ** -1 * z - z ** -1  # theta1, the conjugator of the upper-triangular x-action model
+        theta = np.array([[1, 0, 0], [d, 1, 0], [-d * d, -2 * d, 1]], dtype=complex)
         left = np.array(
             [
                 w2 ** -1 * ((w2 - 1) ** 2 * z ** 2 - w2) * z ** -2,
@@ -177,7 +179,7 @@ class TestHomologyTables:
         for cplx, tol in complexes + [(result.sequence, 1e-8)]:
             want = tuple(
                 (n if i == 0 else len(linalg.kernel_basis(cplx.d(i), tol)))
-                - len(linalg.image_pivots(cplx.d(i + 1), tol)[0])
+                - linalg.numerical_rank(cplx.d(i + 1), tol)
                 for i, n in enumerate(cplx.dims)
             )
             assert homology(cplx, tol).dims == want
@@ -276,10 +278,17 @@ def _three_presentations(a, b):
     ]
 
 
+def _mp_inverse(m):
+    """The inverse of a 2x2 in mpmath, by the adjugate over the determinant:
+    no pivoting, so diag(z^(2b), z^(-2b)) is not taken for singular."""
+    g = mpmath.matrix(m)
+    return mpmath.matrix([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+
+
 def _mp_adjoint(m):
     """Ad(g) by its definition: the conjugates g^-1 v g of E, H, F, in mpmath."""
     g = mpmath.matrix(m)
-    inv = g ** -1
+    inv = _mp_inverse(g)
     cols = []
     for basis in ([[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]):
         conj = inv * mpmath.matrix(basis) * g
@@ -309,6 +318,50 @@ def _hp_reference(word, rep, pres, case, dps=40):
         return [blocks[g.name][i] for g in pres.generators for i in range(3)]
 
 
+def _mp_fox_column(word, pres, rep, dps=50):
+    """The d2 column of ``word`` at dps digits: the letter walk on ``_mp_adjoint``
+    of the float64 generator matrices, so only the evaluation order is tested."""
+    with mpmath.mp.workdps(dps):
+        mats = {g.name: rep.assignment[g.name].tolist() for g in pres.generators}
+        forward = {n: _mp_adjoint(m) for n, m in mats.items()}
+        backward = {n: _mp_adjoint(_mp_inverse(m)) for n, m in mats.items()}
+        blocks = {g.name: mpmath.zeros(3, 3) for g in pres.generators}
+        acc = mpmath.eye(3)
+        for gen, sign in word.letters:
+            if sign == 1:
+                blocks[gen.name] += acc
+                acc = forward[gen.name] * acc
+            else:
+                acc = backward[gen.name] * acc
+                blocks[gen.name] -= acc
+        return np.array([[complex(blocks[g.name][i, k]) for k in range(3)]
+                         for g in pres.generators for i in range(3)])
+
+
+# Relative distance of a summed relator's d2 column from ``_mp_fox_column``,
+# for the summed blocks and the letter walk alike.  AA adjoints are diagonal
+# and both orders keep 14 digits (the summed (4,80) r2 is 4.5e-15 away at XI).
+# A non-abelian Ad(p t p t^-1) is close to unipotent (its eigenvector basis has
+# condition number about 650 at AN (3,40)), so its powers grow polynomially and
+# cancel: at XI the letter walk of the AN (3,40) r2 is 9e-12 away and the
+# squared powers 1.8e-10.  tor_E never builds the cable complex.
+SUMMED_COLUMN_TOL = {"AA": 1e-13, "AN": 1e-9, "NN": 1e-9}
+
+
+class _Counted(np.ndarray):
+    """An array whose ``@`` products, with either operand counted, are tallied."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _Counted.products += 1
+        return np.matmul(np.asarray(self), np.asarray(other)).view(_Counted)
+
+    def __rmatmul__(self, other):
+        _Counted.products += 1
+        return np.matmul(np.asarray(other), np.asarray(self)).view(_Counted)
+
+
 class TestFoxWalkMatchesReference:
     """The prefix walk against fox_derivative + evaluate_ring, the exact definition."""
 
@@ -323,15 +376,72 @@ class TestFoxWalkMatchesReference:
         ],
     )
     def test_d2_blocks_bitwise(self, family, a, b, index):
+        # bitwise for every relator walked letter by letter; a relator with a
+        # summed power, and its letter walk, within SUMMED_COLUMN_TOL of dps 50
         rep = rep_build(family, XI, a, b, index)
         for pres in _three_presentations(a, b):
             d2 = presentation_complex(pres, rep).d(2)
-            for i, gen in enumerate(pres.generators):
-                for j, rel in enumerate(pres.relators):
-                    ref = evaluate_ring(rep, fox_derivative(rel, gen))
-                    assert np.array_equal(d2[3 * i:3 * i + 3, 3 * j:3 * j + 3], ref), (
-                        pres.label, gen.name, j,
-                    )
+            for j, (rel, steps) in enumerate(zip(pres.relators, _walk_plan(pres))):
+                column = d2[:, 3 * j:3 * j + 3]
+                refs = [evaluate_ring(rep, fox_derivative(rel, gen)) for gen in pres.generators]
+                if all(k == 1 for _, k in steps):
+                    for i, ref in enumerate(refs):
+                        assert np.array_equal(column[3 * i:3 * i + 3], ref), (pres.label, i, j)
+                    continue
+                exact = _mp_fox_column(rel, pres, rep)
+                bound = SUMMED_COLUMN_TOL[family] * np.linalg.norm(exact)
+                assert np.linalg.norm(column - exact) <= bound, (pres.label, j)
+                assert np.linalg.norm(np.vstack(refs) - exact) <= bound, (pres.label, j)
+
+    @pytest.mark.parametrize("family", ["AN", "NA", "NN"])
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_piece_complexes_are_the_letter_walk(self, family, a):
+        """tor_E's complexes: the torus-piece and pattern-piece d2 are the plain
+        letter walk of each relator, bit for bit, up to a = 6."""
+        b = 4 * a + 3
+        rep = rep_build(family, XI, a, b, 0 if family != "NN" else (0, 0))
+        eye = np.eye(3, dtype=complex)
+        for pres in (torus_piece_presentation(a)[0], pattern_piece_presentation(b)[0]):
+            walked = [np.vstack(_fox_walk(rel, pres.generators, eye, rep.adjoints, rep.adjoint_invs)[0])
+                      for rel in pres.relators]
+            assert np.array_equal(presentation_complex(pres, rep).d(2), np.hstack(walked)), pres.label
+
+    def test_cable_complex_products_are_flat_in_b(self):
+        """The AA cable complex sums glue^b in O(log b) 3x3 products: (3,160)
+        takes a few more than (3,40), where the letter walk takes 480 more."""
+        counts = {}
+        for b in (40, 160):
+            rep = rep_build("AA", XI, 3, b)
+            for name in ("adjoints", "adjoint_invs"):
+                rep.__dict__[name] = {n: m.view(_Counted) for n, m in getattr(rep, name).items()}
+            _Counted.products = 0
+            presentation_complex(cable_exterior_presentation(3, b)[0], rep)
+            counts[b] = _Counted.products
+        assert counts[40] < 80, counts  # 206 letters walked one product each
+        assert counts[160] - counts[40] <= 8, counts  # two doublings, two products each
+
+    def test_summed_powers_edge_cases(self, rep_na):
+        """Negative exponents, e = +-1 factors and a base that cancels against
+        its neighbour in the expanded word, against the Fox derivative of that
+        word.  c = (xy)^12 is central in the torus-knot group, so each relator
+        holds for the torus side of NA, which is irreducible."""
+        pres, _ = torus_piece_presentation(1)
+        x, y = pres.word("x"), pres.word("y")
+        xy, yx = x * y, y * x
+        cases = [
+            ((xy, -12), (yx, 12)),                  # negative power; the conjugate of c is c
+            ((y, 1), (xy, 12), (y, -1), (xy, -12)),  # e = +-1 around summed powers
+            ((xy, 12), (y, -1), (xy, -12), (y, 1)),  # y^-1 eats the last y of c
+            ((y, -1), (yx, 12), (y, 1), (yx, -12)),  # y^-1 eats the first y of y c y^-1
+        ]
+        for factors in cases:
+            word = Word(letter for w, e in factors for letter in (w ** e).letters)
+            edge = Presentation("edge", pres.generators, (word,), (factors,))
+            (steps,) = _walk_plan(edge)
+            assert any(k > 1 for _, k in steps), factors
+            got = presentation_complex(edge, rep_na).d(2)
+            ref = np.vstack([evaluate_ring(rep_na, fox_derivative(word, g)) for g in pres.generators])
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), factors
 
     def test_chain_of_loop(self, rng, rep_an):
         pres, peri = pattern_piece_presentation(6)

@@ -43,7 +43,6 @@ from cabletorsion.representations import (
     index_range,
     invariant_vector,
     rep_build,
-    theta1_matrix,
     verify_relations,
 )
 from cabletorsion.words import GroupRingElement, Word, fox_derivative
@@ -176,7 +175,8 @@ class TestAdjoint:
 
     def test_an_x_action_matches_conjugated_display(self, rep_an):
         z, w2 = rep_an.z, rep_an.omega2
-        theta = theta1_matrix(z, w2)
+        d = w2 ** -1 * z - z ** -1  # theta1, the conjugator of the upper-triangular model
+        theta = np.array([[1, 0, 0], [d, 1, 0], [-d * d, -2 * d, 1]], dtype=complex)
         model = np.array(
             [[w2 ** -2, 2 / (w2 * z), -z ** -2], [0, 1, -w2 / z], [0, 0, w2 ** 2]],
             dtype=complex,
@@ -264,7 +264,8 @@ class TestInvariantVectors:
         assert_close(invariant_vector("H", rep_build("AA", XI, A, B)), [0, 1, 0])
 
     def test_u_is_theta1_image(self, rep_an):
-        theta = theta1_matrix(rep_an.z, rep_an.omega2)
+        d = rep_an.omega2 ** -1 * rep_an.z - rep_an.z ** -1
+        theta = np.array([[1, 0, 0], [d, 1, 0], [-d * d, -2 * d, 1]], dtype=complex)
         seed = np.array([2, (rep_an.omega2 - 1 / rep_an.omega2) * rep_an.z, 0])
         assert_close(invariant_vector("U", rep_an), theta @ seed)
 
