@@ -142,7 +142,9 @@ def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainC
     that hold (``ensure_relations`` checks those ``rep_build`` did not), each
     walked by its ``_walk_plan`` on one prefix Ad(u).  A summed w^k adds Fox's
     d(w^k)/dg = (1 + w + ... + w^(k-1)) dw/dg at u, B_g(w) S_k Ad(u), and leaves
-    Ad(w)^k Ad(u); (S_k, Ad(w)^k) = (I, Ad(w))^k under (S, P)(S', P') = (S + P S', P P')."""
+    Ad(w)^k Ad(u); (S_k, Ad(w)^k) = (I, Ad(w))^k under (S, P)(S', P') = (S + P S', P P').
+    A near-unipotent Ad(w) loses up to three digits there: AN (3,40) glue^b at xi = -1+0.1i
+    is 2.6e-5 from a dps-50 walk, against 2.8e-8 for the letter walk."""
     ensure_relations(pres, rep)
     n, m = len(pres.generators), len(pres.relators)
     eye = np.eye(3, dtype=complex)
@@ -209,11 +211,7 @@ def torus_complex(M, L) -> BasedChainComplex:
     eye = np.eye(3)
     d2 = np.vstack([eye - L, M - eye])
     d1 = np.hstack([M - eye, L - eye])
-    labels = (
-        _sl2_labels(["v~"]),
-        _sl2_labels(["mu~", "la~"]),
-        _sl2_labels(["f~"]),
-    )
+    labels = (_sl2_labels(["v~"]), _sl2_labels(["mu~", "la~"]), _sl2_labels(["f~"]))
     return BasedChainComplex((3, 6, 3), (d1, d2), labels)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import io
 import json
 import sys
 from functools import partial
@@ -23,10 +22,11 @@ from .chains import presentation_complex, torus_complex
 from .mayer_vietoris import tor_E, tor_E_abelian
 from .presentations import (
     cable_exterior_presentation,
+    pattern_piece_presentation,
     presentation_to_json,
     torus_piece_presentation,
 )
-from .representations import abelian_representation, index_range, rep_build
+from .representations import abelian_representation, evaluate_word, index_range, rep_build
 from .torsion import reidemeister_torsion, torsion_equal
 from .words import Word, fox_fundamental_defect
 
@@ -134,11 +134,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         print(json.dumps({"schema": "1", "columns": header, "rows": rows}))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+        csv.writer(sys.stdout).writerows([header] + rows)
     return 0 if all_match else 1
 
 
@@ -155,8 +151,7 @@ def _suite_abelian(rng, checks):
             rep = abelian_representation(xi, pres)
             cplx = presentation_complex(pres, rep)
             h_vec = np.array([0, 1, 0], dtype=complex)
-            lift1 = np.zeros(6, dtype=complex)
-            lift1[1] = 1.0
+            lift1 = np.eye(6, dtype=complex)[1]
             tor = reidemeister_torsion(cplx, {1: [lift1], 0: [h_vec]})
             z = cmath.exp(xi / 2)
             ref = (closed_forms.alexander(("torus", a), z ** 2) / (z - 1 / z)) ** 2
@@ -208,9 +203,6 @@ def _suite_family(family, rng, checks):
 
 
 def _suite_properties(rng, checks):
-    from .presentations import pattern_piece_presentation
-    from .representations import evaluate_word
-
     pres, _ = pattern_piece_presentation(6)
     rep = rep_build("AN", 0.3 + 0.1j, 1, 6, 0)
     gens = pres.generators

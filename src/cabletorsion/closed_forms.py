@@ -49,10 +49,6 @@ def _lmul(p: Dict[int, int], q: Dict[int, int]) -> Dict[int, int]:
     return {e: c for e, c in out.items() if c}
 
 
-def _lneg(p: Dict[int, int]) -> Dict[int, int]:
-    return {e: -c for e, c in p.items()}
-
-
 def _ldet(rows: list) -> Dict[int, int]:
     if len(rows) == 1:
         return rows[0][0]
@@ -60,7 +56,7 @@ def _ldet(rows: list) -> Dict[int, int]:
     for j in range(len(rows)):
         minor = [row[:j] + row[j + 1:] for row in rows[1:]]
         term = _lmul(rows[0][j], _ldet(minor))
-        out = _ladd(out, term if j % 2 == 0 else _lneg(term))
+        out = _ladd(out, term if j % 2 == 0 else {e: -c for e, c in term.items()})
     return out
 
 

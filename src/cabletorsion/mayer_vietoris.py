@@ -229,15 +229,15 @@ def induced_maps(rep: Representation, piece_c: PieceData, piece_d: PieceData) ->
     return InducedMaps(unit_column(2), phi1, unit_column(0))
 
 
-def _span_basis(phi: np.ndarray, designated: Sequence[int]) -> np.ndarray:
-    """[phi | e_designated], checked to be square and of full numerical rank."""
+def _span_basis(phi: np.ndarray, designated: Sequence[int]) -> Tuple[np.ndarray, complex]:
+    """[phi | e_designated] and its determinant, checked to be square and of full numerical rank."""
     n = phi.shape[0]
     basis = np.column_stack([phi, np.eye(n, dtype=complex)[:, list(designated)]])
-    if basis.shape[0] != basis.shape[1] or linalg.numerical_rank(basis) < n:
-        raise MayerVietorisError(
-            "image of phi plus designated classes do not span the middle slot"
-        )
-    return basis
+    if basis.shape[0] == basis.shape[1]:
+        det, conditioning = linalg.conditioned_det(basis, linalg.DEFAULT_RANK_TOL)
+        if conditioning.full_rank:
+            return basis, det
+    raise MayerVietorisError("image of phi plus designated classes do not span the middle slot")
 
 
 def _quotient_rows(phi: np.ndarray, designated: Sequence[int]) -> np.ndarray:
@@ -247,7 +247,7 @@ def _quotient_rows(phi: np.ndarray, designated: Sequence[int]) -> np.ndarray:
     functional is unique because im(phi) plus the designated classes span; it
     is read off the inverse of [phi | e_designated].
     """
-    return np.linalg.inv(_span_basis(phi, designated))[phi.shape[1]:, :]
+    return np.linalg.inv(_span_basis(phi, designated)[0])[phi.shape[1]:, :]
 
 
 def build_mv_sequence(family: str, maps: InducedMaps, pieces: Dict[str, PieceData]) -> BasedChainComplex:
@@ -346,8 +346,8 @@ def tor_E(family: str, a: int, b: int, index, xi: complex) -> TorEResult:
     peri = piece_c.peripheral
     check_peripheral_actions(evaluate_word(rep, peri["mu_C"]), evaluate_word(rep, peri["lambda_C"]))
     maps = induced_maps(rep, piece_c, piece_d)
-    degree1 = _span_basis(maps.phi1, _MV_TABLE[family]["designated1"])
-    tor_h = TorsionValue(1 / np.linalg.det(degree1))
+    _, det = _span_basis(maps.phi1, _MV_TABLE[family]["designated1"])
+    tor_h = TorsionValue(1 / det)
     return TorEResult(
         family, a, b, rep.index, complex(xi), piece_c.torsion * piece_d.torsion / tor_h,
         piece_c.torsion, piece_d.torsion, TorsionValue(1 + 0j), tor_h, maps, rep, piece_c, piece_d,

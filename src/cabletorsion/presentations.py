@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
@@ -170,9 +170,8 @@ def abelianization_exponents(pres: Presentation) -> Dict[Generator, int]:
     """
     gens = pres.generators
     n = len(gens)
-    rows = [[Fraction(rel.exponent_sum(g)) for g in gens] for rel in pres.relators]
     # Gaussian elimination to reduced row echelon form.
-    mat = [row[:] for row in rows]
+    mat = [[Fraction(rel.exponent_sum(g)) for g in gens] for rel in pres.relators]
     pivots = []
     r = 0
     for c in range(n):
@@ -194,13 +193,9 @@ def abelianization_exponents(pres: Presentation) -> Dict[Generator, int]:
     sol[free[0]] = Fraction(1)
     for row, c in zip(mat, pivots):
         sol[c] = -row[free[0]]
-    denom = 1
-    for v in sol:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
+    denom = lcm(*(v.denominator for v in sol))
     ints = [int(v * denom) for v in sol]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     ints = [v // g for v in ints]
     if sum(ints) < 0:
         ints = [-v for v in ints]

@@ -40,10 +40,7 @@ from .presentations import (
 )
 from .words import Generator, GroupRingElement, Word
 
-E_MAT = np.array([[0, 1], [0, 0]], dtype=complex)
-H_MAT = np.array([[1, 0], [0, -1]], dtype=complex)
-F_MAT = np.array([[0, 0], [1, 0]], dtype=complex)
-_SL2_BASIS = np.stack([E_MAT, H_MAT, F_MAT])
+_SL2_BASIS = np.array([[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]], dtype=complex)  # E, H, F
 
 FAMILIES = ("AA", "AN", "NA", "NN")
 
@@ -488,14 +485,11 @@ class Representation:
         return {case: _Flat(_flat(_invariant_entries(case, z, roots.get(root))))
                 for case, (family, root) in _INVARIANT_CASES.items() if family == self.family}
 
-    def _name(self, gen) -> str:
-        return gen.name if isinstance(gen, Generator) else gen
-
     def matrix(self, gen) -> np.ndarray:
-        return self.assignment[self._name(gen)]
+        return self.assignment[gen.name if isinstance(gen, Generator) else gen]
 
     def adjoint(self, gen) -> np.ndarray:
-        return self.adjoints[self._name(gen)]
+        return self.adjoints[gen.name if isinstance(gen, Generator) else gen]
 
 
 # -- evaluation ----------------------------------------------------------------

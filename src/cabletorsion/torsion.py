@@ -12,7 +12,8 @@ classes); comparisons therefore go through torsion_equal, which works modulo
 multiplication by -1.
 
 The size of each b_i, rank(d_i), is fixed by the chain dimensions and the
-number of lifts per degree, so the engine reads no rank from singular values.
+number of lifts per degree; one call gives each D_i and its basis check
+(``linalg.conditioned_det``), which reads singular values only as a fallback.
 The assembled bases come back with the value (``TorsionValue.bases``): class
 coordinates are solved against them, so every rank of the gluing pipeline
 comes from the lift counts.
@@ -37,10 +38,12 @@ class TorsionError(ValueError):
 
 @dataclass(frozen=True)
 class AssembledBasis:
-    """d_{i+1}(b_{i+1}) u lifts_i u b_i as the columns of ``matrix``; ``lifts`` slices the lifts."""
+    """d_{i+1}(b_{i+1}) u lifts_i u b_i as the columns of ``matrix``; ``lifts`` slices the lifts;
+    ``conditioning`` is what it was accepted on at ``BASIS_CONDITION_TOL``."""
 
     matrix: np.ndarray
     lifts: slice
+    conditioning: linalg.Conditioning
 
 
 @dataclass(frozen=True)
@@ -95,12 +98,12 @@ def reidemeister_torsion(
 ) -> TorsionValue:
     """Torsion of the based complex with homology lifts ``{degree: [chains]}``.
 
-    The boundary ranks come from the lift counts alone (``_lift_ranks``); no
-    singular values are read.  Pivot feasibility, the cycle residual of every
-    lift and the conditioning of every assembled basis are checked, and each
-    failure raises a TorsionError.  Passing ``rng`` draws a random admissible
-    b_i selection instead of the deterministic pivot choice (used to confirm
-    the result is independent of that choice).
+    The boundary ranks come from the lift counts alone (``_lift_ranks``).
+    Pivot feasibility, the cycle residual of every lift and the conditioning
+    of every assembled basis are checked, and each failure raises a
+    TorsionError.  Passing ``rng`` draws a random admissible b_i selection
+    instead of the deterministic pivot choice (used to confirm the result is
+    independent of that choice).
     """
     top = cplx.top
     table = _lift_table(lifts, top)
@@ -145,14 +148,13 @@ def reidemeister_torsion(
             assembled[:, col] = chain
         for col, j in enumerate(b_cols.get(i, []), lift_cols.stop):
             assembled[j, col] = 1.0
-        sigma = np.linalg.svd(assembled, compute_uv=False)
-        if sigma[0] == 0.0 or sigma[-1] < BASIS_CONDITION_TOL * sigma[0]:
+        det, conditioning = linalg.conditioned_det(assembled, BASIS_CONDITION_TOL)
+        if not conditioning.full_rank:
             raise TorsionError(
                 f"assembled basis singular in degree {i}; "
                 "wrong lifts or degenerate parameters"
             )
-        bases[i] = AssembledBasis(assembled, lift_cols)
-        det = np.linalg.det(assembled)
+        bases[i] = AssembledBasis(assembled, lift_cols, conditioning)
         result *= det ** ((-1) ** (i + 1))
     tor = TorsionValue(result)
     tor.bases.update(bases)

@@ -13,6 +13,7 @@ exponents, e.g. ``"p t p t p^-1 t^-1 p^-1 t^-1"`` or ``"x^-5 y^2"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Mapping, Tuple
 
 
@@ -77,10 +78,6 @@ class Word:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __len__(self):
         return len(self.letters)
 
@@ -128,17 +125,10 @@ def parse_word(text: str, generators: Iterable[Generator]) -> Word:
 
 def word_to_text(word: Word) -> str:
     """Inverse of parse_word, with runs of a letter collapsed into one exponent."""
-    if word.is_identity:
-        return ""
-    parts: list[str] = []
-    run_gen, run_exp = word.letters[0][0], word.letters[0][1]
-    for gen, sign in word.letters[1:]:
-        if gen == run_gen and (sign > 0) == (run_exp > 0):
-            run_exp += sign
-        else:
-            parts.append(run_gen.name if run_exp == 1 else f"{run_gen.name}^{run_exp}")
-            run_gen, run_exp = gen, sign
-    parts.append(run_gen.name if run_exp == 1 else f"{run_gen.name}^{run_exp}")
+    parts = []
+    for (gen, sign), run in groupby(word.letters):
+        exp = sign * len(list(run))
+        parts.append(gen.name if exp == 1 else f"{gen.name}^{exp}")
     return " ".join(parts)
 
 
@@ -148,12 +138,7 @@ class GroupRingElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Word, int] | None = None):
-        cleaned = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff:
-                    cleaned[word] = cleaned.get(word, 0) + coeff
-        object.__setattr__(self, "terms", {w: c for w, c in cleaned.items() if c})
+        object.__setattr__(self, "terms", {w: c for w, c in (terms or {}).items() if c})
 
     def __setattr__(self, *args):
         raise AttributeError("GroupRingElement is immutable")
@@ -206,11 +191,8 @@ class GroupRingElement:
     def __repr__(self):
         if not self.terms:
             return "GroupRingElement(0)"
-        bits = []
-        for word, coeff in self.terms.items():
-            text = word_to_text(word) or "1"
-            bits.append(f"{coeff:+d}*{text}")
-        return f"GroupRingElement({' '.join(bits)})"
+        bits = " ".join(f"{coeff:+d}*{word_to_text(word) or '1'}" for word, coeff in self.terms.items())
+        return f"GroupRingElement({bits})"
 
 
 def fox_derivative(word: Word, gen: Generator) -> GroupRingElement:
@@ -225,10 +207,7 @@ def fox_derivative(word: Word, gen: Generator) -> GroupRingElement:
     prefix: list[Letter] = []
     for g, sign in word.letters:
         if g == gen:
-            if sign == 1:
-                key = Word(prefix)
-            else:
-                key = Word(prefix + [(g, -1)])
+            key = Word(prefix if sign == 1 else prefix + [(g, -1)])
             terms[key] = terms.get(key, 0) + sign
         prefix.append((g, sign))
     return GroupRingElement(terms)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from cabletorsion.linalg import (
+    DEFAULT_RANK_TOL,
+    conditioned_det,
     image_basis_orthonormal,
     kernel_basis,
     numerical_rank,
     pivot_columns,
 )
+from cabletorsion.torsion import BASIS_CONDITION_TOL
 
 
 class TestKernelBasis:
@@ -87,7 +90,7 @@ class TestRankTolerance:
     @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, float("nan"), float("inf")])
     def test_every_rank_reader_rejects_bad_tol(self, tol):
         m = np.diag([1.0, 0.0])
-        for reader in (numerical_rank, kernel_basis, image_basis_orthonormal):
+        for reader in (numerical_rank, kernel_basis, image_basis_orthonormal, conditioned_det):
             with pytest.raises(ValueError, match="must be finite and in"):
                 reader(m, tol)
 
@@ -98,3 +101,95 @@ class TestRankTolerance:
         assert numerical_rank(np.zeros((0, 3))) == 0
         assert len(kernel_basis(np.zeros((0, 3)))) == 3
         assert image_basis_orthonormal(np.zeros((3, 0))).shape == (3, 0)
+
+
+def _basis_with_spectrum(rng, sigma):
+    """U diag(sigma) V^H for random unitary U, V."""
+    n = len(sigma)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (u * sigma) @ v.conj().T
+
+
+def _svd_full_rank(m, tol):
+    sigma = np.linalg.svd(m, compute_uv=False)
+    return bool(sigma[0] > 0 and sigma[-1] > tol * sigma[0])
+
+
+class TestConditionedDet:
+    # The determinant bound may only certify what the singular values accept:
+    # at every order a basis of the engine has, across both tolerances, near
+    # the threshold, at extreme scales and where the bound itself breaks down,
+    # the decision is the SVD's and the determinant is np.linalg.det's.
+    ORDERS = (3, 6, 9, 12)
+    TOLS = (BASIS_CONDITION_TOL, DEFAULT_RANK_TOL)
+
+    def check(self, m, tol):
+        det, cond = conditioned_det(m, tol)
+        assert det == np.linalg.det(m)
+        assert cond.full_rank == _svd_full_rank(m, tol)
+        return cond
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_decision_is_the_svd_decision_across_the_threshold(self, n, rng):
+        certified = 0
+        for ratio in np.r_[np.geomspace(1e-16, 1e-7, 28), 1e-4, 1e-1]:
+            for sigma in (np.geomspace(1.0, ratio, n), np.r_[np.ones(n - 1), ratio]):
+                m = _basis_with_spectrum(rng, sigma)
+                for tol in self.TOLS:
+                    cond = self.check(m, tol)
+                    if cond.certified:
+                        certified += 1
+                        # the bound is a lower bound and clears the tolerance
+                        sigma_m = np.linalg.svd(m, compute_uv=False)
+                        assert tol < cond.ratio <= sigma_m[-1] / sigma_m[0] * (1 + 1e-12)
+        assert certified  # the bound decides some of them itself
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_unitary_bases_are_certified(self, n, rng):
+        for m in (np.eye(n, dtype=complex), _basis_with_spectrum(rng, np.ones(n))):
+            for tol in self.TOLS:
+                assert self.check(m, tol).certified
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_columns_scaled_by_1e100(self, n, rng):
+        # alternating 1e100 and 1e-100 keeps the determinant finite; the
+        # bound, about 1e-100^n, leaves the decision to the singular values
+        scales = np.where(np.arange(n) % 2, 1e-100, 1e100)
+        for m in (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), np.eye(n)):
+            for tol in self.TOLS:
+                assert not self.check(m * scales, tol).certified
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_zero_basis(self, n):
+        for tol in self.TOLS:
+            cond = self.check(np.zeros((n, n), dtype=complex), tol)
+            assert cond == (0.0, False, False)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_entries_near_1e160(self, n, rng):
+        # ||B||_F^2 overflows, and so does the determinant itself (numpy
+        # warns, silenced here): the singular values decide
+        m = 1e160 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        for tol in self.TOLS:
+            with np.errstate(over="ignore"):
+                cond = self.check(m, tol)
+            assert not cond.certified and cond.full_rank
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_entries_near_1e_minus_160(self, n, rng):
+        # ||B||_F^2 underflows and the determinant flushes to zero, so the
+        # bound would be 0 / 0: the singular values decide
+        m = 1e-160 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        for tol in self.TOLS:
+            cond = self.check(m, tol)
+            assert not cond.certified and cond.full_rank
+
+    def test_bound_past_the_float_range(self, rng):
+        # ||B||_F^2 is finite but ||B||_F^n and |det B| are not: no
+        # OverflowError, and an infinite bound does not certify
+        m = 1e150 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.det(m))
+            cond = self.check(m, BASIS_CONDITION_TOL)
+        assert not cond.certified and cond.full_rank

@@ -335,6 +335,25 @@ class TestNineSlotCrossCheck:
             got.pieces  # built on first read, S through build_gluing_torus
 
 
+    @pytest.mark.parametrize("family, index", [("AN", (5,)), ("NN", (3, 1))])
+    def test_hot_path_reads_no_singular_values(self, family, index, monkeypatch):
+        # the six assembled bases of C and D and [phi_1 | e_designated1] are
+        # all certified from their determinants (seven SVDs before)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        result = tor_E(family, 3, 40, index, XI)
+        assert calls == []
+        bases = [result.piece_c.torsion.bases, result.piece_d.torsion.bases]
+        assert [sorted(b) for b in bases] == [[0, 1, 2]] * 2
+        assert all(basis.conditioning.certified for b in bases for basis in b.values())
+
+
 class TestSplittingTorusDropped:
     """Calls whose float64 torsion of S used to raise, though C, D and the
     gluing are fine: tor_E no longer computes Tor(S)."""

@@ -18,6 +18,7 @@ from cabletorsion.representations import (
     rep_build,
 )
 from cabletorsion.torsion import (
+    BASIS_CONDITION_TOL,
     TorsionError,
     TorsionValue,
     reidemeister_torsion,
@@ -177,6 +178,24 @@ class TestEngineProperties:
         assert product == tor.value
         assert tor == TorsionValue(tor.value) and repr(tor) == repr(TorsionValue(tor.value))
         assert (tor * 2).bases == {}
+
+    def test_each_basis_records_the_conditioning_it_was_accepted_on(self):
+        # on the four-generator cable complex the 3x3 and 9x9 bases are
+        # certified from their determinants and the 12x12 basis of C_1 falls
+        # back to its singular values; each record says which
+        bases = tor_E_abelian(1, 6, 0.3 + 0.1j).bases
+        assert {i: b.conditioning.certified for i, b in bases.items()} == {0: True, 1: False, 2: True}
+        for basis in bases.values():
+            cond = basis.conditioning
+            sigma = np.linalg.svd(basis.matrix, compute_uv=False)
+            n = len(sigma)
+            if cond.certified:
+                bound = abs(np.linalg.det(basis.matrix)) / np.linalg.norm(basis.matrix) ** n
+                assert cond.ratio == pytest.approx(bound, rel=1e-12)
+                assert BASIS_CONDITION_TOL < cond.ratio <= sigma[-1] / sigma[0]
+            else:
+                assert cond.ratio == sigma[-1] / sigma[0]
+            assert cond.full_rank
 
     def test_singular_assembled_basis_names_the_degree(self):
         # a degree-0 "lift" that is itself a boundary makes the assembled

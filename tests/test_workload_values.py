@@ -3,16 +3,22 @@
 The call lists come from perfbench/workloads.py, imported by path so that the
 test and the benchmark run the same calls.  A value must stay within 1e-10
 relative of its golden (the closed-form match is 1e-6), and a call that raised
-must raise the same error type with the same message.
+must raise the same error type with the same message.  On these calls and on
+a wide seeded sample, every square basis the engine judges must get the
+decision its singular values give.
 """
 
 import importlib.util
 import json
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cabletorsion import linalg
 from cabletorsion.mayer_vietoris import tor_E, tor_E_abelian
+from cabletorsion.representations import index_range
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "workload_values.json").read_text())["workloads"]
@@ -22,10 +28,11 @@ def _workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-WORKLOADS = _workloads()
+_MODULE = _workloads()
+WORKLOADS, Call = _MODULE.WORKLOADS, _MODULE.Call
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -47,3 +54,48 @@ def test_workload_values_match_golden(workload):
         assert "value" in case, f"{call} returned {value}, recorded {case['error']}"
         want = complex(*case["value"])
         assert abs(value - want) <= 1e-10 * abs(want), call
+
+
+def _wide_sample(seed):
+    """10 calls per family (AA through tor_E_abelian) at each (a, b) of a wide
+    range, Re xi uniform in +-[0.05, 1], Im xi in [-1.5, 1.5], to 3 decimals."""
+    rng = random.Random(seed)
+    calls = []
+    for a, b in ((1, 8), (2, 11), (2, 30), (3, 15), (4, 19), (4, 80), (5, 23), (5, 120), (6, 200)):
+        for family in ("AN", "NA", "NN", "AA"):
+            for _ in range(10):
+                re = rng.uniform(0.05, 1.0) * rng.choice((-1, 1))
+                xi = complex(round(re, 3), round(rng.uniform(-1.5, 1.5), 3))
+                calls.append(Call(family, a, b, rng.choice(index_range(family, a, b)), xi))
+    return calls
+
+
+# the AA (6,200) calls of the wide sample overflow while summing glue^b in d2,
+# which then raises ChainComplexError as a non-finite complex
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul", "ignore:invalid value encountered in matmul")
+def test_every_basis_gets_the_svd_decision(monkeypatch):
+    # Every square basis the engine judges on the workloads and on a wide
+    # sample: the determinant certificate accepts only what the singular
+    # values accept, and its fallback is their decision.
+    seen = {True: 0, False: 0}
+    conditioned_det = linalg.conditioned_det
+
+    def checked(m, tol):
+        det, cond = conditioned_det(m, tol)
+        sigma = np.linalg.svd(m, compute_uv=False)
+        assert cond.full_rank == bool(sigma[0] > 0 and sigma[-1] > tol * sigma[0]), (m, tol, cond)
+        seen[cond.certified] += 1
+        return det, cond
+
+    monkeypatch.setattr(linalg, "conditioned_det", checked)
+    calls = [call for name in sorted(WORKLOADS) for call in WORKLOADS[name]()] + _wide_sample(5)
+    assert len(calls) == 336 + 360
+    for call in calls:
+        try:
+            if call.family == "AA":
+                tor_E_abelian(call.a, call.b, call.xi)
+            else:
+                tor_E(call.family, call.a, call.b, call.index, call.xi)
+        except ValueError:  # every library error is one
+            pass
+    assert seen[True] and seen[False]  # both paths ran
