@@ -16,7 +16,9 @@ The d2 formula is the definition; a prefix walk (``_fox_walk``) fills it bit
 for bit, except long powers of factored relators, summed (``_walk_plan``).
 Loop chains walk the 3-vector the chain is applied to, not the 3x3 prefix.
 Relators that ``rep_build`` did not certify are checked in float64 before a
-complex is built.  Betti numbers are dim C_i - rank d_i - rank d_(i+1).
+complex is built.  Betti numbers are dim C_i - rank d_i - rank d_(i+1).  Under
+a diagonal representation the walk needs only the prefix's degree:
+``abelian_fox_rows`` is the Fox matrix over Z[t^+-1], ``alexander_minor`` its minor.
 
 The boundary torus gets its own cell structure (one 0-cell, 1-cells mu, la,
 one 2-cell glued along the commutator), whose differentials collapse to
@@ -25,14 +27,15 @@ d2 = [[I-L], [M-I]] and d1 = [M-I | L-I] once M and L commute.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
-from .presentations import Presentation
+from .presentations import Presentation, abelianization_exponents
 from .representations import Representation, _pow2, _to_complex, ensure_relations, hp_invariant_vector
 from .words import Generator, Word
 
@@ -144,20 +147,25 @@ def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainC
     d(w^k)/dg = (1 + w + ... + w^(k-1)) dw/dg at u, B_g(w) S_k Ad(u), and leaves
     Ad(w)^k Ad(u); (S_k, Ad(w)^k) = (I, Ad(w))^k under (S, P)(S', P') = (S + P S', P P').
     A near-unipotent Ad(w) loses up to three digits there: AN (3,40) glue^b at xi = -1+0.1i
-    is 2.6e-5 from a dps-50 walk, against 2.8e-8 for the letter walk."""
+    is 2.6e-5 from a dps-50 walk, against 2.8e-8 for the letter walk.  A summed relator walks
+    with overflow warnings off, so a sum past float64 (AA (6,200), |Re xi| near 0.9) is the
+    named non-finite d_2 alone."""
     ensure_relations(pres, rep)
     n, m = len(pres.generators), len(pres.relators)
     eye = np.eye(3, dtype=complex)
     d2 = np.zeros((3 * n, 3 * m), dtype=complex)
     for j, steps in enumerate(_walk_plan(pres)):
         blocks, acc = None, eye
-        for word, k in steps:
-            part, end = _fox_walk(word, pres.generators, eye if k > 1 else acc, rep.adjoints, rep.adjoint_invs)
-            if k > 1:
-                sums, power = _pow2((eye, end), k, lambda x, y: (x[0] + x[1] @ y[0], x[1] @ y[1]))
-                head, end = sums @ acc, power @ acc
-                part = [block @ head for block in part]
-            blocks, acc = part if blocks is None else list(map(np.add, blocks, part)), end
+        summed = any(k > 1 for _, k in steps)  # a sum past float64 is the named non-finite d_2
+        with np.errstate(over="ignore", invalid="ignore") if summed else nullcontext():
+            for word, k in steps:
+                start = eye if k > 1 else acc
+                part, end = _fox_walk(word, pres.generators, start, rep.adjoints, rep.adjoint_invs)
+                if k > 1:
+                    sums, power = _pow2((eye, end), k, lambda x, y: (x[0] + x[1] @ y[0], x[1] @ y[1]))
+                    head, end = sums @ acc, power @ acc
+                    part = [block @ head for block in part]
+                blocks, acc = part if blocks is None else list(map(np.add, blocks, part)), end
         d2[:, 3 * j:3 * j + 3] = np.vstack(blocks)
     d1 = np.zeros((3, 3 * n), dtype=complex)
     for i, gen in enumerate(pres.generators):
@@ -188,6 +196,57 @@ def _presentation_labels(pres: Presentation) -> Tuple[Tuple[str, ...], ...]:
         _sl2_labels([f"{g.name}~" for g in pres.generators]),
         _sl2_labels([f"f{j + 1}~" for j in range(len(pres.relators))]),
     )
+
+
+# -- abelianised Fox calculus: Laurent polynomials over Z as ((exponent, coefficient), ...)
+
+
+def _ldet(rows) -> Dict[int, int]:
+    """Determinant of a square matrix of Laurent polynomials, along the first row, as a dict."""
+    if len(rows) == 1:
+        return dict(rows[0][0])
+    out: Dict[int, int] = {}
+    for j, entry in enumerate(rows[0]):
+        minor = _ldet([row[:j] + row[j + 1:] for row in rows[1:]])
+        for e1, c1 in entry:
+            for e2, c2 in minor.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + (-1) ** j * c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@lru_cache(maxsize=64)
+def abelian_fox_rows(pres: Presentation) -> tuple:
+    """Per generator g, the row of d r_j / d g pushed through g -> t^e(g) into Z[t^+-1]
+    (sorted terms): ``_fox_walk`` on the prefix's degree alone, one walk per relator, with
+    g adding +t^deg before deg rises by e(g) and g^-1 adding -t^deg after it falls."""
+    exps = {g.name: e for g, e in abelianization_exponents(pres).items()}  # in generator order
+    columns = []
+    for rel in pres.relators:
+        polys, deg = {name: {} for name in exps}, 0
+        for gen, sign in rel.letters:
+            at = deg if sign > 0 else deg - exps[gen.name]
+            polys[gen.name][at] = polys[gen.name].get(at, 0) + sign
+            deg += sign * exps[gen.name]
+        columns.append([tuple(sorted((e, c) for e, c in poly.items() if c)) for poly in polys.values()])
+    return tuple(zip(*columns))
+
+
+@lru_cache(maxsize=64)
+def alexander_minor(pres: Presentation) -> Tuple[Tuple[Tuple[int, int], ...], float]:
+    """The Laurent determinant A of ``abelian_fox_rows`` without the row of the first generator
+    of exponent 1, as terms ((e, c), ...) scaled to A(1) = +1, and the centre of its exponents;
+    raises unless A(1) = +-1 exactly and A is symmetric, as for a knot group."""
+    deleted = next((g for g, e in abelianization_exponents(pres).items() if e == 1), None)
+    if deleted is None:
+        raise ChainComplexError("presentation has no meridian-class generator")
+    det = _ldet([row for g, row in zip(pres.generators, abelian_fox_rows(pres)) if g != deleted])
+    total = sum(det.values())
+    if abs(total) != 1:
+        raise ChainComplexError(f"determinant of {pres.label} sums to {total}, not +-1; not a knot group")
+    lo, hi = min(det), max(det)
+    if any(det.get(lo + hi - e) != c for e, c in det.items()):
+        raise ChainComplexError(f"Alexander coefficients of {pres.label} not symmetric")
+    return tuple(sorted((e, c * total) for e, c in det.items())), (lo + hi) / 2
 
 
 def check_peripheral_actions(M, L) -> Tuple[np.ndarray, np.ndarray]:

@@ -5,96 +5,23 @@ amplitude tau(k), Alexander polynomials, and the closed-form right-hand sides
 of the three gluing theorems.  These are transcribed once and locked by golden
 tests; everything else in the package is measured against them.
 
-The Alexander polynomial is computed exactly: the Fox matrix is pushed through
-the abelianization into integer Laurent polynomials, the row of a
-meridian-class generator is deleted, the determinant is expanded over Z[t,1/t]
-and the result is symmetrized to the representative with D(1) = 1 and
-D(t) = D(1/t).  Only the final evaluation at a complex t is floating point.
+The Alexander polynomial of a presentation is the engine's exact Fox minor
+(``chains.alexander_minor``) with D(1) = 1 and D(t) = D(1/t); only its value at
+a complex t is floating point.  ``tau0`` takes the cable's Delta from Seifert's
+formula instead, so the abelian oracle shares no Fox calculus with the engine.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
-from typing import Dict, Tuple
 
-from .presentations import (
-    Presentation,
-    abelianization_exponents,
-    cable_exterior_presentation,
-)
-from .words import fox_derivative
+from .chains import alexander_minor
+from .presentations import Presentation
 
 
 class ClosedFormError(ValueError):
     pass
-
-
-# -- exact Laurent arithmetic (dict exponent -> integer coefficient) -----------
-
-
-def _ladd(p: Dict[int, int], q: Dict[int, int]) -> Dict[int, int]:
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
-
-
-def _lmul(p: Dict[int, int], q: Dict[int, int]) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _ldet(rows: list) -> Dict[int, int]:
-    if len(rows) == 1:
-        return rows[0][0]
-    out: Dict[int, int] = {}
-    for j in range(len(rows)):
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = _lmul(rows[0][j], _ldet(minor))
-        out = _ladd(out, term if j % 2 == 0 else {e: -c for e, c in term.items()})
-    return out
-
-
-@lru_cache(maxsize=None)
-def _alexander_data(pres: Presentation) -> Tuple[Tuple[Tuple[int, int], ...], float]:
-    """Symmetrized Alexander coefficients ((exp, coeff), ...) plus the half shift."""
-    exps = abelianization_exponents(pres)
-    gens = pres.generators
-    deleted = next((g for g in gens if exps[g] == 1), None)
-    if deleted is None:
-        raise ClosedFormError("presentation has no meridian-class generator")
-    rows = []
-    for g in gens:
-        if g == deleted:
-            continue
-        row = []
-        for rel in pres.relators:
-            poly: Dict[int, int] = {}
-            for word, coeff in fox_derivative(rel, g).terms.items():
-                degree = sum(exps[h] * s for h, s in word.letters)
-                poly = _ladd(poly, {degree: coeff})
-            row.append(poly)
-        rows.append(row)
-    det = _ldet(rows)
-    if not det:
-        raise ClosedFormError(f"Alexander determinant of {pres.label} vanishes")
-    total = sum(det.values())
-    if abs(total) != 1:
-        raise ClosedFormError(
-            f"determinant of {pres.label} sums to {total}, not +-1; not a knot group"
-        )
-    lo, hi = min(det), max(det)
-    coeffs = tuple(sorted((e, c * total) for e, c in det.items()))
-    table = dict(coeffs)
-    for e, c in coeffs:
-        if table.get(lo + hi - e, 0) != c:
-            raise ClosedFormError(f"Alexander coefficients of {pres.label} not symmetric")
-    return coeffs, (lo + hi) / 2.0
 
 
 def alexander(source, t: complex) -> complex:
@@ -109,7 +36,7 @@ def alexander(source, t: complex) -> complex:
     if t == 0:
         raise ClosedFormError("Alexander polynomial is not evaluated at t = 0")
     if isinstance(source, Presentation):
-        coeffs, shift = _alexander_data(source)
+        coeffs, shift = alexander_minor(source)
         return sum(c * t ** (e - shift) for e, c in coeffs)
     if isinstance(source, tuple) and len(source) == 2 and source[0] == "torus":
         return alexander_torus(source[1], t)
@@ -137,11 +64,11 @@ def _guard_denominator(value: complex, description: str) -> complex:
 
 
 def tau0(xi: complex, a: int, b: int) -> complex:
-    """2 sinh(xi/2) / Delta(cable; e^xi), with Delta by the Fox route."""
+    """2 sinh(xi/2) / Delta(cable; e^xi), by Seifert's cable formula Delta(cable; t) =
+    Delta_T(2,2a+1)(t^2) Delta_T(2,2b+1)(t) ("On the homology invariants of knots", 1950)."""
     xi = complex(xi)
-    delta = _guard_denominator(
-        alexander(cable_exterior_presentation(a, b)[0], cmath.exp(xi)), "Delta(cable; e^xi)"
-    )
+    t = cmath.exp(xi)
+    delta = _guard_denominator(alexander_torus(a, t * t) * alexander_torus(b, t), "Delta(cable; e^xi)")
     return 2 * cmath.sinh(xi / 2) / delta
 
 

@@ -63,8 +63,9 @@ against the determinant and Tor(S) = +-1.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -72,6 +73,7 @@ import numpy as np
 from . import linalg
 from .chains import (
     BasedChainComplex,
+    alexander_minor,
     chain_of_loop_hp,
     check_peripheral_actions,
     class_coordinates,
@@ -86,13 +88,8 @@ from .presentations import (
     pattern_piece_presentation,
     torus_piece_presentation,
 )
-from .representations import (
-    Representation,
-    evaluate_word,
-    invariant_vector,
-    rep_build,
-)
-from .torsion import TorsionValue, reidemeister_torsion
+from .representations import Representation, check_parameters, evaluate_word, rep_build
+from .torsion import TorsionError, TorsionValue, reidemeister_torsion
 
 EXACTNESS_TOL = 1e-8          # rank tolerance under which the nine-slot sequence must be exact
 
@@ -354,18 +351,29 @@ def tor_E(family: str, a: int, b: int, index, xi: complex) -> TorEResult:
     )
 
 
+@lru_cache(maxsize=64)
+def _abelian_minor(a: int, b: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``alexander_minor`` of the cable presentation (the p row deleted) as arrays (e - mid, c_e)."""
+    coeffs, mid = alexander_minor(cable_exterior_presentation(a, b)[0])
+    return np.array([e - mid for e, _ in coeffs]), np.array([c for _, c in coeffs], dtype=float)
+
+
 def tor_E_abelian(a: int, b: int, xi: complex) -> TorsionValue:
-    """Direct torsion of the cable exterior for the abelian family.
+    """Torsion of the cable exterior for the abelian family, +t A(t) A(1/t) / (t - 1)^2 at t = e^xi.
 
-    Works on the four-generator presentation with lifts p~ x H in degree 1 and
-    v~ x H in degree 0 (H is fixed by every diagonal matrix); equals
-    +-(Delta(cable; e^xi) / (2 sinh(xi/2)))^2.
+    An AA representation is diagonal, Ad(g) = diag(t^-e(g), 1, t^e(g)) on (E, H, F), so the
+    complex of the four-generator presentation, with lifts p~ x H and v~ x H, splits with
+    determinant +-1 into three scalar complexes over Z[t^+-1] (Milnor 1962; Turaev 1986).  With
+    A the exact Fox minor without the p row (``_abelian_minor``), E and F give A(1/t) / (1/t - 1)
+    and A(t) / (t - 1), and H gives 1 / A(1) = +-1: together +-tau0^-2, taken with the + sign
+    the float64 12x9 complex gives.  A is evaluated at t^(e - mid) and t / (t - 1)^2 as
+    (2 sinh(xi/2))^-2, so no power passes |t|^(deg A / 2); the guards are ``rep_build``'s.
     """
-    pres, _ = cable_exterior_presentation(a, b)
-    rep = rep_build("AA", xi, a, b)
-    cplx = presentation_complex(pres, rep)
-    h_vec = invariant_vector("H", rep)
-    p_block = [g.name for g in pres.generators].index("p")
-    lifts = {1: [_pad(h_vec, p_block, len(pres.generators))], 0: [h_vec]}
-    return reidemeister_torsion(cplx, lifts)
-
+    shifts, coeffs = _abelian_minor(a, b)
+    xi = check_parameters("AA", xi, a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_t, a_inv = np.exp(np.outer((xi, -xi), shifts)) @ coeffs
+        value = complex(a_t * a_inv / (2 * cmath.sinh(xi / 2)) ** 2)
+    if not (cmath.isfinite(value) and value):
+        raise TorsionError(f"AA torsion at (a, b) = ({a}, {b}), xi = {xi} is {value}: outside float64")
+    return TorsionValue(value)

@@ -641,13 +641,8 @@ def _normalize_index(family: str, index) -> Tuple[int, ...]:
     return index
 
 
-def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Representation:
-    """Build a verified representation of the cable-exterior group.
-
-    The returned assignment covers the generators x, y, p, t of the cable
-    presentation; the cable and pattern relators are checked to the identity
-    within 1e-10 once, by ``_certify_relations``, before it is handed back.
-    """
+def check_parameters(family: str, xi: complex, a: int, b: int) -> complex:
+    """xi as a complex, once ``rep_build``'s guards pass (``tor_E_abelian`` shares them)."""
     if family not in FAMILIES:
         raise RepresentationError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if 2 * b + 1 <= 4 * (2 * a + 1):
@@ -659,14 +654,25 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
         raise RepresentationError(
             f"|Re xi| = {abs(xi.real):.2e} below the degeneracy guard {XI_REAL_GUARD}"
         )
+    if family == "AA" and abs(cmath.exp(xi / 2) ** 2 - 1) <= ABELIAN_GUARD:
+        raise RepresentationError("z^2 too close to 1 for the abelian family")
+    return xi
+
+
+def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Representation:
+    """Build a verified representation of the cable-exterior group.
+
+    The returned assignment covers the generators x, y, p, t of the cable
+    presentation; the cable and pattern relators are checked to the identity
+    within 1e-10 once, by ``_certify_relations``, before it is handed back.
+    """
+    xi = check_parameters(family, xi, a, b)
     index = _normalize_index(family, index)
     if index not in index_range(family, a, b) and family != "AA":
         raise RepresentationError(
             f"index {index} outside the admissible range for {family} at (a,b)=({a},{b})"
         )
     z, roots = _scalars(family, xi, a, b, index, exact=False)
-    if family == "AA" and abs(z * z - 1) <= ABELIAN_GUARD:
-        raise RepresentationError("z^2 too close to 1 for the abelian family")
     assignment = _to_numpy_assignment(_family_entries(family, z, a, b, **roots))
     rep = Representation(family, assignment, xi, a, b, index)
     _certify_relations(rep)

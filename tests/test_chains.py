@@ -6,6 +6,8 @@ from cabletorsion.chains import (
     ChainComplexError,
     _fox_walk,
     _walk_plan,
+    abelian_fox_rows,
+    alexander_minor,
     chain_of_loop,
     chain_of_loop_hp,
     class_coordinates,
@@ -13,10 +15,11 @@ from cabletorsion.chains import (
     presentation_complex,
     torus_complex,
 )
-from cabletorsion import linalg
+from cabletorsion import chains, linalg
 from cabletorsion.mayer_vietoris import _gluing_chains, build_pattern_piece, build_torus_piece, tor_E
 from cabletorsion.presentations import (
     Presentation,
+    abelianization_exponents,
     cable_exterior_presentation,
     pattern_piece_presentation,
     torus_piece_presentation,
@@ -443,6 +446,15 @@ class TestFoxWalkMatchesReference:
             ref = np.vstack([evaluate_ring(rep_na, fox_derivative(word, g)) for g in pres.generators])
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), factors
 
+    @pytest.mark.parametrize("xi", [0.904 - 0.07j, -0.89 + 1.405j])
+    def test_summed_overflow_is_the_named_error(self, xi):
+        """AA (6,200) at |Re xi| near 0.9: the doubled glue^b sum leaves the
+        float64 range, and the named non-finite d_2 error is all that comes
+        out; no numpy RuntimeWarning (an error under the test filter) escapes."""
+        rep = rep_build("AA", xi, 6, 200)
+        with pytest.raises(ChainComplexError, match="d_2 has non-finite entries"):
+            presentation_complex(cable_exterior_presentation(6, 200)[0], rep)
+
     def test_chain_of_loop(self, rng, rep_an):
         pres, peri = pattern_piece_presentation(6)
         u = invariant_vector("U", rep_an)
@@ -513,3 +525,26 @@ class TestGluingSubgroupWalk:
         pres, _ = pattern_piece_presentation(6)
         with pytest.raises(ChainComplexError, match="not in the gluing-torus subgroup"):
             chain_of_loop_hp(pres.word("p"), rep_an, pres, "U")
+
+
+class TestAbelianFoxRows:
+    @pytest.mark.parametrize("a, b", [(1, 6), (3, 40), (6, 200)])
+    def test_prefix_walk_is_the_abelianised_fox_derivative(self, a, b):
+        """Each entry of the walked rows is fox_derivative pushed through
+        abelianization_exponents, g -> t^e(g), term by term."""
+        pres, _ = cable_exterior_presentation(a, b)
+        exps = abelianization_exponents(pres)
+        for g, row in zip(pres.generators, abelian_fox_rows(pres)):
+            for rel, poly in zip(pres.relators, row):
+                ref = {}
+                for word, coeff in fox_derivative(rel, g).terms.items():
+                    degree = sum(exps[h] * s for h, s in word.letters)
+                    ref[degree] = ref.get(degree, 0) + coeff
+                assert poly == tuple(sorted((e, c) for e, c in ref.items() if c)), (g, rel)
+
+    def test_minor_must_be_a_unit_at_one(self, monkeypatch):
+        # A(1) = +-1 is what makes the H part of the abelian complex a unit
+        monkeypatch.setattr(chains, "_ldet", lambda rows: {0: 2, 1: 1})
+        pres, _ = cable_exterior_presentation(1, 6)
+        with pytest.raises(ChainComplexError, match=r"cable_exterior\(a=1,b=6\) sums to 3, not \+-1"):
+            alexander_minor.__wrapped__(pres)

@@ -117,11 +117,19 @@ class TestTauAmplitudes:
                     t3 = tau3(XI, l, m, a, b)
                     assert abs(rhs - 1 / t3 ** 2) <= 1e-10 * rhs
 
-    def test_tau0_against_cable_alexander(self):
-        cable, _ = cable_exterior_presentation(1, 6)
-        value = tau0(XI, 1, 6)
-        expected = 2 * cmath.sinh(XI / 2) / alexander(cable, cmath.exp(XI))
-        assert abs(value - expected) < 1e-12 * abs(expected)
+    @pytest.mark.parametrize("a, b", [(1, 6), (2, 10), (3, 40), (4, 80), (6, 200)])
+    def test_tau0_against_cable_alexander(self, a, b):
+        # tau0 takes Delta from Seifert's cable formula; the Fox route of the
+        # cable presentation must give the same Delta across the band
+        cable, _ = cable_exterior_presentation(a, b)
+        for xi in (XI, 0.05 + 0.1j, -0.3 + 1.2j, 0.6 - 0.7j, -1.0 + 0.1j, 1.0 - 1.5j):
+            expected = 2 * cmath.sinh(xi / 2) / alexander(cable, cmath.exp(xi))
+            assert abs(tau0(xi, a, b) - expected) <= 1e-12 * abs(expected), xi
+
+    def test_tau0_vanishing_alexander_reported(self):
+        # Delta_T(2,3)(t^2) vanishes at t = e^(i pi/6)
+        with pytest.raises(ClosedFormError, match="Delta"):
+            tau0(cmath.pi / 6 * 1j, 1, 6)
 
     def test_vanishing_denominator_reported(self):
         # cosh((2b+1-4(2a+1)) xi / 2) vanishes at xi = i pi for span 1

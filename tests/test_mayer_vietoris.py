@@ -293,6 +293,36 @@ CROSS_CHECK_CALLS = [
 ] + [("AN", 3, 40, (0,)), ("AN", 3, 40, (39,)), ("NN", 3, 40, (0, 0)), ("NN", 3, 40, (25, 2))]
 
 
+class TestAbelianRoute:
+    """tor_E_abelian from the exact Laurent minor, behind rep_build's guards."""
+
+    @pytest.mark.parametrize("a, b, xi, error, message", [
+        (1, 5, 0.3, "ValueError", "cable parameters need 2b+1 > 4(2a+1): got 2b+1=11, 4(2a+1)=12"),
+        (0, 6, 0.3, "ValueError", "cable exterior needs a >= 1, got 0"),
+        (1, 6, 0.0005 + 1j, "RepresentationError", "|Re xi| = 5.00e-04 below the degeneracy guard 0.001"),
+        (1, 6, 0, "RepresentationError", "|Re xi| = 0.00e+00 below the degeneracy guard 0.001"),
+        (6, 200, -0.0009, "RepresentationError", "|Re xi| = 9.00e-04 below the degeneracy guard 0.001"),
+    ])
+    def test_guards_keep_their_messages(self, a, b, xi, error, message):
+        with pytest.raises(ValueError) as info:
+            tor_E_abelian(a, b, xi)
+        assert (type(info.value).__name__, str(info.value)) == (error, message)
+
+    def test_builds_no_representation_or_complex(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the abelian route built a representation or a complex")
+
+        for name in ("rep_build", "presentation_complex", "reidemeister_torsion"):
+            monkeypatch.setattr(mayer_vietoris, name, forbidden)
+        xi = -1 + 0.1j  # (6, 200) at the edge of the band: powers up to e^212
+        value = tor_E_abelian(6, 200, xi).value
+        assert abs(value - tau0(xi, 6, 200) ** -2) <= 1e-10 * abs(value)
+
+    def test_past_the_float64_range_is_named(self):
+        with pytest.raises(TorsionError, match="outside float64"):
+            tor_E_abelian(6, 200, 4 + 0.1j)
+
+
 class TestNineSlotCrossCheck:
     """tor_E takes Tor(H*) from det[phi_1 | e_designated1]; the nine-slot
     sequence, built on demand, must agree with it."""

@@ -34,6 +34,18 @@ def pad(vec, block, nblocks=2):
     return out
 
 
+def abelian_cable_torsion(a, b, xi):
+    """(complex, torsion) of the float64 engine on the 12x9 four-generator cable
+    complex of the AA representation, with lifts p~ x H in degree 1 and v~ x H in
+    degree 0: the complex whose splitting ``tor_E_abelian`` evaluates exactly."""
+    pres, _ = cable_exterior_presentation(a, b)
+    rep = rep_build("AA", xi, a, b)
+    cplx = presentation_complex(pres, rep)
+    h_vec = invariant_vector("H", rep)
+    p_block = [g.name for g in pres.generators].index("p")
+    return cplx, reidemeister_torsion(cplx, {1: [pad(h_vec, p_block, 4)], 0: [h_vec]})
+
+
 def torus_lifts(vec):
     return {
         2: [vec],
@@ -183,7 +195,7 @@ class TestEngineProperties:
         # on the four-generator cable complex the 3x3 and 9x9 bases are
         # certified from their determinants and the 12x12 basis of C_1 falls
         # back to its singular values; each record says which
-        bases = tor_E_abelian(1, 6, 0.3 + 0.1j).bases
+        bases = abelian_cable_torsion(1, 6, 0.3 + 0.1j)[1].bases
         assert {i: b.conditioning.certified for i, b in bases.items()} == {0: True, 1: False, 2: True}
         for basis in bases.values():
             cond = basis.conditioning
@@ -212,15 +224,17 @@ class TestRanksFromLiftCounts:
     # On the four-generator cable complex at these points the SVD of d2 counts
     # fewer than its 9 columns above the rank tolerance (sigma_9 / sigma_1 is
     # about 1e-11), while the lift counts pin rank d2 = 9; the engine follows
-    # the lift counts and still lands on the closed form.
+    # the lift counts and still lands on the closed form, and on the exact
+    # Laurent route of tor_E_abelian with the same sign.
     @pytest.mark.parametrize("a, b, re", [(1, 6, 1.0), (2, 10, 0.6), (2, 20, 0.3)])
     def test_abelian_direct_where_svd_undercounts(self, a, b, re):
         xi = complex(re, 0.1)
-        pres, _ = cable_exterior_presentation(a, b)
-        cplx = presentation_complex(pres, rep_build("AA", xi, a, b))
+        cplx, tor = abelian_cable_torsion(a, b, xi)
         assert cplx.d(2).shape[1] == 9
         assert numerical_rank(cplx.d(2)) < 9
-        assert torsion_equal(tor_E_abelian(a, b, xi), tau0(xi, a, b) ** -2, 1e-8)
+        assert torsion_equal(tor, tau0(xi, a, b) ** -2, 1e-8)
+        exact = tor_E_abelian(a, b, xi).value
+        assert abs(tor.value - exact) <= 1e-8 * abs(exact)
 
     def test_impossible_count_names_the_degree(self):
         # three lifts in degree 1 of a 2-dimensional C_1

@@ -5,7 +5,8 @@ test and the benchmark run the same calls.  A value must stay within 1e-10
 relative of its golden (the closed-form match is 1e-6), and a call that raised
 must raise the same error type with the same message.  On these calls and on
 a wide seeded sample, every square basis the engine judges must get the
-decision its singular values give.
+decision its singular values give, and every abelian call of that sample must
+match its closed form.
 """
 
 import importlib.util
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from cabletorsion import linalg
+from cabletorsion.closed_forms import tau0
 from cabletorsion.mayer_vietoris import tor_E, tor_E_abelian
 from cabletorsion.representations import index_range
 
@@ -70,9 +72,16 @@ def _wide_sample(seed):
     return calls
 
 
-# the AA (6,200) calls of the wide sample overflow while summing glue^b in d2,
-# which then raises ChainComplexError as a non-finite complex
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul", "ignore:invalid value encountered in matmul")
+@pytest.mark.parametrize("seed", [5, 11])
+def test_wide_sample_abelian_calls_match_the_closed_form(seed):
+    # all 90 AA calls, up to (6,200) and |Re xi| = 1, with the + sign
+    calls = [call for call in _wide_sample(seed) if call.family == "AA"]
+    assert len(calls) == 90
+    for call in calls:
+        want = tau0(call.xi, call.a, call.b) ** -2
+        assert abs(tor_E_abelian(call.a, call.b, call.xi).value - want) <= 1e-10 * abs(want), call
+
+
 def test_every_basis_gets_the_svd_decision(monkeypatch):
     # Every square basis the engine judges on the workloads and on a wide
     # sample: the determinant certificate accepts only what the singular
