@@ -12,13 +12,14 @@ differentials are
 d1 d2 = 0 is the fundamental identity of the free calculus pushed through the
 (anti-homomorphic) adjoint evaluation, and is asserted at construction.
 
-The d2 formula is the definition; a prefix walk (``_fox_walk``) fills it bit
-for bit, except long powers of factored relators, summed (``_walk_plan``).
-Loop chains walk the 3-vector the chain is applied to, not the 3x3 prefix.
-Relators that ``rep_build`` did not certify are checked in float64 before a
-complex is built.  Betti numbers are dim C_i - rank d_i - rank d_(i+1).  Under
-a diagonal representation the walk needs only the prefix's degree:
-``abelian_fox_rows`` is the Fox matrix over Z[t^+-1], ``alexander_minor`` its minor.
+The d2 formula is the definition; a prefix walk (``_fox_walk``) over each
+relator's letters fills it bit for bit.  Loop chains walk the 3-vector the
+chain is applied to, not the 3x3 prefix.  ``rep_build`` certifies its families'
+cable and pattern relators over F_P, once per Galois orbit; any other relator is
+checked in float64 before a complex is built.  Betti numbers are dim C_i - rank
+d_i - rank d_(i+1).  Under a diagonal representation the walk needs only the
+prefix's degree: ``abelian_fox_rows`` is the Fox matrix over Z[t^+-1],
+``alexander_minor`` its minor.
 
 The boundary torus gets its own cell structure (one 0-cell, 1-cells mu, la,
 one 2-cell glued along the commutator), whose differentials collapse to
@@ -27,7 +28,6 @@ d2 = [[I-L], [M-I]] and d1 = [M-I | L-I] once M and L commute.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .presentations import Presentation, abelianization_exponents
-from .representations import Representation, _pow2, _to_complex, ensure_relations, hp_invariant_vector
+from .representations import Representation, _to_complex, ensure_relations, hp_invariant_vector
 from .words import Generator, Word
 
 SL2_BASIS_NAMES = ("E", "H", "F")
@@ -143,49 +143,19 @@ def _fox_walk(word: Word, generators: Sequence[Generator], start, forward, backw
 def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainComplex:
     """The twisted chain complex of the presentation 2-complex, on relators
     that hold (``ensure_relations`` checks those ``rep_build`` did not), each
-    walked by its ``_walk_plan`` on one prefix Ad(u).  A summed w^k adds Fox's
-    d(w^k)/dg = (1 + w + ... + w^(k-1)) dw/dg at u, B_g(w) S_k Ad(u), and leaves
-    Ad(w)^k Ad(u); (S_k, Ad(w)^k) = (I, Ad(w))^k under (S, P)(S', P') = (S + P S', P P').
-    A near-unipotent Ad(w) loses up to three digits there: AN (3,40) glue^b at xi = -1+0.1i
-    is 2.6e-5 from a dps-50 walk, against 2.8e-8 for the letter walk.  A summed relator walks
-    with overflow warnings off, so a sum past float64 (AA (6,200), |Re xi| near 0.9) is the
-    named non-finite d_2 alone."""
+    relator's d2 column one ``_fox_walk`` of its letters.  The walks run with
+    overflow warnings off, so a prefix past float64 (the AA (6,200) cable r2 at
+    |Re xi| near 0.9) is the named non-finite d_2 alone."""
     ensure_relations(pres, rep)
     n, m = len(pres.generators), len(pres.relators)
     eye = np.eye(3, dtype=complex)
     d2 = np.zeros((3 * n, 3 * m), dtype=complex)
-    for j, steps in enumerate(_walk_plan(pres)):
-        blocks, acc = None, eye
-        summed = any(k > 1 for _, k in steps)  # a sum past float64 is the named non-finite d_2
-        with np.errstate(over="ignore", invalid="ignore") if summed else nullcontext():
-            for word, k in steps:
-                start = eye if k > 1 else acc
-                part, end = _fox_walk(word, pres.generators, start, rep.adjoints, rep.adjoint_invs)
-                if k > 1:
-                    sums, power = _pow2((eye, end), k, lambda x, y: (x[0] + x[1] @ y[0], x[1] @ y[1]))
-                    head, end = sums @ acc, power @ acc
-                    part = [block @ head for block in part]
-                blocks, acc = part if blocks is None else list(map(np.add, blocks, part)), end
-        d2[:, 3 * j:3 * j + 3] = np.vstack(blocks)
-    d1 = np.zeros((3, 3 * n), dtype=complex)
-    for i, gen in enumerate(pres.generators):
-        d1[:, 3 * i:3 * i + 3] = rep.adjoint(gen) - np.eye(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, rel in enumerate(pres.relators):
+            blocks, _ = _fox_walk(rel, pres.generators, eye, rep.adjoints, rep.adjoint_invs)
+            d2[:, 3 * j:3 * j + 3] = np.vstack(blocks)
+    d1 = np.hstack([rep.adjoint(gen) - np.eye(3) for gen in pres.generators])
     return BasedChainComplex((3, 3 * n, 3 * m), (d1, d2), _presentation_labels(pres))
-
-
-@lru_cache(maxsize=64)
-def _walk_plan(pres: Presentation) -> Tuple[Tuple[Tuple[Word, int], ...], ...]:
-    """Per relator, a step (w, k) per factor w^e, or (w^-1)^-e when e < 0:
-    summed if that takes fewer 3x3 products (|w|, two per ``_pow2`` product, two
-    onto the prefix, one per block) than its k |w| letters, else walked as
-    (w^k, 1).  A relator with nothing summed, as every piece relator up to a = 7,
-    is one walk of its own word."""
-    def step(word, e):
-        base, k = (word, e) if e > 0 else (word.inverse(), -e)
-        cost = len(base) + 2 * (k.bit_length() + bin(k).count("1")) - 2 + len(pres.generators)
-        return (base, k) if cost < k * len(base) else (base ** k, 1)
-    plans = [tuple(step(*f) for f in factors) for factors in pres.factored or [()] * len(pres.relators)]
-    return tuple(s if any(k > 1 for _, k in s) else ((rel, 1),) for rel, s in zip(pres.relators, plans))
 
 
 @lru_cache(maxsize=64)

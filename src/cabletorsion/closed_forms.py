@@ -65,10 +65,13 @@ def _guard_denominator(value: complex, description: str) -> complex:
 
 def tau0(xi: complex, a: int, b: int) -> complex:
     """2 sinh(xi/2) / Delta(cable; e^xi), by Seifert's cable formula Delta(cable; t) =
-    Delta_T(2,2a+1)(t^2) Delta_T(2,2b+1)(t) ("On the homology invariants of knots", 1950)."""
+    Delta_T(2,2a+1)(t^2) Delta_T(2,2b+1)(t) ("On the homology invariants of knots", 1950).
+    Each term of ``alexander_torus`` is e^(xi (k - a)), from xi: a power of one rounded
+    e^xi would carry its rounding k-fold."""
     xi = complex(xi)
-    t = cmath.exp(xi)
-    delta = _guard_denominator(alexander_torus(a, t * t) * alexander_torus(b, t), "Delta(cable; e^xi)")
+    da, db = (sum((-1) ** k * cmath.exp(x * (k - n)) for k in range(2 * n + 1))
+              for n, x in ((a, 2 * xi), (b, xi)))
+    delta = _guard_denominator(da * db, "Delta(cable; e^xi)")
     return 2 * cmath.sinh(xi / 2) / delta
 
 

@@ -17,7 +17,7 @@ In both pieces the gluing-torus longitude also comes split as
 lambda_C = h mu_C^k with h in the gluing-torus subgroup: h = t, k = -b on the
 pattern side and h = y (xy)^{2a}, k = -(4a+1) on the torus side.  Likewise
 each relator is kept factored next to its word, e.g. r2 = y (xy)^{2a}
-x^{-4a-1} (p t p t^-1)^b t^-1: the relation check squares its powers, d2 sums them.
+x^{-4a-1} (p t p t^-1)^b t^-1: the relation check squares its powers.
 All presentations here have deficiency one; each builder is cached per argument.
 """
 

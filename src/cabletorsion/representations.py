@@ -15,6 +15,10 @@ never from root finding.  The NN matrices are built from their theta1-tilde
 conjugated forms, which avoids the half-integer powers z^(1/2) that the other
 conjugator would introduce.
 
+The matrices are rational in z over Q(omega), so a cable or pattern relator holds
+identically or fails for almost every xi: ``rep_build`` certifies them once per
+(family, a, b, Galois orbit of the index), over F_P (``_certify_relations``).
+
 Conventions for the twisted chain complex: sl(2,C) carries the basis {E,H,F};
 the adjoint action is Ad(g)(v) = rho(g)^-1 v rho(g), written as a 3x3 matrix
 acting from the left.  Because of the inverse in Ad, the letter-by-letter
@@ -25,7 +29,10 @@ product Ad(v) Ad(u) (so p t evaluates to T P).
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 import operator
+import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from typing import Dict, Tuple
@@ -150,7 +157,7 @@ def _fixed_root(k: int, den: int) -> Tuple[int, int]:
     return _fixed_mp(lambda mpmath: mpmath.expjpi(mpmath.mpf(2 * k + 1) / den))
 
 
-# Flat fixed-point kernels for the hot loops (relation check, loop walks): a
+# Flat fixed-point kernels for the hot loops (the loop walks): a
 # 2x2, 3x3 or 3-vector is one tuple of ints, (re, im) of each entry scaled by
 # 2^FIXED_BITS, row-major; each entry is its exact sum of products, shifted once.
 
@@ -164,25 +171,6 @@ def _to_complex(flat) -> list:
     """The correctly rounded complex values of flat (re, im) pairs."""
     it = iter(flat)
     return [complex(re / _ONE, im / _ONE) for re, im in zip(it, it)]  # int / int rounds correctly
-
-
-def _fmul2(x, y) -> tuple:
-    """The 2x2 product of flat fixed-point matrices."""
-    er, ei, fr, fi, gr, gi, hr, hi = y
-    out = []
-    for k in (0, 4):
-        ar, ai, br, bi = x[k:k + 4]
-        out += ((ar * er - ai * ei + br * gr - bi * gi) >> FIXED_BITS,
-                (ar * ei + ai * er + br * gi + bi * gr) >> FIXED_BITS,
-                (ar * fr - ai * fi + br * hr - bi * hi) >> FIXED_BITS,
-                (ar * fi + ai * fr + br * hi + bi * hr) >> FIXED_BITS)
-    return tuple(out)
-
-
-def _fadj2(x) -> tuple:
-    """The adjugate of a flat fixed-point 2x2 (its inverse in SL(2))."""
-    ar, ai, br, bi, cr, ci, dr, di = x
-    return (dr, di, -br, -bi, -cr, -ci, ar, ai)
 
 
 class _Flat(tuple):
@@ -223,9 +211,9 @@ def _fadjoint(m) -> _Flat:
     ))
 
 
-# 2x2 helpers over a generic scalar domain (complex or _Fixed): the family
-# formulas are written once, in scalar arithmetic, so the float constructors
-# and the extended-precision path cannot drift apart.
+# 2x2 helpers over a generic scalar domain (complex, _Fixed or _Residue): the
+# family formulas are written once, in scalar arithmetic, so the float
+# constructors, the extended-precision path and the certificate cannot drift apart.
 
 
 def _m2(a, b, c, d):
@@ -280,7 +268,7 @@ def _family_entries(family, z, a, b, omega1=None, omega2=None, omega3=None):
         p = _m2(z, 1 / (z + zi), 0, zi)
         x = _m2(z2, 1, 0, zm2)
         y = _m2(z2, 0, w + 1 / w - z ** 4 - z ** -4, zm2)
-        # one product per factor: squaring would cost the fixed-point r2 ten digits
+        # one product per factor: squaring would round t, and the recorded values, differently
         t = [[-e for e in row] for row in reduce(_mul2, [p] * (2 * b - 8 * a - 4), _m2(1, 0, 0, 1))]
         return {"p": p, "x": x, "y": y, "t": t}
     if family == "NN":
@@ -342,19 +330,16 @@ def _adjoint_entries(m):
     ]
 
 
+def _root_fractions(family: str, a: int, b: int, index) -> dict:
+    """(k, den) of each root omega = exp(i pi (2k+1)/den) by name, in index order; a bad index raises."""
+    dens = {"AN": {"omega2": 2 * b + 1}, "NA": {"omega1": 2 * a + 1},
+            "NN": {"omega3": 2 * b + 1 - 4 * (2 * a + 1), "omega1": 2 * a + 1}}.get(family, {})
+    return {name: (k, den) for k, (name, den) in zip(_normalize_index(family, index), dens.items())}
+
+
 def _scalars(family: str, xi: complex, a: int, b: int, index, exact: bool):
-    """(z = exp(xi/2), roots omega = exp(i pi (2k+1)/den) by name): complex, or
-    ``_Fixed`` from the bounded caches of ``_fixed_z`` / ``_fixed_root`` when
-    ``exact``.  An index that does not fit the family raises."""
-    index = _normalize_index(family, index)
-    fractions = {}
-    if family == "AN":
-        fractions = {"omega2": (index[0], 2 * b + 1)}
-    elif family == "NA":
-        fractions = {"omega1": (index[0], 2 * a + 1)}
-    elif family == "NN":
-        l, m = index
-        fractions = {"omega1": (m, 2 * a + 1), "omega3": (l, 2 * b + 1 - 4 * (2 * a + 1))}
+    """(z = exp(xi/2), roots by name), complex or, if ``exact``, ``_Fixed`` from their caches."""
+    fractions = _root_fractions(family, a, b, index)
     if exact:
         roots = {name: _Fixed(*_fixed_root(k, den)) for name, (k, den) in fractions.items()}
         return _Fixed(*_fixed_z(xi)), roots
@@ -398,8 +383,8 @@ class _LazyAdjoints(dict):
         self._entries, self._inverse = entries, inverse
 
     def __missing__(self, name):
-        m = self._entries[name]
-        adj = self[name] = _fadjoint(_fadj2(m) if self._inverse else m)
+        ar, ai, br, bi, cr, ci, dr, di = m = self._entries[name]
+        adj = self[name] = _fadjoint((dr, di, -br, -bi, -cr, -ci, ar, ai) if self._inverse else m)  # adjugate
         return adj
 
 
@@ -413,8 +398,7 @@ class Representation:
     adjoints (each on its first lookup) and invariant vectors, which share one
     fixed-point z and roots.  Each is derived on first read and kept; none is a
     constructor argument, so none can disagree with the data.  Instances are
-    treated as immutable.
-    ``certified`` holds the relators ``rep_build`` checked (none if hand-built).
+    treated as immutable; ``certified`` holds the relators ``rep_build`` certified.
     """
 
     family: str
@@ -529,35 +513,26 @@ class RelationReport:
         return self.max_deviation <= RELATION_TOL
 
 
-def _relator_deviations(factored, mats, exact: bool) -> list:
+def _relator_deviations(factored, mats) -> list:
     """Max-entry deviation from the identity of each relator prod w^e in ``factored``,
-    on ``mats``: flat fixed-point 2x2s by name when ``exact``, else nested lists.
-
-    One power table serves every relator: each base word w is multiplied out
-    once, w^n is built once, by squaring from w or as (w^(n/2))^2 when that is
-    in the table, and w^-n is the adjugate of w^n.  That is 31 2x2 products for
-    the cable and pattern relators at (a, b) = (3, 40), growing as log a + log b."""
-    mul, adj = (_fmul2, _fadj2) if exact else (_mul2, _adj2)
-    one = _flat((1, 0, 0, 1)) if exact else [[1, 0], [0, 1]]
+    on ``mats``, 2x2 nested lists of scalars by generator name.  One power table serves
+    every relator: each base word w is multiplied out once, w^n is built once, by squaring
+    from w or as (w^(n/2))^2 when that is in the table, and w^-n is the adjugate of w^n:
+    31 2x2 products for the cable and pattern relators at (a, b) = (3, 40)."""
     powers: dict = {}  # (w, n) -> w^n, n >= 1
 
     def power(word, e):
         n = abs(e)
         if (word, n) not in powers:
             if (word, 1) not in powers:
-                letters = [mats[g.name] if s == 1 else adj(mats[g.name]) for g, s in word.letters]
-                powers[word, 1] = reduce(mul, letters) if letters else one
+                letters = [mats[g.name] if s == 1 else _adj2(mats[g.name]) for g, s in word.letters]
+                powers[word, 1] = reduce(_mul2, letters) if letters else [[1, 0], [0, 1]]
             half = powers.get((word, n // 2)) if n % 2 == 0 else None
-            powers[word, n] = _pow2(powers[word, 1], n, mul) if half is None else mul(half, half)
-        return powers[word, n] if e > 0 else adj(powers[word, n])
+            powers[word, n] = _pow2(powers[word, 1], n, _mul2) if half is None else _mul2(half, half)
+        return powers[word, n] if e > 0 else _adj2(powers[word, n])
 
-    devs = []
-    for factors in factored:
-        value = reduce(mul, (power(word, e) for word, e in factors))
-        off = (_to_complex(map(operator.sub, value, one)) if exact
-               else [v - e for row, ones in zip(value, one) for v, e in zip(row, ones)])
-        devs.append(max(map(abs, off)))
-    return devs
+    values = [reduce(_mul2, (power(word, e) for word, e in factors)) for factors in factored]
+    return [max(abs(v[i][j] - (i == j)) for i in (0, 1) for j in (0, 1)) for v in values]
 
 
 def verify_relations(pres: Presentation, rep: Representation, skip=frozenset()) -> RelationReport:
@@ -572,7 +547,7 @@ def verify_relations(pres: Presentation, rep: Representation, skip=frozenset()) 
     if not todo:  # nothing left to check: build no float64 matrices
         return RelationReport(())
     mats = {g.name: rep.assignment[g.name].tolist() for g in pres.generators}
-    return RelationReport(tuple(_relator_deviations(todo, mats, exact=False)))
+    return RelationReport(tuple(_relator_deviations(todo, mats)))
 
 
 def ensure_relations(pres: Presentation, rep: Representation) -> None:
@@ -586,31 +561,82 @@ def ensure_relations(pres: Presentation, rep: Representation) -> None:
         raise RepresentationError(f"{pres.label} relators fail verification: deviations {report.deviations}")
 
 
-def _certify_relations(rep: Representation) -> RelationReport:
-    """The one relation check of a representation built from family data: the
-    factored cable relators r1, r2, r3 and the pattern relator.
+class _Residue:
+    """An element of F_P, the certificate's scalar; ints mix in, and ``abs`` is 0 or 1."""
 
-    AN, NA and NN run on the flat fixed-point ``hp_entries``, since float64
-    loses the identity to cancellation between entries of size z^(+-4b); AA
-    runs on float64 lists, where diagonal products do not cancel and 200
-    absolute bits would flush z^(-4b) to zero.  Raises if a relator fails,
-    else marks them ``rep.certified`` and returns the deviations.
-    """
-    cable, _ = cable_exterior_presentation(rep.a, rep.b)
-    pattern, _ = pattern_piece_presentation(rep.b)
-    exact = rep.family != "AA"
-    mats = rep.hp_entries if exact else {n: m.tolist() for n, m in rep.assignment.items()}
-    try:
-        report = RelationReport(tuple(_relator_deviations(cable.factored + pattern.factored, mats, exact)))
-    except OverflowError:  # raised only by the fixed-point path's float64 rounding
-        raise RepresentationError(
-            f"{rep.family} fixed-point relator deviation is past the float64 range: "
-            f"FIXED_BITS = {FIXED_BITS} are too few at (a, b) = ({rep.a}, {rep.b}), xi = {rep.xi}"
-        ) from None
-    if not report.ok:
-        raise RepresentationError(f"{rep.family} relators fail verification: deviations {report.deviations}")
-    rep.certified = frozenset(cable.relators + pattern.relators)
-    return report
+    __slots__ = ("v", "p")
+
+    def __init__(self, v: int, p: int):
+        self.v, self.p = v % p, p
+
+    __add__ = __radd__ = lambda self, other: _Residue(self.v + getattr(other, "v", other), self.p)
+    __mul__ = __rmul__ = lambda self, other: _Residue(self.v * getattr(other, "v", other), self.p)
+    __pow__ = lambda self, n: _Residue(pow(self.v, n, self.p), self.p)  # a negative n inverts
+    __neg__ = lambda self: self * -1
+    __sub__ = lambda self, other: self + -other
+    __rsub__ = lambda self, other: -self + other
+    __truediv__ = lambda self, other: self * (other * _Residue(1, self.p)) ** -1
+    __rtruediv__ = lambda self, other: self ** -1 * other
+    __abs__ = lambda self: int(self.v != 0)
+
+
+# A relator that fails is a nonzero rational function of z.  With each generator
+# M_g(z) / (z^s (z^2+1)^r), M_g polynomial, its numerator has degree at most deg_z =
+# sum over the letters of deg M_g (4 for x, y, t, 2 for p; NN y 2, NA p 4, NA y 8,
+# AA t 4b, NA t = -p^(2b-8a-4) at most 4(2b-8a-4)), so a uniform z passes it with
+# probability at most deg_z / P (Schwartz 1980; Zippel 1979): 2.4e-13 per draw for NA
+# r2 at (6, 200), deg_z <= 560,044.  The second prime covers a P dividing every coefficient.
+CERT_PRIME_FLOOR = 1 << 61
+CERT_DRAWS = 2
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 37 at the primes to 37, exact below 3.3e24 (Sorenson and Webster 2015)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    return all(pow(q, (n - 1) >> s, n) == 1 or any(pow(q, (n - 1) >> r, n) == n - 1 for r in range(1, s + 1))
+               for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+
+
+@lru_cache(maxsize=64)
+def _certificate_draws(a: int, b: int) -> tuple:
+    """``CERT_DRAWS`` draws (P, N, h, z): N = lcm(2(2a+1), 2(2b+1), 2(2b+1-4(2a+1))), the
+    first primes P = 1 mod N from CERT_PRIME_FLOOR, h of order N in F_P, z seeded by P."""
+    n = math.lcm(2 * (2 * a + 1), 2 * (2 * b + 1), 2 * (2 * b + 1 - 4 * (2 * a + 1)))
+    divisors = {q for d in range(1, math.isqrt(n) + 1) if n % d == 0 for q in (d, n // d)} - {1}
+    primes = (p for p in itertools.count(-(-(CERT_PRIME_FLOOR - 1) // n) * n + 1, n) if _is_prime(p))
+    draws = []
+    for p in itertools.islice(primes, CERT_DRAWS):
+        powers = (pow(x, (p - 1) // n, p) for x in itertools.count(2))  # orders dividing N
+        h = next(h for h in powers if all(pow(h, n // q, p) != 1 for q in divisors))
+        draws.append((p, n, h, random.Random(p).randrange(2, p - 1)))
+    return tuple(draws)
+
+
+def _orbit_representative(family: str, a: int, b: int, index) -> Tuple[int, ...]:
+    """The least index of the orbit of ``index`` under omega -> omega^k, k a unit mod N, which keeps
+    relator identities: fixed by each gcd(2k+1, den), for NN if its dens are coprime, else ``index``."""
+    fractions = _root_fractions(family, a, b, index)
+    if len(fractions) > 1 and math.gcd(*(den for _, den in fractions.values())) > 1:
+        return index
+    return tuple((math.gcd(2 * k + 1, den) - 1) // 2 for k, den in fractions.values())
+
+
+@lru_cache(maxsize=1024)
+def _certify_relations(family: str, a: int, b: int, orbit: Tuple[int, ...]) -> frozenset:
+    """The cable and pattern relators, shown to hold at every xi and every index of
+    ``orbit`` (its least index) by ``_relator_deviations`` on ``_family_entries`` over
+    F_P, with omega = exp(i pi (2k+1)/den) -> h^(N(2k+1)/(2 den)), at each draw."""
+    cable, _ = cable_exterior_presentation(a, b)
+    pattern, _ = pattern_piece_presentation(b)
+    for p, n, h, z in _certificate_draws(a, b):
+        roots = {name: _Residue(pow(h, n * (2 * k + 1) // (2 * den), p), p)
+                 for name, (k, den) in _root_fractions(family, a, b, orbit).items()}
+        devs = _relator_deviations(cable.factored + pattern.factored,
+                                   _family_entries(family, _Residue(z, p), a, b, **roots))
+        if any(devs):
+            raise RepresentationError(f"{family} relators fail verification: deviations {tuple(devs)} "
+                                      f"mod P = {p} at (a, b) = ({a}, {b}), index {orbit}")
+    return frozenset(cable.relators + pattern.relators)
 
 
 # -- family constructors ---------------------------------------------------------
@@ -663,8 +689,8 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
     """Build a verified representation of the cable-exterior group.
 
     The returned assignment covers the generators x, y, p, t of the cable
-    presentation; the cable and pattern relators are checked to the identity
-    within 1e-10 once, by ``_certify_relations``, before it is handed back.
+    presentation; the cable and pattern relators are ``certified`` by the cached
+    ``_certify_relations`` of the index's orbit, so a repeated build checks nothing.
     """
     xi = check_parameters(family, xi, a, b)
     index = _normalize_index(family, index)
@@ -675,7 +701,7 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
     z, roots = _scalars(family, xi, a, b, index, exact=False)
     assignment = _to_numpy_assignment(_family_entries(family, z, a, b, **roots))
     rep = Representation(family, assignment, xi, a, b, index)
-    _certify_relations(rep)
+    rep.certified = _certify_relations(family, a, b, _orbit_representative(family, a, b, index))
     return rep
 
 

@@ -418,9 +418,9 @@ PRECISION_GOLDENS = json.loads(
     ids=lambda c: f"{c['family']}{tuple(c['index'])}-({c['a']},{c['b']})-re{c['xi'][0]:+g}",
 )
 def test_precision_path_goldens(case):
-    """tor_E at the edge of the xi band, where the fixed-point relation check
-    and loop walks decide the digits, against values recorded before they
-    moved to flat integer kernels: within 1e-12 relative (the closed-form match
+    """tor_E at the edge of the xi band, where the fixed-point loop walks
+    decide the digits, against values recorded before they moved to flat
+    integer kernels: within 1e-12 relative (the closed-form match
     is 1e-6), and each recorded error with its type and message.  A value
     re-recorded since keeps its predecessor as ``old_value``, and must be
     closer to the closed form than it."""

@@ -25,13 +25,10 @@ from cabletorsion.representations import (
     _Fixed,
     _adjoint_entries,
     _Flat,
-    _adj2,
     _certify_relations,
-    _fadj2,
     _fadjoint,
     _family_entries,
     _flat,
-    _fmul2,
     _mul2,
     _to_complex,
     _to_numpy_assignment,
@@ -45,6 +42,7 @@ from cabletorsion.representations import (
     rep_build,
     verify_relations,
 )
+from cabletorsion.torsion import TorsionError
 from cabletorsion.words import GroupRingElement, Word, fox_derivative
 from conftest import assert_close, fixed_to_mpc, flat_to_mpc, mp_family_scalars, random_word
 
@@ -416,19 +414,6 @@ class TestFlatKernels:
     def mp_entries(rows):
         return [fixed_to_mpc(v) if isinstance(v, _Fixed) else v for row in rows for v in row]
 
-    def test_product_and_adjugate(self, matrices):
-        ulp = mpmath.ldexp(1, -FIXED_BITS)
-        for x, y in zip(matrices, matrices[1:]):
-            fx, fy = _flat(x[0] + x[1]), _flat(y[0] + y[1])
-            got = _fmul2(fx, fy)
-            assert self.close(got, _flat(sum(_mul2(x, y), [])), self.KERNEL_TOL)
-            assert _fadj2(fx) == _flat(sum(_adj2(x), []))
-            with mpmath.mp.workdps(80):
-                mx, my = (mpmath.matrix([[fixed_to_mpc(v) for v in row] for row in m]) for m in (x, y))
-                ref = mx * my
-                want = [ref[i, j] for i in (0, 1) for j in (0, 1)]
-                assert self.close(flat_to_mpc(got), want, 2 * ulp)
-
     def test_adjoint(self, matrices):
         ulp = mpmath.ldexp(1, -FIXED_BITS)
         for m in matrices:
@@ -587,35 +572,118 @@ def test_closed_form_adjoint_matches_conjugation():
         assert_close(inverse @ ad, np.eye(3), 1e-10)
 
 
+@pytest.fixture
+def fresh_certificates():
+    """An empty certificate cache before and after: a test that patches the
+    family formulas must not read, or leave, certificates of the real ones."""
+    representations._certify_relations.cache_clear()
+    yield representations._certify_relations
+    representations._certify_relations.cache_clear()
+
+
+def _wrong_formula(kind):
+    """A ``_family_entries`` with one defect, over any scalar type: ``root``
+    doubles each root of unity (AA has none: its t takes the eigenvalue of x),
+    ``sign`` flips the sign of the (0, 0) entry of x."""
+    original = representations._family_entries
+
+    def wrong(family, z, a, b, **roots):
+        if kind == "root":
+            roots = {name: 2 * w for name, w in roots.items()}
+        ents = original(family, z, a, b, **roots)
+        if kind == "root" and family == "AA":
+            ents["t"] = ents["x"]
+        if kind == "sign":
+            ents["x"][0][0] = -ents["x"][0][0]
+        return ents
+
+    return wrong
+
+
 class TestRelationCheck:
-    """rep_build's one relation check: factored relators, fixed point off AA."""
+    """rep_build's one relation check: the certificate of the family formulas,
+    once per (family, a, b, Galois orbit of the index), in modular arithmetic."""
 
     @pytest.mark.parametrize(
         "family, index", [("AA", None), ("AN", 0), ("NA", 0), ("NN", (0, 0))]
     )
-    def test_perturbed_family_entries_fail(self, family, index, monkeypatch):
+    def test_perturbed_family_entries_fail(self, family, index, monkeypatch, fresh_certificates):
         rep_build(family, XI, 1, 7, index)  # holds unperturbed
         original = representations._family_entries
 
         def perturbed(fam, z, *args, **kwargs):
             ents = original(fam, z, *args, **kwargs)
-            eps = 1e-6 if isinstance(z, complex) else _Fixed(round(1e-6 * 2 ** FIXED_BITS))
+            eps = 1e-6 if isinstance(z, complex) else 1
             ents["p"] = _mul2(ents["p"], [[1, eps], [0, 1]])  # stays in SL(2)
             return ents
 
         monkeypatch.setattr(representations, "_family_entries", perturbed)
+        fresh_certificates.cache_clear()
         with pytest.raises(RepresentationError, match=f"{family} relators fail verification"):
             rep_build(family, XI, 1, 7, index)
 
-    def test_deviation_past_float64_range_names_the_bit_count(self):
-        # NA (6,200): the fixed-point relator deviation does not fit a float64;
-        # the library error names the bit count, no OverflowError leaks out
-        with pytest.raises(
-            RepresentationError,
-            match=r"NA fixed-point relator deviation is past the float64 range: "
-                  r"FIXED_BITS = 200 are too few at \(a, b\) = \(6, 200\)",
-        ):
-            tor_E("NA", 6, 200, (1,), -0.848 + 0.828j)
+    @pytest.mark.parametrize("kind", ["root", "sign"])
+    @pytest.mark.parametrize("family, index", [("AA", ()), ("AN", (5,)), ("NA", (1,)), ("NN", (5, 1))])
+    def test_wrong_formula_fails_the_certificate(self, family, index, kind, monkeypatch, fresh_certificates):
+        assert len(fresh_certificates(family, 3, 40, index)) == 4  # the real formulas hold
+        fresh_certificates.cache_clear()
+        monkeypatch.setattr(representations, "_family_entries", _wrong_formula(kind))
+        with pytest.raises(RepresentationError, match=rf"{family} relators fail verification: .* mod P = "):
+            fresh_certificates(family, 3, 40, index)
+
+    def test_draws_are_primes_with_primitive_roots(self):
+        n = 2 * 7 * 81 * 53  # lcm(2*7, 2*81, 2*53) at (3, 40)
+        draws = representations._certificate_draws(3, 40)
+        assert len(draws) == representations.CERT_DRAWS == 2
+        assert len({p for p, _, _, _ in draws}) == 2
+        for p, order, h, z in draws:
+            assert order == n and p % n == 1 and p >= representations.CERT_PRIME_FLOOR
+            assert representations._is_prime(p) and all(pow(q, p - 1, p) == 1 for q in range(2, 60))
+            assert pow(h, n, p) == 1 and all(pow(h, n // q, p) != 1 for q in (2, 3, 7, 53))
+            assert 1 < z < p - 1
+        assert representations._certificate_draws(3, 40) is draws  # kept per (a, b)
+        odd = range(39, 3000, 2)  # _is_prime takes odd n > 37
+        assert [n for n in odd if representations._is_prime(n)] == [n for n in odd if all(n % q for q in range(3, n))]
+        assert not representations._is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
+
+    def test_orbits_at_3_40(self):
+        def orbits(family):
+            return {representations._orbit_representative(family, 3, 40, index)
+                    for index in index_range(family, 3, 40)}
+        # gcd(2j+1, 81) is 1, 3, 9 or 27; 7 is prime; 53 and 7 are coprime and prime
+        assert orbits("AN") == {(0,), (1,), (4,), (13,)}
+        assert orbits("NA") == {(0,)}
+        assert orbits("NN") == {(0, 0)}
+        # (2, 17): the NN denominators 5 and 15 are not coprime, so it is keyed by index
+        assert representations._orbit_representative("NN", 2, 17, (3, 1)) == (3, 1)
+
+    def test_cold_sweep_makes_one_certificate_per_orbit(self, monkeypatch, fresh_certificates):
+        calls = _count_calls(monkeypatch, "_relator_deviations")
+        for family in ("AN", "NA", "NN"):
+            for index in index_range(family, 3, 40):
+                rep = rep_build(family, XI, 3, 40, index)
+                assert len(rep.certified) == 4
+        assert fresh_certificates.cache_info().misses == 6  # AN 4, NA 1, NN 1
+        assert calls == [6 * representations.CERT_DRAWS]
+
+    @pytest.mark.parametrize("family, index", [("AA", None), ("AN", (5,)), ("NA", (1,)), ("NN", (5, 1))])
+    def test_warm_rep_build_makes_no_relator_products(self, family, index, monkeypatch):
+        rep_build(family, XI, 3, 40, index)  # warms the certificate
+        z, roots = representations._scalars(family, XI, 3, 40, index, exact=False)
+        calls = _count_calls(monkeypatch, "_mul2")
+        representations._family_entries(family, z, 3, 40, **roots)
+        formulas = calls[0]  # the products of the family formulas themselves
+        rep_build(family, XI, 3, 40, index)
+        assert calls == [2 * formulas]
+
+    def test_na_6_200_reaches_the_pieces(self):
+        # NA (6,200) at this xi raised "fixed-point relator deviation is past the
+        # float64 range" in rep_build; certified exactly, it fails later, in a
+        # piece torsion, with the named rank error
+        xi = -0.848 + 0.828j
+        assert len(rep_build("NA", xi, 6, 200, (1,)).certified) == 4
+        with pytest.raises(TorsionError, match="boundary d_1 cannot supply 2 numerically independent columns"):
+            tor_E("NA", 6, 200, (1,), xi)
 
     def test_foreign_presentation_is_still_checked(self, rep_na, monkeypatch):
         evaluated = []
@@ -641,14 +709,19 @@ class TestRelationCheck:
             presentation_complex(torus_piece_presentation(A)[0], rep_bad)
 
     @pytest.mark.parametrize("family, index", [("AN", (5,)), ("NA", (1,)), ("NN", (5, 1))])
-    def test_one_power_table_per_build(self, family, index, monkeypatch):
-        # each base word multiplied out once, (xy)^(2a) as ((xy)^a)^2: 31 products at (3, 40)
-        calls = _count_calls(monkeypatch, "_fmul2")
+    def test_one_power_table_per_build(self, family, index, monkeypatch, fresh_certificates):
+        # per draw, each base word multiplied out once, (xy)^(2a) as ((xy)^a)^2:
+        # 31 products at (3, 40), next to the products of the family formulas
+        calls = _count_calls(monkeypatch, "_mul2")
+        z, roots = representations._scalars(family, XI, 3, 40, index, exact=False)
+        representations._family_entries(family, z, 3, 40, **roots)
+        formulas = calls[0]
+        calls[0] = 0
         rep_build(family, XI, 3, 40, index)
-        assert calls == [31]
+        assert calls == [formulas + representations.CERT_DRAWS * (formulas + 31)]
 
-    def test_one_check_per_tor_e(self, monkeypatch):
-        counts = {"check": 0, "evaluator": 0, "hp_assignment": 0}
+    def test_one_check_per_tor_e(self, monkeypatch, fresh_certificates):
+        counts = {"evaluator": 0, "hp_assignment": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -656,20 +729,22 @@ class TestRelationCheck:
                 return fn(*args, **kwargs)
             return wrapped
 
-        for name, attr in (
-            ("check", "_certify_relations"),
-            ("evaluator", "_relator_deviations"),
-            ("hp_assignment", "hp_assignment"),
-        ):
+        for name, attr in (("evaluator", "_relator_deviations"), ("hp_assignment", "hp_assignment")):
             monkeypatch.setattr(representations, attr, counting(name, getattr(representations, attr)))
         for family, index in (("AN", (0,)), ("NA", (0,)), ("NN", (0, 0))):
             tor_E(family, 1, 7, index, XI)
         tor_E_abelian(1, 7, XI)
-        # one check each, and no float64 re-check of the certified relators;
-        # the fixed-point matrices are built once per non-abelian
-        # representation and reused by the loop walks; the abelian route
-        # builds no representation, so it checks no relators
-        assert counts == {"check": 3, "evaluator": 3, "hp_assignment": 3}
+        # one certificate each (a power table per draw), and no float64
+        # re-check of the certified relators; the fixed-point matrices are
+        # built once per non-abelian representation, for the loop walks; the
+        # abelian route builds no representation, so it checks no relators
+        assert fresh_certificates.cache_info().misses == 3
+        assert counts == {"evaluator": 3 * representations.CERT_DRAWS, "hp_assignment": 3}
+        for family, index in (("AN", (0,)), ("NA", (0,)), ("NN", (0, 0))):
+            tor_E(family, 1, 7, index, XI)
+        # warm: no certificate, no relator products
+        assert fresh_certificates.cache_info().misses == 3
+        assert counts == {"evaluator": 3 * representations.CERT_DRAWS, "hp_assignment": 6}
 
 
 class TestNAEdgeRelations:
@@ -680,9 +755,8 @@ class TestNAEdgeRelations:
         pres, _ = cable_exterior_presentation(3, 40)
         pattern, _ = pattern_piece_presentation(40)
         assert not verify_relations(pres, rep).ok  # the factored float64 check falls short
-        report = _certify_relations(rep)  # the factored fixed-point check
-        assert len(report.deviations) == 4
-        assert max(report.deviations) <= 1e-20  # r1, r2, r3 and the pattern relator
+        # the certificate holds identically in z, so at Re xi = 1 too
+        assert _certify_relations("NA", 3, 40, (0,)) == frozenset(pres.relators + pattern.relators)
         assert rep.certified == frozenset(pres.relators + pattern.relators)
         with mpmath.mp.workdps(80):
             z, roots = mp_family_scalars(rep)
@@ -696,7 +770,7 @@ class TestNAEdgeRelations:
 
 
 def test_abelian_route_does_not_import_mpmath():
-    """AA checks its relators in float64, so the direct route never needs the
+    """The direct route builds no representation, so it never needs the
     fixed-point scalars and their mpmath exp / expjpi."""
     code = (
         "import sys\n"
