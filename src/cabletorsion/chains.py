@@ -154,7 +154,9 @@ def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainC
         for j, rel in enumerate(pres.relators):
             blocks, _ = _fox_walk(rel, pres.generators, eye, rep.adjoints, rep.adjoint_invs)
             d2[:, 3 * j:3 * j + 3] = np.vstack(blocks)
-    d1 = np.hstack([rep.adjoint(gen) - np.eye(3) for gen in pres.generators])
+    d1 = np.zeros((3, 3 * n), dtype=complex)
+    for i, gen in enumerate(pres.generators):
+        d1[:, 3 * i:3 * i + 3] = rep.adjoint(gen) - np.eye(3)
     return BasedChainComplex((3, 3 * n, 3 * m), (d1, d2), _presentation_labels(pres))
 
 

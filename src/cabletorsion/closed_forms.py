@@ -54,6 +54,12 @@ def alexander_torus(a: int, t: complex) -> complex:
     return sum((-1) ** k * t ** (k - a) for k in range(2 * a + 1))
 
 
+def _torus_sum(a: int, x: complex) -> complex:
+    """``alexander_torus(a, e^x)`` with each term e^(x (k - a)) taken from x, as ``tau0`` holds xi;
+    ``alexander_torus`` keeps t, as x = log t would carry t's rounding k-fold, as t^(k - a) does."""
+    return sum((-1) ** k * cmath.exp(x * (k - a)) for k in range(2 * a + 1))
+
+
 # -- tau amplitudes -------------------------------------------------------------
 
 
@@ -65,13 +71,9 @@ def _guard_denominator(value: complex, description: str) -> complex:
 
 def tau0(xi: complex, a: int, b: int) -> complex:
     """2 sinh(xi/2) / Delta(cable; e^xi), by Seifert's cable formula Delta(cable; t) =
-    Delta_T(2,2a+1)(t^2) Delta_T(2,2b+1)(t) ("On the homology invariants of knots", 1950).
-    Each term of ``alexander_torus`` is e^(xi (k - a)), from xi: a power of one rounded
-    e^xi would carry its rounding k-fold."""
+    Delta_T(2,2a+1)(t^2) Delta_T(2,2b+1)(t) ("On the homology invariants of knots", 1950)."""
     xi = complex(xi)
-    da, db = (sum((-1) ** k * cmath.exp(x * (k - n)) for k in range(2 * n + 1))
-              for n, x in ((a, 2 * xi), (b, xi)))
-    delta = _guard_denominator(da * db, "Delta(cable; e^xi)")
+    delta = _guard_denominator(_torus_sum(a, 2 * xi) * _torus_sum(b, xi), "Delta(cable; e^xi)")
     return 2 * cmath.sinh(xi / 2) / delta
 
 

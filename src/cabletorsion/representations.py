@@ -87,8 +87,7 @@ class _Fixed:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _lift(other)
-        return _Fixed(self.re - o.re, self.im - o.im)
+        return self + -_lift(other)
 
     def __rsub__(self, other):
         return _lift(other) - self
@@ -232,12 +231,12 @@ def _adj2(x):
     return [[x[1][1], -x[0][1]], [-x[1][0], x[0][0]]]
 
 
-def _pow2(x, n: int, mul=_mul2):
-    """x^n for n >= 1 by repeated squaring, with ``mul`` the 2x2 product."""
+def _pow2(x, n: int):
+    """x^n for n >= 1 by repeated squaring."""
     if n == 1:
         return x
-    half = _pow2(mul(x, x), n // 2, mul)
-    return mul(half, x) if n % 2 else half
+    half = _pow2(_mul2(x, x), n // 2)
+    return _mul2(half, x) if n % 2 else half
 
 
 def _family_entries(family, z, a, b, omega1=None, omega2=None, omega3=None):
@@ -245,13 +244,8 @@ def _family_entries(family, z, a, b, omega1=None, omega2=None, omega3=None):
     each power or reciprocal a formula repeats is computed once."""
     zi = 1 / z
     if family == "AA":
-        z2, zm2 = z ** 2, z ** -2
-        return {
-            "p": _m2(z, 0, 0, zi),
-            "x": _m2(z2, 0, 0, zm2),
-            "y": _m2(z2, 0, 0, zm2),
-            "t": _m2(z ** (2 * b), 0, 0, z ** (-2 * b)),
-        }
+        z2, zm2, t = z ** 2, z ** -2, _m2(z ** (2 * b), 0, 0, z ** (-2 * b))
+        return {"p": _m2(z, 0, 0, zi), "x": _m2(z2, 0, 0, zm2), "y": _m2(z2, 0, 0, zm2), "t": t}
     if family == "AN":
         w, wi = omega2, 1 / omega2
         wb, wmb = w ** b, w ** -b
@@ -528,7 +522,7 @@ def _relator_deviations(factored, mats) -> list:
                 letters = [mats[g.name] if s == 1 else _adj2(mats[g.name]) for g, s in word.letters]
                 powers[word, 1] = reduce(_mul2, letters) if letters else [[1, 0], [0, 1]]
             half = powers.get((word, n // 2)) if n % 2 == 0 else None
-            powers[word, n] = _pow2(powers[word, 1], n, _mul2) if half is None else _mul2(half, half)
+            powers[word, n] = _pow2(powers[word, 1], n) if half is None else _mul2(half, half)
         return powers[word, n] if e > 0 else _adj2(powers[word, n])
 
     values = [reduce(_mul2, (power(word, e) for word, e in factors)) for factors in factored]
@@ -574,7 +568,6 @@ class _Residue:
     __pow__ = lambda self, n: _Residue(pow(self.v, n, self.p), self.p)  # a negative n inverts
     __neg__ = lambda self: self * -1
     __sub__ = lambda self, other: self + -other
-    __rsub__ = lambda self, other: -self + other
     __truediv__ = lambda self, other: self * (other * _Residue(1, self.p)) ** -1
     __rtruediv__ = lambda self, other: self ** -1 * other
     __abs__ = lambda self: int(self.v != 0)
@@ -591,7 +584,7 @@ CERT_DRAWS = 2
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 37 at the primes to 37, exact below 3.3e24 (Sorenson and Webster 2015)."""
+    """Miller-Rabin for odd n > 37 at the primes to 37, exact for n < 2^64 (Sorenson and Webster 2015)."""
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
     return all(pow(q, (n - 1) >> s, n) == 1 or any(pow(q, (n - 1) >> r, n) == n - 1 for r in range(1, s + 1))
                for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
@@ -686,11 +679,11 @@ def check_parameters(family: str, xi: complex, a: int, b: int) -> complex:
 
 
 def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Representation:
-    """Build a verified representation of the cable-exterior group.
+    """Build a verified representation of the cable-exterior group on x, y, p, t.
 
-    The returned assignment covers the generators x, y, p, t of the cable
-    presentation; the cable and pattern relators are ``certified`` by the cached
-    ``_certify_relations`` of the index's orbit, so a repeated build checks nothing.
+    The cable and pattern relators are ``certified`` by the cached ``_certify_relations``
+    of the index's orbit, so a repeated build checks nothing.  That proves the formulas,
+    not FIXED_BITS: of what ``hp_entries`` feeds, only the loop walks' return is checked.
     """
     xi = check_parameters(family, xi, a, b)
     index = _normalize_index(family, index)
