@@ -30,20 +30,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
-from .presentations import Presentation, abelianization_exponents
-from .representations import Representation, _to_complex, ensure_relations, hp_invariant_vector
+from .presentations import Presentation, _ldet, abelianization_exponents
+from .representations import Representation, _invariant_root, _to_complex, ensure_relations
 from .words import Generator, Word
 
 SL2_BASIS_NAMES = ("E", "H", "F")
 
 BOUNDARY_SQUARE_TOL = 1e-9    # |d_i d_(i+1)| / (|d_i| |d_(i+1)|): the matrices form a complex
 COMMUTATOR_TOL = 1e-9         # |ML - LM| / (|M| |L|): the peripheral actions commute
-CYCLE_TOL = 1e-8              # class_coordinates: the vector is a cycle
+CYCLE_TOL = 1e-8              # |d_i v| / (|d_i| |v|): a class_coordinates vector or homology lift is a cycle
 SUBGROUP_TOL = 1e-20          # |Ad(word) v - v| / |v| after a fixed-point loop walk: it kept its digits
 
 
@@ -173,19 +173,6 @@ def _presentation_labels(pres: Presentation) -> Tuple[Tuple[str, ...], ...]:
 # -- abelianised Fox calculus: Laurent polynomials over Z as ((exponent, coefficient), ...)
 
 
-def _ldet(rows) -> Dict[int, int]:
-    """Determinant of a square matrix of Laurent polynomials, along the first row, as a dict."""
-    if len(rows) == 1:
-        return dict(rows[0][0])
-    out: Dict[int, int] = {}
-    for j, entry in enumerate(rows[0]):
-        minor = _ldet([row[:j] + row[j + 1:] for row in rows[1:]])
-        for e1, c1 in entry:
-            for e2, c2 in minor.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + (-1) ** j * c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
 @lru_cache(maxsize=64)
 def abelian_fox_rows(pres: Presentation) -> tuple:
     """Per generator g, the row of d r_j / d g pushed through g -> t^e(g) into Z[t^+-1]
@@ -308,8 +295,9 @@ def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: 
     Re xi = 1, ends 5e7 to 8e7 away); a deviation beyond SUBGROUP_TOL raises
     instead of returning such a chain.
     """
+    _invariant_root(case, rep.family)
     forward, backward = rep.hp_adjoints
-    vector = hp_invariant_vector(case, rep)
+    vector = rep.hp_vectors[case]
     blocks, end = _fox_walk(word, pres.generators, vector, forward, backward)
     deviation = max(map(abs, _to_complex(end - vector)))
     scale = max(map(abs, _to_complex(vector)))

@@ -154,7 +154,7 @@ def _suite_abelian(rng, checks):
             lift1 = np.eye(6, dtype=complex)[1]
             tor = reidemeister_torsion(cplx, {1: [lift1], 0: [h_vec]})
             z = cmath.exp(xi / 2)
-            ref = (closed_forms.alexander(("torus", a), z ** 2) / (z - 1 / z)) ** 2
+            ref = (closed_forms.alexander_torus(a, z ** 2) / (z - 1 / z)) ** 2
             checks.append(
                 (f"abelian T(2,{2 * a + 1}) trial {trial}", torsion_equal(tor, ref, 1e-8))
             )

@@ -24,23 +24,15 @@ class ClosedFormError(ValueError):
     pass
 
 
-def alexander(source, t: complex) -> complex:
-    """Normalized Alexander polynomial at a complex argument.
-
-    ``source`` is either a Presentation (Fox-matrix route) or the tag
-    ``("torus", a)`` for the closed form of T(2, 2a+1).  Normalization fixes
-    D(1) = 1 and D(t) = D(1/t); half-integer monomial shifts go through the
-    principal branch of the square root.
-    """
+def alexander(pres: Presentation, t: complex) -> complex:
+    """Normalized Alexander polynomial of ``pres`` at a complex argument: D(1) = 1 and
+    D(t) = D(1/t), half-integer monomial shifts through the principal branch of the square
+    root.  The closed form for T(2, 2a+1) is ``alexander_torus``."""
     t = complex(t)
     if t == 0:
         raise ClosedFormError("Alexander polynomial is not evaluated at t = 0")
-    if isinstance(source, Presentation):
-        coeffs, shift = alexander_minor(source)
-        return sum(c * t ** (e - shift) for e, c in coeffs)
-    if isinstance(source, tuple) and len(source) == 2 and source[0] == "torus":
-        return alexander_torus(source[1], t)
-    raise ClosedFormError(f"unsupported Alexander source {source!r}")
+    coeffs, shift = alexander_minor(pres)
+    return sum(c * t ** (e - shift) for e, c in coeffs)
 
 
 def alexander_torus(a: int, t: complex) -> complex:

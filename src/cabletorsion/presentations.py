@@ -24,9 +24,8 @@ All presentations here have deficiency one; each builder is cached per argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
@@ -160,48 +159,34 @@ def cable_exterior_presentation(a: int, b: int) -> tuple[Presentation, Periphera
     return pres, peri
 
 
-def abelianization_exponents(pres: Presentation) -> Dict[Generator, int]:
-    """Exponents e(g) with H_1 = Z<t>, generator g mapping to t^{e(g)}.
+def _ldet(rows) -> Dict[int, int]:
+    """Determinant of a square matrix of Laurent polynomials over Z, each entry its terms
+    ((exponent, coefficient), ...), along the first row, as a dict exponent -> coefficient."""
+    if not rows:
+        return {0: 1}
+    out: Dict[int, int] = {}
+    for j, entry in enumerate(rows[0]):
+        minor = _ldet([row[:j] + row[j + 1:] for row in rows[1:]])
+        for e1, c1 in entry:
+            for e2, c2 in minor.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + (-1) ** j * c1 * c2
+    return {e: c for e, c in out.items() if c}
 
-    Solves the relator exponent-sum system exactly over Q and returns the
-    primitive integer solution, signed so that the smallest |e| is positive.
-    Raises if the solution space is not one-dimensional (not a knot-like
-    presentation).
-    """
-    gens = pres.generators
-    n = len(gens)
-    # Gaussian elimination to reduced row echelon form.
-    mat = [[Fraction(rel.exponent_sum(g)) for g in gens] for rel in pres.relators]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        mat[r] = [v / mat[r][c] for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [vi - factor * vr for vi, vr in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError(f"abelianization rank is {len(free)}, expected 1")
-    sol = [Fraction(0)] * n
-    sol[free[0]] = Fraction(1)
-    for row, c in zip(mat, pivots):
-        sol[c] = -row[free[0]]
-    denom = lcm(*(v.denominator for v in sol))
-    ints = [int(v * denom) for v in sol]
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
-    if sum(ints) < 0:
-        ints = [-v for v in ints]
-    if any(v <= 0 for v in ints):
-        raise ValueError("abelianization exponents are not all positive")
-    return dict(zip(gens, ints))
+
+def abelianization_exponents(pres: Presentation) -> Dict[Generator, int]:
+    """Exponents e(g) with H_1 = Z<t>, generator g mapping to t^{e(g)}, by Cramer's rule:
+    e(g_i) is (-1)^i times the exponent-sum minor without column i, over the minors' gcd.
+    Raises unless there are n - 1 relators and the minors are nonzero with one sign."""
+    gens, n = pres.generators, len(pres.generators)
+    if len(pres.relators) != n - 1:
+        raise ValueError(f"{pres.label} has {n} generators and {len(pres.relators)} relators, "
+                         "not deficiency one")
+    sums = [[((0, s),) if s else () for s in map(rel.exponent_sum, gens)] for rel in pres.relators]
+    minors = [(-1) ** i * _ldet([row[:i] + row[i + 1:] for row in sums]).get(0, 0) for i in range(n)]
+    if not (all(m > 0 for m in minors) or all(m < 0 for m in minors)):
+        raise ValueError(f"exponent-sum minors {minors} of {pres.label} are not nonzero with one sign")
+    g = gcd(*minors)
+    return {gen: abs(m) // g for gen, m in zip(gens, minors)}
 
 
 # -- JSON for the CLI ------------------------------------------------------------

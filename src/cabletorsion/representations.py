@@ -350,12 +350,6 @@ def hp_assignment(rep: "Representation"):
     return _family_entries(rep.family, z, rep.a, rep.b, **roots)
 
 
-def hp_invariant_vector(case: str, rep: "Representation") -> _Flat:
-    """invariant_vector as a flat fixed-point ``_Flat``, kept on ``rep``."""
-    _invariant_root(case, rep.family)
-    return rep.hp_vectors[case]
-
-
 def adjoint_matrix(m) -> np.ndarray:
     """3x3 matrix of v -> m^-1 v m on sl(2,C) in the basis {E, H, F}, or a
     stack of them for a stack of 2x2s.
@@ -494,19 +488,6 @@ def evaluate_ring(rep: Representation, elem: GroupRingElement) -> np.ndarray:
 # -- relation verification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    deviations: Tuple[float, ...]
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations, default=0.0)
-
-    @property
-    def ok(self) -> bool:
-        return self.max_deviation <= RELATION_TOL
-
-
 def _relator_deviations(factored, mats) -> list:
     """Max-entry deviation from the identity of each relator prod w^e in ``factored``,
     on ``mats``, 2x2 nested lists of scalars by generator name.  One power table serves
@@ -529,7 +510,7 @@ def _relator_deviations(factored, mats) -> list:
     return [max(abs(v[i][j] - (i == j)) for i in (0, 1) for j in (0, 1)) for v in values]
 
 
-def verify_relations(pres: Presentation, rep: Representation, skip=frozenset()) -> RelationReport:
+def verify_relations(pres: Presentation, rep: Representation, skip=frozenset()) -> Tuple[float, ...]:
     """Max-entry deviation from the identity of each relator not in ``skip``, by
     ``_relator_deviations`` on the float64 matrices: from the factored forms
     when the presentation keeps them, else each relator as one factor."""
@@ -539,9 +520,9 @@ def verify_relations(pres: Presentation, rep: Representation, skip=frozenset()) 
     factored = pres.factored or [((rel, 1),) for rel in pres.relators]
     todo = [factors for rel, factors in zip(pres.relators, factored) if rel not in skip]
     if not todo:  # nothing left to check: build no float64 matrices
-        return RelationReport(())
+        return ()
     mats = {g.name: rep.assignment[g.name].tolist() for g in pres.generators}
-    return RelationReport(tuple(_relator_deviations(todo, mats)))
+    return tuple(_relator_deviations(todo, mats))
 
 
 def ensure_relations(pres: Presentation, rep: Representation) -> None:
@@ -550,9 +531,9 @@ def ensure_relations(pres: Presentation, rep: Representation) -> None:
     Relators ``rep_build`` certified are skipped; every other one, and all of a
     hand-built representation's, is checked by ``verify_relations``, with no retry.
     """
-    report = verify_relations(pres, rep, skip=rep.certified)
-    if not report.ok:
-        raise RepresentationError(f"{pres.label} relators fail verification: deviations {report.deviations}")
+    deviations = verify_relations(pres, rep, skip=rep.certified)
+    if not all(d <= RELATION_TOL for d in deviations):
+        raise RepresentationError(f"{pres.label} relators fail verification: deviations {deviations}")
 
 
 class _Residue:

@@ -27,9 +27,8 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .chains import BasedChainComplex
+from .chains import CYCLE_TOL, BasedChainComplex
 
-LIFT_CYCLE_TOL = 1e-8         # |d_i lift| / (|d_i| |lift|): each homology lift is a cycle
 BASIS_CONDITION_TOL = 1e-13   # sigma_min / sigma_max of an assembled basis: it is a basis
 
 class TorsionError(ValueError):
@@ -64,9 +63,6 @@ class TorsionValue:
 
     def __truediv__(self, other):
         return TorsionValue(self.value / _raw(other))
-
-    def __abs__(self):
-        return abs(self.value)
 
     def __repr__(self):
         return f"TorsionValue({self.value:+.12g} * (+-1))"
@@ -130,7 +126,7 @@ def reidemeister_torsion(
                 raise TorsionError(f"degree-{i} lift has shape {chain.shape}")
             resid = linalg.norm(d_i @ chain)  # 0 for d_0, which is empty
             scale = max(d_norm * linalg.norm(chain), 1.0)
-            if resid > LIFT_CYCLE_TOL * scale:
+            if resid > CYCLE_TOL * scale:
                 raise TorsionError(f"degree-{i} lift is not a cycle (residual {resid / scale:.3e})")
 
     result = 1.0 + 0.0j

@@ -167,20 +167,13 @@ class GroupRingElement:
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
 
-    def __mul__(self, other) -> "GroupRingElement":
-        if isinstance(other, int):
-            return GroupRingElement({w: c * other for w, c in self.terms.items()})
+    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         out: dict[Word, int] = {}
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
                 w = u * v
                 out[w] = out.get(w, 0) + cu * cv
         return GroupRingElement(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def __eq__(self, other):
         return isinstance(other, GroupRingElement) and self.terms == other.terms

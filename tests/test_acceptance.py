@@ -12,7 +12,7 @@ import cmath
 import numpy as np
 
 from cabletorsion.chains import presentation_complex, torus_complex
-from cabletorsion.closed_forms import alexander, theorem_rhs
+from cabletorsion.closed_forms import alexander, alexander_torus, theorem_rhs
 from cabletorsion.mayer_vietoris import (
     build_pattern_piece,
     build_torus_piece,
@@ -95,7 +95,7 @@ def test_criterion_3_an_end_to_end():
             assert torsion_equal(result.tor_d, 0.5, 1e-8)
             assert torsion_equal(result.tor_h, 1 / (2 * b + 1), 1e-8)
             w2 = cmath.exp(1j * cmath.pi * (2 * j + 1) / (2 * b + 1))
-            ref_c = (alexander(("torus", a), w2 ** 2) / (w2 - 1 / w2)) ** 2
+            ref_c = (alexander_torus(a, w2 ** 2) / (w2 - 1 / w2)) ** 2
             assert torsion_equal(result.tor_c, ref_c, 1e-8)
             runs += 1
     report(3, f"AN end-to-end + intermediates on {runs} indices across {GRID}")

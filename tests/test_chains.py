@@ -28,7 +28,6 @@ from cabletorsion.representations import (
     abelian_representation,
     evaluate_ring,
     evaluate_word,
-    hp_invariant_vector,
     invariant_vector,
     rep_build,
 )
@@ -403,7 +402,7 @@ class TestFoxWalkMatchesReference:
             for name in ("mu_C", "lambda_C"):
                 word = peri[name]
                 ref = _hp_reference(word, rep, pres, case, dps=80)
-                vector = hp_invariant_vector(case, rep)
+                vector = rep.hp_vectors[case]
                 walked, _ = _fox_walk(word, pres.generators, vector, *rep.hp_adjoints)
                 with mpmath.mp.workdps(80):
                     got = [v for block in walked for v in flat_to_mpc(block)]

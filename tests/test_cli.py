@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 from cabletorsion.cli import main
+from cabletorsion.closed_forms import tau0
 from cabletorsion.mayer_vietoris import build_gluing_torus, build_mv_sequence, tor_E
 from cabletorsion.representations import rep_build
+from cabletorsion.torsion import torsion_equal
 
 GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify_all_seed7.txt"
 
@@ -56,6 +58,12 @@ class TestCompute:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_malformed_xi_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--family", "AN", "--a", "1", "--b", "6", "--j", "0", "--xi", "0.3;0.1"])
+        assert exc.value.code == 2
+        assert "expected 're,im', got '0.3;0.1'" in capsys.readouterr().err
 
     def test_format_is_refused(self, capsys):
         # compute always prints its indented JSON record; --format belongs to sweep
@@ -113,6 +121,18 @@ class TestSweep:
         )
         record = json.loads(out)
         assert code == 0 and record["schema"] == "1" and len(record["rows"]) == 2
+
+    def test_aa_sweep_is_one_row_of_tau0(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "AA", "--a", "1", "--b", "6", "--xi", "0.3,0.1",
+            "--format", "json",
+        )
+        rows = json.loads(out)["rows"]
+        assert code == 0 and len(rows) == 1
+        family, a, b, idx1, idx2, xi_re, xi_im, tor_re, tor_im, ref_re, ref_im, match = rows[0]
+        assert [family, a, b, idx1, idx2, xi_re, xi_im, match] == ["AA", 1, 6, "", "", 0.3, 0.1, 1]
+        assert complex(ref_re, ref_im) == tau0(0.3 + 0.1j, 1, 6) ** -2
+        assert torsion_equal(complex(tor_re, tor_im), tau0(0.3 + 0.1j, 1, 6) ** -2, 1e-9)
 
     def test_empty_nn_sweep(self, capsys):
         code, out, _ = run_cli(

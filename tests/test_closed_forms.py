@@ -52,8 +52,8 @@ class TestAlexander:
                 closed = alexander_torus(a, t)
                 assert abs(fox - closed) <= 1e-9 * abs(closed)
 
-    def test_tag_route(self):
-        assert abs(alexander(("torus", 1), 2.0) - (2 - 1 + 0.5)) < 1e-12
+    def test_trefoil_closed_form_at_two(self):
+        assert abs(alexander_torus(1, 2.0) - (2 - 1 + 0.5)) < 1e-12
 
     def test_alternating_sum_equals_ratio_display(self, rng):
         # the w-power ratio telescopes to the alternating sum at generic t

@@ -8,7 +8,7 @@ from cabletorsion.presentations import (
     presentation_to_json,
     torus_piece_presentation,
 )
-from cabletorsion.words import Word, parse_word
+from cabletorsion.words import Generator, Word, parse_word
 
 
 class TestTorusPiece:
@@ -29,10 +29,11 @@ class TestTorusPiece:
         with pytest.raises(ValueError):
             torus_piece_presentation(0)
 
-    def test_abelianization_is_meridional(self):
-        pres, _ = torus_piece_presentation(1)
+    @pytest.mark.parametrize("a", range(1, 8))
+    def test_abelianization_is_meridional(self, a):
+        pres, _ = torus_piece_presentation(a)
         exps = abelianization_exponents(pres)
-        assert set(exps.values()) == {1}
+        assert {g.name: e for g, e in exps.items()} == {"x": 1, "y": 1}
         # every relator maps to t^0
         for rel in pres.relators:
             assert sum(exps[g] * s for g, s in rel.letters) == 0
@@ -128,11 +129,12 @@ class TestCableExterior:
             cable_exterior_presentation(1, 5)  # 2b+1 = 11 < 12
         cable_exterior_presentation(1, 6)  # 13 > 12 passes
 
-    def test_abelianization_exponents(self):
-        b = 6
-        pres, _ = cable_exterior_presentation(1, b)
-        exps = {g.name: e for g, e in abelianization_exponents(pres).items()}
-        assert exps == {"x": 2, "y": 2, "p": 1, "t": 2 * b}
+    @pytest.mark.parametrize("a, b", [(1, 6), (3, 40), (6, 200)])
+    def test_abelianization_exponents(self, a, b):
+        pres, _ = cable_exterior_presentation(a, b)
+        exps = abelianization_exponents(pres)
+        assert list(exps) == list(pres.generators)  # in generator order
+        assert {g.name: e for g, e in exps.items()} == {"x": 2, "y": 2, "p": 1, "t": 2 * b}
 
     def test_substituting_the_gluing_word_eliminates_x(self):
         # Substituting x -> p t p t^-1 into relators 1 and 2 must produce
@@ -155,6 +157,35 @@ class TestCableExterior:
             image = substitute(rel)
             assert x not in image.generators()
             assert sum(exps[g] * s for g, s in image.letters) == 0
+
+
+class TestAbelianizationExponents:
+    """Cramer's rule: e(g_i) = (-1)^i times the exponent-sum minor without column i; the
+    torus piece and the cable are in ``test_abelianization_is_meridional`` and
+    ``test_abelianization_exponents``."""
+
+    def test_one_generator_and_no_relator(self):
+        x = Generator(0, "x")
+        assert abelianization_exponents(Presentation("Z", (x,), ())) == {x: 1}
+
+    def test_pattern_piece_raises(self):
+        # its relator is a commutator: H_1 = Z^2, every minor is 0
+        pres, _ = pattern_piece_presentation(6)
+        with pytest.raises(ValueError, match=r"minors \[0, 0\] of pattern_piece\(b=6\) are not nonzero"):
+            abelianization_exponents(pres)
+
+    def test_minors_of_two_signs_raise(self):
+        x, y = Generator(0, "x"), Generator(1, "y")
+        pres = Presentation("xy", (x, y), (Word([(x, 1), (y, 1)]),))  # x -> t, y -> t^-1
+        with pytest.raises(ValueError, match=r"minors \[1, -1\] of xy are not nonzero with one sign"):
+            abelianization_exponents(pres)
+
+    @pytest.mark.parametrize("copies", [0, 2])
+    def test_not_deficiency_one_raises(self, copies):
+        torus, _ = torus_piece_presentation(1)
+        pres = Presentation("doubled", torus.generators, torus.relators * copies)
+        with pytest.raises(ValueError, match=f"has 2 generators and {copies} relators, not deficiency one"):
+            abelianization_exponents(pres)
 
 
 class TestValidationAndJson:

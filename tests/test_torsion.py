@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cabletorsion.chains import BasedChainComplex, presentation_complex, torus_complex
-from cabletorsion.closed_forms import alexander, tau0
+from cabletorsion.closed_forms import alexander_torus, tau0
 from cabletorsion.linalg import numerical_rank
 from cabletorsion.mayer_vietoris import tor_E_abelian
 from cabletorsion.presentations import (
@@ -89,7 +89,7 @@ class TestPaperValues:
         h = np.array([0, 1, 0], dtype=complex)
         tor = reidemeister_torsion(cplx, {1: [pad(h, 0)], 0: [h]})
         z = rep.z
-        ref = (alexander(("torus", 1), z ** 2) / (z - 1 / z)) ** 2
+        ref = (alexander_torus(1, z ** 2) / (z - 1 / z)) ** 2
         assert torsion_equal(tor, ref, 1e-10)
 
     def test_torus_piece_na_closed_form(self):
