@@ -13,8 +13,7 @@ d1 d2 = 0 is the fundamental identity of the free calculus pushed through the
 (anti-homomorphic) adjoint evaluation, and is asserted at construction.
 
 The d2 formula is the definition; a prefix walk (``_fox_walk``) over each
-relator's letters fills it bit for bit.  Loop chains walk the 3-vector the
-chain is applied to, not the 3x3 prefix.  ``rep_build`` certifies its families'
+relator's letters fills it bit for bit.  ``rep_build`` certifies its families'
 cable and pattern relators over F_P, once per Galois orbit; any other relator is
 checked in float64 before a complex is built.  Betti numbers are dim C_i - rank
 d_i - rank d_(i+1).  Under a diagonal representation the walk needs only the
@@ -274,27 +273,12 @@ def chain_of_loop(word: Word, vector, rep: Representation, pres: Presentation) -
 
 
 def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: str) -> np.ndarray:
-    """chain_of_loop with the family's invariant vector, in extended precision.
-
-    Peripheral words pile up adjoint products of size z^(+-4 len) that cancel
-    down to a small chain; in float64 that costs eight or more digits at the
-    edge of the xi range, which is too coarse for the induced-map entries.
-    So the invariant 3-vector is walked in FIXED_BITS-bit fixed point, as a
-    flat ``_Flat`` of six ints, through the flat 3x3 adjoints of
-    ``Representation.hp_adjoints``, each built on its first lookup (the walks
-    of one ``tor_E`` read five of the eight): one 3x3-times-vector kernel per
-    letter, each entry shifted once.  Only the finished chain is downcast,
-    correctly rounded.  Callers keep the words short: a longitude
-    is walked as its split h mu_C^k (``PeripheralSystem.splits``), never
-    letter by letter.
-
-    ``word`` must lie in the gluing-torus subgroup, which fixes the vector, so
-    the walk must end where it started.  The error of a fixed-point walk is
-    absolute, and a long word whose prefixes grow past 2^FIXED_BITS times the
-    chain loses every digit (the flat pattern longitude at NA (3,40),
-    Re xi = 1, ends 5e7 to 8e7 away); a deviation beyond SUBGROUP_TOL raises
-    instead of returning such a chain.
-    """
+    """chain_of_loop with the family's invariant vector, walked in FIXED_BITS-bit fixed point
+    (``Representation.hp_adjoints``) and rounded: the reference for ``mayer_vietoris._gluing_chains``.
+    ``word`` must lie in the gluing-torus subgroup, which fixes the vector, so the walk must end
+    where it started; a word whose prefixes outgrow 2^FIXED_BITS times the chain loses every digit
+    (the flat pattern longitude at NA (3,40), Re xi = 1, ends 5e7 to 8e7 away), and a deviation
+    beyond SUBGROUP_TOL raises."""
     _invariant_root(case, rep.family)
     forward, backward = rep.hp_adjoints
     vector = rep.hp_vectors[case]

@@ -15,8 +15,8 @@ the lifts below, and its float64 value only added rounding error (up to
 1.7e-10).  S's guard stays: M = Ad(mu_C) and L = Ad(la_C) must be finite and
 commute (``check_peripheral_actions``; [L, M] is d1 d2 on S), which rejects
 the AN (3,40) corners xi = -1 +- i, where the glued value would carry only 8
-to 9 digits.  S's lift-cycle check is implied by the SUBGROUP_TOL return of
-the fixed-point walks of mu_C and h in both pieces.
+to 9 digits.  S's lift-cycle check is implied by the gluing-torus identities
+``rep_build`` certifies: the whole gluing-torus subgroup fixes the vector.
 
 Each non-abelian family carries a catalog of homology lifts for the pieces,
 phrased through the family's invariant vectors (v on the gluing torus, v' on
@@ -30,14 +30,10 @@ the outer torus; v = v' in the NA family):
     D:  f~ x v and f~ x v' in degree 2, p~ x v' and t~ x v in degree 1,
         basepoint x v in degree 0 when the pattern side is abelian
 
-phi_1 is computed honestly: express mu_C and la_C in each piece's generators,
-take their loop chains on the gluing-torus vector, and solve for their lift
-coordinates in the degree-1 basis the piece's torsion was assembled in
-(``TorsionValue.bases``), so no rank is read twice.  The chains are walked
-in fixed point (``chain_of_loop_hp``), and the longitude through its split
-la_C = h mu_C^k (h = t, k = -b in D; h = y (xy)^{2a}, k = -(4a+1) in C): the
-vector is fixed by the whole gluing-torus subgroup, so chain(la_C) =
-chain(h) + k chain(mu_C), and a call walks 4a + 7 letters whatever b is.
+phi_1 is computed honestly: the loop chains of mu_C and la_C in each piece on
+the gluing-torus vector, closed forms of certified identities (``_gluing_chains``),
+are solved for their lift coordinates in the degree-1 basis the piece's torsion
+was assembled in (``TorsionValue.bases``), so no rank is read twice.
 phi_2 and phi_0 are read off the lift catalogue: the first lift of C and of D
 in degrees 2 and 0 is the image of the class of S there (the conjugate-relator
 decomposition above is baked into C's degree-2 lift), so both are unit
@@ -74,7 +70,6 @@ from . import linalg
 from .chains import (
     BasedChainComplex,
     alexander_minor,
-    chain_of_loop_hp,
     check_peripheral_actions,
     class_coordinates,
     homology,
@@ -88,7 +83,8 @@ from .presentations import (
     pattern_piece_presentation,
     torus_piece_presentation,
 )
-from .representations import Representation, check_parameters, evaluate_word, rep_build
+from .representations import (TORUS_CASES, Representation, _Fixed, _Flat, _flat, _mul2, _to_complex,
+                              check_parameters, evaluate_word, rep_build)
 from .torsion import TorsionError, TorsionValue, reidemeister_torsion
 
 EXACTNESS_TOL = 1e-8          # rank tolerance under which the nine-slot sequence must be exact
@@ -116,25 +112,28 @@ class PieceData:
     peripheral: PeripheralSystem | None = None
 
 
-# Per non-abelian family: the invariant-vector cases of the gluing torus and
-# the outer torus; which coordinate of H_k(C) + H_k(D) maps to each basis
-# vector of H_k(E); and the delta-image of any remaining H_1(E) basis vector
+# Per non-abelian family (vector cases in ``TORUS_CASES``): which coordinate of H_k(C) + H_k(D)
+# maps to each basis vector of H_k(E); and the delta-image of any remaining H_1(E) basis vector
 # (the gamma class, specified only through its connecting image in H_0(S)).
 _MV_TABLE = {
-    "AN": {"cases": ("U", "V"), "hE": (0, 1, 1), "designated2": (1,), "designated1": (1,),
-           "gamma_images": ()},
-    "NA": {"cases": ("W", "W"), "hE": (0, 1, 1), "designated2": (1,), "designated1": (1,),
-           "gamma_images": ()},
-    "NN": {"cases": ("Ut", "Vt"), "hE": (0, 2, 2), "designated2": (1, 2), "designated1": (1,),
-           "gamma_images": (0,)},
+    "AN": {"hE": (0, 1, 1), "designated2": (1,), "designated1": (1,), "gamma_images": ()},
+    "NA": {"hE": (0, 1, 1), "designated2": (1,), "designated1": (1,), "gamma_images": ()},
+    "NN": {"hE": (0, 2, 2), "designated2": (1, 2), "designated1": (1,), "gamma_images": (0,)},
 }
 
 
 def _family_vectors(rep: Representation):
     """(gluing-torus vector, outer-torus vector) of the representation's family."""
-    if rep.family not in _MV_TABLE:
+    if rep.family not in TORUS_CASES:
         raise MayerVietorisError(f"family {rep.family!r} has no Mayer-Vietoris route")
-    return tuple(rep.vectors[case] for case in _MV_TABLE[rep.family]["cases"])
+    return tuple(rep.vectors[case] for case in TORUS_CASES[rep.family])
+
+
+@lru_cache(maxsize=64)
+def _s_conjugator(a: int):
+    """y (xy)^a in the torus piece: the conjugator of C's 2-cell lift."""
+    pres, _ = torus_piece_presentation(a)
+    return pres.word("y") * (pres.word("x y") ** a)
 
 
 def build_torus_piece(rep: Representation) -> PieceData:
@@ -148,8 +147,7 @@ def build_torus_piece(rep: Representation) -> PieceData:
     else:
         # The S-commutator word equals the relator times a conjugate of its
         # inverse, so [S] includes as (I - Ad(y (xy)^a)) v on the 2-cell.
-        conj = pres.word("y") * (pres.word("x y") ** rep.a)
-        h2 = (np.eye(3) - evaluate_word(rep, conj)) @ v
+        h2 = (np.eye(3) - evaluate_word(rep, _s_conjugator(rep.a))) @ v
         lifts = {2: [h2], 1: [x_chain]}
     tor = reidemeister_torsion(cplx, lifts)
     return PieceData("C", cplx, lifts, tor, pres, peri)
@@ -178,20 +176,34 @@ def build_gluing_torus(rep: Representation) -> PieceData:
     return PieceData("S", cplx, lifts, tor)
 
 
-def _gluing_chains(
-    rep: Representation, pres: Presentation, peri: PeripheralSystem, case: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Chains of mu_C and la_C in one piece, on the gluing-torus vector ``case``.
-
-    The vector is fixed by the gluing-torus subgroup, where the crossed-
-    homomorphism rule makes u -> chain(u) additive; with la_C = h mu_C^k
-    (``PeripheralSystem.splits``) the longitude's chain is
-    chain(h) + k chain(mu_C), summed in float64 after the rounded downcast.
-    So only mu_C and h are walked in fixed point, however large b is.
-    """
-    mu = chain_of_loop_hp(peri["mu_C"], rep, pres, case)
+def _gluing_chains(rep: Representation, piece: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Chains of mu_C and la_C in ``piece`` ("C" or "D") on the gluing-torus vector v: the
+    subgroup fixing v makes chain(u) additive, so chain(la_C) = chain(h) + k chain(mu_C) for
+    la_C = h mu_C^k (``PeripheralSystem.splits``), summed in float64 after the rounded downcast
+    of fixed-point closed forms, blocks in generator order, of identities ``_certify_relations``
+    proves.  Abelian side: chain(w) = (e_g(w) v)_g.  Torus side: chain(x) = (v, 0) and, as
+    rho((xy)^n) = +-I (n = 2a+1) makes sum_(k<n) Ad(xy)^k n times the trace-form projection onto
+    the line of W_xy (W_g the traceless part of rho(g), Ad(x) W_xy = W_yx), chain(x^-1 (xy)^n) =
+    (n c W_xy - v, n c W_yx), c = B(v, W_xy) / B(W_xy, W_xy).  Pattern side: chain(t) = (0, v)
+    and chain(p t p t^-1) = (v + Ad(t) Ad(p) v, Ad(p) v - v)."""
+    pres, peri = torus_piece_presentation(rep.a) if piece == "C" else pattern_piece_presentation(rep.b)
+    v = rep.hp_vectors[TORUS_CASES[rep.family][0]]
     head, k = peri.splits["lambda_C"]
-    return mu, chain_of_loop_hp(head, rep, pres, case) + k * mu
+    if rep.family["CD".index(piece)] == "A":
+        chains = [[_Flat(e * part for part in v) for e in map(word.exponent_sum, pres.generators)]
+                  for word in (peri["mu_C"], head)]
+    elif piece == "C":
+        x, y = rep.hp_matrices["x"], rep.hp_matrices["y"]
+        w_xy, w_yx = ([m[0][1], (m[0][0] - m[1][1]) / 2, m[1][0]] for m in (_mul2(x, y), _mul2(y, x)))
+        form = lambda u, w: 2 * u[1] * w[1] + u[0] * w[2] + u[2] * w[0]  # the trace form B on (E, H, F)
+        nc = form([_Fixed(*v[i:i + 2]) for i in (0, 2, 4)], w_xy) * (2 * rep.a + 1) / form(w_xy, w_xy)
+        chains = [[v, v - v], [_Flat(_flat(nc * e for e in w_xy)) - v, _Flat(_flat(nc * e for e in w_yx))]]
+    else:
+        ad_p, ad_t = (rep.hp_adjoints[0][name] for name in "pt")
+        pv = ad_p @ v
+        chains = [[v + ad_t @ pv, pv - v], [v - v, v]]
+    mu, h = (np.array([value for block in blocks for value in _to_complex(block)]) for blocks in chains)
+    return mu, h + k * mu
 
 
 @dataclass
@@ -211,12 +223,8 @@ def induced_maps(rep: Representation, piece_c: PieceData, piece_d: PieceData) ->
     phi_2 and phi_0 send the one class of S to the first lift of each piece
     that has one in that degree, so they are unit columns.
     """
-    case = _MV_TABLE[rep.family]["cases"][0]
     phi1 = np.vstack([
-        class_coordinates(
-            np.column_stack(_gluing_chains(rep, p.presentation, p.peripheral, case)),
-            p.torsion.bases[1], p.complex, 1,
-        )
+        class_coordinates(np.column_stack(_gluing_chains(rep, p.name)), p.torsion.bases[1], p.complex, 1)
         for p in (piece_c, piece_d)
     ])
 
@@ -255,17 +263,12 @@ def build_mv_sequence(family: str, maps: InducedMaps, pieces: Dict[str, PieceDat
     in every slot) is verified before returning.
     """
     table = _MV_TABLE[family]
-    h_s = [len(pieces["S"].lifts.get(i, [])) for i in range(3)]
-    h_cd = [
-        len(pieces["C"].lifts.get(i, [])) + len(pieces["D"].lifts.get(i, []))
-        for i in range(3)
-    ]
-    h_e = list(table["hE"])
-    dims = (
-        h_e[0], h_cd[0], h_s[0],
-        h_e[1], h_cd[1], h_s[1],
-        h_e[2], h_cd[2], h_s[2],
-    )
+    h_e = table["hE"]
+
+    def lifts(i, *names):
+        return sum(len(pieces[name].lifts.get(i, [])) for name in names)
+
+    dims = tuple(d for i in range(3) for d in (h_e[i], lifts(i, "C", "D"), lifts(i, "S")))
 
     psi2 = _quotient_rows(maps.phi2, table["designated2"])
     psi1_rows = list(_quotient_rows(maps.phi1, table["designated1"]))
@@ -281,13 +284,8 @@ def build_mv_sequence(family: str, maps: InducedMaps, pieces: Dict[str, PieceDat
         delta1[image_coord, n_designated1 + offset] = 1.0
 
     boundaries = (psi0, maps.phi0, delta1, psi1, maps.phi1, delta2, psi2, maps.phi2)
-    labels = tuple(
-        tuple(f"{slot}[{i}]" for i in range(dim))
-        for slot, dim in zip(
-            ("H0E", "H0C+H0D", "H0S", "H1E", "H1C+H1D", "H1S", "H2E", "H2C+H2D", "H2S"),
-            dims,
-        )
-    )
+    slots = ("H0E", "H0C+H0D", "H0S", "H1E", "H1C+H1D", "H1S", "H2E", "H2C+H2D", "H2S")
+    labels = tuple(tuple(f"{slot}[{i}]" for i in range(dim)) for slot, dim in zip(slots, dims))
     seq = BasedChainComplex(dims, boundaries, labels)
     betti = homology(seq, tol=EXACTNESS_TOL).dims
     if any(betti):

@@ -16,8 +16,9 @@ conjugated forms, which avoids the half-integer powers z^(1/2) that the other
 conjugator would introduce.
 
 The matrices are rational in z over Q(omega), so a cable or pattern relator holds
-identically or fails for almost every xi: ``rep_build`` certifies them once per
-(family, a, b, Galois orbit of the index), over F_P (``_certify_relations``).
+identically or fails for almost every xi: ``rep_build`` certifies them, with the
+gluing-torus identities, once per (family, a, b, Galois orbit of the index), over
+F_P (``_certify_relations``).
 
 Conventions for the twisted chain complex: sl(2,C) carries the basis {E,H,F};
 the adjoint action is Ad(g)(v) = rho(g)^-1 v rho(g), written as a 3x3 matrix
@@ -61,14 +62,21 @@ class RepresentationError(ValueError):
     pass
 
 
+# 200 bits cover the closed-form gluing chains (mayer_vietoris._gluing_chains) for |Re xi| <= 1 up to
+# b = 200: |z|^(+-1) <= e^(1/2), |w| = 1 and |(w^e - w^-e) / (w - 1/w)| <= den / 2 <= 201, so the
+# entries of x, y, p and the AN / NN t are below 2^14, those of Ad(p), Ad(t) below 2^30 (2^10 and
+# 2^19 measured; NA's t is not read).  Rounding z, w to 2^-201 and one division by |w - 1/w| >= 4 / den
+# leave each generator entry within 2^-175.  A chain entry takes at most three products (Ad(t) Ad(p) v;
+# or rho(xy), B(v, W_xy), c W_xy with c's divisor B(W_xy, W_xy) >= 8 / (2a+1)^2), each multiplying the
+# error by at most 2^31, so it is within 2^(93 - 175) = 2^-82 (abelian side: e_g v, exact), 29 bits
+# under the float64 rounding of a chain, whose norm is at least |v_E| = 2.
 FIXED_BITS = 200              # fraction bits of _Fixed: about 60 digits, absolute
 _ONE = 1 << FIXED_BITS
 
 
 class _Fixed:
     """A complex number as two Python ints scaled by 2^FIXED_BITS: the scalar
-    of the family formulas, which run once per representation (the hot loops
-    use the flat kernels below).
+    of the family formulas and of the gluing chains' torus side.
 
     Sums are exact and a product is the exact integer product shifted back
     once, so the error is absolute: about 2^-FIXED_BITS per operation, whatever
@@ -156,7 +164,7 @@ def _fixed_root(k: int, den: int) -> Tuple[int, int]:
     return _fixed_mp(lambda mpmath: mpmath.expjpi(mpmath.mpf(2 * k + 1) / den))
 
 
-# Flat fixed-point kernels for the hot loops (the loop walks): a
+# Flat fixed-point kernels (the gluing chains and the reference loop walks): a
 # 2x2, 3x3 or 3-vector is one tuple of ints, (re, im) of each entry scaled by
 # 2^FIXED_BITS, row-major; each entry is its exact sum of products, shifted once.
 
@@ -173,8 +181,8 @@ def _to_complex(flat) -> list:
 
 
 class _Flat(tuple):
-    """A flat fixed-point 3-vector (6 ints) or 3x3 (18 ints) for the loop
-    walks: ``+`` and ``-`` act entrywise, and 3x3 ``@`` 3-vector is one step."""
+    """A flat fixed-point 3-vector (6 ints) or 3x3 (18 ints): ``+`` and ``-``
+    act entrywise, and 3x3 ``@`` 3-vector is one walk step."""
 
     __slots__ = ()
 
@@ -195,7 +203,8 @@ class _Flat(tuple):
 
 
 def _fadjoint(m) -> _Flat:
-    """``_adjoint_entries`` of a flat 2x2, written out as a flat 3x3."""
+    """Ad(g): v -> g^-1 v g of a flat 2x2 g in SL(2), written out with g^-1 = [[d, -b], [-c, a]]
+    as a flat 3x3: nine products per part and no division."""
     ar, ai, br, bi, cr, ci, dr, di = m
     return _Flat(part >> FIXED_BITS for part in (
         dr * dr - di * di, 2 * dr * di,
@@ -284,6 +293,7 @@ def _family_entries(family, z, a, b, omega1=None, omega2=None, omega3=None):
 # (family, root name read by the formula) of each invariant-vector case
 _INVARIANT_CASES = {"H": ("AA", None), "U": ("AN", "omega2"), "V": ("AN", None),
                     "W": ("NA", None), "Ut": ("NN", "omega3"), "Vt": ("NN", None)}
+TORUS_CASES = {"AN": ("U", "V"), "NA": ("W", "W"), "NN": ("Ut", "Vt")}  # (gluing, outer) torus by family
 
 
 def _invariant_root(case: str, family: str):
@@ -309,21 +319,6 @@ def _invariant_entries(case, z, omega=None):
     return [2, z ** 2 - z ** -2, 0]  # W
 
 
-def _adjoint_entries(m):
-    """adjoint_matrix of g = [[a, b], [c, d]] in SL(2), in closed form.
-
-    v -> g^-1 v g written out with g^-1 = [[d, -b], [-c, a]]: nine products
-    and no division, over any scalar type.
-    """
-    (a, b), (c, d) = m
-    bd, ac = b * d, a * c
-    return [
-        [d * d, bd + bd, -(b * b)],
-        [c * d, a * d + b * c, -(a * b)],
-        [-(c * c), -(ac + ac), a * a],
-    ]
-
-
 def _root_fractions(family: str, a: int, b: int, index) -> dict:
     """(k, den) of each root omega = exp(i pi (2k+1)/den) by name, in index order; a bad index raises."""
     dens = {"AN": {"omega2": 2 * b + 1}, "NA": {"omega1": 2 * a + 1},
@@ -342,10 +337,8 @@ def _scalars(family: str, xi: complex, a: int, b: int, index, exact: bool):
 
 
 def hp_assignment(rep: "Representation"):
-    """The generator matrices rebuilt from the defining data as ``_Fixed``
-    scalars, so extended-precision evaluation does not inherit the float64
-    rounding of ``assignment``.  ``Representation.hp_entries`` keeps a flat copy.
-    """
+    """The generator matrices rebuilt from the defining data as ``_Fixed`` scalars, free of the
+    float64 rounding of ``assignment``; ``Representation.hp_matrices`` keeps them."""
     z, roots = rep._exact_scalars
     return _family_entries(rep.family, z, rep.a, rep.b, **roots)
 
@@ -430,14 +423,19 @@ class Representation:
         return dict(zip(self.adjoints, np.linalg.inv(list(self.adjoints.values()))))
 
     @cached_property
+    def hp_matrices(self) -> dict:
+        """``hp_assignment``, kept: the ``_Fixed`` 2x2s of the gluing chains' torus side."""
+        return hp_assignment(self)
+
+    @cached_property
     def hp_entries(self) -> dict:
-        """``hp_assignment`` as flat fixed-point 2x2s (8 ints each)."""
-        return {name: _flat(m[0] + m[1]) for name, m in hp_assignment(self).items()}
+        """``hp_matrices`` as flat fixed-point 2x2s (8 ints each)."""
+        return {name: _flat(m[0] + m[1]) for name, m in self.hp_matrices.items()}
 
     @cached_property
     def hp_adjoints(self) -> tuple:
         """(Ad(g), Ad(g^-1)) by generator name as flat fixed-point ``_Flat``,
-        each built on first lookup: the walks of an AN or NN ``tor_E`` read five of the eight."""
+        each built on first lookup: the gluing chains of an AN or NN ``tor_E`` read Ad(p) and Ad(t)."""
         return _LazyAdjoints(self.hp_entries, False), _LazyAdjoints(self.hp_entries, True)
 
     @cached_property
@@ -508,6 +506,25 @@ def _relator_deviations(factored, mats) -> list:
 
     values = [reduce(_mul2, (power(word, e) for word, e in factors)) for factors in factored]
     return [max(abs(v[i][j] - (i == j)) for i in (0, 1) for j in (0, 1)) for v in values]
+
+
+def _gluing_deviations(family: str, a: int, mats, z, roots) -> list:
+    """Max-entry deviations, on ``mats``, of the identities behind ``mayer_vietoris._gluing_chains``:
+    V = [[v_H, v_E], [v_F, -v_H]] of the gluing-torus vector commutes with each generator of an
+    abelian side, with x on a non-abelian torus side, there rho((xy)^(2a+1)) = +-I, and with t and
+    p t p t^-1 on a non-abelian pattern side; 2x2 products: 2 per commutation, 3 for p t p t^-1,
+    and 1 + 4 + 1 for (xy)^7 and its square at a = 3."""
+    case = TORUS_CASES[family][0]
+    vec = _invariant_entries(case, z, roots.get(_INVARIANT_CASES[case][1]))
+    vmat = [[vec[1], vec[0]], [vec[2], -vec[1]]]
+    p, t, x, y = (mats[g] for g in "ptxy")
+    fixers = [x, y] if family[0] == "A" else [x]
+    fixers += [p, t] if family[1] == "A" else [t, reduce(_mul2, (p, t, p, _adj2(t)))]
+    pairs = [(_mul2(vmat, m), _mul2(m, vmat)) for m in fixers]
+    if family[0] == "N":
+        power = _pow2(_mul2(x, y), 2 * a + 1)  # scalar, as its adjugate, with square I: +-I
+        pairs += [(power, _adj2(power)), (_mul2(power, power), _m2(1, 0, 0, 1))]
+    return [max(abs(u[i][j] - w[i][j]) for i in (0, 1) for j in (0, 1)) for u, w in pairs]
 
 
 def verify_relations(pres: Presentation, rep: Representation, skip=frozenset()) -> Tuple[float, ...]:
@@ -599,38 +616,38 @@ def _orbit_representative(family: str, a: int, b: int, index) -> Tuple[int, ...]
 def _certify_relations(family: str, a: int, b: int, orbit: Tuple[int, ...]) -> frozenset:
     """The cable and pattern relators, shown to hold at every xi and every index of
     ``orbit`` (its least index) by ``_relator_deviations`` on ``_family_entries`` over
-    F_P, with omega = exp(i pi (2k+1)/den) -> h^(N(2k+1)/(2 den)), at each draw."""
+    F_P, with omega = exp(i pi (2k+1)/den) -> h^(N(2k+1)/(2 den)), at each draw, and past
+    AA the gluing-torus identities (``_gluing_deviations``; v is rational in z over Q(omega))."""
     cable, _ = cable_exterior_presentation(a, b)
     pattern, _ = pattern_piece_presentation(b)
     for p, n, h, z in _certificate_draws(a, b):
         roots = {name: _Residue(pow(h, n * (2 * k + 1) // (2 * den), p), p)
                  for name, (k, den) in _root_fractions(family, a, b, orbit).items()}
-        devs = _relator_deviations(cable.factored + pattern.factored,
-                                   _family_entries(family, _Residue(z, p), a, b, **roots))
-        if any(devs):
-            raise RepresentationError(f"{family} relators fail verification: deviations {tuple(devs)} "
-                                      f"mod P = {p} at (a, b) = ({a}, {b}), index {orbit}")
+        z = _Residue(z, p)
+        mats = _family_entries(family, z, a, b, **roots)
+        checks = [("relators", _relator_deviations(cable.factored + pattern.factored, mats))]
+        if family in TORUS_CASES:
+            checks.append(("gluing-torus identities", _gluing_deviations(family, a, mats, z, roots)))
+        for what, devs in checks:
+            if any(devs):
+                raise RepresentationError(f"{family} {what} fail verification: deviations {tuple(devs)} "
+                                          f"mod P = {p} at (a, b) = ({a}, {b}), index {orbit}")
     return frozenset(cable.relators + pattern.relators)
 
 
 # -- family constructors ---------------------------------------------------------
 
 
-def _to_numpy_assignment(entries) -> Dict[str, np.ndarray]:
-    return {name: np.array(m, dtype=complex) for name, m in entries.items()}
+def _index_bounds(family: str, a: int, b: int) -> Tuple[int, ...]:
+    """The count of admissible values of each index slot: AN j < b, NA k < a, NN l < b - 4a - 2, m < a."""
+    if family not in FAMILIES:
+        raise RepresentationError(f"unknown family {family!r}")
+    return {"AA": (), "AN": (b,), "NA": (a,), "NN": (b - 4 * a - 2, a)}[family]
 
 
 def index_range(family: str, a: int, b: int) -> list[tuple[int, ...]]:
     """Admissible representation indices: AN j, NA k, NN (l, m)."""
-    if family == "AA":
-        return [()]
-    if family == "AN":
-        return [(j,) for j in range(b)]
-    if family == "NA":
-        return [(k,) for k in range(a)]
-    if family == "NN":
-        return [(l, m) for l in range(b - 4 * a - 2) for m in range(a)]
-    raise RepresentationError(f"unknown family {family!r}")
+    return list(itertools.product(*map(range, _index_bounds(family, a, b))))
 
 
 def _normalize_index(family: str, index) -> Tuple[int, ...]:
@@ -662,18 +679,19 @@ def check_parameters(family: str, xi: complex, a: int, b: int) -> complex:
 def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Representation:
     """Build a verified representation of the cable-exterior group on x, y, p, t.
 
-    The cable and pattern relators are ``certified`` by the cached ``_certify_relations``
-    of the index's orbit, so a repeated build checks nothing.  That proves the formulas,
-    not FIXED_BITS: of what ``hp_entries`` feeds, only the loop walks' return is checked.
+    The cable and pattern relators, and the gluing-torus identities, are ``certified`` by the
+    cached ``_certify_relations`` of the index's orbit, so a repeated build checks nothing.
+    That proves the formulas; the comment at FIXED_BITS derives why their fixed point suffices.
     """
     xi = check_parameters(family, xi, a, b)
     index = _normalize_index(family, index)
-    if index not in index_range(family, a, b) and family != "AA":
+    if not all(i in range(n) for i, n in zip(index, _index_bounds(family, a, b))):
         raise RepresentationError(
             f"index {index} outside the admissible range for {family} at (a,b)=({a},{b})"
         )
     z, roots = _scalars(family, xi, a, b, index, exact=False)
-    assignment = _to_numpy_assignment(_family_entries(family, z, a, b, **roots))
+    entries = _family_entries(family, z, a, b, **roots)
+    assignment = {name: np.array(m, dtype=complex) for name, m in entries.items()}
     rep = Representation(family, assignment, xi, a, b, index)
     rep.certified = _certify_relations(family, a, b, _orbit_representative(family, a, b, index))
     return rep

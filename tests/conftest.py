@@ -60,3 +60,15 @@ def fixed_to_mpc(x):
     if isinstance(x, int):
         return mpmath.mpc(x)
     return mpmath.mpc(mpmath.ldexp(x.re, -FIXED_BITS), mpmath.ldexp(x.im, -FIXED_BITS))
+
+
+def adjoint_entries(m):
+    """Reference Ad(g) of g = [[a, b], [c, d]] in SL(2), v -> g^-1 v g written out
+    with g^-1 = [[d, -b], [-c, a]] as nested lists, over any scalar type."""
+    (a, b), (c, d) = m
+    bd, ac = b * d, a * c
+    return [
+        [d * d, bd + bd, -(b * b)],
+        [c * d, a * d + b * c, -(a * b)],
+        [-(c * c), -(ac + ac), a * a],
+    ]

@@ -23,11 +23,14 @@ from cabletorsion.presentations import (
     torus_piece_presentation,
 )
 from cabletorsion.representations import (
+    FIXED_BITS,
+    TORUS_CASES,
     _family_entries,
     _invariant_entries,
     abelian_representation,
     evaluate_ring,
     evaluate_word,
+    index_range,
     invariant_vector,
     rep_build,
 )
@@ -425,7 +428,7 @@ class TestGluingSubgroupWalk:
         pres, peri = pattern_piece_presentation(40)
         word = peri["lambda_C"]
         ref = np.array([complex(v) for v in _hp_reference(word, rep, pres, "W", dps=120)])
-        _, split = _gluing_chains(rep, pres, peri, "W")
+        _, split = _gluing_chains(rep, "D")
         assert np.linalg.norm(split - ref) <= 1e-14 * np.linalg.norm(ref)
         with pytest.raises(ChainComplexError, match="relative deviation"):
             chain_of_loop_hp(word, rep, pres, "W")
@@ -434,6 +437,52 @@ class TestGluingSubgroupWalk:
         pres, _ = pattern_piece_presentation(6)
         with pytest.raises(ChainComplexError, match="not in the gluing-torus subgroup"):
             chain_of_loop_hp(pres.word("p"), rep_an, pres, "U")
+
+
+def _rounded_multiple(e, flat):
+    """e times a flat fixed-point vector, exactly, then correctly rounded to complex."""
+    return [complex(e * re / 2 ** FIXED_BITS, e * im / 2 ** FIXED_BITS) for re, im in zip(flat[::2], flat[1::2])]
+
+
+class TestClosedFormGluingChains:
+    """The closed-form gluing chains against the fixed-point reference walk."""
+
+    @pytest.mark.parametrize(
+        "family, a, b",
+        [(f, a, b) for f in ("AN", "NA") for a, b in ((1, 6), (3, 40), (6, 200))]
+        + [("NN", 1, 7), ("NN", 3, 40), ("NN", 6, 200)],  # NN has no index at (1, 6)
+    )
+    @pytest.mark.parametrize("xi", [complex(re, im) for re in (-1.0, 1.0) for im in (-1.0, 1.0)])
+    def test_closed_forms_are_the_rounded_walks(self, family, a, b, xi):
+        """A non-abelian side gives the downcast walk bit for bit.  On an abelian
+        side the walk is inexact (Ad(g) v = v only up to the fixed-point rounding),
+        so each block is checked to be e_g(w) v exactly, rounded once, with
+        (e_x, e_y) = (1, 0), (2a, 2a+1) for mu_C, h in C and (e_p, e_t) = (2, 0),
+        (0, 1) in D, and the walk to agree to 1e-20, where it keeps its digits."""
+        rep = rep_build(family, xi, a, b, index_range(family, a, b)[0])
+        case = TORUS_CASES[family][0]
+        exponents = {"C": ((1, 0), (2 * a, 2 * a + 1)), "D": ((2, 0), (0, 1))}
+        for side, (piece, (pres, peri)) in enumerate(
+            (("C", torus_piece_presentation(a)), ("D", pattern_piece_presentation(b)))
+        ):
+            mu, la = _gluing_chains(rep, piece)
+            head, k = peri.splits["lambda_C"]
+            try:
+                walked_mu = chain_of_loop_hp(peri["mu_C"], rep, pres, case)
+                walked_la = chain_of_loop_hp(head, rep, pres, case) + k * walked_mu
+            except ChainComplexError:
+                # the pattern walk of NA (6, 200) outgrows the fixed point (t = -p^348)
+                assert (family, piece, b) == ("NA", "D", 200)
+                walked_mu = walked_la = None
+            if family[side] == "N":
+                assert np.array_equal(mu, walked_mu) and np.array_equal(la, walked_la), piece
+                continue
+            v = rep.hp_vectors[case]
+            want_mu, want_h = (np.array([x for e in es for x in _rounded_multiple(e, v)]) for es in exponents[piece])
+            assert np.array_equal(mu, want_mu) and np.array_equal(la, want_h + k * want_mu), piece
+            if walked_mu is not None:
+                for got, walked in ((mu, walked_mu), (la, walked_la)):
+                    assert np.linalg.norm(got - walked) <= 1e-20 * np.linalg.norm(got), piece
 
 
 class TestAbelianFoxRows:

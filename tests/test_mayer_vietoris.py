@@ -5,12 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cabletorsion import mayer_vietoris
+from cabletorsion import chains, mayer_vietoris, representations
 from cabletorsion.chains import ChainComplexError, class_coordinates, homology, presentation_complex
 from cabletorsion.closed_forms import tau0, theorem_rhs
 from cabletorsion.linalg import numerical_rank
 from cabletorsion.mayer_vietoris import (
-    _MV_TABLE,
     EXACTNESS_TOL,
     InducedMaps,
     MayerVietorisError,
@@ -113,11 +112,7 @@ class TestAssembledBasisCoordinates:
     ])
     def test_every_piece_and_degree_matches_least_squares(self, rng, family, a, b, index):
         rep, pieces, maps = assemble(family, a, b, index)
-        case = _MV_TABLE[family]["cases"][0]
-        gluing = {
-            name: _gluing_chains(rep, pieces[name].presentation, pieces[name].peripheral, case)
-            for name in ("C", "D")
-        }
+        gluing = {name: _gluing_chains(rep, name) for name in ("C", "D")}
         for piece in pieces.values():
             for k, lifts in piece.lifts.items():
                 if not lifts:
@@ -239,22 +234,33 @@ class TestTorE:
         for c in constants[1:]:
             assert min(abs(c - constants[0]), abs(c + constants[0])) <= 1e-7 * abs(constants[0])
 
-    def test_loop_walks_are_flat_in_b(self, monkeypatch):
-        # Only mu_C and the head h of la_C = h mu_C^k are walked in each piece.
+    def test_gluing_chains_walk_no_loop_and_their_fixed_point_work_is_flat_in_b(self, monkeypatch):
+        # The chains of mu_C and la_C are closed forms: tor_E walks no loop, and
+        # its one hp_assignment makes the same 2x2 products at b = 40 and 80.
         walked = []
-        walk = mayer_vietoris.chain_of_loop_hp
+        for module in (chains, mayer_vietoris):
+            monkeypatch.setattr(module, "chain_of_loop_hp", lambda *args: walked.append(args), raising=False)
+        products = [0]
+        mul2, hp_assignment = representations._mul2, representations.hp_assignment
 
-        def counting(word, *args):
-            walked.append(len(word))
-            return walk(word, *args)
+        def counting_mul2(*args):
+            products[0] += 1
+            return mul2(*args)
 
-        monkeypatch.setattr(mayer_vietoris, "chain_of_loop_hp", counting)
-        letters = []
+        work = []
+
+        def counting_hp_assignment(rep):
+            before = products[0]
+            out = hp_assignment(rep)
+            work.append((rep.b, products[0] - before))
+            return out
+
+        monkeypatch.setattr(representations, "_mul2", counting_mul2)
+        monkeypatch.setattr(representations, "hp_assignment", counting_hp_assignment)
         for b in (40, 80):
-            walked.clear()
             tor_E("AN", 3, b, 0, XI)
-            letters.append(sum(walked))
-        assert letters == [4 * 3 + 7] * 2
+        assert walked == []
+        assert work == [(40, 3), (80, 3)]  # x = p q and t's two conjugation products, once per call
 
     def test_na_edge_fails_in_the_torsion_not_the_relations(self):
         # NA (3,40) at Re xi = 1: the relators hold (the representation builds),

@@ -23,7 +23,6 @@ from cabletorsion.representations import (
     Representation,
     RepresentationError,
     _Fixed,
-    _adjoint_entries,
     _Flat,
     _certify_relations,
     _fadjoint,
@@ -31,7 +30,6 @@ from cabletorsion.representations import (
     _flat,
     _mul2,
     _to_complex,
-    _to_numpy_assignment,
     abelian_representation,
     adjoint_matrix,
     evaluate_ring,
@@ -43,7 +41,7 @@ from cabletorsion.representations import (
 )
 from cabletorsion.torsion import TorsionError
 from cabletorsion.words import GroupRingElement, Word, fox_derivative
-from conftest import assert_close, fixed_to_mpc, flat_to_mpc, mp_family_scalars, random_word
+from conftest import adjoint_entries, assert_close, fixed_to_mpc, flat_to_mpc, mp_family_scalars, random_word
 
 XI = 0.3 + 0.1j
 A, B = 1, 6
@@ -149,7 +147,8 @@ class TestVerifyRelations:
     def test_perturbed_root_fails(self, rep_na):
         pres, _ = torus_piece_presentation(A)
         bad_root = rep_na.omega1 * cmath.exp(1e-3j)
-        bad = _to_numpy_assignment(_family_entries("NA", rep_na.z, A, B, omega1=bad_root))
+        bad = {name: np.array(m, dtype=complex)
+               for name, m in _family_entries("NA", rep_na.z, A, B, omega1=bad_root).items()}
         rep_bad = Representation("NA", bad, xi=XI, a=A, b=B, index=(0,))
         assert max(verify_relations(pres, rep_bad)) > RELATION_TOL
 
@@ -415,9 +414,9 @@ class TestFlatKernels:
         for m in matrices:
             got = _fadjoint(_flat(m[0] + m[1]))
             assert isinstance(got, _Flat)
-            assert self.close(got, _flat(sum(_adjoint_entries(m), [])), self.KERNEL_TOL)
+            assert self.close(got, _flat(sum(adjoint_entries(m), [])), self.KERNEL_TOL)
             with mpmath.mp.workdps(80):
-                exact = _adjoint_entries([[fixed_to_mpc(v) for v in row] for row in m])
+                exact = adjoint_entries([[fixed_to_mpc(v) for v in row] for row in m])
                 assert self.close(flat_to_mpc(got), self.mp_entries(exact), 2 * ulp)
 
     def test_walk_step(self):
@@ -477,7 +476,7 @@ def test_hp_adjoints_are_built_from_hp_entries():
     for name, m in ents.items():
         (a, b), (c, d) = m
         for table, g in ((forward, m), (backward, [[d, -b], [-c, a]])):
-            want = [complex(v) for row in _adjoint_entries(g) for v in row]
+            want = [complex(v) for row in adjoint_entries(g) for v in row]
             assert _to_complex(table[name]) == want, name
             assert table[name] is table[name]  # built once, then kept
     assert set(forward) == set(backward) == set(ents)
@@ -485,12 +484,16 @@ def test_hp_adjoints_are_built_from_hp_entries():
     assert rep.hp_vectors["Ut"] is rep.hp_vectors["Ut"]
 
 
-@pytest.mark.parametrize("family, index", [("AN", (5,)), ("NN", (5, 1))])
-def test_tor_e_builds_the_five_adjoints_its_walks_read(family, index, monkeypatch):
-    # the walks of mu_C and h read Ad(x), Ad(y), Ad(p), Ad(t) and Ad(t^-1) of the eight
+@pytest.mark.parametrize("family, a, b, index, built", [("AN", 3, 40, (5,), {"p", "t"}), ("NA", 2, 12, (1,), set()),
+                                                         ("NN", 3, 40, (5, 1), {"p", "t"})])
+def test_tor_e_builds_the_adjoints_its_closed_forms_read(family, a, b, index, built, monkeypatch):
+    # the gluing chains read Ad(p) and Ad(t) on a non-abelian pattern side, and no
+    # other fixed-point adjoint: the torus side projects, an abelian side scales v
     calls = _count_calls(monkeypatch, "_fadjoint")
-    tor_E(family, 3, 40, index, XI)
-    assert calls == [5]
+    rep = tor_E(family, a, b, index, XI).rep
+    assert calls == [len(built)]
+    forward, backward = rep.hp_adjoints
+    assert set(forward) == built and not backward
 
 
 def _count_calls(monkeypatch, attr):
@@ -506,7 +509,7 @@ def _count_calls(monkeypatch, attr):
     return calls
 
 
-@pytest.mark.parametrize("cache", ["adjoints", "adjoint_invs", "hp_entries",
+@pytest.mark.parametrize("cache", ["adjoints", "adjoint_invs", "hp_matrices", "hp_entries",
                                    "hp_adjoints", "hp_vectors", "vectors", "z", "omega1", "omega2", "omega3"])
 def test_caches_are_not_constructor_arguments(cache):
     # data derived from the defining data cannot be passed in disagreeing with it
@@ -557,15 +560,15 @@ def _random_sl2(gen):
 
 
 def test_closed_form_adjoint_matches_conjugation():
-    """_adjoint_entries against adjoint_matrix (m^-1 v m computed by numpy),
+    """adjoint_entries against adjoint_matrix (m^-1 v m computed by numpy),
     for g and, through the adjugate [[d, -b], [-c, a]], for g^-1."""
     gen = random.Random(20261018)
     for _ in range(50):
         m = _random_sl2(gen)
         (a, b), (c, d) = m.tolist()
         ad = adjoint_matrix(m)
-        assert_close(np.array(_adjoint_entries(m.tolist()), dtype=complex), ad, 1e-12)
-        inverse = np.array(_adjoint_entries([[d, -b], [-c, a]]), dtype=complex)
+        assert_close(np.array(adjoint_entries(m.tolist()), dtype=complex), ad, 1e-12)
+        inverse = np.array(adjoint_entries([[d, -b], [-c, a]]), dtype=complex)
         assert_close(inverse, adjoint_matrix(np.linalg.inv(m)), 1e-12)
         assert_close(inverse @ ad, np.eye(3), 1e-10)
 
@@ -700,7 +703,8 @@ class TestRelationCheck:
 
     def test_hand_built_representation_is_checked_in_float64(self, rep_na):
         bad_root = rep_na.omega1 * cmath.exp(1e-3j)
-        bad = _to_numpy_assignment(_family_entries("NA", rep_na.z, A, B, omega1=bad_root))
+        bad = {name: np.array(m, dtype=complex)
+               for name, m in _family_entries("NA", rep_na.z, A, B, omega1=bad_root).items()}
         rep_bad = Representation("NA", bad, xi=XI, a=A, b=B, index=(0,))
         assert rep_bad.certified == frozenset()
         with pytest.raises(RepresentationError, match="relators fail verification"):
@@ -709,14 +713,40 @@ class TestRelationCheck:
     @pytest.mark.parametrize("family, index", [("AN", (5,)), ("NA", (1,)), ("NN", (5, 1))])
     def test_one_power_table_per_build(self, family, index, monkeypatch, fresh_certificates):
         # per draw, each base word multiplied out once, (xy)^(2a) as ((xy)^a)^2:
-        # 31 products at (3, 40), next to the products of the family formulas
+        # 31 products at (3, 40), next to the products of the family formulas and
+        # of the gluing-torus identities: 2 per commutation of V (AN with x, y, t and
+        # p t p t^-1; NA with x, p, t; NN with x, t and p t p t^-1), 3 for p t p t^-1,
+        # and on a non-abelian torus side 1 for xy, 4 for (xy)^7 and 1 for its square
         calls = _count_calls(monkeypatch, "_mul2")
         z, roots = representations._scalars(family, XI, 3, 40, index, exact=False)
         representations._family_entries(family, z, 3, 40, **roots)
         formulas = calls[0]
         calls[0] = 0
         rep_build(family, XI, 3, 40, index)
-        assert calls == [formulas + representations.CERT_DRAWS * (formulas + 31)]
+        identities = {"AN": 4 * 2 + 3, "NA": 3 * 2 + 6, "NN": 3 * 2 + 3 + 6}[family]
+        assert calls == [formulas + representations.CERT_DRAWS * (formulas + 31 + identities)]
+
+    @pytest.mark.parametrize("family, index", [("AN", (5,)), ("NN", (5, 1))])
+    def test_vector_with_the_wrong_root_fails_the_certificate(self, family, index, monkeypatch, fresh_certificates):
+        # U and Ut read omega2 / omega3; built with its square, the vector is
+        # not fixed by the gluing torus and the identities fail, not the relators
+        assert len(fresh_certificates(family, 3, 40, index)) == 4
+        fresh_certificates.cache_clear()
+        original = representations._invariant_entries
+        monkeypatch.setattr(representations, "_invariant_entries",
+                            lambda case, z, omega=None: original(case, z, omega * omega))
+        with pytest.raises(RepresentationError, match=rf"{family} gluing-torus identities fail verification: "
+                                                      rf".* mod P = \d+ at \(a, b\) = \(3, 40\), index"):
+            fresh_certificates(family, 3, 40, index)
+
+    def test_perturbed_omega1_breaks_the_torus_power(self):
+        # rho((xy)^7) is +-I at the true omega1 only: with 2 omega1 the last two
+        # deviations (scalar as its adjugate, square I) fail, the commutations hold
+        p, n, h, z = representations._certificate_draws(3, 40)[0]
+        z, omega1 = representations._Residue(z, p), representations._Residue(pow(h, n // 14, p), p)  # k = 0, den 7
+        for root, want in ((omega1, [0] * 5), (2 * omega1, [0, 0, 0, 1, 1])):
+            mats = _family_entries("NA", z, 3, 40, omega1=root)
+            assert representations._gluing_deviations("NA", 3, mats, z, {"omega1": root}) == want
 
     def test_one_check_per_tor_e(self, monkeypatch, fresh_certificates):
         counts = {"evaluator": 0, "hp_assignment": 0}
