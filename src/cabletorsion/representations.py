@@ -62,21 +62,23 @@ class RepresentationError(ValueError):
     pass
 
 
-# 200 bits cover the closed-form gluing chains (mayer_vietoris._gluing_chains) for |Re xi| <= 1 up to
-# b = 200: |z|^(+-1) <= e^(1/2), |w| = 1 and |(w^e - w^-e) / (w - 1/w)| <= den / 2 <= 201, so the
-# entries of x, y, p and the AN / NN t are below 2^14, those of Ad(p), Ad(t) below 2^30 (2^10 and
-# 2^19 measured; NA's t is not read).  Rounding z, w to 2^-201 and one division by |w - 1/w| >= 4 / den
-# leave each generator entry within 2^-175.  A chain entry takes at most three products (Ad(t) Ad(p) v;
-# or rho(xy), B(v, W_xy), c W_xy with c's divisor B(W_xy, W_xy) >= 8 / (2a+1)^2), each multiplying the
-# error by at most 2^31, so it is within 2^(93 - 175) = 2^-82 (abelian side: e_g v, exact), 29 bits
-# under the float64 rounding of a chain, whose norm is at least |v_E| = 2.
+# Fixed point serves only the reference loop walk (chains.chain_of_loop_hp) that the tests hold the
+# gluing chains against.  Those chains (mayer_vietoris._gluing_chains) are float64 closed forms with
+# unit roundoff u = 2^-53.  An abelian side is e_g v, exact in the float64 v.  The pattern side takes
+# one product with Ad(p)^(+-1), whose entries (1, z^(+-1) times at most 2, z^(+-2)) stay below e^2 for
+# |Re xi| <= 1: each entry errs by under 3 e^2 u |v|, against a chain norm of at least |v_E| = 2
+# (measured: at least 1.7 |v|), so within 3e-15 relative (6.0e-16 measured).  The torus side divides
+# by B(W_xy, W_xy) >= 8 / (2a+1)^2, which amplifies the few-ulp rounding of the trace forms by
+# |W_xy|^2 / B(W_xy, W_xy) <= |W_xy|^2 (2a+1)^2 / 8, with |W_xy| < 27 up to (6, 200): within 3e-11
+# relative, 2.1e-14 (NN) and 1.6e-13 (NA) measured at (6, 200).  Every chain still passes the cycle
+# check of class_coordinates at CYCLE_TOL = 1e-8.
 FIXED_BITS = 200              # fraction bits of _Fixed: about 60 digits, absolute
 _ONE = 1 << FIXED_BITS
 
 
 class _Fixed:
     """A complex number as two Python ints scaled by 2^FIXED_BITS: the scalar
-    of the family formulas and of the gluing chains' torus side.
+    of the family formulas the reference walk reads.
 
     Sums are exact and a product is the exact integer product shifted back
     once, so the error is absolute: about 2^-FIXED_BITS per operation, whatever
@@ -164,7 +166,7 @@ def _fixed_root(k: int, den: int) -> Tuple[int, int]:
     return _fixed_mp(lambda mpmath: mpmath.expjpi(mpmath.mpf(2 * k + 1) / den))
 
 
-# Flat fixed-point kernels (the gluing chains and the reference loop walks): a
+# Flat fixed-point kernels (the reference loop walk): a
 # 2x2, 3x3 or 3-vector is one tuple of ints, (re, im) of each entry scaled by
 # 2^FIXED_BITS, row-major; each entry is its exact sum of products, shifted once.
 
@@ -338,7 +340,7 @@ def _scalars(family: str, xi: complex, a: int, b: int, index, exact: bool):
 
 def hp_assignment(rep: "Representation"):
     """The generator matrices rebuilt from the defining data as ``_Fixed`` scalars, free of the
-    float64 rounding of ``assignment``; ``Representation.hp_matrices`` keeps them."""
+    float64 rounding of ``assignment``: the 2x2s of the reference walk's ``hp_entries``."""
     z, roots = rep._exact_scalars
     return _family_entries(rep.family, z, rep.a, rep.b, **roots)
 
@@ -375,11 +377,11 @@ class Representation:
 
     Family, xi, (a, b) and index fix everything else: z = exp(xi/2), the roots
     omega1-3 (None where the family has no such root), the float64 adjoints and
-    their inverses (one stacked call each), and the fixed-point matrices,
-    adjoints (each on its first lookup) and invariant vectors, which share one
-    fixed-point z and roots.  Each is derived on first read and kept; none is a
-    constructor argument, so none can disagree with the data.  Instances are
-    treated as immutable; ``certified`` holds the relators ``rep_build`` certified.
+    their inverses (one stacked call each), and the reference walk's fixed-point
+    matrices, adjoints (each on its first lookup) and invariant vectors, which
+    share one fixed-point z and roots.  Each is derived on first read and kept;
+    none is a constructor argument, so none can disagree with the data.  Instances
+    are treated as immutable; ``certified`` holds the relators ``rep_build`` certified.
     """
 
     family: str
@@ -423,19 +425,14 @@ class Representation:
         return dict(zip(self.adjoints, np.linalg.inv(list(self.adjoints.values()))))
 
     @cached_property
-    def hp_matrices(self) -> dict:
-        """``hp_assignment``, kept: the ``_Fixed`` 2x2s of the gluing chains' torus side."""
-        return hp_assignment(self)
-
-    @cached_property
     def hp_entries(self) -> dict:
-        """``hp_matrices`` as flat fixed-point 2x2s (8 ints each)."""
-        return {name: _flat(m[0] + m[1]) for name, m in self.hp_matrices.items()}
+        """``hp_assignment`` as flat fixed-point 2x2s (8 ints each)."""
+        return {name: _flat(m[0] + m[1]) for name, m in hp_assignment(self).items()}
 
     @cached_property
     def hp_adjoints(self) -> tuple:
         """(Ad(g), Ad(g^-1)) by generator name as flat fixed-point ``_Flat``,
-        each built on first lookup: the gluing chains of an AN or NN ``tor_E`` read Ad(p) and Ad(t)."""
+        each built on first lookup by the reference walk ``chain_of_loop_hp``."""
         return _LazyAdjoints(self.hp_entries, False), _LazyAdjoints(self.hp_entries, True)
 
     @cached_property
@@ -681,7 +678,7 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
 
     The cable and pattern relators, and the gluing-torus identities, are ``certified`` by the
     cached ``_certify_relations`` of the index's orbit, so a repeated build checks nothing.
-    That proves the formulas; the comment at FIXED_BITS derives why their fixed point suffices.
+    That proves the formulas; the comment at FIXED_BITS bounds the float64 gluing chains read from them.
     """
     xi = check_parameters(family, xi, a, b)
     index = _normalize_index(family, index)

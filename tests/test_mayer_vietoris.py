@@ -1,5 +1,8 @@
 import cmath
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -234,33 +237,33 @@ class TestTorE:
         for c in constants[1:]:
             assert min(abs(c - constants[0]), abs(c + constants[0])) <= 1e-7 * abs(constants[0])
 
-    def test_gluing_chains_walk_no_loop_and_their_fixed_point_work_is_flat_in_b(self, monkeypatch):
-        # The chains of mu_C and la_C are closed forms: tor_E walks no loop, and
-        # its one hp_assignment makes the same 2x2 products at b = 40 and 80.
-        walked = []
+    def test_gluing_chains_walk_no_loop_and_do_no_fixed_point_work(self, monkeypatch):
+        # The chains of mu_C and la_C are float64 closed forms: tor_E walks no loop and
+        # builds no fixed-point scalar, matrix, adjoint or vector, whatever b is.
+        called = []
         for module in (chains, mayer_vietoris):
-            monkeypatch.setattr(module, "chain_of_loop_hp", lambda *args: walked.append(args), raising=False)
-        products = [0]
-        mul2, hp_assignment = representations._mul2, representations.hp_assignment
-
-        def counting_mul2(*args):
-            products[0] += 1
-            return mul2(*args)
-
-        work = []
-
-        def counting_hp_assignment(rep):
-            before = products[0]
-            out = hp_assignment(rep)
-            work.append((rep.b, products[0] - before))
-            return out
-
-        monkeypatch.setattr(representations, "_mul2", counting_mul2)
-        monkeypatch.setattr(representations, "hp_assignment", counting_hp_assignment)
+            monkeypatch.setattr(module, "chain_of_loop_hp", lambda *args: called.append("walk"), raising=False)
+        for name in ("hp_assignment", "_fadjoint", "_fixed_mp", "_flat"):
+            monkeypatch.setattr(representations, name, lambda *args, name=name: called.append(name))
         for b in (40, 80):
-            tor_E("AN", 3, b, 0, XI)
-        assert walked == []
-        assert work == [(40, 3), (80, 3)]  # x = p q and t's two conjugation products, once per call
+            for family, index in (("AN", (0,)), ("NA", (0,)), ("NN", (0, 0))):
+                tor_E(family, 3, b, index, 0.1 + 0.5j)  # NA (3, 40) and (3, 80) lose a rank at XI
+        assert called == []
+
+    def test_tor_e_imports_no_mpmath(self):
+        # mpmath serves only the reference walk: a fresh interpreter that runs the
+        # gluing route for every non-abelian family never loads it
+        script = (
+            "import sys\n"
+            "from cabletorsion.mayer_vietoris import tor_E\n"
+            "for family, index in (('AN', (0,)), ('NA', (0,)), ('NN', (0, 0))):\n"
+            "    tor_E(family, 3, 40, index, 0.1 + 0.5j)\n"
+            "sys.exit('mpmath' in sys.modules)\n"
+        )
+        src = str(Path(mayer_vietoris.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr or "tor_E imported mpmath"
 
     def test_na_edge_fails_in_the_torsion_not_the_relations(self):
         # NA (3,40) at Re xi = 1: the relators hold (the representation builds),

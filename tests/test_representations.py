@@ -484,16 +484,15 @@ def test_hp_adjoints_are_built_from_hp_entries():
     assert rep.hp_vectors["Ut"] is rep.hp_vectors["Ut"]
 
 
-@pytest.mark.parametrize("family, a, b, index, built", [("AN", 3, 40, (5,), {"p", "t"}), ("NA", 2, 12, (1,), set()),
-                                                         ("NN", 3, 40, (5, 1), {"p", "t"})])
-def test_tor_e_builds_the_adjoints_its_closed_forms_read(family, a, b, index, built, monkeypatch):
-    # the gluing chains read Ad(p) and Ad(t) on a non-abelian pattern side, and no
-    # other fixed-point adjoint: the torus side projects, an abelian side scales v
+@pytest.mark.parametrize("family, a, b, index", [("AN", 3, 40, (5,)), ("NA", 2, 12, (1,)), ("NN", 3, 40, (5, 1))])
+def test_tor_e_builds_the_adjoints_its_closed_forms_read(family, a, b, index, monkeypatch):
+    # the gluing chains read the float64 Ad(p) and Ad(p)^-1 the piece complexes build,
+    # and no fixed-point adjoint: the torus side projects, an abelian side scales v
     calls = _count_calls(monkeypatch, "_fadjoint")
     rep = tor_E(family, a, b, index, XI).rep
-    assert calls == [len(built)]
-    forward, backward = rep.hp_adjoints
-    assert set(forward) == built and not backward
+    assert calls == [0]
+    assert "hp_adjoints" not in rep.__dict__ and "hp_entries" not in rep.__dict__
+    assert {"adjoints", "adjoint_invs"} <= set(rep.__dict__)
 
 
 def _count_calls(monkeypatch, attr):
@@ -509,7 +508,7 @@ def _count_calls(monkeypatch, attr):
     return calls
 
 
-@pytest.mark.parametrize("cache", ["adjoints", "adjoint_invs", "hp_matrices", "hp_entries",
+@pytest.mark.parametrize("cache", ["adjoints", "adjoint_invs", "hp_entries",
                                    "hp_adjoints", "hp_vectors", "vectors", "z", "omega1", "omega2", "omega3"])
 def test_caches_are_not_constructor_arguments(cache):
     # data derived from the defining data cannot be passed in disagreeing with it
@@ -763,16 +762,16 @@ class TestRelationCheck:
             tor_E(family, 1, 7, index, XI)
         tor_E_abelian(1, 7, XI)
         # one certificate each (a power table per draw), and no float64
-        # re-check of the certified relators; the fixed-point matrices are
-        # built once per non-abelian representation, for the loop walks; the
-        # abelian route builds no representation, so it checks no relators
+        # re-check of the certified relators; the gluing chains are float64
+        # closed forms, so no fixed-point matrix is built; the abelian route
+        # builds no representation, so it checks no relators
         assert fresh_certificates.cache_info().misses == 3
-        assert counts == {"evaluator": 3 * representations.CERT_DRAWS, "hp_assignment": 3}
+        assert counts == {"evaluator": 3 * representations.CERT_DRAWS, "hp_assignment": 0}
         for family, index in (("AN", (0,)), ("NA", (0,)), ("NN", (0, 0))):
             tor_E(family, 1, 7, index, XI)
         # warm: no certificate, no relator products
         assert fresh_certificates.cache_info().misses == 3
-        assert counts == {"evaluator": 3 * representations.CERT_DRAWS, "hp_assignment": 6}
+        assert counts == {"evaluator": 3 * representations.CERT_DRAWS, "hp_assignment": 0}
 
 
 class TestNAEdgeRelations:
