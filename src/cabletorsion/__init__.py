@@ -27,6 +27,7 @@ from .presentations import (
     torus_piece_presentation,
 )
 from .representations import (
+    CabletorsionError,
     Representation,
     RepresentationError,
     abelian_representation,
@@ -69,6 +70,7 @@ from . import closed_forms
 __version__ = "0.1.0"
 
 __all__ = [
+    "CabletorsionError",
     "Generator", "GroupRingElement", "Word", "fox_derivative", "parse_word",
     "word_to_text", "PeripheralSystem", "Presentation",
     "abelianization_exponents", "cable_exterior_presentation",

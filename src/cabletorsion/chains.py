@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .presentations import Presentation, _ldet, abelianization_exponents
-from .representations import Representation, _invariant_root, _to_complex, ensure_relations
+from .representations import CabletorsionError, Representation, _invariant_root, _to_complex, ensure_relations
 from .words import Generator, Word
 
 SL2_BASIS_NAMES = ("E", "H", "F")
@@ -46,7 +46,7 @@ CYCLE_TOL = 1e-8              # |d_i v| / (|d_i| |v|): a class_coordinates vecto
 SUBGROUP_TOL = 1e-20          # |Ad(word) v - v| / |v| after a fixed-point loop walk: it kept its digits
 
 
-class ChainComplexError(ValueError):
+class ChainComplexError(CabletorsionError):
     pass
 
 
@@ -173,18 +173,19 @@ def _presentation_labels(pres: Presentation) -> Tuple[Tuple[str, ...], ...]:
 
 
 @lru_cache(maxsize=64)
-def abelian_fox_rows(pres: Presentation) -> tuple:
+def abelian_fox_rows(pres: Presentation, character: Tuple[int, ...] | None = None) -> tuple:
     """Per generator g, the row of d r_j / d g pushed through g -> t^e(g) into Z[t^+-1]
-    (sorted terms): ``_fox_walk`` on the prefix's degree alone, one walk per relator, with
+    (sorted terms), e the ``character`` in generator order or else ``abelianization_exponents``:
+    ``_fox_walk`` on the prefix's degree alone, one walk per relator, with
     g adding +t^deg before deg rises by e(g) and g^-1 adding -t^deg after it falls."""
-    exps = {g.name: e for g, e in abelianization_exponents(pres).items()}  # in generator order
+    exps = dict(zip(pres.generators, character or abelianization_exponents(pres).values()))
     columns = []
     for rel in pres.relators:
-        polys, deg = {name: {} for name in exps}, 0
+        polys, deg = {g: {} for g in exps}, 0  # in generator order
         for gen, sign in rel.letters:
-            at = deg if sign > 0 else deg - exps[gen.name]
-            polys[gen.name][at] = polys[gen.name].get(at, 0) + sign
-            deg += sign * exps[gen.name]
+            at = deg if sign > 0 else deg - exps[gen]
+            polys[gen][at] = polys[gen].get(at, 0) + sign
+            deg += sign * exps[gen]
         columns.append([tuple(sorted((e, c) for e, c in poly.items() if c)) for poly in polys.values()])
     return tuple(zip(*columns))
 

@@ -18,9 +18,10 @@ import math
 
 from .chains import alexander_minor
 from .presentations import Presentation
+from .representations import CabletorsionError
 
 
-class ClosedFormError(ValueError):
+class ClosedFormError(CabletorsionError):
     pass
 
 

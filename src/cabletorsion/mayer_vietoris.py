@@ -1,22 +1,14 @@
 """Mayer-Vietoris assembly for the cable exterior E = C u_S D.
 
-The gluing identity is
-
-    Tor(E) = Tor(C) Tor(D) / (Tor(S) Tor(H*))
-
-where H* is the long exact sequence of the splitting, made into an acyclic
-based complex with the degree convention H_{3k} = H_k(E),
-H_{3k+1} = H_k(C) + H_k(D), H_{3k+2} = H_k(S).  ``tor_E`` evaluates it with
-
-    Tor(S) = 1,  Tor(H*) = 1 / det[phi_1 | e_designated1]
-
-(see the end of this docstring for why) from C and D alone: Tor(S) is +-1 in
-the lifts below, and its float64 value only added rounding error (up to
-1.7e-10).  S's guard stays: M = Ad(mu_C) and L = Ad(la_C) must be finite and
-commute (``check_peripheral_actions``; [L, M] is d1 d2 on S), which rejects
-the AN (3,40) corners xi = -1 +- i, where the glued value would carry only 8
-to 9 digits.  S's lift-cycle check is implied by the gluing-torus identities
-``rep_build`` certifies: the whole gluing-torus subgroup fixes the vector.
+The gluing identity is Tor(E) = Tor(C) Tor(D) / (Tor(S) Tor(H*)), where H* is the
+long exact sequence of the splitting, made into an acyclic based complex with the
+degree convention H_{3k} = H_k(E), H_{3k+1} = H_k(C) + H_k(D), H_{3k+2} = H_k(S).
+``tor_E`` evaluates it from C and D alone, with Tor(S) = 1 (it is +-1 in the lifts
+below, and its float64 value only added rounding error, up to 1.7e-10) and
+Tor(H*) = 1 / det[phi_1 | e_designated1].  S keeps its guard: M = Ad(mu_C) and
+L = Ad(la_C) must be finite and commute (``check_peripheral_actions``; [L, M] is
+d1 d2 on S).  Its lift-cycle check is implied by the gluing-torus identities
+``rep_build`` certifies.
 
 Each non-abelian family carries a catalog of homology lifts for the pieces,
 phrased through the family's invariant vectors (v on the gluing torus, v' on
@@ -30,46 +22,36 @@ the outer torus; v = v' in the NA family):
     D:  f~ x v and f~ x v' in degree 2, p~ x v' and t~ x v in degree 1,
         basepoint x v in degree 0 when the pattern side is abelian
 
-phi_1 is computed honestly: the loop chains of mu_C and la_C in each piece on
-the gluing-torus vector, float64 closed forms of certified identities
-(``_gluing_chains``; no fixed point, no mpmath), are solved for their lift
-coordinates in the degree-1 basis the piece's torsion was assembled in
-(``TorsionValue.bases``), so no rank is read twice.
-phi_2 and phi_0 are read off the lift catalogue: the first lift of C and of D
-in degrees 2 and 0 is the image of the class of S there (the conjugate-relator
-decomposition above is baked into C's degree-2 lift), so both are unit
-columns and only phi_1 depends on the representation.  The connecting maps
-psi_k and delta_k are then pinned by exactness plus the normalization that
-each designated generating class maps to the matching basis vector of
-H_*(E).
+An abelian side (C in AN, D in NA) has cyclic image: its torsion is exact, from scalar weight
+complexes (``_abelian_torsion``), and so are its phi_1 rows, the classes of mu_C and la_C in its
+H_1 (``_abelian_rows``); its lifts, on the weight-0 line of v, serve the float64 complex it builds
+on demand.  On a non-abelian side the loop chains of mu_C and la_C on v (``_gluing_chains``) are
+solved for their lift coordinates in the degree-1 basis the piece's torsion was assembled in
+(``TorsionValue.bases``), so no rank is read twice.  phi_2 and phi_0 are unit columns: the first
+lift of C and of D in degrees 2 and 0 is the image of the class of S there.  Exactness, and each
+designated generating class going to the matching basis vector of H_*(E), pin psi_k and delta_k.
 
-Why one determinant is the whole of Tor(H*): delta_2 = 0, phi_2 and phi_0
-are unit columns and psi_0 is zero or empty, so the sequence splits into
-short exact pieces, and each piece but the degree-1 block is exact by
-construction with unit determinant.  The degree-1 block
-0 -> H_1(S) -> H_1(C) + H_1(D) -> H_1(E) is exact exactly when
-[phi_1 | e_designated1] is invertible, which ``_span_basis`` checks (the same
-rank test ``_quotient_rows`` applies when the sequence is built), and its
-torsion is then 1 / det of that matrix, with the sign the nine-slot torsion
-gives.  So the nine-slot complex (``build_mv_sequence``, checked exact there,
-and ``mv_torsion``) and S (``build_gluing_torus``) are built only on demand:
-by ``TorEResult.sequence`` and ``TorEResult.pieces["S"]`` for ``cabletorsion
-compute --dump-complex``, by demo 03, and by the tests that cross-check them
-against the determinant and Tor(S) = +-1.
+So delta_2 = 0 and psi_0 is zero or empty, the sequence splits into short exact pieces, and each
+is exact with unit determinant but the degree-1 block 0 -> H_1(S) -> H_1(C) + H_1(D) -> H_1(E).
+That block is exact when [phi_1 | e_designated1] is invertible (``_span_basis``, the rank test of
+``_quotient_rows``), and its torsion is 1 / det of that matrix, with the sign the nine-slot torsion
+gives.  The nine-slot complex (``build_mv_sequence``, ``mv_torsion``), S (``build_gluing_torus``)
+and an abelian side's complex are built only on demand: by ``TorEResult.sequence`` and
+``TorEResult.pieces`` for ``cabletorsion compute --dump-complex``, by demo 03, and by the tests.
 """
-
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
 from .chains import (
     BasedChainComplex,
+    abelian_fox_rows,
     alexander_minor,
     check_peripheral_actions,
     class_coordinates,
@@ -85,12 +67,13 @@ from .presentations import (
     torus_piece_presentation,
 )
 from .representations import TORUS_CASES, Representation, check_parameters, evaluate_word, rep_build
+from .representations import CabletorsionError
 from .torsion import TorsionError, TorsionValue, reidemeister_torsion
 
 EXACTNESS_TOL = 1e-8          # rank tolerance under which the nine-slot sequence must be exact
 
 
-class MayerVietorisError(ValueError):
+class MayerVietorisError(CabletorsionError):
     pass
 
 
@@ -102,14 +85,18 @@ def _pad(vector: np.ndarray, block: int, nblocks: int) -> np.ndarray:
 
 @dataclass
 class PieceData:
-    """One piece of the splitting: its complex, lifts, and based torsion."""
+    """One piece of the splitting: its lifts, based torsion, and the complex ``build`` makes on first read."""
 
     name: str
-    complex: BasedChainComplex
     lifts: Dict[int, List[np.ndarray]]
-    torsion: TorsionValue
+    torsion: TorsionValue | None
     presentation: Presentation | None = None
     peripheral: PeripheralSystem | None = None
+    build: Callable[[], BasedChainComplex] | None = field(default=None, repr=False)
+
+    @cached_property
+    def complex(self) -> BasedChainComplex:
+        return self.build()
 
 
 # Per non-abelian family (vector cases in ``TORUS_CASES``): which coordinate of H_k(C) + H_k(D)
@@ -136,34 +123,33 @@ def _s_conjugator(a: int):
     return pres.word("y") * (pres.word("x y") ** a)
 
 
+def _piece(name: str, rep: Representation, lifts) -> PieceData:
+    """Piece ``name`` ("C" or "D") of ``rep``: an abelian side's torsion is exact, its complex lazy."""
+    pres, peri = torus_piece_presentation(rep.a) if name == "C" else pattern_piece_presentation(rep.b)
+    piece = PieceData(name, lifts, None, pres, peri, partial(presentation_complex, pres, rep))
+    abelian = rep.family["CD".index(name)] == "A"
+    piece.torsion = _abelian_torsion(rep, name) if abelian else reidemeister_torsion(piece.complex, lifts)
+    return piece
+
+
 def build_torus_piece(rep: Representation) -> PieceData:
     """The torus-knot piece C of ``rep`` with the family's designated homology lifts."""
-    pres, peri = torus_piece_presentation(rep.a)
-    cplx = presentation_complex(pres, rep)
     v, _ = _family_vectors(rep)
     x_chain = _pad(v, 0, 2)
     if rep.family[0] == "A":  # abelian torus side
-        lifts = {1: [x_chain], 0: [v]}
-    else:
-        # The S-commutator word equals the relator times a conjugate of its
-        # inverse, so [S] includes as (I - Ad(y (xy)^a)) v on the 2-cell.
-        h2 = (np.eye(3) - evaluate_word(rep, _s_conjugator(rep.a))) @ v
-        lifts = {2: [h2], 1: [x_chain]}
-    tor = reidemeister_torsion(cplx, lifts)
-    return PieceData("C", cplx, lifts, tor, pres, peri)
+        return _piece("C", rep, {1: [x_chain], 0: [v]})
+    # The S-commutator word equals the relator times a conjugate of its
+    # inverse, so [S] includes as (I - Ad(y (xy)^a)) v on the 2-cell.
+    h2 = (np.eye(3) - evaluate_word(rep, _s_conjugator(rep.a))) @ v
+    return _piece("C", rep, {2: [h2], 1: [x_chain]})
 
 
 def build_pattern_piece(rep: Representation) -> PieceData:
     """The pattern piece D of ``rep`` with the family's designated homology lifts."""
-    pres, peri = pattern_piece_presentation(rep.b)
-    cplx = presentation_complex(pres, rep)
     v, v_outer = _family_vectors(rep)
     if rep.family[1] == "N":  # non-abelian pattern side
-        lifts = {2: [v, v_outer], 1: [_pad(v_outer, 0, 2), _pad(v, 1, 2)]}
-    else:
-        lifts = {2: [v], 1: [_pad(v, 0, 2), _pad(v, 1, 2)], 0: [v]}
-    tor = reidemeister_torsion(cplx, lifts)
-    return PieceData("D", cplx, lifts, tor, pres, peri)
+        return _piece("D", rep, {2: [v, v_outer], 1: [_pad(v_outer, 0, 2), _pad(v, 1, 2)]})
+    return _piece("D", rep, {2: [v], 1: [_pad(v, 0, 2), _pad(v, 1, 2)], 0: [v]})
 
 
 def build_gluing_torus(rep: Representation) -> PieceData:
@@ -172,31 +158,75 @@ def build_gluing_torus(rep: Representation) -> PieceData:
     cplx = torus_complex(evaluate_word(rep, peri["mu_C"]), evaluate_word(rep, peri["lambda_C"]))
     v, _ = _family_vectors(rep)
     lifts = {2: [v], 1: [_pad(v, 0, 2), _pad(v, 1, 2)], 0: [v]}
-    tor = reidemeister_torsion(cplx, lifts)
-    return PieceData("S", cplx, lifts, tor)
+    return PieceData("S", lifts, reidemeister_torsion(cplx, lifts), build=lambda: cplx)
+
+
+@lru_cache(maxsize=256)
+def _weight_terms(side: str, a: int, b: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Laurent P of a scalar weight route as arrays (e - centre, c), centred: no power passes |t|^(span/2).
+    "E": the cable's ``alexander_minor``; "C": the torus piece's (dr/dy up to sign); "D": Q = R / (t - 1),
+    R = dr/dt under p -> t, t -> t^(2b-8a-4): e_t(r) = 0, so R(1) = 0 and Q at e is R's sum above e."""
+    if side == "D":
+        (row,), = abelian_fox_rows(pattern_piece_presentation(b)[0], (1, 2 * b - 8 * a - 4))[1:]
+        terms = [(e, q) for e in range(row[0][0], row[-1][0]) if (q := sum(c for f, c in row if f > e))]
+    else:
+        terms, _ = alexander_minor((cable_exterior_presentation(a, b) if side == "E" else
+                                    torus_piece_presentation(a))[0])
+    exps = np.array([e for e, _ in terms])
+    return exps - (exps.min() + exps.max()) / 2, np.array([c for _, c in terms], dtype=float)
+
+
+def _at_weights(shifts, coeffs, s: complex, scale: complex, what: Callable[[], str]) -> TorsionValue:
+    """The one Laurent evaluator: P(e^s) P(e^-s) / scale, for P of ``_weight_terms``, through ``_finite``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        up, down = np.exp(np.outer((s, -s), shifts)) @ coeffs
+        return _finite(complex(up * down / scale), what)
+
+
+def _finite(value: complex, what: Callable[[], str]) -> TorsionValue:
+    """``value`` as a TorsionValue; past float64 (inf, nan or 0) a TorsionError names ``what()``."""
+    if not (cmath.isfinite(value) and value):
+        raise TorsionError(f"{what()} is {value}: outside float64")
+    return TorsionValue(value)
+
+
+def _abelian_torsion(rep: Representation, side: str) -> TorsionValue:
+    """Tor of the abelian side (C of AN, D of NA), exact over Z[t^+-1] (Milnor 1962; Turaev 1986).  Ad of its
+    cyclic image has eigenvalues e^(+-s) and 1: s = 2 log omega2 on C (rho(x) = rho(y)), xi on D (rho(t) =
+    -rho(p)^n, n = 2b-8a-4).  A change of basis of determinant 1 splits the 3|6|3 complex of <g, h | r> into
+    scalar complexes under g, h -> W^e(g), W^e(h), W in {e^-s, 1, e^s}.  With b_1 on g, W != 1 gives
+    -R(W) / (W - 1), R = dr/dh there; W = 1, holding every lift, gives -R(1) (C, R(1) = e_h(r)) or 1 (D,
+    R(1) = 0); ordering C_1 by weight cancels the sign of the sum.  So Tor(C) = R(1) A(e^s) A(e^-s) /
+    (2 sinh(s/2))^2 with A = +-R, and Tor(D) = Q(e^xi) Q(e^-xi) (``_weight_terms``)."""
+    if side == "C":
+        pres = torus_piece_presentation(rep.a)[0]
+        s = 2j * cmath.pi * (2 * rep.index[0] + 1) / (2 * rep.b + 1)
+        scale = (2 * cmath.sinh(s / 2)) ** 2 / pres.relators[0].exponent_sum(pres.generators[1])
+    else:
+        s, scale = rep.xi, 1.0
+    what = lambda: f"Tor({side}) of {rep.family} at (a, b) = ({rep.a}, {rep.b}), xi = {rep.xi}"
+    return _at_weights(*_weight_terms(side, rep.a, rep.b), s, scale, what)
 
 
 def _gluing_chains(rep: Representation, piece: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Chains of mu_C and la_C in ``piece`` ("C" or "D") on the gluing-torus vector v: the
-    subgroup fixing v makes chain(u) additive, so chain(la_C) = chain(h) + k chain(mu_C) for
-    la_C = h mu_C^k (``PeripheralSystem.splits``), blocks in generator order, each a float64
-    closed form of identities ``_certify_relations`` proves (error bounds at ``FIXED_BITS``).
-    Abelian side: chain(w) = (e_g(w) v)_g, exact in v.  Torus side: chain(x) = (v, 0) and, as
-    rho((xy)^n) = +-I (n = 2a+1) makes sum_(k<n) Ad(xy)^k n times the trace-form projection onto
-    the line of W_xy (W_g the traceless part of rho(g), Ad(x) W_xy = W_yx), chain(x^-1 (xy)^n) =
-    (n c W_xy - v, n c W_yx), c = B(v, W_xy) / B(W_xy, W_xy); the divisor B(W_xy, W_xy) >= 8 / n^2
-    bounds its error by 3e-11 relative (1.6e-13 measured).  Pattern side: chain(t) = (0, v) and,
-    as t and p t p t^-1 fix v and Ad is anti-homomorphic, Ad(p) Ad(t) Ad(p) v = v, so
-    chain(p t p t^-1) = (v + Ad(t) Ad(p) v, Ad(p) v - v) = (v + Ad(p)^-1 v, Ad(p) v - v): one
-    product with Ad(p)^(+-1), entries below e^2, within 3e-15 relative (6.0e-16 measured), where
-    reading Ad(t), entries up to 2^19, strayed 2.6e-11."""
-    pres, peri = torus_piece_presentation(rep.a) if piece == "C" else pattern_piece_presentation(rep.b)
+    """Chains of mu_C and la_C in the non-abelian side ``piece`` ("C" or "D") on the gluing-torus
+    vector v: the subgroup fixing v makes chain(u) additive, so chain(la_C) = chain(h) + k chain(mu_C)
+    for la_C = h mu_C^k (``PeripheralSystem.splits``), blocks in generator order, each a float64
+    closed form (unit roundoff u = 2^-53) of identities ``_certify_relations`` proves.  Torus side:
+    chain(x) = (v, 0) and, as rho((xy)^n) = +-I (n = 2a+1) makes sum_(k<n) Ad(xy)^k n times the
+    trace-form projection onto the line of W_xy (W_g the traceless part of rho(g), Ad(x) W_xy = W_yx),
+    chain(x^-1 (xy)^n) = (n c W_xy - v, n c W_yx), c = B(v, W_xy) / B(W_xy, W_xy).  The divisor
+    B(W_xy, W_xy) >= 8 / n^2 amplifies the few-ulp rounding of the trace forms by at most
+    |W_xy|^2 n^2 / 8, with |W_xy| < 27 up to (6, 200): within 3e-11 relative (1.6e-13 NA, 2.1e-14 NN
+    measured there).  Pattern side: chain(t) = (0, v) and, as t and p t p t^-1 fix v and Ad is
+    anti-homomorphic, Ad(p) Ad(t) Ad(p) v = v, so chain(p t p t^-1) = (v + Ad(t) Ad(p) v, Ad(p) v - v)
+    = (v + Ad(p)^-1 v, Ad(p) v - v): one product with Ad(p)^(+-1), entries below e^2 for |Re xi| <= 1,
+    each off by under 3 e^2 u |v| against a chain norm of at least |v_E| = 2: within 3e-15 relative
+    (6.0e-16 measured), where reading Ad(t), entries up to 2^19, strayed 2.6e-11."""
+    _, peri = torus_piece_presentation(rep.a) if piece == "C" else pattern_piece_presentation(rep.b)
     v = rep.vectors[TORUS_CASES[rep.family][0]]
-    head, k = peri.splits["lambda_C"]
-    if rep.family["CD".index(piece)] == "A":
-        mu, h = (np.concatenate([e * v for e in map(word.exponent_sum, pres.generators)])
-                 for word in (peri["mu_C"], head))
-    elif piece == "C":
+    _, k = peri.splits["lambda_C"]
+    if piece == "C":
         x, y = rep.assignment["x"], rep.assignment["y"]
         w_xy, w_yx = (np.array([m[0, 1], (m[0, 0] - m[1, 1]) / 2, m[1, 0]]) for m in (x @ y, y @ x))
         form = lambda u, w: 2 * u[1] * w[1] + u[0] * w[2] + u[2] * w[0]  # the trace form B on (E, H, F)
@@ -206,6 +236,15 @@ def _gluing_chains(rep: Representation, piece: str) -> Tuple[np.ndarray, np.ndar
         mu = np.concatenate([v + rep.adjoint_invs["p"] @ v, rep.adjoints["p"] @ v - v])
         h = np.concatenate([v - v, v])
     return mu, h + k * mu
+
+
+@lru_cache(maxsize=256)
+def _abelian_rows(side: str, a: int, b: int) -> np.ndarray:
+    """phi_1 rows of an abelian side, whose chain of w is (e_g(w) v)_g: w's class in its H_1 on the lifts,
+    for C (AN, x ~ y) e_x(w) + e_y(w), [1, 0]; for D (NA) e_p(w), e_t(w), [[2, -2b], [0, 1]]."""
+    pres, peri = torus_piece_presentation(a) if side == "C" else pattern_piece_presentation(b)
+    sums = np.array([[w.exponent_sum(g) for w in (peri["mu_C"], peri["lambda_C"])] for g in pres.generators])
+    return sums.sum(axis=0, keepdims=True) if side == "C" else sums
 
 
 @dataclass
@@ -221,12 +260,13 @@ def induced_maps(rep: Representation, piece_c: PieceData, piece_d: PieceData) ->
     """phi_2, phi_1, phi_0 of the splitting of ``rep`` into ``piece_c`` and ``piece_d``.
 
     phi_1 pushes mu_C and la_C into each piece and takes class coordinates in
-    the piece's assembled degree-1 basis, both chains of a piece in one solve.
-    phi_2 and phi_0 send the one class of S to the first lift of each piece
-    that has one in that degree, so they are unit columns.
+    the piece's assembled degree-1 basis, both chains of a piece in one solve, or
+    reads an abelian side's integer rows.  phi_2 and phi_0 send the one class of S
+    to the first lift of each piece that has one in that degree: unit columns.
     """
     phi1 = np.vstack([
-        class_coordinates(np.column_stack(_gluing_chains(rep, p.name)), p.torsion.bases[1], p.complex, 1)
+        _abelian_rows(p.name, rep.a, rep.b) if rep.family["CD".index(p.name)] == "A"
+        else class_coordinates(np.column_stack(_gluing_chains(rep, p.name)), p.torsion.bases[1], p.complex, 1)
         for p in (piece_c, piece_d)
     ])
 
@@ -273,17 +313,14 @@ def build_mv_sequence(family: str, maps: InducedMaps, pieces: Dict[str, PieceDat
     dims = tuple(d for i in range(3) for d in (h_e[i], lifts(i, "C", "D"), lifts(i, "S")))
 
     psi2 = _quotient_rows(maps.phi2, table["designated2"])
-    psi1_rows = list(_quotient_rows(maps.phi1, table["designated1"]))
-    for _ in table["gamma_images"]:
-        psi1_rows.append(np.zeros(dims[4], dtype=complex))
-    psi1 = np.array(psi1_rows, dtype=complex).reshape(h_e[1], dims[4])
+    psi1 = np.vstack([_quotient_rows(maps.phi1, table["designated1"]),
+                      np.zeros((len(table["gamma_images"]), dims[4]), dtype=complex)])
     psi0 = np.zeros((h_e[0], dims[1]), dtype=complex)
 
     delta2 = np.zeros((dims[5], dims[6]), dtype=complex)
     delta1 = np.zeros((dims[2], dims[3]), dtype=complex)
-    n_designated1 = len(table["designated1"])
-    for offset, image_coord in enumerate(table["gamma_images"]):
-        delta1[image_coord, n_designated1 + offset] = 1.0
+    for offset, image_coord in enumerate(table["gamma_images"], len(table["designated1"])):
+        delta1[image_coord, offset] = 1.0
 
     boundaries = (psi0, maps.phi0, delta1, psi1, maps.phi1, delta2, psi2, maps.phi2)
     slots = ("H0E", "H0C+H0D", "H0S", "H1E", "H1C+H1D", "H1S", "H2E", "H2C+H2D", "H2S")
@@ -338,42 +375,29 @@ def tor_E(family: str, a: int, b: int, index, xi: complex) -> TorEResult:
             "the abelian case uses tor_E_abelian"
         )
     rep = rep_build(family, xi, a, b, index)
+    piece_d = build_pattern_piece(rep)  # first: NA's exact D names an overflow before C reads Ad(t)
     piece_c = build_torus_piece(rep)
-    piece_d = build_pattern_piece(rep)
-    peri = piece_c.peripheral
-    check_peripheral_actions(evaluate_word(rep, peri["mu_C"]), evaluate_word(rep, peri["lambda_C"]))
+    check_peripheral_actions(*(evaluate_word(rep, piece_c.peripheral[w]) for w in ("mu_C", "lambda_C")))
     maps = induced_maps(rep, piece_c, piece_d)
     _, det = _span_basis(maps.phi1, _MV_TABLE[family]["designated1"])
     tor_h = TorsionValue(1 / det)
+    with np.errstate(over="ignore", invalid="ignore"):  # D is exact up to float64's range, E may pass it
+        value = _finite((piece_c.torsion * piece_d.torsion / tor_h).value, lambda: f"Tor(E) of {family}")
     return TorEResult(
-        family, a, b, rep.index, complex(xi), piece_c.torsion * piece_d.torsion / tor_h,
+        family, a, b, rep.index, complex(xi), value,
         piece_c.torsion, piece_d.torsion, TorsionValue(1 + 0j), tor_h, maps, rep, piece_c, piece_d,
     )
-
-
-@lru_cache(maxsize=64)
-def _abelian_minor(a: int, b: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``alexander_minor`` of the cable presentation (the p row deleted) as arrays (e - mid, c_e)."""
-    coeffs, mid = alexander_minor(cable_exterior_presentation(a, b)[0])
-    return np.array([e - mid for e, _ in coeffs]), np.array([c for _, c in coeffs], dtype=float)
 
 
 def tor_E_abelian(a: int, b: int, xi: complex) -> TorsionValue:
     """Torsion of the cable exterior for the abelian family, +t A(t) A(1/t) / (t - 1)^2 at t = e^xi.
 
-    An AA representation is diagonal, Ad(g) = diag(t^-e(g), 1, t^e(g)) on (E, H, F), so the
-    complex of the four-generator presentation, with lifts p~ x H and v~ x H, splits with
-    determinant +-1 into three scalar complexes over Z[t^+-1] (Milnor 1962; Turaev 1986).  With
-    A the exact Fox minor without the p row (``_abelian_minor``), E and F give A(1/t) / (1/t - 1)
-    and A(t) / (t - 1), and H gives 1 / A(1) = +-1: together +-tau0^-2, taken with the + sign
-    the float64 12x9 complex gives.  A is evaluated at t^(e - mid) and t / (t - 1)^2 as
-    (2 sinh(xi/2))^-2, so no power passes |t|^(deg A / 2); the guards are ``rep_build``'s.
-    """
-    shifts, coeffs = _abelian_minor(a, b)
+    An AA representation is diagonal, Ad(g) = diag(t^-e(g), 1, t^e(g)) on (E, H, F), so the complex
+    of the four-generator presentation, lifts p~ x H and v~ x H, splits as in ``_abelian_torsion``:
+    with A the cable's ``alexander_minor`` (the p row deleted), E and F give A(1/t) / (1/t - 1) and
+    A(t) / (t - 1), H gives 1 / A(1) = +-1: together +-tau0^-2, with the + sign of the float64 12x9
+    complex.  The guards are ``rep_build``'s."""
+    terms = _weight_terms("E", a, b)  # the cable presentation's guards come first
     xi = check_parameters("AA", xi, a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_t, a_inv = np.exp(np.outer((xi, -xi), shifts)) @ coeffs
-        value = complex(a_t * a_inv / (2 * cmath.sinh(xi / 2)) ** 2)
-    if not (cmath.isfinite(value) and value):
-        raise TorsionError(f"AA torsion at (a, b) = ({a}, {b}), xi = {xi} is {value}: outside float64")
-    return TorsionValue(value)
+    what = lambda: f"AA torsion at (a, b) = ({a}, {b}), xi = {xi}"
+    return _at_weights(*terms, xi, (2 * cmath.sinh(xi / 2)) ** 2, what)

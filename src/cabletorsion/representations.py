@@ -58,20 +58,16 @@ XI_REAL_GUARD = 1e-3          # theta2 contains z^2/(z^4-1); keep z^4 off 1
 ABELIAN_GUARD = 1e-6          # |z^2 - 1| must exceed this in the AA family
 
 
-class RepresentationError(ValueError):
+class CabletorsionError(ValueError):
+    """Base of the library's named errors: a stage that cannot certify its value says why."""
+
+
+class RepresentationError(CabletorsionError):
     pass
 
 
 # Fixed point serves only the reference loop walk (chains.chain_of_loop_hp) that the tests hold the
-# gluing chains against.  Those chains (mayer_vietoris._gluing_chains) are float64 closed forms with
-# unit roundoff u = 2^-53.  An abelian side is e_g v, exact in the float64 v.  The pattern side takes
-# one product with Ad(p)^(+-1), whose entries (1, z^(+-1) times at most 2, z^(+-2)) stay below e^2 for
-# |Re xi| <= 1: each entry errs by under 3 e^2 u |v|, against a chain norm of at least |v_E| = 2
-# (measured: at least 1.7 |v|), so within 3e-15 relative (6.0e-16 measured).  The torus side divides
-# by B(W_xy, W_xy) >= 8 / (2a+1)^2, which amplifies the few-ulp rounding of the trace forms by
-# |W_xy|^2 / B(W_xy, W_xy) <= |W_xy|^2 (2a+1)^2 / 8, with |W_xy| < 27 up to (6, 200): within 3e-11
-# relative, 2.1e-14 (NN) and 1.6e-13 (NA) measured at (6, 200).  Every chain still passes the cycle
-# check of class_coordinates at CYCLE_TOL = 1e-8.
+# float64 gluing chains (mayer_vietoris._gluing_chains, whose docstring bounds their error) against.
 FIXED_BITS = 200              # fraction bits of _Fixed: about 60 digits, absolute
 _ONE = 1 << FIXED_BITS
 
@@ -678,7 +674,7 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
 
     The cable and pattern relators, and the gluing-torus identities, are ``certified`` by the
     cached ``_certify_relations`` of the index's orbit, so a repeated build checks nothing.
-    That proves the formulas; the comment at FIXED_BITS bounds the float64 gluing chains read from them.
+    That proves the formulas; ``mayer_vietoris._gluing_chains`` bounds the float64 chains read from them.
     """
     xi = check_parameters(family, xi, a, b)
     index = _normalize_index(family, index)

@@ -28,10 +28,11 @@ import numpy as np
 
 from . import linalg
 from .chains import CYCLE_TOL, BasedChainComplex
+from .representations import CabletorsionError
 
 BASIS_CONDITION_TOL = 1e-13   # sigma_min / sigma_max of an assembled basis: it is a basis
 
-class TorsionError(ValueError):
+class TorsionError(CabletorsionError):
     pass
 
 

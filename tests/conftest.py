@@ -2,7 +2,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from cabletorsion.representations import FIXED_BITS, _Fixed
+from cabletorsion.presentations import pattern_piece_presentation, torus_piece_presentation
+from cabletorsion.representations import FIXED_BITS, TORUS_CASES, _Fixed
+from cabletorsion.torsion import reidemeister_torsion
 from cabletorsion.words import Word
 
 
@@ -72,3 +74,18 @@ def adjoint_entries(m):
         [c * d, a * d + b * c, -(a * b)],
         [-(c * c), -(ac + ac), a * a],
     ]
+
+
+def float_torsion(piece):
+    """The torsion of the piece's float64 complex with its lifts: ``piece.torsion`` itself on a
+    non-abelian side; on an abelian side, whose torsion is exact, the cross-check built on demand."""
+    return piece.torsion if piece.torsion.bases else reidemeister_torsion(piece.complex, piece.lifts)
+
+
+def abelian_chains(rep, side):
+    """Chains of mu_C and la_C on the gluing-torus vector v in the abelian side ``side``:
+    (e_g(w) v)_g, as v is fixed by every generator there."""
+    pres, peri = torus_piece_presentation(rep.a) if side == "C" else pattern_piece_presentation(rep.b)
+    v = rep.vectors[TORUS_CASES[rep.family][0]]
+    return tuple(np.concatenate([peri[name].exponent_sum(g) * v for g in pres.generators])
+                 for name in ("mu_C", "lambda_C"))

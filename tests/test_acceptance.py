@@ -1,10 +1,11 @@
 """Acceptance suite: every criterion at its stated tolerance, one line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the PASS lines as the
-criteria complete.  The (a, b) grid is {(1,6), (1,7), (2,10)}; note the NN
-family has an empty index range at (1,6) and (2,10) (the twist span
-2b+1-4(2a+1) is 1 there, which would force the excluded root -1), so its
-substantive checks run at (1,7).
+criteria complete.  The (a, b) grid is {(1,6), (1,7), (2,10), (3,40)}; (3,40)
+is where NA's float64 pattern piece lost a rank, which its exact route does
+not.  Note the NN family has an empty index range at (1,6) and (2,10) (the
+twist span 2b+1-4(2a+1) is 1 there, which would force the excluded root -1),
+so its substantive checks run at (1,7) and (3,40).
 """
 
 import cmath
@@ -33,7 +34,7 @@ from cabletorsion.torsion import reidemeister_torsion, torsion_equal
 from cabletorsion.words import fox_fundamental_defect
 from conftest import random_word
 
-GRID = [(1, 6), (1, 7), (2, 10)]
+GRID = [(1, 6), (1, 7), (2, 10), (3, 40)]
 XI = 0.3 + 0.1j
 
 

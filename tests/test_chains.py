@@ -34,7 +34,7 @@ from cabletorsion.representations import (
     rep_build,
 )
 from cabletorsion.words import fox_derivative
-from conftest import assert_close, flat_to_mpc, mp_family_scalars, random_word
+from conftest import abelian_chains, assert_close, flat_to_mpc, float_torsion, mp_family_scalars, random_word
 
 XI = 0.3 + 0.1j
 
@@ -56,8 +56,8 @@ def rep_na():
 
 
 def piece_coordinates(piece, cycle, degree=1):
-    """class_coordinates in the basis the piece's torsion was assembled in."""
-    return class_coordinates(cycle, piece.torsion.bases[degree], piece.complex, degree)
+    """class_coordinates in the basis the piece's float64 torsion was assembled in."""
+    return class_coordinates(cycle, float_torsion(piece).bases[degree], piece.complex, degree)
 
 
 class TestPresentationComplex:
@@ -427,7 +427,7 @@ class TestGluingSubgroupWalk:
         pres, peri = pattern_piece_presentation(40)
         word = peri["lambda_C"]
         ref = np.array([complex(v) for v in _hp_reference(word, rep, pres, "W", dps=120)])
-        _, split = _gluing_chains(rep, "D")
+        _, split = abelian_chains(rep, "D")
         assert np.linalg.norm(split - ref) <= 1e-14 * np.linalg.norm(ref)
         with pytest.raises(ChainComplexError, match="relative deviation"):
             chain_of_loop_hp(word, rep, pres, "W")
@@ -439,7 +439,7 @@ class TestGluingSubgroupWalk:
 
 
 # Relative distance of a non-abelian closed-form chain from the downcast fixed-point walk: the
-# torus side's is measured at most 1.6e-13 (NA (6, 200), xi = -1), bounded by 3e-11 at FIXED_BITS.
+# torus side's is measured at most 1.6e-13 (NA (6, 200), xi = -1), bounded by 3e-11 in _gluing_chains.
 CLOSED_FORM_TOL = 1e-12
 PATTERN_SIDE_TOL = 1e-14  # the pattern side's: 6.0e-16 measured, 3e-15 bounded
 
@@ -466,16 +466,17 @@ class TestClosedFormGluingChains:
     @pytest.mark.parametrize("xi", [complex(re, im) for re in (-1.0, 1.0) for im in (-1.0, 1.0)])
     def test_closed_forms_are_the_rounded_walks(self, family, a, b, xi):
         """A non-abelian side is within CLOSED_FORM_TOL of the downcast walk.  An abelian
-        side is e_g(w) v exactly, with (e_x, e_y) = (1, 0), (2a, 2a+1) for mu_C, h in C and
-        (e_p, e_t) = (2, 0), (0, 1) in D, and the walk, inexact there (Ad(g) v = v only up
-        to the fixed-point rounding), agrees with it to the same tolerance."""
+        side's chain is e_g(w) v (``abelian_chains``, whose classes are the integer phi_1
+        rows), with (e_x, e_y) = (1, 0), (2a, 2a+1) for mu_C, h in C and (e_p, e_t) = (2, 0),
+        (0, 1) in D, and the walk, inexact there (Ad(g) v = v only up to the fixed-point
+        rounding), agrees with it to the same tolerance."""
         rep = rep_build(family, xi, a, b, index_range(family, a, b)[0])
         case = TORUS_CASES[family][0]
         exponents = {"C": ((1, 0), (2 * a, 2 * a + 1)), "D": ((2, 0), (0, 1))}
         for side, (piece, (pres, peri)) in enumerate(
             (("C", torus_piece_presentation(a)), ("D", pattern_piece_presentation(b)))
         ):
-            mu, la = _gluing_chains(rep, piece)
+            mu, la = (abelian_chains if family[side] == "A" else _gluing_chains)(rep, piece)
             head, k = peri.splits["lambda_C"]
             try:
                 walked_mu = chain_of_loop_hp(peri["mu_C"], rep, pres, case)
@@ -486,8 +487,10 @@ class TestClosedFormGluingChains:
                 walked_mu = walked_la = None
             if family[side] == "A":
                 v = rep.vectors[case]
-                want_mu, want_h = (np.concatenate([e * v for e in es]) for es in exponents[piece])
-                assert np.array_equal(mu, want_mu) and np.array_equal(la, want_h + k * want_mu), piece
+                e_mu, e_h = exponents[piece]
+                want_mu, want_la = (np.concatenate([e * v for e in es])
+                                    for es in (e_mu, [h + k * m for m, h in zip(e_mu, e_h)]))
+                assert np.array_equal(mu, want_mu) and np.array_equal(la, want_la), piece
             if walked_mu is not None:
                 for got, walked in ((mu, walked_mu), (la, walked_la)):
                     assert np.linalg.norm(got - walked) <= CLOSED_FORM_TOL * np.linalg.norm(walked), piece

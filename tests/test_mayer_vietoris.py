@@ -28,8 +28,8 @@ from cabletorsion.mayer_vietoris import (
 )
 from cabletorsion.presentations import cable_exterior_presentation, torus_piece_presentation
 from cabletorsion.representations import evaluate_word, index_range, invariant_vector, rep_build
-from cabletorsion.torsion import TorsionError, TorsionValue, torsion_equal
-from conftest import assert_close
+from cabletorsion.torsion import TorsionError, TorsionValue, reidemeister_torsion, torsion_equal
+from conftest import abelian_chains, assert_close, float_torsion
 
 XI = 0.3 + 0.1j
 
@@ -82,11 +82,11 @@ class TestInducedMapGoldens:
         conj = pres.word("y") * (pres.word("x y") ** a)
         images2 = [(c, (np.eye(3) - evaluate_word(rep, conj)) @ v), (d, v)]
         phi2 = np.concatenate([
-            class_coordinates(chain, piece.torsion.bases[2], piece.complex, 2)
+            class_coordinates(chain, float_torsion(piece).bases[2], piece.complex, 2)
             for piece, chain in images2 if piece.lifts.get(2)
         ])
         phi0 = np.concatenate([np.zeros(0)] + [
-            class_coordinates(v, piece.torsion.bases[0], piece.complex, 0)
+            class_coordinates(v, float_torsion(piece).bases[0], piece.complex, 0)
             for piece in (c, d) if piece.lifts.get(0)
         ])
         assert maps.phi2.shape == (len(phi2), 1) and maps.phi0.shape == (len(phi0), 1)
@@ -115,8 +115,10 @@ class TestAssembledBasisCoordinates:
     ])
     def test_every_piece_and_degree_matches_least_squares(self, rng, family, a, b, index):
         rep, pieces, maps = assemble(family, a, b, index)
-        gluing = {name: _gluing_chains(rep, name) for name in ("C", "D")}
+        gluing = {name: (abelian_chains if family[side] == "A" else _gluing_chains)(rep, name)
+                  for side, name in enumerate("CD")}
         for piece in pieces.values():
+            bases = float_torsion(piece).bases
             for k, lifts in piece.lifts.items():
                 if not lifts:
                     continue
@@ -129,17 +131,17 @@ class TestAssembledBasisCoordinates:
                 cycles = list(lifts) + [mixed] + list(gluing.get(piece.name, ()) if k == 1 else ())
                 for cycle in cycles:
                     assert_close(
-                        class_coordinates(cycle, piece.torsion.bases[k], piece.complex, k),
+                        class_coordinates(cycle, bases[k], piece.complex, k),
                         lstsq_coordinates(cycle, lifts, piece.complex, k),
                         1e-10, f"{piece.name} degree {k}",
                     )
                 assert_close(
-                    class_coordinates(mixed, piece.torsion.bases[k], piece.complex, k),
+                    class_coordinates(mixed, bases[k], piece.complex, k),
                     coeffs, 1e-10, f"{piece.name} degree {k} random class",
                 )
             if piece.name != "S":
                 with pytest.raises(ChainComplexError, match="not a cycle"):
-                    class_coordinates(np.ones(piece.complex.dims[1]), piece.torsion.bases[1], piece.complex, 1)
+                    class_coordinates(np.ones(piece.complex.dims[1]), bases[1], piece.complex, 1)
         # phi_1 is the coordinates of the gluing chains, C stacked over D
         reference = np.column_stack([
             np.concatenate([
@@ -265,12 +267,13 @@ class TestTorE:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr or "tor_E imported mpmath"
 
-    def test_na_edge_fails_in_the_torsion_not_the_relations(self):
-        # NA (3,40) at Re xi = 1: the relators hold (the representation builds),
-        # and the piece torsion then loses a boundary rank in float64
-        rep_build("NA", 1 + 0j, 3, 40, (0,))
+    def test_na_edge_passes_through_the_exact_pattern_side(self):
+        # NA (3,40) at Re xi = 1: the float64 complex of D loses a boundary rank,
+        # and the exact route of the abelian side does not build it
+        piece = build_pattern_piece(rep_build("NA", 1 + 0j, 3, 40, (0,)))
         with pytest.raises(TorsionError, match="cannot supply 2 numerically independent"):
-            tor_E("NA", 3, 40, (0,), 1 + 0j)
+            reidemeister_torsion(piece.complex, piece.lifts)
+        assert torsion_equal(tor_E("NA", 3, 40, (0,), 1 + 0j).value, theorem_rhs("NA", 3, 40, (0,), 1), 1e-10)
 
     def test_aa_not_routed_through_gluing(self):
         with pytest.raises(MayerVietorisError):
@@ -388,8 +391,9 @@ class TestNineSlotCrossCheck:
         monkeypatch.setattr(np.linalg, "svd", counting)
         result = tor_E(family, 3, 40, index, XI)
         assert calls == []
-        bases = [result.piece_c.torsion.bases, result.piece_d.torsion.bases]
-        assert [sorted(b) for b in bases] == [[0, 1, 2]] * 2
+        # AN's C is exact and assembles no basis
+        bases = [p.torsion.bases for p in (result.piece_c, result.piece_d) if p.torsion.bases]
+        assert [sorted(b) for b in bases] == [[0, 1, 2]] * (2 if family == "NN" else 1)
         assert all(basis.conditioning.certified for b in bases for basis in b.values())
 
 
@@ -431,8 +435,8 @@ def test_precision_path_goldens(case):
     decide the digits, against values recorded before they moved to flat
     integer kernels: within 1e-12 relative (the closed-form match
     is 1e-6), and each recorded error with its type and message.  A value
-    re-recorded since keeps its predecessor as ``old_value``, and must be
-    closer to the closed form than it."""
+    re-recorded since keeps its predecessor as ``old_value`` when it came
+    closer to the closed form, and must stay closer than it."""
     args = (case["family"], case["a"], case["b"], tuple(case["index"]), complex(*case["xi"]))
     if "error" in case:
         with pytest.raises(Exception) as info:

@@ -39,7 +39,8 @@ from cabletorsion.representations import (
     rep_build,
     verify_relations,
 )
-from cabletorsion.torsion import TorsionError
+from cabletorsion.closed_forms import theorem_rhs
+from cabletorsion.torsion import TorsionError, torsion_equal
 from cabletorsion.words import GroupRingElement, Word, fox_derivative
 from conftest import adjoint_entries, assert_close, fixed_to_mpc, flat_to_mpc, mp_family_scalars, random_word
 
@@ -678,12 +679,11 @@ class TestRelationCheck:
 
     def test_na_6_200_reaches_the_pieces(self):
         # NA (6,200) at this xi raised "fixed-point relator deviation is past the
-        # float64 range" in rep_build; certified exactly, it fails later, in a
-        # piece torsion, with the named rank error
+        # float64 range" in rep_build; certified exactly, it then lost a rank in
+        # D's float64 complex, and D's exact route now gives the theorem's value
         xi = -0.848 + 0.828j
         assert len(rep_build("NA", xi, 6, 200, (1,)).certified) == 4
-        with pytest.raises(TorsionError, match="boundary d_1 cannot supply 2 numerically independent columns"):
-            tor_E("NA", 6, 200, (1,), xi)
+        assert torsion_equal(tor_E("NA", 6, 200, (1,), xi).value, theorem_rhs("NA", 6, 200, (1,), xi), 1e-9)
 
     def test_foreign_presentation_is_still_checked(self, rep_na, monkeypatch):
         evaluated = []
