@@ -18,7 +18,8 @@ cable and pattern relators over F_P, once per Galois orbit; any other relator is
 checked in float64 before a complex is built.  Betti numbers are dim C_i - rank
 d_i - rank d_(i+1).  Under a diagonal representation the walk needs only the
 prefix's degree: ``abelian_fox_rows`` is the Fox matrix over Z[t^+-1],
-``alexander_minor`` its minor.
+``alexander_minor`` its minor.  ``chain_of_loop_hp`` runs the same walk on
+mpmath scalars at HP_BITS bits: the reference for the float64 gluing chains.
 
 The boundary torus gets its own cell structure (one 0-cell, 1-cells mu, la,
 one 2-cell glued along the commutator), whose differentials collapse to
@@ -35,7 +36,8 @@ import numpy as np
 
 from . import linalg
 from .presentations import Presentation, _ldet, abelianization_exponents
-from .representations import CabletorsionError, Representation, _invariant_root, _to_complex, ensure_relations
+from .representations import CabletorsionError, Representation, _invariant_root, ensure_relations
+from .representations import _adj2, _hp_scalars, _invariant_entries, _mul2
 from .words import Generator, Word
 
 SL2_BASIS_NAMES = ("E", "H", "F")
@@ -43,7 +45,8 @@ SL2_BASIS_NAMES = ("E", "H", "F")
 BOUNDARY_SQUARE_TOL = 1e-9    # |d_i d_(i+1)| / (|d_i| |d_(i+1)|): the matrices form a complex
 COMMUTATOR_TOL = 1e-9         # |ML - LM| / (|M| |L|): the peripheral actions commute
 CYCLE_TOL = 1e-8              # |d_i v| / (|d_i| |v|): a class_coordinates vector or homology lift is a cycle
-SUBGROUP_TOL = 1e-20          # |Ad(word) v - v| / |v| after a fixed-point loop walk: it kept its digits
+SUBGROUP_TOL = 1e-20          # |Ad(word) v - v| / |v| after a reference loop walk: it kept its digits
+HP_BITS = 216                 # mpmath working precision of the reference loop walk, about 65 digits
 
 
 class ChainComplexError(CabletorsionError):
@@ -123,8 +126,8 @@ def _fox_walk(word: Word, generators: Sequence[Generator], start, forward, backw
 
     With u the prefix so far, a letter g adds Ad(u) start to block g, then
     extends u; g^-1 extends u first, then subtracts (d(g^-1)/dg = -g^-1).
-    ``forward`` / ``backward`` map names to Ad(g) / Ad(g)^-1 as numpy arrays
-    or flat fixed-point ``_Flat``; ``start - start`` is the zero block.
+    ``forward`` / ``backward`` map names to Ad(g) / Ad(g)^-1 as numpy arrays,
+    complex or of mpmath scalars; ``start - start`` is the zero block.
     """
     blocks = {g.name: start - start for g in generators}
     acc = start
@@ -273,23 +276,38 @@ def chain_of_loop(word: Word, vector, rep: Representation, pres: Presentation) -
     return np.concatenate(blocks)
 
 
+def _hp_adjoint(g) -> np.ndarray:
+    """Ad(g) of a 2x2 ``g`` of scalars in SL(2), as a 3x3 object array: the columns
+    are the coordinates (e, h, f) of the conjugates g^-1 v g of E, H and F."""
+    conj = [_mul2(_mul2(_adj2(g), v), g) for v in (((0, 1), (0, 0)), ((1, 0), (0, -1)), ((0, 0), (1, 0)))]
+    return np.array([[c[0][1] for c in conj], [c[0][0] for c in conj], [c[1][0] for c in conj]], dtype=object)
+
+
 def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: str) -> np.ndarray:
-    """chain_of_loop with the family's invariant vector, walked in FIXED_BITS-bit fixed point
-    (``Representation.hp_adjoints``) and rounded: the reference for ``mayer_vietoris._gluing_chains``.
+    """chain_of_loop with the family's invariant vector, walked on mpmath scalars at HP_BITS bits
+    (``hp_assignment``) and rounded: the reference for ``mayer_vietoris._gluing_chains``.
     ``word`` must lie in the gluing-torus subgroup, which fixes the vector, so the walk must end
-    where it started; a word whose prefixes outgrow 2^FIXED_BITS times the chain loses every digit
-    (the flat pattern longitude at NA (3,40), Re xi = 1, ends 5e7 to 8e7 away), and a deviation
-    beyond SUBGROUP_TOL raises."""
-    _invariant_root(case, rep.family)
-    forward, backward = rep.hp_adjoints
-    vector = rep.hp_vectors[case]
-    blocks, end = _fox_walk(word, pres.generators, vector, forward, backward)
-    deviation = max(map(abs, _to_complex(end - vector)))
-    scale = max(map(abs, _to_complex(vector)))
-    if deviation > SUBGROUP_TOL * scale:
-        raise ChainComplexError(
-            f"the {case} vector is not returned by a loop of {len(word)} letters "
-            f"(relative deviation {deviation / scale:.3e} > {SUBGROUP_TOL:g}): "
-            "the word is not in the gluing-torus subgroup or the fixed-point walk lost its digits"
-        )
-    return np.array([v for block in blocks for v in _to_complex(block)])
+    where it started; a word whose prefixes outgrow 2^HP_BITS times the chain loses every digit
+    to cancellation (the flat pattern longitude at NA (3,40), Re xi = 1, ends 4e-9 to 6e-8 away),
+    and a deviation beyond SUBGROUP_TOL raises."""
+    import mpmath
+
+    from .representations import hp_assignment  # at call time: a patch or span on the module's name is seen
+
+    root = _invariant_root(case, rep.family)
+    with mpmath.mp.workprec(HP_BITS):
+        mats = hp_assignment(rep)
+        forward = {name: _hp_adjoint(m) for name, m in mats.items()}
+        backward = {name: _hp_adjoint(_adj2(m)) for name, m in mats.items()}
+        z, roots = _hp_scalars(rep)
+        vector = np.array(_invariant_entries(case, z, roots.get(root)), dtype=object)
+        blocks, end = _fox_walk(word, pres.generators, vector, forward, backward)
+        deviation = max(abs(v) for v in end - vector)
+        scale = max(abs(v) for v in vector)
+        if deviation > SUBGROUP_TOL * scale:
+            raise ChainComplexError(
+                f"the {case} vector is not returned by a loop of {len(word)} letters "
+                f"(relative deviation {float(deviation / scale):.3e} > {SUBGROUP_TOL:g}): "
+                "the word is not in the gluing-torus subgroup or the walk lost its digits"
+            )
+        return np.array([complex(v) for block in blocks for v in block])

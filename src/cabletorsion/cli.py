@@ -26,7 +26,8 @@ from .presentations import (
     presentation_to_json,
     torus_piece_presentation,
 )
-from .representations import abelian_representation, evaluate_word, index_range, rep_build
+from .representations import CabletorsionError, abelian_representation, check_parameters, evaluate_word
+from .representations import index_range, rep_build
 from .torsion import reidemeister_torsion, torsion_equal
 from .words import Word, fox_fundamental_defect
 
@@ -106,20 +107,25 @@ def cmd_compute(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    xi = args.xi
+    """One row per index; an index whose torsion raises gets empty tor_re / tor_im (null
+    in JSON) and match 0, its error goes to stderr, and the sweep goes on (exit 1)."""
+    xi = check_parameters(args.family, args.xi, args.a, args.b)  # bad parameters exit 2, not per row
     rows = []
     all_match = True
     for index in index_range(args.family, args.a, args.b):
-        engine = (tor_E_abelian(args.a, args.b, xi).value if args.family == "AA"
-                  else tor_E(args.family, args.a, args.b, index, xi).value.value)
         reference = _closed_form(args.family, args.a, args.b, index, xi)
-        match = torsion_equal(engine, reference, args.tol_match)
+        try:
+            engine = (tor_E_abelian(args.a, args.b, xi).value if args.family == "AA"
+                      else tor_E(args.family, args.a, args.b, index, xi).value.value)
+        except CabletorsionError as err:
+            print(f"error: index {index}: {err}", file=sys.stderr)
+            tor, match = [None, None], False
+        else:
+            tor, match = _pair(engine), torsion_equal(engine, reference, args.tol_match)
         all_match = all_match and match
         idx1, idx2 = (list(index) + ["", ""])[:2]
-        rows.append(
-            [args.family, args.a, args.b, idx1, idx2, xi.real, xi.imag,
-             engine.real, engine.imag, reference.real, reference.imag, int(match)]
-        )
+        rows.append([args.family, args.a, args.b, idx1, idx2, xi.real, xi.imag,
+                     *tor, reference.real, reference.imag, int(match)])
     header = ["family", "a", "b", "index1", "index2", "xi_re", "xi_im",
               "tor_re", "tor_im", "ref_re", "ref_im", "match"]
     if args.format == "json":

@@ -397,7 +397,6 @@ def tor_E_abelian(a: int, b: int, xi: complex) -> TorsionValue:
     with A the cable's ``alexander_minor`` (the p row deleted), E and F give A(1/t) / (1/t - 1) and
     A(t) / (t - 1), H gives 1 / A(1) = +-1: together +-tau0^-2, with the + sign of the float64 12x9
     complex.  The guards are ``rep_build``'s."""
-    terms = _weight_terms("E", a, b)  # the cable presentation's guards come first
     xi = check_parameters("AA", xi, a, b)
     what = lambda: f"AA torsion at (a, b) = ({a}, {b}), xi = {xi}"
-    return _at_weights(*terms, xi, (2 * cmath.sinh(xi / 2)) ** 2, what)
+    return _at_weights(*_weight_terms("E", a, b), xi, (2 * cmath.sinh(xi / 2)) ** 2, what)

@@ -18,7 +18,8 @@ conjugator would introduce.
 The matrices are rational in z over Q(omega), so a cable or pattern relator holds
 identically or fails for almost every xi: ``rep_build`` certifies them, with the
 gluing-torus identities, once per (family, a, b, Galois orbit of the index), over
-F_P (``_certify_relations``).
+F_P (``_certify_relations``).  ``hp_assignment`` rebuilds them on mpmath scalars
+for the reference loop walk, ``chains.chain_of_loop_hp``.
 
 Conventions for the twisted chain complex: sl(2,C) carries the basis {E,H,F};
 the adjoint action is Ad(g)(v) = rho(g)^-1 v rho(g), written as a 3x3 matrix
@@ -32,7 +33,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
@@ -66,160 +66,9 @@ class RepresentationError(CabletorsionError):
     pass
 
 
-# Fixed point serves only the reference loop walk (chains.chain_of_loop_hp) that the tests hold the
-# float64 gluing chains (mayer_vietoris._gluing_chains, whose docstring bounds their error) against.
-FIXED_BITS = 200              # fraction bits of _Fixed: about 60 digits, absolute
-_ONE = 1 << FIXED_BITS
-
-
-class _Fixed:
-    """A complex number as two Python ints scaled by 2^FIXED_BITS: the scalar
-    of the family formulas the reference walk reads.
-
-    Sums are exact and a product is the exact integer product shifted back
-    once, so the error is absolute: about 2^-FIXED_BITS per operation, whatever
-    the size of the entry.  Ints mix in exactly; nothing else does.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int = 0):
-        self.re, self.im = re, im
-
-    def __add__(self, other):
-        o = _lift(other)
-        return _Fixed(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -_lift(other)
-
-    def __rsub__(self, other):
-        return _lift(other) - self
-
-    def __neg__(self):
-        return _Fixed(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _Fixed(self.re * other, self.im * other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _Fixed((a * c - b * d) >> FIXED_BITS, (a * d + b * c) >> FIXED_BITS)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            return _Fixed(self.re // other, self.im // other)
-        c, d = other.re, other.im
-        den = c * c + d * d
-        return _Fixed(
-            ((self.re * c + self.im * d) << FIXED_BITS) // den,
-            ((self.im * c - self.re * d) << FIXED_BITS) // den,
-        )
-
-    def __rtruediv__(self, other):
-        return _lift(other) / self
-
-    def __pow__(self, n: int):
-        base, n = (self, n) if n >= 0 else (1 / self, -n)
-        out = _Fixed(_ONE)
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def __complex__(self):
-        return complex(self.re / _ONE, self.im / _ONE)  # int / int rounds correctly
-
-
-def _lift(x) -> _Fixed:
-    return x if isinstance(x, _Fixed) else _Fixed(x << FIXED_BITS)
-
-
-def _fixed_mp(f) -> Tuple[int, int]:
-    """f(mpmath) at FIXED_BITS + 16 bits, rounded to the nearest fixed-point (re, im)."""
-    import mpmath
-
-    with mpmath.mp.workprec(FIXED_BITS + 16):
-        x = f(mpmath)
-        return tuple(int(mpmath.nint(mpmath.ldexp(part, FIXED_BITS))) for part in (x.real, x.imag))
-
-
-@lru_cache(maxsize=64)
-def _fixed_z(xi: complex) -> Tuple[int, int]:
-    """z = exp(xi/2), once per distinct xi."""
-    return _fixed_mp(lambda mpmath: mpmath.exp(mpmath.mpc(xi) / 2))
-
-
-@lru_cache(maxsize=512)
-def _fixed_root(k: int, den: int) -> Tuple[int, int]:
-    """omega = exp(i pi (2k+1)/den), once per distinct (k, den)."""
-    return _fixed_mp(lambda mpmath: mpmath.expjpi(mpmath.mpf(2 * k + 1) / den))
-
-
-# Flat fixed-point kernels (the reference loop walk): a
-# 2x2, 3x3 or 3-vector is one tuple of ints, (re, im) of each entry scaled by
-# 2^FIXED_BITS, row-major; each entry is its exact sum of products, shifted once.
-
-
-def _flat(entries) -> tuple:
-    """``_Fixed`` / int scalars, in order, as one flat tuple of ints."""
-    return tuple(part for x in map(_lift, entries) for part in (x.re, x.im))
-
-
-def _to_complex(flat) -> list:
-    """The correctly rounded complex values of flat (re, im) pairs."""
-    it = iter(flat)
-    return [complex(re / _ONE, im / _ONE) for re, im in zip(it, it)]  # int / int rounds correctly
-
-
-class _Flat(tuple):
-    """A flat fixed-point 3-vector (6 ints) or 3x3 (18 ints): ``+`` and ``-``
-    act entrywise, and 3x3 ``@`` 3-vector is one walk step."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _Flat(map(operator.add, self, other))
-
-    def __sub__(self, other):
-        return _Flat(map(operator.sub, self, other))
-
-    def __matmul__(self, v):
-        v0r, v0i, v1r, v1i, v2r, v2i = v
-        out = []
-        for k in (0, 6, 12):
-            ar, ai, br, bi, cr, ci = self[k:k + 6]
-            out += ((ar * v0r - ai * v0i + br * v1r - bi * v1i + cr * v2r - ci * v2i) >> FIXED_BITS,
-                    (ar * v0i + ai * v0r + br * v1i + bi * v1r + cr * v2i + ci * v2r) >> FIXED_BITS)
-        return _Flat(out)
-
-
-def _fadjoint(m) -> _Flat:
-    """Ad(g): v -> g^-1 v g of a flat 2x2 g in SL(2), written out with g^-1 = [[d, -b], [-c, a]]
-    as a flat 3x3: nine products per part and no division."""
-    ar, ai, br, bi, cr, ci, dr, di = m
-    return _Flat(part >> FIXED_BITS for part in (
-        dr * dr - di * di, 2 * dr * di,
-        2 * (br * dr - bi * di), 2 * (br * di + bi * dr),
-        bi * bi - br * br, -2 * br * bi,
-        cr * dr - ci * di, cr * di + ci * dr,
-        ar * dr - ai * di + br * cr - bi * ci, ar * di + ai * dr + br * ci + bi * cr,
-        ai * bi - ar * br, -(ar * bi + ai * br),
-        ci * ci - cr * cr, -2 * cr * ci,
-        -2 * (ar * cr - ai * ci), -2 * (ar * ci + ai * cr),
-        ar * ar - ai * ai, 2 * ar * ai,
-    ))
-
-
-# 2x2 helpers over a generic scalar domain (complex, _Fixed or _Residue): the
+# 2x2 helpers over a generic scalar domain (complex, mpmath or _Residue): the
 # family formulas are written once, in scalar arithmetic, so the float
-# constructors, the extended-precision path and the certificate cannot drift apart.
+# constructors, the reference walk and the certificate cannot drift apart.
 
 
 def _m2(a, b, c, d):
@@ -324,20 +173,26 @@ def _root_fractions(family: str, a: int, b: int, index) -> dict:
     return {name: (k, den) for k, (name, den) in zip(_normalize_index(family, index), dens.items())}
 
 
-def _scalars(family: str, xi: complex, a: int, b: int, index, exact: bool):
-    """(z = exp(xi/2), roots by name), complex or, if ``exact``, ``_Fixed`` from their caches."""
+def _scalars(family: str, xi: complex, a: int, b: int, index):
+    """(z = exp(xi/2), roots by name) as complex."""
     fractions = _root_fractions(family, a, b, index)
-    if exact:
-        roots = {name: _Fixed(*_fixed_root(k, den)) for name, (k, den) in fractions.items()}
-        return _Fixed(*_fixed_z(xi)), roots
     roots = {name: cmath.exp(1j * cmath.pi * (2 * k + 1) / den) for name, (k, den) in fractions.items()}
     return cmath.exp(xi / 2), roots
 
 
+def _hp_scalars(rep: "Representation"):
+    """``_scalars`` of ``rep`` as mpmath numbers at the current mpmath precision."""
+    import mpmath
+
+    fractions = _root_fractions(rep.family, rep.a, rep.b, rep.index)
+    roots = {name: mpmath.expjpi(mpmath.mpf(2 * k + 1) / den) for name, (k, den) in fractions.items()}
+    return mpmath.exp(mpmath.mpc(rep.xi) / 2), roots
+
+
 def hp_assignment(rep: "Representation"):
-    """The generator matrices rebuilt from the defining data as ``_Fixed`` scalars, free of the
-    float64 rounding of ``assignment``: the 2x2s of the reference walk's ``hp_entries``."""
-    z, roots = rep._exact_scalars
+    """The generator matrices rebuilt from the defining data on ``_hp_scalars``, free of the
+    float64 rounding of ``assignment``: the 2x2s of the reference walk ``chains.chain_of_loop_hp``."""
+    z, roots = _hp_scalars(rep)
     return _family_entries(rep.family, z, rep.a, rep.b, **roots)
 
 
@@ -353,31 +208,16 @@ def adjoint_matrix(m) -> np.ndarray:
     return np.ascontiguousarray(conj[..., (0, 0, 1), (1, 0, 0)]).swapaxes(-1, -2)
 
 
-class _LazyAdjoints(dict):
-    """Flat fixed-point Ad(g), or Ad(g^-1) when ``inverse``, by generator name,
-    each built from the flat 2x2 ``entries`` on first lookup."""
-
-    def __init__(self, entries, inverse: bool):
-        super().__init__()
-        self._entries, self._inverse = entries, inverse
-
-    def __missing__(self, name):
-        ar, ai, br, bi, cr, ci, dr, di = m = self._entries[name]
-        adj = self[name] = _fadjoint((dr, di, -br, -bi, -cr, -ci, ar, ai) if self._inverse else m)  # adjugate
-        return adj
-
-
 @dataclass
 class Representation:
     """Generator-to-SL(2,C) assignment (by generator name) and the data that define it.
 
     Family, xi, (a, b) and index fix everything else: z = exp(xi/2), the roots
     omega1-3 (None where the family has no such root), the float64 adjoints and
-    their inverses (one stacked call each), and the reference walk's fixed-point
-    matrices, adjoints (each on its first lookup) and invariant vectors, which
-    share one fixed-point z and roots.  Each is derived on first read and kept;
-    none is a constructor argument, so none can disagree with the data.  Instances
-    are treated as immutable; ``certified`` holds the relators ``rep_build`` certified.
+    their inverses (one stacked call each) and the invariant vectors.  Each is
+    derived on first read and kept; none is a constructor argument, so none can
+    disagree with the data.  Instances are treated as immutable; ``certified``
+    holds the relators ``rep_build`` certified.
     """
 
     family: str
@@ -396,12 +236,7 @@ class Representation:
 
     @cached_property
     def _complex_scalars(self):
-        return _scalars(self.family, self.xi, self.a, self.b, self.index, exact=False)
-
-    @cached_property
-    def _exact_scalars(self):
-        """``_scalars`` as ``_Fixed``, shared by ``hp_assignment`` and ``hp_vectors``."""
-        return _scalars(self.family, self.xi, self.a, self.b, self.index, exact=True)
+        return _scalars(self.family, self.xi, self.a, self.b, self.index)
 
     @property
     def z(self) -> complex:
@@ -421,17 +256,6 @@ class Representation:
         return dict(zip(self.adjoints, np.linalg.inv(list(self.adjoints.values()))))
 
     @cached_property
-    def hp_entries(self) -> dict:
-        """``hp_assignment`` as flat fixed-point 2x2s (8 ints each)."""
-        return {name: _flat(m[0] + m[1]) for name, m in hp_assignment(self).items()}
-
-    @cached_property
-    def hp_adjoints(self) -> tuple:
-        """(Ad(g), Ad(g^-1)) by generator name as flat fixed-point ``_Flat``,
-        each built on first lookup by the reference walk ``chain_of_loop_hp``."""
-        return _LazyAdjoints(self.hp_entries, False), _LazyAdjoints(self.hp_entries, True)
-
-    @cached_property
     def vectors(self) -> dict:
         """The family's invariant vectors by case as read-only float64 arrays."""
         z, roots = self._complex_scalars
@@ -440,13 +264,6 @@ class Representation:
         for vec in vecs.values():
             vec.flags.writeable = False
         return vecs
-
-    @cached_property
-    def hp_vectors(self) -> dict:
-        """The family's invariant vectors by case as flat fixed-point ``_Flat``."""
-        z, roots = self._exact_scalars
-        return {case: _Flat(_flat(_invariant_entries(case, z, roots.get(root))))
-                for case, (family, root) in _INVARIANT_CASES.items() if family == self.family}
 
     def matrix(self, gen) -> np.ndarray:
         return self.assignment[gen.name if isinstance(gen, Generator) else gen]
@@ -655,11 +472,17 @@ def check_parameters(family: str, xi: complex, a: int, b: int) -> complex:
     """xi as a complex, once ``rep_build``'s guards pass (``tor_E_abelian`` shares them)."""
     if family not in FAMILIES:
         raise RepresentationError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
+        raise RepresentationError(f"parameters a and b must be integers: got a={a!r}, b={b!r}")
+    if a < 1:
+        raise RepresentationError(f"parameters need a >= 1: got a={a}")
     if 2 * b + 1 <= 4 * (2 * a + 1):
         raise RepresentationError(
             f"parameters need 2b+1 > 4(2a+1): got 2b+1={2 * b + 1}, 4(2a+1)={4 * (2 * a + 1)}"
         )
     xi = complex(xi)
+    if not cmath.isfinite(xi):
+        raise RepresentationError(f"xi = {xi} is not finite")
     if abs(xi.real) < XI_REAL_GUARD:
         raise RepresentationError(
             f"|Re xi| = {abs(xi.real):.2e} below the degeneracy guard {XI_REAL_GUARD}"
@@ -682,7 +505,7 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
         raise RepresentationError(
             f"index {index} outside the admissible range for {family} at (a,b)=({a},{b})"
         )
-    z, roots = _scalars(family, xi, a, b, index, exact=False)
+    z, roots = _scalars(family, xi, a, b, index)
     entries = _family_entries(family, z, a, b, **roots)
     assignment = {name: np.array(m, dtype=complex) for name, m in entries.items()}
     rep = Representation(family, assignment, xi, a, b, index)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cabletorsion.presentations import pattern_piece_presentation, torus_piece_presentation
-from cabletorsion.representations import FIXED_BITS, TORUS_CASES, _Fixed
+from cabletorsion.representations import TORUS_CASES
 from cabletorsion.torsion import reidemeister_torsion
 from cabletorsion.words import Word
 
@@ -48,20 +48,6 @@ def mp_family_scalars(rep):
         l, m = rep.index
         return z, {"omega1": root(m, 2 * a + 1), "omega3": root(l, 2 * b + 1 - 4 * (2 * a + 1))}
     return z, {}
-
-
-def flat_to_mpc(flat):
-    """The values of flat fixed-point (re, im) int pairs in mpmath, rounded only
-    to the current mpmath precision."""
-    return [fixed_to_mpc(_Fixed(re, im)) for re, im in zip(flat[::2], flat[1::2])]
-
-
-def fixed_to_mpc(x):
-    """The value of a fixed-point scalar (or int) in mpmath, rounded only to the
-    current mpmath precision (exact while the mantissa fits)."""
-    if isinstance(x, int):
-        return mpmath.mpc(x)
-    return mpmath.mpc(mpmath.ldexp(x.re, -FIXED_BITS), mpmath.ldexp(x.im, -FIXED_BITS))
 
 
 def adjoint_entries(m):

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from cabletorsion.chains import (
+    HP_BITS,
     ChainComplexError,
     _fox_walk,
+    _hp_adjoint,
     abelian_fox_rows,
     alexander_minor,
     chain_of_loop,
@@ -24,17 +26,21 @@ from cabletorsion.presentations import (
 )
 from cabletorsion.representations import (
     TORUS_CASES,
+    _adj2,
     _family_entries,
+    _hp_scalars,
     _invariant_entries,
+    _invariant_root,
     abelian_representation,
     evaluate_ring,
     evaluate_word,
+    hp_assignment,
     index_range,
     invariant_vector,
     rep_build,
 )
 from cabletorsion.words import fox_derivative
-from conftest import abelian_chains, assert_close, flat_to_mpc, float_torsion, mp_family_scalars, random_word
+from conftest import abelian_chains, assert_close, float_torsion, mp_family_scalars, random_word
 
 XI = 0.3 + 0.1j
 
@@ -301,7 +307,7 @@ def _mp_adjoint(m):
 def _hp_reference(word, rep, pres, case, dps=40):
     """Fox blocks as mpmath scalars at dps digits, by a 3x3 matrix accumulator
     applied to v per letter.  The matrices come from the family formulas on
-    mpmath scalars and conjugation, not from the fixed-point path under test."""
+    mpmath scalars and mpmath matrix conjugation, not from the walk under test."""
     with mpmath.mp.workdps(dps):
         z, roots = mp_family_scalars(rep)
         ents = _family_entries(rep.family, z, rep.a, rep.b, **roots)
@@ -397,17 +403,23 @@ class TestFoxWalkMatchesReference:
         ],
     )
     def test_chain_of_loop_hp_precision(self, family, a, b, index, case, re_xi):
-        """The fixed-point walk holds 30 digits against 80-digit mpmath where
-        float64 loses ten, and the returned chain is that walk rounded."""
+        """The walk of ``hp_assignment`` at HP_BITS holds 30 digits against 80-digit
+        mpmath where float64 loses ten, and the returned chain is that walk rounded."""
         rep = rep_build(family, complex(re_xi, 0.1), a, b, index)
         for pres, peri in (torus_piece_presentation(a), pattern_piece_presentation(b)):
             for name in ("mu_C", "lambda_C"):
                 word = peri[name]
                 ref = _hp_reference(word, rep, pres, case, dps=80)
-                vector = rep.hp_vectors[case]
-                walked, _ = _fox_walk(word, pres.generators, vector, *rep.hp_adjoints)
+                with mpmath.mp.workprec(HP_BITS):
+                    mats = hp_assignment(rep)
+                    adjoints = ({g: _hp_adjoint(m) for g, m in mats.items()},
+                                {g: _hp_adjoint(_adj2(m)) for g, m in mats.items()})
+                    z, roots = _hp_scalars(rep)
+                    vector = np.array(_invariant_entries(case, z, roots.get(_invariant_root(case, family))),
+                                      dtype=object)
+                    walked, _ = _fox_walk(word, pres.generators, vector, *adjoints)
                 with mpmath.mp.workdps(80):
-                    got = [v for block in walked for v in flat_to_mpc(block)]
+                    got = [v for block in walked for v in block]
                     err = mpmath.norm([g - r for g, r in zip(got, ref)]) / mpmath.norm(ref)
                 assert err <= 1e-30, (pres.label, name, float(err))
                 rounded = np.array([complex(v) for v in ref])
@@ -422,7 +434,7 @@ class TestGluingSubgroupWalk:
     @pytest.mark.parametrize("xi", [1 + 0j, 1 + 1j, 1 - 1j])
     def test_split_longitude_where_the_flat_walk_fails(self, xi):
         # NA (3,40) at Re xi = 1: the flat pattern longitude's prefixes outgrow
-        # the fixed-point walk, which raises; the split h mu_C^k walk holds.
+        # the reference walk's precision, so it raises; the split h mu_C^k walk holds.
         rep = rep_build("NA", xi, 3, 40, (0,))
         pres, peri = pattern_piece_presentation(40)
         word = peri["lambda_C"]
@@ -438,7 +450,7 @@ class TestGluingSubgroupWalk:
             chain_of_loop_hp(pres.word("p"), rep_an, pres, "U")
 
 
-# Relative distance of a non-abelian closed-form chain from the downcast fixed-point walk: the
+# Relative distance of a non-abelian closed-form chain from the rounded reference walk: the
 # torus side's is measured at most 1.6e-13 (NA (6, 200), xi = -1), bounded by 3e-11 in _gluing_chains.
 CLOSED_FORM_TOL = 1e-12
 PATTERN_SIDE_TOL = 1e-14  # the pattern side's: 6.0e-16 measured, 3e-15 bounded
@@ -456,7 +468,7 @@ def _assert_pattern_chains_are_the_walks(rep, tol):
 
 
 class TestClosedFormGluingChains:
-    """The float64 closed-form gluing chains against the fixed-point reference walk."""
+    """The float64 closed-form gluing chains against the reference loop walk."""
 
     @pytest.mark.parametrize(
         "family, a, b",
@@ -468,7 +480,7 @@ class TestClosedFormGluingChains:
         """A non-abelian side is within CLOSED_FORM_TOL of the downcast walk.  An abelian
         side's chain is e_g(w) v (``abelian_chains``, whose classes are the integer phi_1
         rows), with (e_x, e_y) = (1, 0), (2a, 2a+1) for mu_C, h in C and (e_p, e_t) = (2, 0),
-        (0, 1) in D, and the walk, inexact there (Ad(g) v = v only up to the fixed-point
+        (0, 1) in D, and the walk, inexact there (Ad(g) v = v only up to the walk's
         rounding), agrees with it to the same tolerance."""
         rep = rep_build(family, xi, a, b, index_range(family, a, b)[0])
         case = TORUS_CASES[family][0]
@@ -482,7 +494,7 @@ class TestClosedFormGluingChains:
                 walked_mu = chain_of_loop_hp(peri["mu_C"], rep, pres, case)
                 walked_la = chain_of_loop_hp(head, rep, pres, case) + k * walked_mu
             except ChainComplexError:
-                # the pattern walk of NA (6, 200) outgrows the fixed point (t = -p^348)
+                # the pattern walk of NA (6, 200) outgrows HP_BITS (t = -p^348)
                 assert (family, piece, b) == ("NA", "D", 200)
                 walked_mu = walked_la = None
             if family[side] == "A":

@@ -134,6 +134,27 @@ class TestSweep:
         assert complex(ref_re, ref_im) == tau0(0.3 + 0.1j, 1, 6) ** -2
         assert torsion_equal(complex(tor_re, tor_im), tau0(0.3 + 0.1j, 1, 6) ** -2, 1e-9)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_index_keeps_its_row(self, capsys, fmt):
+        # AN (3,40) at xi = -1+i: the commutation guard rejects indices 0, 38 and 39
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "AN", "--a", "3", "--b", "40", "--xi=-1,1", "--format", fmt
+        )
+        assert code == 1
+        rows = json.loads(out)["rows"] if fmt == "json" else [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 40 and all(len(row) == 12 for row in rows)
+        empty = None if fmt == "json" else ""
+        failed = [int(row[3]) for row in rows if row[7:9] == [empty, empty]]
+        assert failed == [0, 38, 39]
+        assert all(int(row[11]) == (int(row[3]) not in failed) for row in rows)
+        assert all(row[9] not in (None, "") for row in rows)  # the closed form is still written
+        assert err.splitlines() == [f"error: index ({j},): peripheral adjoint actions do not commute"
+                                    for j in failed]
+
+    def test_bad_parameters_exit_2_before_any_row(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--family", "AN", "--a", "0", "--b", "40")
+        assert (code, out, err) == (2, "", "error: parameters need a >= 1: got a=0\n")
+
     def test_empty_nn_sweep(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--family", "NN", "--a", "1", "--b", "6", "--xi", "0.3,0.1"

@@ -27,7 +27,7 @@ from cabletorsion.mayer_vietoris import (
     tor_E_abelian,
 )
 from cabletorsion.presentations import cable_exterior_presentation, torus_piece_presentation
-from cabletorsion.representations import evaluate_word, index_range, invariant_vector, rep_build
+from cabletorsion.representations import RepresentationError, evaluate_word, index_range, invariant_vector, rep_build
 from cabletorsion.torsion import TorsionError, TorsionValue, reidemeister_torsion, torsion_equal
 from conftest import abelian_chains, assert_close, float_torsion
 
@@ -239,14 +239,15 @@ class TestTorE:
         for c in constants[1:]:
             assert min(abs(c - constants[0]), abs(c + constants[0])) <= 1e-7 * abs(constants[0])
 
-    def test_gluing_chains_walk_no_loop_and_do_no_fixed_point_work(self, monkeypatch):
+    def test_gluing_chains_walk_no_loop_and_build_no_reference_scalar(self, monkeypatch):
         # The chains of mu_C and la_C are float64 closed forms: tor_E walks no loop and
-        # builds no fixed-point scalar, matrix, adjoint or vector, whatever b is.
+        # builds no mpmath scalar, matrix or adjoint of the reference walk, whatever b is.
         called = []
         for module in (chains, mayer_vietoris):
             monkeypatch.setattr(module, "chain_of_loop_hp", lambda *args: called.append("walk"), raising=False)
-        for name in ("hp_assignment", "_fadjoint", "_fixed_mp", "_flat"):
-            monkeypatch.setattr(representations, name, lambda *args, name=name: called.append(name))
+        for module, name in ((representations, "hp_assignment"), (representations, "_hp_scalars"),
+                             (chains, "_hp_adjoint")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name))
         for b in (40, 80):
             for family, index in (("AN", (0,)), ("NA", (0,)), ("NN", (0, 0))):
                 tor_E(family, 3, b, index, 0.1 + 0.5j)  # NA (3, 40) and (3, 80) lose a rank at XI
@@ -305,12 +306,31 @@ CROSS_CHECK_CALLS = [
 ] + [("AN", 3, 40, (0,)), ("AN", 3, 40, (39,)), ("NN", 3, 40, (0, 0)), ("NN", 3, 40, (25, 2))]
 
 
+@pytest.mark.parametrize("family, a, b, index, xi, message", [
+    ("AN", 0, 6, 0, XI, "parameters need a >= 1: got a=0"),
+    ("NA", -1, 3, 0, XI, "parameters need a >= 1: got a=-1"),
+    ("NN", 1.0, 7, (0, 0), XI, "parameters a and b must be integers: got a=1.0, b=7"),
+    ("AN", 1, 6.5, 0, XI, "parameters a and b must be integers: got a=1, b=6.5"),
+    ("AN", 1, 6, 0, complex("nan"), "xi = (nan+0j) is not finite"),
+    ("NA", 1, 6, 0, complex(float("-inf"), 0.1), "xi = (-inf+0.1j) is not finite"),
+    ("NN", 1, 7, (0, 0), complex(0.3, float("nan")), "xi = (0.3+nanj) is not finite"),
+])
+def test_tor_e_shares_the_named_guards(family, a, b, index, xi, message):
+    with pytest.raises(RepresentationError) as info:
+        tor_E(family, a, b, index, xi)
+    assert str(info.value) == message
+
+
 class TestAbelianRoute:
     """tor_E_abelian from the exact Laurent minor, behind rep_build's guards."""
 
     @pytest.mark.parametrize("a, b, xi, error, message", [
-        (1, 5, 0.3, "ValueError", "cable parameters need 2b+1 > 4(2a+1): got 2b+1=11, 4(2a+1)=12"),
-        (0, 6, 0.3, "ValueError", "cable exterior needs a >= 1, got 0"),
+        (1, 5, 0.3, "RepresentationError", "parameters need 2b+1 > 4(2a+1): got 2b+1=11, 4(2a+1)=12"),
+        (0, 6, 0.3, "RepresentationError", "parameters need a >= 1: got a=0"),
+        (1.5, 6, 0.3, "RepresentationError", "parameters a and b must be integers: got a=1.5, b=6"),
+        (1, 6.0, 0.3, "RepresentationError", "parameters a and b must be integers: got a=1, b=6.0"),
+        (1, 6, complex("nan"), "RepresentationError", "xi = (nan+0j) is not finite"),
+        (1, 6, complex(0.3, float("inf")), "RepresentationError", "xi = (0.3+infj) is not finite"),
         (1, 6, 0.0005 + 1j, "RepresentationError", "|Re xi| = 5.00e-04 below the degeneracy guard 0.001"),
         (1, 6, 0, "RepresentationError", "|Re xi| = 0.00e+00 below the degeneracy guard 0.001"),
         (6, 200, -0.0009, "RepresentationError", "|Re xi| = 9.00e-04 below the degeneracy guard 0.001"),
@@ -431,9 +451,9 @@ PRECISION_GOLDENS = json.loads(
     ids=lambda c: f"{c['family']}{tuple(c['index'])}-({c['a']},{c['b']})-re{c['xi'][0]:+g}",
 )
 def test_precision_path_goldens(case):
-    """tor_E at the edge of the xi band, where the fixed-point loop walks
-    decide the digits, against values recorded before they moved to flat
-    integer kernels: within 1e-12 relative (the closed-form match
+    """tor_E at the edge of the xi band, where loop walks decided the digits
+    when the values were recorded (before the walks moved to flat integer
+    kernels): within 1e-12 relative (the closed-form match
     is 1e-6), and each recorded error with its type and message.  A value
     re-recorded since keeps its predecessor as ``old_value`` when it came
     closer to the closed form, and must stay closer than it."""

@@ -18,18 +18,12 @@ from cabletorsion.presentations import (
     torus_piece_presentation,
 )
 from cabletorsion.representations import (
-    FIXED_BITS,
     RELATION_TOL,
     Representation,
     RepresentationError,
-    _Fixed,
-    _Flat,
     _certify_relations,
-    _fadjoint,
     _family_entries,
-    _flat,
     _mul2,
-    _to_complex,
     abelian_representation,
     adjoint_matrix,
     evaluate_ring,
@@ -42,7 +36,7 @@ from cabletorsion.representations import (
 from cabletorsion.closed_forms import theorem_rhs
 from cabletorsion.torsion import TorsionError, torsion_equal
 from cabletorsion.words import GroupRingElement, Word, fox_derivative
-from conftest import adjoint_entries, assert_close, fixed_to_mpc, flat_to_mpc, mp_family_scalars, random_word
+from conftest import adjoint_entries, assert_close, mp_family_scalars, random_word
 
 XI = 0.3 + 0.1j
 A, B = 1, 6
@@ -108,8 +102,8 @@ class TestFamilyMatrices:
         assert_close(rep_an.omega2, cmath.exp(1j * cmath.pi / 13))
         assert_close(rep_na.omega1, cmath.exp(1j * cmath.pi / 3))
         assert abs(rep_nn.omega3 ** (2 * 7 + 1 - 4 * (2 * 1 + 1)) + 1) < 1e-12
-        for rep in (rep_an, rep_na, rep_nn):  # the fixed-point roots come from the same indices
-            _, roots = representations._scalars(rep.family, rep.xi, rep.a, rep.b, rep.index, exact=True)
+        for rep in (rep_an, rep_na, rep_nn):  # the reference walk's mpmath roots come from the same indices
+            _, roots = representations._hp_scalars(rep)
             assert roots and all(abs(complex(w) - getattr(rep, name)) < 1e-15 for name, w in roots.items())
 
 
@@ -329,170 +323,13 @@ class TestNNIndexConvention:
         assert abs(value - l_based) > 1e-2 * l_based
 
 
-class TestFixedPoint:
-    """_Fixed arithmetic against mpmath at 80 digits (about 265 bits)."""
-
-    @pytest.fixture(scope="class")
-    def operands(self):
-        gen = random.Random(20260809)
-        out = []
-        while len(out) < 12:
-            # full-width random mantissas in the unit square, modulus at least 1/4
-            x = _Fixed(*(gen.getrandbits(FIXED_BITS + 1) - (1 << FIXED_BITS) for _ in range(2)))
-            if abs(complex(x)) >= 0.25:
-                out.append(x)
-        return out
-
-    def test_field_operations(self, operands):
-        ulp = mpmath.ldexp(1, -FIXED_BITS)
-        with mpmath.mp.workdps(80):
-            for x, y in zip(operands, operands[1:]):
-                ex, ey = fixed_to_mpc(x), fixed_to_mpc(y)
-                assert fixed_to_mpc(x + y) == ex + ey
-                assert fixed_to_mpc(x - y) == ex - ey
-                assert fixed_to_mpc(-x) == -ex
-                assert abs(fixed_to_mpc(x * y) - ex * ey) <= 2 * ulp
-                assert abs(fixed_to_mpc(x / y) - ex / ey) <= 2 * ulp
-
-    def test_mixed_with_int(self, operands):
-        ulp = mpmath.ldexp(1, -FIXED_BITS)
-        with mpmath.mp.workdps(80):
-            for x in operands:
-                ex = fixed_to_mpc(x)
-                for k in (-3, 1, 2, 7):
-                    assert fixed_to_mpc(x + k) == ex + k and fixed_to_mpc(k + x) == ex + k
-                    assert fixed_to_mpc(x - k) == ex - k and fixed_to_mpc(k - x) == k - ex
-                    assert fixed_to_mpc(x * k) == ex * k and fixed_to_mpc(k * x) == ex * k
-                    assert abs(fixed_to_mpc(x / k) - ex / k) <= 2 * ulp
-                    assert abs(fixed_to_mpc(k / x) - k / ex) <= 2 * ulp
-
-    def test_integer_powers(self, operands):
-        with mpmath.mp.workdps(80):
-            for x in operands:
-                ex = fixed_to_mpc(x)
-                for n in range(-9, 10):
-                    ref = ex ** n
-                    assert abs(fixed_to_mpc(x ** n) - ref) <= 1e-55 * max(1, abs(ref)), n
-                assert fixed_to_mpc(x ** 0) == 1
-
-    def test_complex_is_correctly_rounded(self, operands):
-        with mpmath.mp.workdps(80):
-            for x in operands + [_Fixed(1 << FIXED_BITS, -(3 << (FIXED_BITS - 2)))]:
-                ex = fixed_to_mpc(x)
-                assert complex(x) == complex(float(ex.real), float(ex.imag))  # mpf -> float rounds to nearest
-            # a tie below the last float bit rounds to even
-            half = _Fixed((1 << FIXED_BITS) + (1 << (FIXED_BITS - 53)))
-            assert complex(half) == 1.0
-
-
-def _random_fixed(gen):
-    """A full-width random fixed-point scalar in the unit square."""
-    return _Fixed(*(gen.getrandbits(FIXED_BITS + 1) - (1 << FIXED_BITS) for _ in range(2)))
-
-
-class TestFlatKernels:
-    """The flat kernels against the generic ``_Fixed`` formulas, within
-    2^-(FIXED_BITS-2) per entry (4 in units of the last bit), and against
-    mpmath at 80 digits, where the one shift per entry costs under 2 ulp."""
-
-    KERNEL_TOL = 4
-
-    @pytest.fixture(scope="class")
-    def matrices(self):
-        gen = random.Random(20261019)
-        return [[[_random_fixed(gen) for _ in range(2)] for _ in range(2)] for _ in range(25)]
-
-    @staticmethod
-    def close(got, want, tol):
-        return len(got) == len(want) and max(abs(g - w) for g, w in zip(got, want)) <= tol
-
-    @staticmethod
-    def mp_entries(rows):
-        return [fixed_to_mpc(v) if isinstance(v, _Fixed) else v for row in rows for v in row]
-
-    def test_adjoint(self, matrices):
-        ulp = mpmath.ldexp(1, -FIXED_BITS)
-        for m in matrices:
-            got = _fadjoint(_flat(m[0] + m[1]))
-            assert isinstance(got, _Flat)
-            assert self.close(got, _flat(sum(adjoint_entries(m), [])), self.KERNEL_TOL)
-            with mpmath.mp.workdps(80):
-                exact = adjoint_entries([[fixed_to_mpc(v) for v in row] for row in m])
-                assert self.close(flat_to_mpc(got), self.mp_entries(exact), 2 * ulp)
-
-    def test_walk_step(self):
-        ulp = mpmath.ldexp(1, -FIXED_BITS)
-        gen = random.Random(20261020)
-        for _ in range(25):
-            ad = [[_random_fixed(gen) for _ in range(3)] for _ in range(3)]
-            v, w = ([_random_fixed(gen) for _ in range(3)] for _ in range(2))
-            fad, fv, fw = _Flat(_flat(sum(ad, []))), _Flat(_flat(v)), _Flat(_flat(w))
-            got = fad @ fv
-            assert isinstance(got, _Flat)
-            generic = [sum((ad[i][j] * v[j] for j in range(3)), 0) for i in range(3)]
-            assert self.close(got, _flat(generic), self.KERNEL_TOL)
-            assert fv + fw == _flat([a + b for a, b in zip(v, w)])
-            assert fv - fw == _flat([a - b for a, b in zip(v, w)])
-            assert fv - fv == (0,) * 6  # the zero block a walk starts from
-            with mpmath.mp.workdps(80):
-                ref = mpmath.matrix([[fixed_to_mpc(e) for e in row] for row in ad]) * mpmath.matrix(
-                    [fixed_to_mpc(e) for e in v]
-                )
-                assert self.close(flat_to_mpc(got), [ref[i] for i in range(3)], 2 * ulp)
-
-
-class TestScalarCaches:
-    """z and the roots run through mpmath once per distinct xi / (k, den)."""
-
-    def test_same_xi_gives_the_same_z(self):
-        z1, _ = representations._scalars("AN", XI, 3, 40, (5,), exact=True)
-        z2, _ = representations._scalars("NN", XI, 3, 40, (5, 1), exact=True)
-        assert z1 is not z2 and (z1.re, z1.im) == (z2.re, z2.im)
-
-    def test_cached_values_match_fresh_mpmath(self):
-        def fresh(x):
-            return tuple(int(mpmath.nint(mpmath.ldexp(part, FIXED_BITS))) for part in (x.real, x.imag))
-
-        z, roots = representations._scalars("NN", XI, 3, 40, (5, 1), exact=True)
-        with mpmath.mp.workprec(FIXED_BITS + 16):
-            assert (z.re, z.im) == fresh(mpmath.exp(mpmath.mpc(XI) / 2))
-            for name, k, den in (("omega1", 1, 7), ("omega3", 5, 53)):
-                want = fresh(mpmath.expjpi(mpmath.mpf(2 * k + 1) / den))
-                assert representations._fixed_root(k, den) == want
-                assert (roots[name].re, roots[name].im) == want
-
-    def test_caches_are_bounded(self):
-        for cache in (representations._fixed_z, representations._fixed_root):
-            maxsize = cache.cache_info().maxsize
-            assert maxsize is not None and 0 < maxsize <= 1024
-
-
-def test_hp_adjoints_are_built_from_hp_entries():
-    rep = rep_build("NN", XI, 1, 7, (0, 0))
-    forward, backward = rep.hp_adjoints
-    ents = representations.hp_assignment(rep)  # as _Fixed; hp_entries holds them flat
-    assert rep.hp_entries == {name: _flat(m[0] + m[1]) for name, m in ents.items()}
-    assert set(ents) == {"x", "y", "p", "t"}
-    assert not forward and not backward  # nothing is built before a lookup
-    for name, m in ents.items():
-        (a, b), (c, d) = m
-        for table, g in ((forward, m), (backward, [[d, -b], [-c, a]])):
-            want = [complex(v) for row in adjoint_entries(g) for v in row]
-            assert _to_complex(table[name]) == want, name
-            assert table[name] is table[name]  # built once, then kept
-    assert set(forward) == set(backward) == set(ents)
-    assert rep.hp_adjoints[0] is forward  # kept on rep
-    assert rep.hp_vectors["Ut"] is rep.hp_vectors["Ut"]
-
-
 @pytest.mark.parametrize("family, a, b, index", [("AN", 3, 40, (5,)), ("NA", 2, 12, (1,)), ("NN", 3, 40, (5, 1))])
 def test_tor_e_builds_the_adjoints_its_closed_forms_read(family, a, b, index, monkeypatch):
     # the gluing chains read the float64 Ad(p) and Ad(p)^-1 the piece complexes build,
-    # and no fixed-point adjoint: the torus side projects, an abelian side scales v
-    calls = _count_calls(monkeypatch, "_fadjoint")
+    # and no reference-walk matrix: the torus side projects, an abelian side scales v
+    calls = _count_calls(monkeypatch, "hp_assignment")
     rep = tor_E(family, a, b, index, XI).rep
     assert calls == [0]
-    assert "hp_adjoints" not in rep.__dict__ and "hp_entries" not in rep.__dict__
     assert {"adjoints", "adjoint_invs"} <= set(rep.__dict__)
 
 
@@ -509,8 +346,7 @@ def _count_calls(monkeypatch, attr):
     return calls
 
 
-@pytest.mark.parametrize("cache", ["adjoints", "adjoint_invs", "hp_entries",
-                                   "hp_adjoints", "hp_vectors", "vectors", "z", "omega1", "omega2", "omega3"])
+@pytest.mark.parametrize("cache", ["adjoints", "adjoint_invs", "vectors", "z", "omega1", "omega2", "omega3"])
 def test_caches_are_not_constructor_arguments(cache):
     # data derived from the defining data cannot be passed in disagreeing with it
     with pytest.raises(TypeError):
@@ -536,7 +372,6 @@ class TestDerivedData:
                 # built once per representation and shared, so it cannot be written
                 assert invariant_vector(case, built) is built.vectors[case]
                 assert not built.vectors[case].flags.writeable
-                assert rebuilt.hp_vectors[case] == built.hp_vectors[case], case
 
     @pytest.mark.parametrize("case, message", [("W", "incompatible with family AN"),
                                                ("Q", "unknown invariant-vector case")])
@@ -544,7 +379,7 @@ class TestDerivedData:
         pres, peri = torus_piece_presentation(A)
         with pytest.raises(ValueError, match=message):
             invariant_vector(case, rep_an)
-        with pytest.raises(ValueError, match=message):  # the fixed-point walk reads the same table
+        with pytest.raises(ValueError, match=message):  # the reference walk reads the same table
             chain_of_loop_hp(peri["mu_C"], rep_an, pres, case)
 
     def test_index_that_does_not_fit_the_family_raises(self, rep_an):
@@ -670,7 +505,7 @@ class TestRelationCheck:
     @pytest.mark.parametrize("family, index", [("AA", None), ("AN", (5,)), ("NA", (1,)), ("NN", (5, 1))])
     def test_warm_rep_build_makes_no_relator_products(self, family, index, monkeypatch):
         rep_build(family, XI, 3, 40, index)  # warms the certificate
-        z, roots = representations._scalars(family, XI, 3, 40, index, exact=False)
+        z, roots = representations._scalars(family, XI, 3, 40, index)
         calls = _count_calls(monkeypatch, "_mul2")
         representations._family_entries(family, z, 3, 40, **roots)
         formulas = calls[0]  # the products of the family formulas themselves
@@ -717,7 +552,7 @@ class TestRelationCheck:
         # p t p t^-1; NA with x, p, t; NN with x, t and p t p t^-1), 3 for p t p t^-1,
         # and on a non-abelian torus side 1 for xy, 4 for (xy)^7 and 1 for its square
         calls = _count_calls(monkeypatch, "_mul2")
-        z, roots = representations._scalars(family, XI, 3, 40, index, exact=False)
+        z, roots = representations._scalars(family, XI, 3, 40, index)
         representations._family_entries(family, z, 3, 40, **roots)
         formulas = calls[0]
         calls[0] = 0
@@ -763,7 +598,7 @@ class TestRelationCheck:
         tor_E_abelian(1, 7, XI)
         # one certificate each (a power table per draw), and no float64
         # re-check of the certified relators; the gluing chains are float64
-        # closed forms, so no fixed-point matrix is built; the abelian route
+        # closed forms, so no reference-walk matrix is built; the abelian route
         # builds no representation, so it checks no relators
         assert fresh_certificates.cache_info().misses == 3
         assert counts == {"evaluator": 3 * representations.CERT_DRAWS, "hp_assignment": 0}
@@ -798,7 +633,7 @@ class TestNAEdgeRelations:
 
 def test_abelian_route_does_not_import_mpmath():
     """The direct route builds no representation, so it never needs the
-    fixed-point scalars and their mpmath exp / expjpi."""
+    reference walk's mpmath scalars."""
     code = (
         "import sys\n"
         "from cabletorsion.mayer_vietoris import tor_E_abelian\n"
