@@ -12,14 +12,16 @@ differentials are
 d1 d2 = 0 is the fundamental identity of the free calculus pushed through the
 (anti-homomorphic) adjoint evaluation, and is asserted at construction.
 
-The d2 formula is the definition; a prefix walk (``_fox_walk``) over each
-relator's letters fills it bit for bit.  ``rep_build`` certifies its families'
-cable and pattern relators over F_P, once per Galois orbit; any other relator is
-checked in float64 before a complex is built.  Betti numbers are dim C_i - rank
-d_i - rank d_(i+1).  Under a diagonal representation the walk needs only the
-prefix's degree: ``abelian_fox_rows`` is the Fox matrix over Z[t^+-1],
-``alexander_minor`` its minor.  ``chain_of_loop_hp`` runs the same walk on
-mpmath scalars at HP_BITS bits: the reference for the float64 gluing chains.
+The d2 formula is the definition; a prefix walk (``words._fox_walk``) over each
+relator's letters fills it bit for bit, and the same walk with no blocks is
+``evaluate_word``, the product the commutation guard reads.  ``rep_build``
+certifies its families' cable and pattern relators over F_P, once per Galois
+orbit; any other relator is checked in float64 before a complex is built.
+Betti numbers are dim C_i - rank d_i - rank d_(i+1).  Under a diagonal
+representation the walk needs only the prefix's degree: ``abelian_fox_rows`` is
+the Fox matrix over Z[t^+-1], ``alexander_minor`` its minor.
+``chain_of_loop_hp`` runs the same walk on mpmath scalars at HP_BITS bits: the
+reference for the float64 gluing chains.
 
 The boundary torus gets its own cell structure (one 0-cell, 1-cells mu, la,
 one 2-cell glued along the commutator), whose differentials collapse to
@@ -38,7 +40,7 @@ from . import linalg
 from .presentations import Presentation, _ldet, abelianization_exponents
 from .representations import CabletorsionError, Representation, _invariant_root, ensure_relations
 from .representations import _adj2, _hp_scalars, _invariant_entries, _mul2
-from .words import Generator, Word
+from .words import Word, _fox_walk
 
 SL2_BASIS_NAMES = ("E", "H", "F")
 
@@ -118,28 +120,6 @@ class BasedChainComplex:
 
 def _sl2_labels(cells: Sequence[str]) -> Tuple[str, ...]:
     return tuple(f"{cell}*{s}" for cell in cells for s in SL2_BASIS_NAMES)
-
-
-def _fox_walk(word: Word, generators: Sequence[Generator], start, forward, backward):
-    """(Fox blocks of ``word`` applied to ``start``, one per generator, in one
-    pass; the final accumulator, Ad(word) start).
-
-    With u the prefix so far, a letter g adds Ad(u) start to block g, then
-    extends u; g^-1 extends u first, then subtracts (d(g^-1)/dg = -g^-1).
-    ``forward`` / ``backward`` map names to Ad(g) / Ad(g)^-1 as numpy arrays,
-    complex or of mpmath scalars; ``start - start`` is the zero block.
-    """
-    blocks = {g.name: start - start for g in generators}
-    acc = start
-    for gen, sign in word.letters:
-        name = gen.name
-        if sign == 1:
-            blocks[name] = blocks[name] + acc
-            acc = forward[name] @ acc
-        else:
-            acc = backward[name] @ acc
-            blocks[name] = blocks[name] - acc
-    return [blocks[g.name] for g in generators], acc
 
 
 def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainComplex:

@@ -1,10 +1,11 @@
 """Dense complex linear algebra with explicit rank tolerances.
 
 Rank decisions use singular values (rank = number of sigma > tol * sigma_max,
-counted once in ``_rank``); pivot selection for image bases uses
-column-pivoted orthogonalization on the same matrix, with deterministic
+counted once in ``_rank``); the one pivot rule for image bases,
+``pivot_columns``, is column-pivoted orthogonalization with deterministic
 tie-breaking (largest remaining column norm, lowest index on ties) so repeated
-runs pick identical bases.  Every rank the torsions and the gluing use comes
+runs pick identical bases, and a random admissible choice is the same rule on
+randomly weighted columns.  Every rank the torsions and the gluing use comes
 from the homology lift counts (see ``torsion``); the rest are checks at named
 tolerances.  The Betti numbers of ``chains.homology`` read singular values; a
 square basis (each assembled basis of a torsion, and [phi_1 | e_designated1])
@@ -15,13 +16,12 @@ when that bound is inconclusive.  Every tolerance must be in (0, 1).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-9       # sigma / sigma_max above which a singular value counts as rank
 PIVOT_TOL = 1e-13             # greedy pivots: a chosen column adds a direction of the span
-PIVOT_ORDER_TOL = 1e-12       # pivots from a given order: a kept column enlarges the span
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
@@ -112,44 +112,26 @@ def _column_norms(arr: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((arr.conj() * arr).real, axis=0))
 
 
-def pivot_columns(m, rank: int, order: Sequence[int] | None = None) -> list[int]:
-    """``rank`` column indices spanning the column space.
-
-    Default order is greedy by largest remaining column norm (numpy argmax
-    gives the lowest index on exact ties).  Passing ``order`` restricts the
-    greedy choice to that candidate sequence, which is how randomized
-    admissible pivot sets are drawn: shuffle the candidates and keep each
-    column that enlarges the span.
-    """
+def pivot_columns(m, rank: int) -> list[int]:
+    """``rank`` column indices spanning the column space, greedy by largest remaining column
+    norm (numpy argmax gives the lowest index on exact ties); on randomly weighted columns,
+    a random admissible set (``torsion.reidemeister_torsion``)."""
     arr = _as_matrix(m)
     if rank == 0:
         return []
     work = arr  # replaced, never written in place
     chosen: list[int] = []
     norms = _column_norms(arr)
-    if order is None:
-        scale0 = float(np.max(norms)) if arr.size else 0.0
-        for _ in range(rank):
-            j = int(np.argmax(norms))
-            if norms[j] <= PIVOT_TOL * scale0:
-                raise np.linalg.LinAlgError("matrix rank smaller than requested pivots")
-            chosen.append(j)
-            if len(chosen) < rank:  # no update after the last pivot
-                q = work[:, j] / norms[j]
-                work = work - np.outer(q, q.conj() @ work)
-                norms = _column_norms(work)
-    else:
-        scale = max(norms.max(), 1.0)
-        for j in order:
-            residual = np.linalg.norm(work[:, j])
-            if residual > PIVOT_ORDER_TOL * scale:
-                chosen.append(j)
-                if len(chosen) == rank:
-                    break
-                q = work[:, j] / residual
-                work = work - np.outer(q, q.conj() @ work)
-        if len(chosen) < rank:
-            raise np.linalg.LinAlgError("candidate order does not span the column space")
+    scale0 = float(np.max(norms)) if arr.size else 0.0
+    for _ in range(rank):
+        j = int(np.argmax(norms))
+        if norms[j] <= PIVOT_TOL * scale0:
+            raise np.linalg.LinAlgError("matrix rank smaller than requested pivots")
+        chosen.append(j)
+        if len(chosen) < rank:  # no update after the last pivot
+            q = work[:, j] / norms[j]
+            work = work - np.outer(q, q.conj() @ work)
+            norms = _column_norms(work)
     return sorted(chosen)
 
 

@@ -375,7 +375,7 @@ def tor_E(family: str, a: int, b: int, index, xi: complex) -> TorEResult:
             "the abelian case uses tor_E_abelian"
         )
     rep = rep_build(family, xi, a, b, index)
-    piece_d = build_pattern_piece(rep)  # first: NA's exact D names an overflow before C reads Ad(t)
+    piece_d = build_pattern_piece(rep)  # first: past float64, NA's exact D names the cause; C loses digits
     piece_c = build_torus_piece(rep)
     check_peripheral_actions(*(evaluate_word(rep, piece_c.peripheral[w]) for w in ("mu_C", "lambda_C")))
     maps = induced_maps(rep, piece_c, piece_d)

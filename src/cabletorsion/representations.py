@@ -46,7 +46,7 @@ from .presentations import (
     cable_exterior_presentation,
     pattern_piece_presentation,
 )
-from .words import Generator, GroupRingElement, Word
+from .words import Generator, GroupRingElement, Word, _fox_walk
 
 _SL2_BASIS = np.array([[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]], dtype=complex)  # E, H, F
 
@@ -118,8 +118,8 @@ def _family_entries(family, z, a, b, omega1=None, omega2=None, omega3=None):
         p = _m2(z, 1 / (z + zi), 0, zi)
         x = _m2(z2, 1, 0, zm2)
         y = _m2(z2, 0, w + 1 / w - z ** 4 - z ** -4, zm2)
-        # one product per factor: squaring would round t, and the recorded values, differently
-        t = [[-e for e in row] for row in reduce(_mul2, [p] * (2 * b - 8 * a - 4), _m2(1, 0, 0, 1))]
+        n = 2 * b - 8 * a - 4  # t = -p^n by squaring: no NA value reads rho(t), only its relators do
+        t = [[-e for e in row] for row in (_pow2(p, n) if n else _m2(1, 0, 0, 1))]
         return {"p": p, "x": x, "y": y, "t": t}
     if family == "NN":
         w1, w3, w3i = omega1, omega3, 1 / omega3
@@ -247,13 +247,16 @@ class Representation:
 
     @cached_property
     def adjoints(self) -> Dict[str, np.ndarray]:
-        """Ad(g) by generator name, from one stacked ``adjoint_matrix`` call."""
-        return dict(zip(self.assignment, adjoint_matrix(list(self.assignment.values()))))
+        """Ad(g) by generator name, from one stacked ``adjoint_matrix`` call; an entry past float64
+        (NA's Ad(t) far out in xi) is non-finite, without a warning, and each reader names it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return dict(zip(self.assignment, adjoint_matrix(list(self.assignment.values()))))
 
     @cached_property
     def adjoint_invs(self) -> Dict[str, np.ndarray]:
-        """Ad(g)^-1 by generator name, from one stacked inverse."""
-        return dict(zip(self.adjoints, np.linalg.inv(list(self.adjoints.values()))))
+        """Ad(g)^-1 by generator name, from one stacked inverse, non-finite as ``adjoints`` may be."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return dict(zip(self.adjoints, np.linalg.inv(list(self.adjoints.values()))))
 
     @cached_property
     def vectors(self) -> dict:
@@ -276,13 +279,8 @@ class Representation:
 
 
 def evaluate_word(rep: Representation, word: Word) -> np.ndarray:
-    """Adjoint evaluation of a word; anti-homomorphic, so u v goes to Ad(v) Ad(u)."""
-    out = np.eye(3, dtype=complex)
-    for gen, sign in word.letters:
-        name = gen.name
-        step = rep.adjoints[name] if sign == 1 else rep.adjoint_invs[name]
-        out = step @ out
-    return out
+    """Adjoint evaluation of a word by ``_fox_walk``; anti-homomorphic, so u v goes to Ad(v) Ad(u)."""
+    return _fox_walk(word, (), np.eye(3, dtype=complex), rep.adjoints, rep.adjoint_invs)[1]
 
 
 def evaluate_ring(rep: Representation, elem: GroupRingElement) -> np.ndarray:

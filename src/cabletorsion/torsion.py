@@ -98,9 +98,9 @@ def reidemeister_torsion(
     The boundary ranks come from the lift counts alone (``_lift_ranks``).
     Pivot feasibility, the cycle residual of every lift and the conditioning
     of every assembled basis are checked, and each failure raises a
-    TorsionError.  Passing ``rng`` draws a random admissible b_i selection
-    instead of the deterministic pivot choice (used to confirm the result is
-    independent of that choice).
+    TorsionError.  Passing ``rng`` draws another admissible b_i selection, to
+    confirm the result is independent of that choice: the same pivot rule on
+    d_i times random positive column weights, whose picks stay independent in d_i.
     """
     top = cplx.top
     table = _lift_table(lifts, top)
@@ -109,9 +109,10 @@ def reidemeister_torsion(
     b_cols: Dict[int, list[int]] = {}
     for i in range(1, top + 2):
         d_i = cplx.d(i)
-        order = None if rng is None or ranks[i] == 0 else rng.permutation(d_i.shape[1])
+        if rng is not None and ranks[i]:  # weights in [e^-3, e^3] reorder the greedy rule's choices
+            d_i = d_i * np.exp(rng.uniform(-3.0, 3.0, d_i.shape[1]))
         try:
-            b_cols[i] = linalg.pivot_columns(d_i, ranks[i], order=order) if ranks[i] else []
+            b_cols[i] = linalg.pivot_columns(d_i, ranks[i]) if ranks[i] else []
         except np.linalg.LinAlgError:
             raise TorsionError(
                 f"boundary d_{i} cannot supply {ranks[i]} numerically independent "

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -204,6 +204,28 @@ def fox_derivative(word: Word, gen: Generator) -> GroupRingElement:
             terms[key] = terms.get(key, 0) + sign
         prefix.append((g, sign))
     return GroupRingElement(terms)
+
+
+def _fox_walk(word: Word, generators: Sequence[Generator], start, forward, backward):
+    """(Fox blocks of ``word`` applied to ``start``, one per generator of ``generators``, in
+    one pass; the final accumulator, Ad(word) start: with no generators, ``evaluate_word``).
+
+    With u the prefix so far, a letter g adds Ad(u) start to block g, then
+    extends u; g^-1 extends u first, then subtracts (d(g^-1)/dg = -g^-1).
+    ``forward`` / ``backward`` map names to Ad(g) / Ad(g)^-1 as numpy arrays,
+    complex or of mpmath scalars; ``start - start`` is the zero block.
+    """
+    blocks = {g.name: start - start for g in generators}
+    acc = start
+    for gen, sign in word.letters:
+        name = gen.name
+        if sign == -1:
+            acc = backward[name] @ acc
+        if name in blocks:
+            blocks[name] = blocks[name] + acc if sign == 1 else blocks[name] - acc
+        if sign == 1:
+            acc = forward[name] @ acc
+    return [blocks[g.name] for g in generators], acc
 
 
 def fox_fundamental_defect(word: Word, generators: Iterable[Generator]) -> GroupRingElement:

@@ -23,6 +23,12 @@ def random_word(rng, generators, max_len=12):
     return Word(letters)
 
 
+def b1_columns(tor):
+    """The b_1 columns of a torsion value: the unit columns that close its degree-1 basis."""
+    basis = tor.bases[1]
+    return tuple(np.flatnonzero(basis.matrix[:, basis.lifts.stop:].any(axis=1)))
+
+
 def assert_close(actual, expected, tol=1e-10, label=""):
     actual = np.asarray(actual, dtype=complex)
     expected = np.asarray(expected, dtype=complex)

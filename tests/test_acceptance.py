@@ -32,7 +32,7 @@ from cabletorsion.representations import (
 )
 from cabletorsion.torsion import reidemeister_torsion, torsion_equal
 from cabletorsion.words import fox_fundamental_defect
-from conftest import random_word
+from conftest import b1_columns, random_word
 
 GRID = [(1, 6), (1, 7), (2, 10), (3, 40)]
 XI = 0.3 + 0.1j
@@ -173,8 +173,9 @@ def test_criterion_7_engine_properties(rng):
     lifts = {2: [u, v], 1: [pad(v, 0), pad(u, 1)]}
     base = reidemeister_torsion(cplx, lifts)
 
-    for _ in range(10):  # (i) pivot-choice independence
-        assert torsion_equal(reidemeister_torsion(cplx, lifts, rng=rng), base, 1e-9)
+    draws = [reidemeister_torsion(cplx, lifts, rng=rng) for _ in range(10)]  # (i) pivot-choice independence
+    assert all(torsion_equal(draw, base, 1e-9) for draw in draws)
+    assert len({b1_columns(draw) for draw in draws}) >= 2  # other admissible choices, not the deterministic one
 
     boundary = cplx.d(2) @ (rng.normal(size=3) + 1j * rng.normal(size=3))
     shifted = {2: lifts[2], 1: [lifts[1][0] + boundary, lifts[1][1]]}

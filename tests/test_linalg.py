@@ -77,11 +77,13 @@ class TestImagePivots:
         idx = pivot_columns(m, rank)
         assert numerical_rank(m[:, idx]) == rank
 
-    def test_custom_order_draws_admissible_sets(self, rng):
+    def test_weighted_columns_draw_admissible_sets(self, rng):
+        # positive column weights move the greedy choice, and every choice spans the unweighted m
         m = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1e-14]])
         rank = numerical_rank(m)
-        idx = pivot_columns(m, rank, order=[2, 1, 0])
-        assert len(idx) == rank
+        picks = {tuple(pivot_columns(m * np.exp(rng.uniform(-3.0, 3.0, 3)), rank)) for _ in range(20)}
+        assert len(picks) >= 2
+        assert all(len(idx) == rank and numerical_rank(m[:, list(idx)]) == rank for idx in picks)
 
 
 class TestRankTolerance:

@@ -1,6 +1,7 @@
 import cmath
 import os
 import random
+import re
 import subprocess
 import sys
 from functools import reduce
@@ -511,6 +512,28 @@ class TestRelationCheck:
         formulas = calls[0]  # the products of the family formulas themselves
         rep_build(family, XI, 3, 40, index)
         assert calls == [2 * formulas]
+
+    def test_na_t_products_are_flat_in_b(self, monkeypatch):
+        # t = -p^(2b-8a-4) by squaring: 7 and 12 2x2 products at b = 40 and 200, where a
+        # product per factor made 52 and 372
+        calls, counts = _count_calls(monkeypatch, "_mul2"), []
+        for b in (40, 200):
+            z, roots = representations._scalars("NA", XI, 3, b, (1,))
+            before = calls[0]
+            representations._family_entries("NA", z, 3, b, **roots)
+            counts.append(calls[0] - before)
+        assert counts[1] - counts[0] <= 8
+
+    def test_na_adjoints_past_float64_warn_nothing(self):
+        # Ad(t) overflows here and no NA route reads it: the adjoints that are read come out
+        # finite, nothing warns (an error under the suite's filter), and tor_E names D's overflow
+        xi = 2.05 + 0.1j
+        rep = rep_build("NA", xi, 6, 200, 0)
+        for name in "xyp":
+            assert np.isfinite(rep.adjoints[name]).all() and np.isfinite(rep.adjoint_invs[name]).all()
+        message = "Tor(D) of NA at (a, b) = (6, 200), xi = (2.05+0.1j) is (nan+nanj): outside float64"
+        with pytest.raises(TorsionError, match=re.escape(message)):
+            tor_E("NA", 6, 200, 0, xi)
 
     def test_na_6_200_reaches_the_pieces(self):
         # NA (6,200) at this xi raised "fixed-point relator deviation is past the

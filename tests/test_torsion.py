@@ -6,7 +6,7 @@ import pytest
 from cabletorsion.chains import BasedChainComplex, presentation_complex, torus_complex
 from cabletorsion.closed_forms import alexander_torus, tau0
 from cabletorsion.linalg import numerical_rank
-from cabletorsion.mayer_vietoris import tor_E_abelian
+from cabletorsion.mayer_vietoris import build_torus_piece, tor_E_abelian
 from cabletorsion.presentations import (
     cable_exterior_presentation,
     pattern_piece_presentation,
@@ -24,6 +24,7 @@ from cabletorsion.torsion import (
     reidemeister_torsion,
     torsion_equal,
 )
+from conftest import b1_columns
 
 XI = 0.3 + 0.1j
 
@@ -128,12 +129,21 @@ def an_pattern():
     return cplx, lifts, reidemeister_torsion(cplx, lifts)
 
 
+@pytest.fixture(scope="module")
+def nn_torus():
+    piece = build_torus_piece(rep_build("NN", XI, 1, 7, (0, 0)))
+    return piece.complex, piece.lifts, piece.torsion
+
+
 class TestEngineProperties:
-    def test_pivot_choice_independence(self, an_pattern, rng):
-        cplx, lifts, base = an_pattern
-        for _ in range(10):
-            draw = reidemeister_torsion(cplx, lifts, rng=rng)
-            assert torsion_equal(draw, base, 1e-9)
+    @pytest.mark.parametrize("piece", ["an_pattern", "nn_torus"])
+    def test_pivot_choice_independence(self, piece, rng, request):
+        # each draw is admissible and gives the torsion; 10 draws make at least two b_1 choices,
+        # which the deterministic rule alone (every draw the same set) would not
+        cplx, lifts, base = request.getfixturevalue(piece)
+        draws = [reidemeister_torsion(cplx, lifts, rng=rng) for _ in range(10)]
+        assert all(torsion_equal(draw, base, 1e-9) for draw in draws)
+        assert len({b1_columns(draw) for draw in draws}) >= 2
 
     def test_boundary_shift_of_lift(self, an_pattern, rng):
         cplx, lifts, base = an_pattern
