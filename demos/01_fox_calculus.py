@@ -3,11 +3,11 @@
 Walks through the two derivatives that drive everything downstream: the
 derivative rules on small words, the derivatives of the pattern-piece relator
 p t p t p^-1 t^-1 p^-1 t^-1, and the fundamental identity that makes d1 d2 = 0
-in the twisted chain complex.
+in the twisted chain complex.  A generator is its name: parse_word takes the
+names a word may use, and fox_derivative the name to differentiate by.
 """
 
 from cabletorsion import (
-    Generator,
     GroupRingElement,
     fox_derivative,
     parse_word,
@@ -15,7 +15,7 @@ from cabletorsion import (
 )
 from cabletorsion.words import fox_fundamental_defect
 
-p, t = Generator(0, "p"), Generator(1, "t")
+p, t = "p", "t"
 
 
 def show(label, elem):
@@ -27,9 +27,8 @@ def show(label, elem):
 
 
 print("Base rules")
-x = Generator(0, "x")
-print("  d(x)/dx =", fox_derivative(parse_word("x", [x]), x).terms)
-print("  d(x^-1)/dx =", fox_derivative(parse_word("x^-1", [x]), x).terms)
+print("  d(x)/dx =", fox_derivative(parse_word("x", ["x"]), "x").terms)
+print("  d(x^-1)/dx =", fox_derivative(parse_word("x^-1", ["x"]), "x").terms)
 
 print()
 print("Pattern-piece relator r = p t p t p^-1 t^-1 p^-1 t^-1")

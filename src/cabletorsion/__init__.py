@@ -11,7 +11,6 @@ sweep commands.
 """
 
 from .words import (
-    Generator,
     GroupRingElement,
     Word,
     fox_derivative,
@@ -71,7 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CabletorsionError",
-    "Generator", "GroupRingElement", "Word", "fox_derivative", "parse_word",
+    "GroupRingElement", "Word", "fox_derivative", "parse_word",
     "word_to_text", "PeripheralSystem", "Presentation",
     "abelianization_exponents", "cable_exterior_presentation",
     "pattern_piece_presentation", "torus_piece_presentation",

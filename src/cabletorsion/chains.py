@@ -138,7 +138,7 @@ def presentation_complex(pres: Presentation, rep: Representation) -> BasedChainC
             d2[:, 3 * j:3 * j + 3] = np.vstack(blocks)
     d1 = np.zeros((3, 3 * n), dtype=complex)
     for i, gen in enumerate(pres.generators):
-        d1[:, 3 * i:3 * i + 3] = rep.adjoint(gen) - np.eye(3)
+        d1[:, 3 * i:3 * i + 3] = rep.adjoints[gen] - np.eye(3)
     return BasedChainComplex((3, 3 * n, 3 * m), (d1, d2), _presentation_labels(pres))
 
 
@@ -147,7 +147,7 @@ def _presentation_labels(pres: Presentation) -> Tuple[Tuple[str, ...], ...]:
     """Basis labels of ``presentation_complex``, once per presentation."""
     return (
         _sl2_labels(["v~"]),
-        _sl2_labels([f"{g.name}~" for g in pres.generators]),
+        _sl2_labels([f"{g}~" for g in pres.generators]),
         _sl2_labels([f"f{j + 1}~" for j in range(len(pres.relators))]),
     )
 

@@ -18,7 +18,7 @@ import math
 
 from .chains import alexander_minor
 from .presentations import Presentation
-from .representations import CabletorsionError
+from .representations import CabletorsionError, _index_tuple
 
 
 class ClosedFormError(CabletorsionError):
@@ -120,9 +120,7 @@ def tau_torus(k: int, c: int, d: int) -> complex:
 
 def theorem_rhs(family: str, a: int, b: int, index, xi: complex = 0.0) -> complex:
     """One representative of the +- class of the glued-torsion closed form."""
-    if isinstance(index, int):
-        index = (index,)
-    index = tuple(index)
+    index = _index_tuple(index, ClosedFormError)
     if family == "AN":
         (j,) = index
         omega2 = cmath.exp(1j * math.pi * (2 * j + 1) / (2 * b + 1))

@@ -18,6 +18,7 @@ lambda_C = h mu_C^k with h in the gluing-torus subgroup: h = t, k = -b on the
 pattern side and h = y (xy)^{2a}, k = -(4a+1) on the torus side.  Likewise
 each relator is kept factored next to its word, e.g. r2 = y (xy)^{2a}
 x^{-4a-1} (p t p t^-1)^b t^-1: the relation check squares its powers.
+Generators are names: the pattern's mu_C and the cable's gluing word are one Word.
 All presentations here have deficiency one; each builder is cached per argument.
 """
 
@@ -29,7 +30,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
-from .words import Generator, Word, parse_word, word_to_text
+from .words import Word, parse_word, word_to_text
 
 
 def _expand(factors) -> Word:
@@ -40,28 +41,19 @@ def _expand(factors) -> Word:
 @dataclass(frozen=True)
 class Presentation:
     label: str
-    generators: Tuple[Generator, ...]
+    generators: Tuple[str, ...]
     relators: Tuple[Word, ...]
     # factored[j], when given: relator j as the (w, e) pairs of prod w^e
     factored: Tuple[Tuple[Tuple[Word, int], ...], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
+        if len(set(self.generators)) != len(self.generators):
             raise ValueError("generator names must be unique")
-        if len({g.index for g in self.generators}) != len(self.generators):
-            raise ValueError("generator indices must be unique")
         allowed = set(self.generators)
         for rel in self.relators:
             stray = rel.generators() - allowed
             if stray:
                 raise ValueError(f"relator uses generators not in presentation: {stray}")
-
-    def generator(self, name: str) -> Generator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise KeyError(name)
 
     def word(self, text: str) -> Word:
         return parse_word(text, self.generators)
@@ -90,20 +82,15 @@ class PeripheralSystem:
         return self.words[name]
 
 
-def _generators(*names: str) -> Tuple[Generator, ...]:
-    return tuple(Generator(i, n) for i, n in enumerate(names))
-
-
 @lru_cache(maxsize=None)
 def torus_piece_presentation(a: int) -> tuple[Presentation, PeripheralSystem]:
     """Torus-knot group <x, y | (xy)^a x = y (xy)^a> with its peripheral system."""
     if a < 1:
         raise ValueError(f"torus piece needs a >= 1, got {a}")
-    x, y = _generators("x", "y")
-    xw, yw = Word([(x, 1)]), Word([(y, 1)])
+    xw, yw = Word([("x", 1)]), Word([("y", 1)])
     xy = xw * yw
     factored = ((xy, a), (xw, 1), (xy, -a), (yw, -1))
-    pres = Presentation(f"torus_piece(a={a})", (x, y), (_expand(factored),), (factored,))
+    pres = Presentation(f"torus_piece(a={a})", ("x", "y"), (_expand(factored),), (factored,))
     head, k = yw * (xy ** (2 * a)), -4 * a - 1
     lam = head * (xw ** k)
     peri = PeripheralSystem({"mu_C": xw, "lambda_C": lam}, {"a": a}, {"lambda_C": (head, k)})
@@ -115,10 +102,9 @@ def pattern_piece_presentation(b: int) -> tuple[Presentation, PeripheralSystem]:
     """Pattern group <p, t | ptpt = tptp>; b enters only the peripheral words."""
     if b < 1:
         raise ValueError(f"pattern piece needs b >= 1, got {b}")
-    p, t = _generators("p", "t")
-    pw, tw = Word([(p, 1)]), Word([(t, 1)])
+    pw, tw = Word([("p", 1)]), Word([("t", 1)])
     factored = ((pw * tw, 2), (tw * pw, -2))    # p t p t p^-1 t^-1 p^-1 t^-1
-    pres = Presentation(f"pattern_piece(b={b})", (p, t), (_expand(factored),), (factored,))
+    pres = Presentation(f"pattern_piece(b={b})", ("p", "t"), (_expand(factored),), (factored,))
     mu_c = pw * tw * pw * tw.inverse()          # the gluing word for x
     head, k = tw, -b
     lam_c = head * (mu_c ** k)                   # r = t (pq)^-b
@@ -141,8 +127,8 @@ def cable_exterior_presentation(a: int, b: int) -> tuple[Presentation, Periphera
             f"cable parameters need 2b+1 > 4(2a+1): got 2b+1={2 * b + 1}, "
             f"4(2a+1)={4 * (2 * a + 1)}"
         )
-    x, y, p, t = _generators("x", "y", "p", "t")
-    xw, yw, pw, tw = (Word([(g, 1)]) for g in (x, y, p, t))
+    gens = ("x", "y", "p", "t")
+    xw, yw, pw, tw = (Word([(g, 1)]) for g in gens)
     xy = xw * yw
     glue = pw * tw * pw * tw.inverse()
     factored = (
@@ -151,7 +137,7 @@ def cable_exterior_presentation(a: int, b: int) -> tuple[Presentation, Periphera
         ((xw, 1), (glue, -1)),                                           # r3: x = glue
     )
     pres = Presentation(
-        f"cable_exterior(a={a},b={b})", (x, y, p, t), tuple(map(_expand, factored)), factored
+        f"cable_exterior(a={a},b={b})", gens, tuple(map(_expand, factored)), factored
     )
     q = tw * pw * tw.inverse()
     lam = tw * pw * (q ** -b) * tw * (pw ** (-3 * b - 1))
@@ -173,8 +159,8 @@ def _ldet(rows) -> Dict[int, int]:
     return {e: c for e, c in out.items() if c}
 
 
-def abelianization_exponents(pres: Presentation) -> Dict[Generator, int]:
-    """Exponents e(g) with H_1 = Z<t>, generator g mapping to t^{e(g)}, by Cramer's rule:
+def abelianization_exponents(pres: Presentation) -> Dict[str, int]:
+    """Exponents e(g) by name with H_1 = Z<t>, generator g mapping to t^{e(g)}, by Cramer's rule:
     e(g_i) is (-1)^i times the exponent-sum minor without column i, over the minors' gcd.
     Raises unless there are n - 1 relators and the minors are nonzero with one sign."""
     gens, n = pres.generators, len(pres.generators)
@@ -195,7 +181,7 @@ def abelianization_exponents(pres: Presentation) -> Dict[Generator, int]:
 def presentation_to_json(pres: Presentation, peri: PeripheralSystem | None = None) -> dict:
     doc = {
         "label": pres.label,
-        "generators": [g.name for g in pres.generators],
+        "generators": list(pres.generators),
         "relators": [word_to_text(r) for r in pres.relators],
     }
     if peri is not None:

@@ -46,7 +46,7 @@ from .presentations import (
     cable_exterior_presentation,
     pattern_piece_presentation,
 )
-from .words import Generator, GroupRingElement, Word, _fox_walk
+from .words import GroupRingElement, Word, _fox_walk
 
 _SL2_BASIS = np.array([[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]], dtype=complex)  # E, H, F
 
@@ -210,7 +210,8 @@ def adjoint_matrix(m) -> np.ndarray:
 
 @dataclass
 class Representation:
-    """Generator-to-SL(2,C) assignment (by generator name) and the data that define it.
+    """Generator-to-SL(2,C) assignment and the data that define it, every map keyed by
+    generator name: rho(g) is ``assignment[g]``, Ad(g) is ``adjoints[g]``.
 
     Family, xi, (a, b) and index fix everything else: z = exp(xi/2), the roots
     omega1-3 (None where the family has no such root), the float64 adjoints and
@@ -268,11 +269,6 @@ class Representation:
             vec.flags.writeable = False
         return vecs
 
-    def matrix(self, gen) -> np.ndarray:
-        return self.assignment[gen.name if isinstance(gen, Generator) else gen]
-
-    def adjoint(self, gen) -> np.ndarray:
-        return self.adjoints[gen.name if isinstance(gen, Generator) else gen]
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -306,7 +302,7 @@ def _relator_deviations(factored, mats) -> list:
         n = abs(e)
         if (word, n) not in powers:
             if (word, 1) not in powers:
-                letters = [mats[g.name] if s == 1 else _adj2(mats[g.name]) for g, s in word.letters]
+                letters = [mats[g] if s == 1 else _adj2(mats[g]) for g, s in word.letters]
                 powers[word, 1] = reduce(_mul2, letters) if letters else [[1, 0], [0, 1]]
             half = powers.get((word, n // 2)) if n % 2 == 0 else None
             powers[word, n] = _pow2(powers[word, 1], n) if half is None else _mul2(half, half)
@@ -340,13 +336,13 @@ def verify_relations(pres: Presentation, rep: Representation, skip=frozenset()) 
     ``_relator_deviations`` on the float64 matrices: from the factored forms
     when the presentation keeps them, else each relator as one factor."""
     for g in pres.generators:
-        if g.name not in rep.assignment:
-            raise RepresentationError(f"representation does not assign generator {g.name!r}")
+        if g not in rep.assignment:
+            raise RepresentationError(f"representation does not assign generator {g!r}")
     factored = pres.factored or [((rel, 1),) for rel in pres.relators]
     todo = [factors for rel, factors in zip(pres.relators, factored) if rel not in skip]
     if not todo:  # nothing left to check: build no float64 matrices
         return ()
-    mats = {g.name: rep.assignment[g.name].tolist() for g in pres.generators}
+    mats = {g: rep.assignment[g].tolist() for g in pres.generators}
     return tuple(_relator_deviations(todo, mats))
 
 
@@ -458,8 +454,15 @@ def index_range(family: str, a: int, b: int) -> list[tuple[int, ...]]:
     return list(itertools.product(*map(range, _index_bounds(family, a, b))))
 
 
+def _index_tuple(index, error=RepresentationError) -> tuple:
+    try:
+        return () if index is None else (int(index),) if isinstance(index, (int, np.integer)) else tuple(index)
+    except TypeError:
+        raise error(f"index {index!r} is neither an integer nor a sequence of integers") from None
+
+
 def _normalize_index(family: str, index) -> Tuple[int, ...]:
-    index = () if index is None else (index,) if isinstance(index, int) else tuple(index)
+    index = _index_tuple(index)
     expected = {"AN": 1, "NA": 1, "NN": 2}.get(family, 0)
     if len(index) != expected:
         raise RepresentationError(f"family {family} takes {expected} index value(s), got {index}")
@@ -522,7 +525,7 @@ def abelian_representation(xi: complex, pres: Presentation) -> Representation:
     if abs(z * z - 1) <= ABELIAN_GUARD:
         raise RepresentationError("z^2 too close to 1 for an abelian representation")
     exps = abelianization_exponents(pres)
-    assignment = {g.name: np.diag([z ** e, z ** -e]) for g, e in exps.items()}
+    assignment = {g: np.diag([z ** e, z ** -e]) for g, e in exps.items()}
     return Representation(family="AA", assignment=assignment, xi=xi)
 
 

@@ -1,7 +1,7 @@
 """Free-group words, integer group-ring arithmetic, and the free differential calculus.
 
-Words are stored freely reduced at all times; reduction happens eagerly in the
-Word constructor so every derived quantity (group-ring products, free
+A generator is its name, a letter is (name, +-1), and a Word is freely reduced
+by its constructor, so every derived quantity (group-ring products, free
 derivatives) is computed on reduced input.  Group-ring coefficients stay exact
 integers until a representation evaluates them, which keeps the differentials
 reproducible bit for bit.
@@ -12,23 +12,10 @@ exponents, e.g. ``"p t p t p^-1 t^-1 p^-1 t^-1"`` or ``"x^-5 y^2"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence, Tuple
 
-
-@dataclass(frozen=True, order=True)
-class Generator:
-    """A generator of a presentation: a small index plus a display name."""
-
-    index: int
-    name: str
-
-    def __repr__(self):
-        return f"Generator({self.index}, {self.name!r})"
-
-
-Letter = Tuple[Generator, int]
+Letter = Tuple[str, int]  # (generator name, +-1)
 
 
 def _reduce(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
@@ -84,7 +71,7 @@ class Word:
     def generators(self) -> set:
         return {g for g, _ in self.letters}
 
-    def exponent_sum(self, gen: Generator) -> int:
+    def exponent_sum(self, gen: str) -> int:
         return sum(s for g, s in self.letters if g == gen)
 
     # -- hashing / display ---------------------------------------------------
@@ -99,13 +86,12 @@ class Word:
         return f"Word({word_to_text(self)!r})"
 
 
-def parse_word(text: str, generators: Iterable[Generator]) -> Word:
+def parse_word(text: str, generators: Sequence[str]) -> Word:
     """Parse the whitespace-separated caret syntax into a Word.
 
     Exponents other than +-1 are expanded letter by letter, so ``"x^-3"``
     becomes x^-1 x^-1 x^-1 before reduction.
     """
-    by_name = {g.name: g for g in generators}
     letters: list[Letter] = []
     for token in text.split():
         if "^" in token:
@@ -116,10 +102,10 @@ def parse_word(text: str, generators: Iterable[Generator]) -> Word:
                 raise ValueError(f"bad exponent in token {token!r}") from None
         else:
             name, exp = token, 1
-        if name not in by_name:
+        if name not in generators:
             raise ValueError(f"unknown generator {name!r} in {text!r}")
         sign = 1 if exp > 0 else -1
-        letters.extend([(by_name[name], sign)] * abs(exp))
+        letters.extend([(name, sign)] * abs(exp))
     return Word(letters)
 
 
@@ -128,7 +114,7 @@ def word_to_text(word: Word) -> str:
     parts = []
     for (gen, sign), run in groupby(word.letters):
         exp = sign * len(list(run))
-        parts.append(gen.name if exp == 1 else f"{gen.name}^{exp}")
+        parts.append(gen if exp == 1 else f"{gen}^{exp}")
     return " ".join(parts)
 
 
@@ -188,7 +174,7 @@ class GroupRingElement:
         return f"GroupRingElement({bits})"
 
 
-def fox_derivative(word: Word, gen: Generator) -> GroupRingElement:
+def fox_derivative(word: Word, gen: str) -> GroupRingElement:
     """The free derivative of ``word`` with respect to ``gen``.
 
     Characterised by d(g)/dg = 1, d(h)/dg = 0 for h != g, and the product rule
@@ -206,7 +192,7 @@ def fox_derivative(word: Word, gen: Generator) -> GroupRingElement:
     return GroupRingElement(terms)
 
 
-def _fox_walk(word: Word, generators: Sequence[Generator], start, forward, backward):
+def _fox_walk(word: Word, generators: Sequence[str], start, forward, backward):
     """(Fox blocks of ``word`` applied to ``start``, one per generator of ``generators``, in
     one pass; the final accumulator, Ad(word) start: with no generators, ``evaluate_word``).
 
@@ -215,20 +201,19 @@ def _fox_walk(word: Word, generators: Sequence[Generator], start, forward, backw
     ``forward`` / ``backward`` map names to Ad(g) / Ad(g)^-1 as numpy arrays,
     complex or of mpmath scalars; ``start - start`` is the zero block.
     """
-    blocks = {g.name: start - start for g in generators}
+    blocks = {g: start - start for g in generators}
     acc = start
-    for gen, sign in word.letters:
-        name = gen.name
+    for name, sign in word.letters:
         if sign == -1:
             acc = backward[name] @ acc
         if name in blocks:
             blocks[name] = blocks[name] + acc if sign == 1 else blocks[name] - acc
         if sign == 1:
             acc = forward[name] @ acc
-    return [blocks[g.name] for g in generators], acc
+    return [blocks[g] for g in generators], acc
 
 
-def fox_fundamental_defect(word: Word, generators: Iterable[Generator]) -> GroupRingElement:
+def fox_fundamental_defect(word: Word, generators: Iterable[str]) -> GroupRingElement:
     """sum_g (dw/dg)(g - 1) - (w - 1); zero for every word (used by property tests)."""
     total = GroupRingElement.zero()
     for gen in generators:

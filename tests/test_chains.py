@@ -152,7 +152,7 @@ class TestTorusComplex:
 
     def test_rejects_noncommuting_actions(self, rep_na):
         with pytest.raises(ChainComplexError):
-            torus_complex(rep_na.adjoint("x"), rep_na.adjoint("y"))
+            torus_complex(rep_na.adjoints["x"], rep_na.adjoints["y"])
 
     def test_rejects_non_finite_actions_by_name(self):
         # the check tor_E shares, before BasedChainComplex would see the entries
@@ -244,7 +244,7 @@ class TestChainOfLoop:
     def test_gluing_word_blocks(self, rep_an):
         pres, _ = pattern_piece_presentation(6)
         u = invariant_vector("U", rep_an)
-        P, T = rep_an.adjoint("p"), rep_an.adjoint("t")
+        P, T = rep_an.adjoints["p"], rep_an.adjoints["t"]
         chain = chain_of_loop(pres.word("p t p t^-1"), u, rep_an, pres)
         expected_p = (np.eye(3) + T @ P) @ u
         expected_t = (P - np.linalg.inv(T) @ P @ T @ P) @ u
@@ -314,16 +314,16 @@ def _hp_reference(word, rep, pres, case, dps=40):
         adj = {n: _mp_adjoint(m) for n, m in ents.items()}
         omega = roots.get("omega2" if case == "U" else "omega3")
         vec = mpmath.matrix(_invariant_entries(case, z, omega))
-        blocks = {g.name: mpmath.matrix(3, 1) for g in pres.generators}
+        blocks = {g: mpmath.matrix(3, 1) for g in pres.generators}
         acc = mpmath.eye(3)
         for gen, sign in word.letters:
             if sign == 1:
-                blocks[gen.name] += acc * vec
-                acc = adj[gen.name] * acc
+                blocks[gen] += acc * vec
+                acc = adj[gen] * acc
             else:
-                acc = adj[gen.name] ** -1 * acc
-                blocks[gen.name] -= acc * vec
-        return [blocks[g.name][i] for g in pres.generators for i in range(3)]
+                acc = adj[gen] ** -1 * acc
+                blocks[gen] -= acc * vec
+        return [blocks[g][i] for g in pres.generators for i in range(3)]
 
 
 class TestFoxWalkMatchesReference:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from cabletorsion import cli
 from cabletorsion.cli import main
 from cabletorsion.closed_forms import tau0
 from cabletorsion.mayer_vietoris import build_gluing_torus, build_mv_sequence, tor_E
@@ -181,3 +182,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "7")
         assert code == 0
         assert out == GOLDEN_VERIFY.read_text()
+
+    def test_pivot_check_fails_on_deterministic_draws(self, capsys, monkeypatch):
+        # draws that all take the deterministic pivots agree on the torsion,
+        # so only the b_1 sets can tell that no other choice was tried
+        engine = cli.reidemeister_torsion
+        monkeypatch.setattr(cli, "reidemeister_torsion", lambda cplx, lifts, rng=None: engine(cplx, lifts))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "properties", "--seed", "7")
+        assert code == 1
+        assert "FAIL  pivot-choice independence (10 draws)" in out.splitlines()
+        assert out.count("FAIL") == 1

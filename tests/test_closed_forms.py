@@ -1,6 +1,8 @@
 import cmath
 import math
+import re
 
+import numpy as np
 import pytest
 
 from cabletorsion.closed_forms import (
@@ -183,3 +185,12 @@ class TestTheoremRhs:
     def test_unknown_family(self):
         with pytest.raises(ClosedFormError):
             theorem_rhs("AA", 1, 6, ())
+
+    def test_numpy_integer_index_is_an_int(self):
+        assert theorem_rhs("AN", 3, 40, np.int64(5)) == theorem_rhs("AN", 3, 40, 5)
+        assert theorem_rhs("NA", 3, 40, np.int32(1), XI) == theorem_rhs("NA", 3, 40, 1, XI)
+
+    @pytest.mark.parametrize("index", [5.0, object()])
+    def test_non_iterable_index_is_named(self, index):
+        with pytest.raises(ClosedFormError, match=re.escape(f"index {index!r} is neither an integer")):
+            theorem_rhs("AN", 3, 40, index)

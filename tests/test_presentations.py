@@ -8,7 +8,7 @@ from cabletorsion.presentations import (
     presentation_to_json,
     torus_piece_presentation,
 )
-from cabletorsion.words import Generator, Word, parse_word
+from cabletorsion.words import Word, parse_word
 
 
 class TestTorusPiece:
@@ -33,7 +33,7 @@ class TestTorusPiece:
     def test_abelianization_is_meridional(self, a):
         pres, _ = torus_piece_presentation(a)
         exps = abelianization_exponents(pres)
-        assert {g.name: e for g, e in exps.items()} == {"x": 1, "y": 1}
+        assert exps == {"x": 1, "y": 1}
         # every relator maps to t^0
         for rel in pres.relators:
             assert sum(exps[g] * s for g, s in rel.letters) == 0
@@ -115,7 +115,7 @@ def test_factored_relators_equal_the_flat_words(a, b):
 class TestCableExterior:
     def test_shape_at_1_6(self):
         pres, peri = cable_exterior_presentation(1, 6)
-        assert [g.name for g in pres.generators] == ["x", "y", "p", "t"]
+        assert pres.generators == ("x", "y", "p", "t")
         assert len(pres.relators) == 3
         assert len(pres.generators) - len(pres.relators) == 1  # deficiency one
         assert peri["mu"] == pres.word("p")
@@ -134,14 +134,14 @@ class TestCableExterior:
         pres, _ = cable_exterior_presentation(a, b)
         exps = abelianization_exponents(pres)
         assert list(exps) == list(pres.generators)  # in generator order
-        assert {g.name: e for g, e in exps.items()} == {"x": 2, "y": 2, "p": 1, "t": 2 * b}
+        assert exps == {"x": 2, "y": 2, "p": 1, "t": 2 * b}
 
     def test_substituting_the_gluing_word_eliminates_x(self):
         # Substituting x -> p t p t^-1 into relators 1 and 2 must produce
         # words in {p, t, y} that still abelianize to zero.
         a, b = 1, 6
         pres, _ = cable_exterior_presentation(a, b)
-        x = pres.generator("x")
+        x = "x"
         glue = pres.word("p t p t^-1")
         exps = abelianization_exponents(pres)
 
@@ -165,8 +165,7 @@ class TestAbelianizationExponents:
     ``test_abelianization_exponents``."""
 
     def test_one_generator_and_no_relator(self):
-        x = Generator(0, "x")
-        assert abelianization_exponents(Presentation("Z", (x,), ())) == {x: 1}
+        assert abelianization_exponents(Presentation("Z", ("x",), ())) == {"x": 1}
 
     def test_pattern_piece_raises(self):
         # its relator is a commutator: H_1 = Z^2, every minor is 0
@@ -175,8 +174,7 @@ class TestAbelianizationExponents:
             abelianization_exponents(pres)
 
     def test_minors_of_two_signs_raise(self):
-        x, y = Generator(0, "x"), Generator(1, "y")
-        pres = Presentation("xy", (x, y), (Word([(x, 1), (y, 1)]),))  # x -> t, y -> t^-1
+        pres = Presentation("xy", ("x", "y"), (Word([("x", 1), ("y", 1)]),))  # x -> t, y -> t^-1
         with pytest.raises(ValueError, match=r"minors \[1, -1\] of xy are not nonzero with one sign"):
             abelianization_exponents(pres)
 
@@ -189,6 +187,17 @@ class TestAbelianizationExponents:
 
 
 class TestValidationAndJson:
+    def test_generator_names_must_be_unique(self):
+        with pytest.raises(ValueError, match="^generator names must be unique$"):
+            Presentation("xx", ("x", "x"), ())
+
+    def test_words_over_the_same_names_agree_across_presentations(self):
+        # a generator is its name: the pattern's mu_C is the cable's gluing word for x
+        pattern, pattern_peri = pattern_piece_presentation(6)
+        cable, _ = cable_exterior_presentation(1, 6)
+        assert pattern_peri["mu_C"] == cable.word("p t p t^-1") == pattern.word("p t p t^-1")
+        assert cable.relators[2] == cable.word("x") * pattern_peri["mu_C"].inverse()
+
     def test_relators_must_use_listed_generators(self):
         pres, _ = torus_piece_presentation(1)
         other, _ = pattern_piece_presentation(2)
@@ -198,7 +207,7 @@ class TestValidationAndJson:
     def test_json_round_trip(self):
         pres, peri = cable_exterior_presentation(1, 6)
         doc = presentation_to_json(pres, peri)
-        assert doc["generators"] == [g.name for g in pres.generators]
+        assert doc["generators"] == list(pres.generators)
         assert [parse_word(text, pres.generators) for text in doc["relators"]] == list(pres.relators)
         peripheral = {name: parse_word(text, pres.generators) for name, text in doc["peripheral"].items()}
         assert peripheral == dict(peri.words)

@@ -63,15 +63,15 @@ class TestFamilyMatrices:
     def test_aa_assignment(self):
         rep = rep_build("AA", XI, A, B)
         z = cmath.exp(XI / 2)
-        assert_close(rep.matrix("p"), np.diag([z, 1 / z]))
-        assert_close(rep.matrix("x"), np.diag([z ** 2, z ** -2]))
-        assert_close(rep.matrix("t"), np.diag([z ** (2 * B), z ** (-2 * B)]))
+        assert_close(rep.assignment["p"], np.diag([z, 1 / z]))
+        assert_close(rep.assignment["x"], np.diag([z ** 2, z ** -2]))
+        assert_close(rep.assignment["t"], np.diag([z ** (2 * B), z ** (-2 * B)]))
 
     def test_an_displayed_matrices(self, rep_an):
         z, w2 = rep_an.z, rep_an.omega2
-        assert_close(rep_an.matrix("p"), [[z, 1], [0, 1 / z]])
+        assert_close(rep_an.assignment["p"], [[z, 1], [0, 1 / z]])
         pres, _ = pattern_piece_presentation(B)
-        q_value = reduce(np.matmul, (np.linalg.matrix_power(rep_an.assignment[g.name], s)
+        q_value = reduce(np.matmul, (np.linalg.matrix_power(rep_an.assignment[g], s)
                                      for g, s in pres.word("t p t^-1").letters))
         assert_close(q_value, [[z, 0], [w2 + 1 / w2 - z ** 2 - z ** -2, 1 / z]])
         assert abs(w2 ** (2 * B + 1) + 1) < 1e-12 and abs(w2 + 1) > 1e-6
@@ -79,14 +79,14 @@ class TestFamilyMatrices:
     def test_na_longitude_of_torus_piece(self, rep_na):
         # rho(lambda_C) = -rho(p)^(-8a-4)
         pres, peri = torus_piece_presentation(A)
-        value = reduce(np.matmul, (np.linalg.matrix_power(rep_na.assignment[g.name], s)
+        value = reduce(np.matmul, (np.linalg.matrix_power(rep_na.assignment[g], s)
                                    for g, s in peri["lambda_C"].letters))
-        p_inv = np.linalg.inv(rep_na.matrix("p"))
+        p_inv = np.linalg.inv(rep_na.assignment["p"])
         assert_close(value, -np.linalg.matrix_power(p_inv, 8 * A + 4))
 
     def test_nn_cable_longitude_diagonal(self, rep_nn):
         _, peri = cable_exterior_presentation(1, 7)
-        value = reduce(np.matmul, (np.linalg.matrix_power(rep_nn.assignment[g.name], s)
+        value = reduce(np.matmul, (np.linalg.matrix_power(rep_nn.assignment[g], s)
                                    for g, s in peri["lambda"].letters))
         z = rep_nn.z
         assert abs(value[1, 0]) < 1e-12
@@ -95,9 +95,9 @@ class TestFamilyMatrices:
 
     def test_x_equals_pq_in_every_family(self, rep_an, rep_na, rep_nn):
         for rep in (rep_build("AA", XI, A, B), rep_an, rep_na, rep_nn):
-            p = rep.matrix("p")
-            q = rep.matrix("t") @ rep.matrix("p") @ np.linalg.inv(rep.matrix("t"))
-            assert_close(p @ q, rep.matrix("x"), 1e-10)
+            p = rep.assignment["p"]
+            q = rep.assignment["t"] @ rep.assignment["p"] @ np.linalg.inv(rep.assignment["t"])
+            assert_close(p @ q, rep.assignment["x"], 1e-10)
 
     def test_roots_of_unity_from_index(self, rep_an, rep_na, rep_nn):
         assert_close(rep_an.omega2, cmath.exp(1j * cmath.pi / 13))
@@ -116,6 +116,16 @@ class TestValidation:
             rep_build("NA", XI, A, B, 1)  # k must stay below a
         with pytest.raises(RepresentationError):
             rep_build("NN", XI, 1, 7, (1, 0))
+
+    def test_numpy_integer_index_is_an_int(self):
+        assert rep_build("AN", XI, 3, 40, np.int64(5)).index == (5,)
+        assert type(rep_build("NA", XI, 3, 40, np.int32(1)).index[0]) is int
+        assert tor_E("AN", 3, 40, np.int64(5), XI).value.value == tor_E("AN", 3, 40, 5, XI).value.value
+
+    @pytest.mark.parametrize("index", [5.0, object()])
+    def test_non_iterable_index_is_named(self, index):
+        with pytest.raises(RepresentationError, match=re.escape(f"index {index!r} is neither an integer")):
+            rep_build("AN", XI, 3, 40, index)
 
     def test_degenerate_xi_guard(self):
         with pytest.raises(RepresentationError):
@@ -150,8 +160,14 @@ class TestVerifyRelations:
 
     def test_unassigned_generator_raises(self, rep_an):
         pres, _ = torus_piece_presentation(A)
-        partial = Representation("AN", {"x": rep_an.matrix("x")}, xi=XI, a=A, b=B, index=(0,))
+        partial = Representation("AN", {"x": rep_an.assignment["x"]}, xi=XI, a=A, b=B, index=(0,))
         with pytest.raises(RepresentationError):
+            verify_relations(pres, partial)
+
+    def test_unassigned_generator_is_named(self, rep_an):
+        pres, _ = torus_piece_presentation(A)
+        partial = Representation("AN", {"y": rep_an.assignment["y"]}, xi=XI, a=A, b=B, index=(0,))
+        with pytest.raises(RepresentationError, match="^representation does not assign generator 'x'$"):
             verify_relations(pres, partial)
 
 
@@ -170,11 +186,11 @@ class TestAdjoint:
             [[w2 ** -2, 2 / (w2 * z), -z ** -2], [0, 1, -w2 / z], [0, 0, w2 ** 2]],
             dtype=complex,
         )
-        assert_close(rep_an.adjoint("x"), theta @ model @ np.linalg.inv(theta), 1e-12)
+        assert_close(rep_an.adjoints["x"], theta @ model @ np.linalg.inv(theta), 1e-12)
 
     def test_antihomomorphism_of_adjoint(self, rng, rep_na):
-        m1 = rep_na.matrix("x")
-        m2 = rep_na.matrix("y")
+        m1 = rep_na.assignment["x"]
+        m2 = rep_na.assignment["y"]
         assert_close(
             adjoint_matrix(m1) @ adjoint_matrix(m2),
             adjoint_matrix(m2 @ m1),
@@ -200,13 +216,13 @@ class TestAdjoint:
 
     def test_determinant_one(self, rep_nn):
         for name in "xypt":
-            assert abs(np.linalg.det(rep_nn.adjoint(name)) - 1) < 1e-9
+            assert abs(np.linalg.det(rep_nn.adjoints[name]) - 1) < 1e-9
 
     def test_preserves_trace_form(self, rep_nn):
         # Ad^T G Ad = G for the trace form tr(XY) on {E, H, F}
         gram = np.array([[0, 0, 1], [0, 2, 0], [1, 0, 0]], dtype=complex)
         for name in "xypt":
-            ad = rep_nn.adjoint(name)
+            ad = rep_nn.adjoints[name]
             assert np.max(np.abs(ad.T @ gram @ ad - gram)) < 1e-9 * np.max(np.abs(ad)) ** 2
 
 
@@ -218,8 +234,8 @@ class TestEvaluation:
     def test_pattern_derivative_matches_tp_form(self, rep_an):
         # 1 + pt - ptptp^-1 - ptptp^-1t^-1p^-1 evaluates to I + TP - TPT - T
         pres, _ = pattern_piece_presentation(B)
-        elem = fox_derivative(pres.relators[0], pres.generator("p"))
-        P, T = rep_an.adjoint("p"), rep_an.adjoint("t")
+        elem = fox_derivative(pres.relators[0], "p")
+        P, T = rep_an.adjoints["p"], rep_an.adjoints["t"]
         expected = np.eye(3) + T @ P - T @ P @ T - T
         assert_close(evaluate_ring(rep_an, elem), expected, 1e-10)
 
@@ -265,10 +281,10 @@ class TestInvariantVectors:
         _, periE7 = cable_exterior_presentation(1, 7)
         cases = [
             (rep_an, "U", [periC["mu_C"], periC["lambda_C"]], (A, B)),
-            (rep_an, "V", [Word([(cable_exterior_presentation(A, B)[0].generator("p"), 1)]), periE["lambda"]], (A, B)),
+            (rep_an, "V", [Word([("p", 1)]), periE["lambda"]], (A, B)),
             (rep_na, "W", [periC["mu_C"], periC["lambda_C"]], (A, B)),
             (rep_nn, "Ut", [periC7["mu_C"], periC7["lambda_C"]], (1, 7)),
-            (rep_nn, "Vt", [Word([(cable_exterior_presentation(1, 7)[0].generator("p"), 1)]), periE7["lambda"]], (1, 7)),
+            (rep_nn, "Vt", [Word([("p", 1)]), periE7["lambda"]], (1, 7)),
         ]
         for rep, case, words, _ in cases:
             vec = invariant_vector(case, rep)
@@ -649,7 +665,7 @@ class TestNAEdgeRelations:
             for rel in pres.relators:
                 value = mpmath.eye(2)
                 for gen, sign in rel.letters:
-                    value = value * mpmath.matrix(ents[gen.name]) ** sign
+                    value = value * mpmath.matrix(ents[gen]) ** sign
                 dev = value - mpmath.eye(2)
                 assert max(abs(dev[i, j]) for i in range(2) for j in range(2)) <= 1e-20, rel
 

@@ -43,7 +43,7 @@ def abelian_cable_torsion(a, b, xi):
     rep = rep_build("AA", xi, a, b)
     cplx = presentation_complex(pres, rep)
     h_vec = invariant_vector("H", rep)
-    p_block = [g.name for g in pres.generators].index("p")
+    p_block = pres.generators.index("p")
     return cplx, reidemeister_torsion(cplx, {1: [pad(h_vec, p_block, 4)], 0: [h_vec]})
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 from cabletorsion.words import (
-    Generator,
     GroupRingElement,
     Word,
     fox_derivative,
@@ -11,10 +10,7 @@ from cabletorsion.words import (
 )
 from conftest import random_word
 
-X = Generator(0, "x")
-Y = Generator(1, "y")
-P = Generator(0, "p")
-T = Generator(1, "t")
+X, Y, P, T = "x", "y", "p", "t"
 
 
 def w(text, gens=(X, Y)):
