@@ -14,14 +14,14 @@ d1 d2 = 0 is the fundamental identity of the free calculus pushed through the
 
 The d2 formula is the definition; a prefix walk (``words._fox_walk``) over each
 relator's letters fills it bit for bit, and the same walk with no blocks is
-``evaluate_word``, the product the commutation guard reads.  ``rep_build``
+``evaluate_word``, the product the splitting torus reads.  ``rep_build``
 certifies its families' cable and pattern relators over F_P, once per Galois
 orbit; any other relator is checked in float64 before a complex is built.
 Betti numbers are dim C_i - rank d_i - rank d_(i+1).  Under a diagonal
 representation the walk needs only the prefix's degree: ``abelian_fox_rows`` is
 the Fox matrix over Z[t^+-1], ``alexander_minor`` its minor.
 ``chain_of_loop_hp`` runs the same walk on mpmath scalars at HP_BITS bits: the
-reference for the float64 gluing chains.
+reference the tests hold the integer phi_1 rows to.
 
 The boundary torus gets its own cell structure (one 0-cell, 1-cells mu, la,
 one 2-cell glued along the commutator), whose differentials collapse to
@@ -191,9 +191,9 @@ def alexander_minor(pres: Presentation) -> Tuple[Tuple[Tuple[int, int], ...], fl
     return tuple(sorted((e, c * total) for e, c in det.items())), (lo + hi) / 2
 
 
-def check_peripheral_actions(M, L) -> Tuple[np.ndarray, np.ndarray]:
-    """M and L as complex 3x3 arrays, checked finite and commuting at COMMUTATOR_TOL
-    (d1 d2 on the torus complex is [L, M]); ``tor_E`` checks S this way without building it."""
+def torus_complex(M, L) -> BasedChainComplex:
+    """Twisted complex of the torus from the adjoint actions M, L, checked finite and commuting
+    at COMMUTATOR_TOL (d1 d2 is [L, M])."""
     M = np.asarray(M, dtype=complex)
     L = np.asarray(L, dtype=complex)
     if M.shape != (3, 3) or L.shape != (3, 3):
@@ -203,12 +203,6 @@ def check_peripheral_actions(M, L) -> Tuple[np.ndarray, np.ndarray]:
     scale = max(linalg.norm(M) * linalg.norm(L), 1.0)
     if linalg.norm(M @ L - L @ M) > COMMUTATOR_TOL * scale:
         raise ChainComplexError("peripheral adjoint actions do not commute")
-    return M, L
-
-
-def torus_complex(M, L) -> BasedChainComplex:
-    """Twisted complex of the torus from the commuting adjoint actions M, L."""
-    M, L = check_peripheral_actions(M, L)
     eye = np.eye(3)
     d2 = np.vstack([eye - L, M - eye])
     d1 = np.hstack([M - eye, L - eye])
@@ -265,7 +259,7 @@ def _hp_adjoint(g) -> np.ndarray:
 
 def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: str) -> np.ndarray:
     """chain_of_loop with the family's invariant vector, walked on mpmath scalars at HP_BITS bits
-    (``hp_assignment``) and rounded: the reference for ``mayer_vietoris._gluing_chains``.
+    (``hp_assignment``) and rounded: the tests' reference chain of mu_C and la_C.
     ``word`` must lie in the gluing-torus subgroup, which fixes the vector, so the walk must end
     where it started; a word whose prefixes outgrow 2^HP_BITS times the chain loses every digit
     to cancellation (the flat pattern longitude at NA (3,40), Re xi = 1, ends 4e-9 to 6e-8 away),
@@ -277,8 +271,8 @@ def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: 
     root = _invariant_root(case, rep.family)
     with mpmath.mp.workprec(HP_BITS):
         mats = hp_assignment(rep)
-        forward = {name: _hp_adjoint(m) for name, m in mats.items()}
-        backward = {name: _hp_adjoint(_adj2(m)) for name, m in mats.items()}
+        forward = {g: _hp_adjoint(mats[g]) for g, s in set(word.letters) if s == 1}  # the letters' alone
+        backward = {g: _hp_adjoint(_adj2(mats[g])) for g, s in set(word.letters) if s == -1}
         z, roots = _hp_scalars(rep)
         vector = np.array(_invariant_entries(case, z, roots.get(root)), dtype=object)
         blocks, end = _fox_walk(word, pres.generators, vector, forward, backward)

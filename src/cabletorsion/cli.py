@@ -87,7 +87,7 @@ def cmd_compute(args) -> int:
             "tor_D": _pair(result.tor_d.value),
             "tor_S": _pair(result.tor_s.value),
             "tor_MV": _pair(result.tor_h.value),
-            "phi1": [[x.real for x in row] for row in result.maps.phi1],
+            "phi1": [[float(x) for x in row] for row in result.maps.phi1],
         })
     if args.dump_complex and result is not None:
         record["mv_sequence"] = result.sequence.to_json_dict()

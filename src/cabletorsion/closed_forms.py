@@ -18,7 +18,7 @@ import math
 
 from .chains import alexander_minor
 from .presentations import Presentation
-from .representations import CabletorsionError, _index_tuple
+from .representations import CabletorsionError, _checked_index
 
 
 class ClosedFormError(CabletorsionError):
@@ -119,8 +119,11 @@ def tau_torus(k: int, c: int, d: int) -> complex:
 
 
 def theorem_rhs(family: str, a: int, b: int, index, xi: complex = 0.0) -> complex:
-    """One representative of the +- class of the glued-torsion closed form."""
-    index = _index_tuple(index, ClosedFormError)
+    """One representative of the +- class of the glued-torsion closed form, for an index of
+    ``index_range(family, a, b)``; any other index raises."""
+    if family not in ("AN", "NA", "NN"):
+        raise ClosedFormError(f"theorem_rhs knows families AN, NA, NN; got {family!r}")
+    index = _checked_index(family, a, b, index, ClosedFormError)
     if family == "AN":
         (j,) = index
         omega2 = cmath.exp(1j * math.pi * (2 * j + 1) / (2 * b + 1))
@@ -135,10 +138,8 @@ def theorem_rhs(family: str, a: int, b: int, index, xi: complex = 0.0) -> comple
             omega1 - 1 / omega1, "omega1 - omega1^-1"
         )
         return (2 * a + 1) / 2 * ratio ** 2
-    if family == "NN":
-        l, m = index
-        omega1 = cmath.exp(1j * math.pi * (2 * m + 1) / (2 * a + 1))
-        num = (2 * a + 1) * (4 * (2 * a + 1) - (2 * b + 1))
-        den = _guard_denominator(4 * (omega1 - 1 / omega1) ** 2, "(omega1-omega1^-1)^2")
-        return num / den
-    raise ClosedFormError(f"theorem_rhs knows families AN, NA, NN; got {family!r}")
+    _, m = index  # NN
+    omega1 = cmath.exp(1j * math.pi * (2 * m + 1) / (2 * a + 1))
+    num = (2 * a + 1) * (4 * (2 * a + 1) - (2 * b + 1))
+    den = _guard_denominator(4 * (omega1 - 1 / omega1) ** 2, "(omega1-omega1^-1)^2")
+    return num / den

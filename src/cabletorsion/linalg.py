@@ -7,10 +7,10 @@ tie-breaking (largest remaining column norm, lowest index on ties) so repeated
 runs pick identical bases, and a random admissible choice is the same rule on
 randomly weighted columns.  Every rank the torsions and the gluing use comes
 from the homology lift counts (see ``torsion``); the rest are checks at named
-tolerances.  The Betti numbers of ``chains.homology`` read singular values; a
-square basis (each assembled basis of a torsion, and [phi_1 | e_designated1])
-is judged by ``conditioned_det`` from its determinant, and reads them only
-when that bound is inconclusive.  Every tolerance must be in (0, 1).
+tolerances.  The Betti numbers of ``chains.homology`` read singular values; each
+assembled basis of a torsion is judged by ``conditioned_det`` from its
+determinant, and reads them only when that bound is inconclusive.  Every
+tolerance must be in (0, 1).
 """
 
 from __future__ import annotations

@@ -3,16 +3,16 @@
 The gluing identity is Tor(E) = Tor(C) Tor(D) / (Tor(S) Tor(H*)), where H* is the
 long exact sequence of the splitting, made into an acyclic based complex with the
 degree convention H_{3k} = H_k(E), H_{3k+1} = H_k(C) + H_k(D), H_{3k+2} = H_k(S).
-``tor_E`` evaluates it from C and D alone, with Tor(S) = 1 (it is +-1 in the lifts
-below, and its float64 value only added rounding error, up to 1.7e-10) and
-Tor(H*) = 1 / det[phi_1 | e_designated1].  S keeps its guard: M = Ad(mu_C) and
-L = Ad(la_C) must be finite and commute (``check_peripheral_actions``; [L, M] is
-d1 d2 on S).  Its lift-cycle check is implied by the gluing-torus identities
-``rep_build`` certifies.
+``tor_E`` evaluates it from C and D alone, every factor exact: Tor(S) = 1 (+-1 in the lifts
+below), Tor(C) and Tor(D) are scalars (``_abelian_torsion`` on an abelian side, ``_seifert_torsion``
+on a non-abelian one), and Tor(H*) = 1 / det[phi_1 | e_designated1] of integer rows.  So it builds
+no float64 complex and decides no rank.  S needs no guard: the identities ``rep_build`` certifies
+make Ad(mu_C) and Ad(la_C) commute exactly (rho(x) = rho(y) in AN, so Ad(la_C) = I;
+rho((xy)^(2a+1)) = -I in NA and NN, so Ad(la_C) = Ad(mu_C)^-(4a+2)).
 
-Each non-abelian family carries a catalog of homology lifts for the pieces,
-phrased through the family's invariant vectors (v on the gluing torus, v' on
-the outer torus; v = v' in the NA family):
+The float64 complexes, built on demand, carry a catalog of homology lifts for
+the pieces, phrased through the family's invariant vectors (v on the gluing
+torus, v' on the outer torus; v = v' in the NA family):
 
     S:  f~ x v;  mu~ x v, la~ x v;  basepoint x v
     C:  (I - Ad(y (xy)^a)) v on the 2-cell when the torus side is irreducible
@@ -22,22 +22,20 @@ the outer torus; v = v' in the NA family):
     D:  f~ x v and f~ x v' in degree 2, p~ x v' and t~ x v in degree 1,
         basepoint x v in degree 0 when the pattern side is abelian
 
-An abelian side (C in AN, D in NA) has cyclic image: its torsion is exact, from scalar weight
-complexes (``_abelian_torsion``), and so are its phi_1 rows, the classes of mu_C and la_C in its
-H_1 (``_abelian_rows``); its lifts, on the weight-0 line of v, serve the float64 complex it builds
-on demand.  On a non-abelian side the loop chains of mu_C and la_C on v (``_gluing_chains``) are
-solved for their lift coordinates in the degree-1 basis the piece's torsion was assembled in
-(``TorsionValue.bases``), so no rank is read twice.  phi_2 and phi_0 are unit columns: the first
-lift of C and of D in degrees 2 and 0 is the image of the class of S there.  Exactness, and each
-designated generating class going to the matching basis vector of H_*(E), pin psi_k and delta_k.
+phi_1 takes the classes of mu_C and la_C on these lifts, an integer map on exponent sums
+(``_rows``): on an abelian side (C in AN, D in NA) every generator fixes v, so the chain of a word w
+is (e_g(w) v)_g; on a non-abelian side w = F^k g^e, F the Seifert fibre (g = x on C, t on D), whose
+chain on v is a boundary, so w's class is e on the lift of g.  phi_2 and phi_0 are unit columns: the
+first lift of C and of D in degrees 2 and 0 is the image of the class of S there.  Exactness, and
+each designated generating class going to the matching basis vector of H_*(E), pin psi_k and delta_k.
 
 So delta_2 = 0 and psi_0 is zero or empty, the sequence splits into short exact pieces, and each
 is exact with unit determinant but the degree-1 block 0 -> H_1(S) -> H_1(C) + H_1(D) -> H_1(E).
-That block is exact when [phi_1 | e_designated1] is invertible (``_span_basis``, the rank test of
-``_quotient_rows``), and its torsion is 1 / det of that matrix, with the sign the nine-slot torsion
-gives.  The nine-slot complex (``build_mv_sequence``, ``mv_torsion``), S (``build_gluing_torus``)
-and an abelian side's complex are built only on demand: by ``TorEResult.sequence`` and
-``TorEResult.pieces`` for ``cabletorsion compute --dump-complex``, by demo 03, and by the tests.
+That block is exact when [phi_1 | e_designated1] is invertible (``_span_basis``, an exact integer
+determinant), and its torsion is 1 / det of that matrix, with the sign the nine-slot torsion gives.
+The nine-slot complex (``build_mv_sequence``, ``mv_torsion``), S (``build_gluing_torus``) and the
+pieces' complexes are built only on demand: by ``TorEResult.sequence`` and ``TorEResult.pieces``
+for ``cabletorsion compute --dump-complex``, by demo 03, ``verify`` and the tests.
 """
 from __future__ import annotations
 
@@ -48,26 +46,18 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import linalg
-from .chains import (
-    BasedChainComplex,
-    abelian_fox_rows,
-    alexander_minor,
-    check_peripheral_actions,
-    class_coordinates,
-    homology,
-    presentation_complex,
-    torus_complex,
-)
+from .chains import BasedChainComplex, abelian_fox_rows, alexander_minor, homology
+from .chains import presentation_complex, torus_complex
 from .presentations import (
     PeripheralSystem,
     Presentation,
+    _ldet,
     cable_exterior_presentation,
     pattern_piece_presentation,
     torus_piece_presentation,
 )
 from .representations import TORUS_CASES, Representation, check_parameters, evaluate_word, rep_build
-from .representations import CabletorsionError
+from .representations import CabletorsionError, _word2
 from .torsion import TorsionError, TorsionValue, reidemeister_torsion
 
 EXACTNESS_TOL = 1e-8          # rank tolerance under which the nine-slot sequence must be exact
@@ -85,11 +75,11 @@ def _pad(vector: np.ndarray, block: int, nblocks: int) -> np.ndarray:
 
 @dataclass
 class PieceData:
-    """One piece of the splitting: its lifts, based torsion, and the complex ``build`` makes on first read."""
+    """One piece of the splitting: its lifts, exact torsion, and the float64 complex ``build`` makes."""
 
     name: str
     lifts: Dict[int, List[np.ndarray]]
-    torsion: TorsionValue | None
+    torsion: TorsionValue
     presentation: Presentation | None = None
     peripheral: PeripheralSystem | None = None
     build: Callable[[], BasedChainComplex] | None = field(default=None, repr=False)
@@ -116,20 +106,20 @@ def _family_vectors(rep: Representation):
     return tuple(rep.vectors[case] for case in TORUS_CASES[rep.family])
 
 
-@lru_cache(maxsize=64)
-def _s_conjugator(a: int):
-    """y (xy)^a in the torus piece: the conjugator of C's 2-cell lift."""
-    pres, _ = torus_piece_presentation(a)
-    return pres.word("y") * (pres.word("x y") ** a)
+def _side_presentation(side: str, a: int, b: int) -> Tuple[Presentation, PeripheralSystem]:
+    return torus_piece_presentation(a) if side == "C" else pattern_piece_presentation(b)
+
+
+def _side_torsion(rep: Representation, side: str) -> TorsionValue:
+    """Tor of ``side`` ("C" or "D") of ``rep``, exact on either kind of side."""
+    return (_abelian_torsion if rep.family["CD".index(side)] == "A" else _seifert_torsion)(rep, side)
 
 
 def _piece(name: str, rep: Representation, lifts) -> PieceData:
-    """Piece ``name`` ("C" or "D") of ``rep``: an abelian side's torsion is exact, its complex lazy."""
-    pres, peri = torus_piece_presentation(rep.a) if name == "C" else pattern_piece_presentation(rep.b)
-    piece = PieceData(name, lifts, None, pres, peri, partial(presentation_complex, pres, rep))
-    abelian = rep.family["CD".index(name)] == "A"
-    piece.torsion = _abelian_torsion(rep, name) if abelian else reidemeister_torsion(piece.complex, lifts)
-    return piece
+    """Piece ``name`` ("C" or "D") of ``rep``: its torsion is exact, its complex lazy."""
+    pres, peri = _side_presentation(name, rep.a, rep.b)
+    torsion = _side_torsion(rep, name)
+    return PieceData(name, lifts, torsion, pres, peri, partial(presentation_complex, pres, rep))
 
 
 def build_torus_piece(rep: Representation) -> PieceData:
@@ -138,9 +128,10 @@ def build_torus_piece(rep: Representation) -> PieceData:
     x_chain = _pad(v, 0, 2)
     if rep.family[0] == "A":  # abelian torus side
         return _piece("C", rep, {1: [x_chain], 0: [v]})
-    # The S-commutator word equals the relator times a conjugate of its
-    # inverse, so [S] includes as (I - Ad(y (xy)^a)) v on the 2-cell.
-    h2 = (np.eye(3) - evaluate_word(rep, _s_conjugator(rep.a))) @ v
+    # The S-commutator word equals the relator times a conjugate of its inverse, so [S] includes
+    # as (I - Ad(y (xy)^a)) v on the 2-cell; y (xy)^a = (xy)^a x is the Seifert generator u.
+    (u, _), _ = torus_piece_presentation(rep.a)[1].seifert
+    h2 = (np.eye(3) - evaluate_word(rep, u)) @ v
     return _piece("C", rep, {2: [h2], 1: [x_chain]})
 
 
@@ -208,43 +199,48 @@ def _abelian_torsion(rep: Representation, side: str) -> TorsionValue:
     return _at_weights(*_weight_terms(side, rep.a, rep.b), s, scale, what)
 
 
-def _gluing_chains(rep: Representation, piece: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Chains of mu_C and la_C in the non-abelian side ``piece`` ("C" or "D") on the gluing-torus
-    vector v: the subgroup fixing v makes chain(u) additive, so chain(la_C) = chain(h) + k chain(mu_C)
-    for la_C = h mu_C^k (``PeripheralSystem.splits``), blocks in generator order, each a float64
-    closed form (unit roundoff u = 2^-53) of identities ``_certify_relations`` proves.  Torus side:
-    chain(x) = (v, 0) and, as rho((xy)^n) = +-I (n = 2a+1) makes sum_(k<n) Ad(xy)^k n times the
-    trace-form projection onto the line of W_xy (W_g the traceless part of rho(g), Ad(x) W_xy = W_yx),
-    chain(x^-1 (xy)^n) = (n c W_xy - v, n c W_yx), c = B(v, W_xy) / B(W_xy, W_xy).  The divisor
-    B(W_xy, W_xy) >= 8 / n^2 amplifies the few-ulp rounding of the trace forms by at most
-    |W_xy|^2 n^2 / 8, with |W_xy| < 27 up to (6, 200): within 3e-11 relative (1.6e-13 NA, 2.1e-14 NN
-    measured there).  Pattern side: chain(t) = (0, v) and, as t and p t p t^-1 fix v and Ad is
-    anti-homomorphic, Ad(p) Ad(t) Ad(p) v = v, so chain(p t p t^-1) = (v + Ad(t) Ad(p) v, Ad(p) v - v)
-    = (v + Ad(p)^-1 v, Ad(p) v - v): one product with Ad(p)^(+-1), entries below e^2 for |Re xi| <= 1,
-    each off by under 3 e^2 u |v| against a chain norm of at least |v_E| = 2: within 3e-15 relative
-    (6.0e-16 measured), where reading Ad(t), entries up to 2^19, strayed 2.6e-11."""
-    _, peri = torus_piece_presentation(rep.a) if piece == "C" else pattern_piece_presentation(rep.b)
-    v = rep.vectors[TORUS_CASES[rep.family][0]]
-    _, k = peri.splits["lambda_C"]
-    if piece == "C":
-        x, y = rep.assignment["x"], rep.assignment["y"]
-        w_xy, w_yx = (np.array([m[0, 1], (m[0, 0] - m[1, 1]) / 2, m[1, 0]]) for m in (x @ y, y @ x))
-        form = lambda u, w: 2 * u[1] * w[1] + u[0] * w[2] + u[2] * w[0]  # the trace form B on (E, H, F)
-        nc = form(v, w_xy) * (2 * rep.a + 1) / form(w_xy, w_xy)
-        mu, h = np.concatenate([v, v - v]), np.concatenate([nc * w_xy - v, nc * w_yx])
-    else:
-        mu = np.concatenate([v + rep.adjoint_invs["p"] @ v, rep.adjoints["p"] @ v - v])
-        h = np.concatenate([v - v, v])
-    return mu, h + k * mu
+def _seifert_torsion(rep: Representation, side: str) -> TorsionValue:
+    """Tor of a non-abelian side, -prod n / (4 - tr^2 rho(g)) over its Seifert generators, g^n = F
+    (``PeripheralSystem.seifert``; Kitano 1994, Dubois 2006), traced on the float64 2x2 assignment.
+    Wh vanishes here (Waldhausen 1978): the Tietze moves to C = <u, v | u^2 v^-n> and D = <u, t |
+    u^2 t u^-2 t^-1> keep the torsion, lifts carried across.  As rho(g)^n = -I (certified), Ad(g)^n =
+    Ad(F) = I, so the Fox row of g^n is sum_(k<n) Ad(g)^k = n P_g, P_g the projection onto the fixed
+    line f_g along the moved plane M_g, on which Ad(g) - I has determinant 4 - tr^2 rho(g).  Tor =
+    D_1 / (D_0 D_2), D_i the determinant of the degree-i basis; in each the lifts cancel.
+    D: d2 w = (-2 P_u (Ad(t) - I) w, 0) on (u, t); the lifts p~ x v', t~ x v have t-blocks -v', v.
+    With b_2 = w, c f_u = P_u (Ad(t) - I) w, and b_1 = M_u in the u block plus w in the t block:
+    D_2 = det[v, v', w], D_1 = -2c det[f_u, M_u] det[v, v', w], D_0 = 4c det[M_u, f_u] (tr rho(u) = 0,
+    so Ad(u) = -1 on M_u); -2/(-2)^2.  C: d2 c = (2 P_u c, -n P_v c) on (u, v), so H_2 = ker d2 =
+    M_u n M_v = C m, and a degree-1 cycle (alpha, beta) has (Ad(u) - I) alpha = (I - Ad(v)) beta in C m.
+    The torus relator is u^2 v^-n conjugated by u and y (xy)^a = u, so the 2-lift is h m = (Ad(u) - I) v;
+    as x = v^-a u, x~ x v has alpha = Ad(v)^-a v, and (Ad(u) - I) alpha = (I - Ad(u)) v = -h m, for
+    Ad(u) Ad(v)^-a v = Ad(x) v = v.  Take b_2 = b in M_v, b' in M_u with P_u b = f_u, P_v b' = f_v,
+    and b_1 = m, b' in the u block plus q, (Ad(v) - I) q = b.  With X = det[m, b, b'] = -det[f_u, m, b']
+    = det[f_v, m, b] (as b - f_u lies in M_u, b' - f_v in M_v): D_2 = h X, D_0 = -4 X, and D_1 =
+    2 (-X) (-n) h X / (4 - tr^2 rho(v)); -2n/(4 (4 - tr^2 rho(v)))."""
+    value = -1.0
+    for word, n in _side_presentation(side, rep.a, rep.b)[1].seifert:
+        g = _word2(rep.assignment, word)
+        value *= n / (4 - complex(g[0][0] + g[1][1]) ** 2)
+    return TorsionValue(complex(value))
+
+
+# phi_1 rows as integer maps on the exponent sums (e_g(mu_C), e_g(la_C)) by generator, per side and
+# kind: an abelian C has x~ x v ~ y~ x v, a non-abelian side reads the e of F^k g^e, which kills F
+# (e_x(F) = e_y(F) on C, e_p(F) = e_t(F) on D), and D's first lift p~ x v' takes no class.
+_ROW_MAPS = {("C", "A"): ((1, 1),), ("C", "N"): ((1, -1),),
+             ("D", "A"): ((1, 0), (0, 1)), ("D", "N"): ((0, 0), (-1, 1))}
 
 
 @lru_cache(maxsize=256)
-def _abelian_rows(side: str, a: int, b: int) -> np.ndarray:
-    """phi_1 rows of an abelian side, whose chain of w is (e_g(w) v)_g: w's class in its H_1 on the lifts,
-    for C (AN, x ~ y) e_x(w) + e_y(w), [1, 0]; for D (NA) e_p(w), e_t(w), [[2, -2b], [0, 1]]."""
-    pres, peri = torus_piece_presentation(a) if side == "C" else pattern_piece_presentation(b)
-    sums = np.array([[w.exponent_sum(g) for w in (peri["mu_C"], peri["lambda_C"])] for g in pres.generators])
-    return sums.sum(axis=0, keepdims=True) if side == "C" else sums
+def _rows(side: str, kind: str, a: int, b: int) -> np.ndarray:
+    """phi_1 rows of ``side`` of ``kind`` ("A" abelian, "N" not) at (a, b), read-only integers:
+    AN C [1, 0], NA C [1, -(4a+2)], NA D [[2, -2b], [0, 1]], AN and NN D [[0, 0], [-2, 2b+1]]."""
+    pres, peri = _side_presentation(side, a, b)
+    sums = [[peri[w].exponent_sum(g) for w in ("mu_C", "lambda_C")] for g in pres.generators]
+    rows = np.array(_ROW_MAPS[side, kind]) @ np.array(sums)
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass
@@ -257,32 +253,28 @@ class InducedMaps:
 
 
 def induced_maps(rep: Representation, piece_c: PieceData, piece_d: PieceData) -> InducedMaps:
-    """phi_2, phi_1, phi_0 of the splitting of ``rep`` into ``piece_c`` and ``piece_d``.
+    """phi_2, phi_1, phi_0 of the splitting of ``rep`` into ``piece_c`` and ``piece_d``, as integers.
 
-    phi_1 pushes mu_C and la_C into each piece and takes class coordinates in
-    the piece's assembled degree-1 basis, both chains of a piece in one solve, or
-    reads an abelian side's integer rows.  phi_2 and phi_0 send the one class of S
+    phi_1 stacks the ``_rows`` of C over D.  phi_2 and phi_0 send the one class of S
     to the first lift of each piece that has one in that degree: unit columns.
     """
-    phi1 = np.vstack([
-        _abelian_rows(p.name, rep.a, rep.b) if rep.family["CD".index(p.name)] == "A"
-        else class_coordinates(np.column_stack(_gluing_chains(rep, p.name)), p.torsion.bases[1], p.complex, 1)
-        for p in (piece_c, piece_d)
-    ])
-
     def unit_column(k):
-        return np.vstack([np.eye(len(p.lifts.get(k, [])), 1, dtype=complex) for p in (piece_c, piece_d)])
+        return np.vstack([np.eye(len(p.lifts.get(k, [])), 1, dtype=int) for p in (piece_c, piece_d)])
 
-    return InducedMaps(unit_column(2), phi1, unit_column(0))
+    return InducedMaps(unit_column(2), _phi1(rep.family, rep.a, rep.b), unit_column(0))
 
 
-def _span_basis(phi: np.ndarray, designated: Sequence[int]) -> Tuple[np.ndarray, complex]:
-    """[phi | e_designated] and its determinant, checked to be square and of full numerical rank."""
-    n = phi.shape[0]
-    basis = np.column_stack([phi, np.eye(n, dtype=complex)[:, list(designated)]])
+def _phi1(family: str, a: int, b: int) -> np.ndarray:
+    return np.vstack([_rows(side, kind, a, b) for side, kind in zip("CD", family)])
+
+
+def _span_basis(phi: np.ndarray, designated: Sequence[int]) -> Tuple[np.ndarray, int]:
+    """[phi | e_designated] of an integer phi and its determinant in exact integer arithmetic
+    (``_ldet``), checked to be square and nonzero."""
+    basis = np.column_stack([phi, np.eye(len(phi), dtype=int)[:, list(designated)]])
     if basis.shape[0] == basis.shape[1]:
-        det, conditioning = linalg.conditioned_det(basis, linalg.DEFAULT_RANK_TOL)
-        if conditioning.full_rank:
+        det = _ldet([[((0, c),) if c else () for c in row] for row in basis.tolist()]).get(0, 0)
+        if det:
             return basis, det
     raise MayerVietorisError("image of phi plus designated classes do not span the middle slot")
 
@@ -339,7 +331,8 @@ def mv_torsion(seq: BasedChainComplex) -> TorsionValue:
 
 @dataclass
 class TorEResult:
-    """Full record of one gluing computation; ``tor_s`` is exactly 1."""
+    """Full record of one gluing computation; ``tor_s`` is exactly 1.  The pieces, their
+    float64 complexes and the induced maps are derived from ``rep`` on first read."""
 
     family: str
     a: int
@@ -351,10 +344,10 @@ class TorEResult:
     tor_d: TorsionValue
     tor_s: TorsionValue
     tor_h: TorsionValue
-    maps: InducedMaps
     rep: Representation = field(repr=False)
-    piece_c: PieceData = field(repr=False)
-    piece_d: PieceData = field(repr=False)
+    piece_c = cached_property(lambda self: build_torus_piece(self.rep))
+    piece_d = cached_property(lambda self: build_pattern_piece(self.rep))
+    maps = cached_property(lambda self: induced_maps(self.rep, self.piece_c, self.piece_d))
 
     @cached_property
     def pieces(self) -> Dict[str, PieceData]:
@@ -368,25 +361,19 @@ class TorEResult:
 
 
 def tor_E(family: str, a: int, b: int, index, xi: complex) -> TorEResult:
-    """Glued torsion of the cable exterior for a non-abelian family."""
+    """Glued torsion of the cable exterior for a non-abelian family, Tor(C) Tor(D) det[phi_1 | e1]."""
     if family not in _MV_TABLE:
         raise MayerVietorisError(
             f"family {family!r} does not go through the gluing formula; "
             "the abelian case uses tor_E_abelian"
         )
     rep = rep_build(family, xi, a, b, index)
-    piece_d = build_pattern_piece(rep)  # first: past float64, NA's exact D names the cause; C loses digits
-    piece_c = build_torus_piece(rep)
-    check_peripheral_actions(*(evaluate_word(rep, piece_c.peripheral[w]) for w in ("mu_C", "lambda_C")))
-    maps = induced_maps(rep, piece_c, piece_d)
-    _, det = _span_basis(maps.phi1, _MV_TABLE[family]["designated1"])
-    tor_h = TorsionValue(1 / det)
-    with np.errstate(over="ignore", invalid="ignore"):  # D is exact up to float64's range, E may pass it
-        value = _finite((piece_c.torsion * piece_d.torsion / tor_h).value, lambda: f"Tor(E) of {family}")
-    return TorEResult(
-        family, a, b, rep.index, complex(xi), value,
-        piece_c.torsion, piece_d.torsion, TorsionValue(1 + 0j), tor_h, maps, rep, piece_c, piece_d,
-    )
+    tor_d = _side_torsion(rep, "D")  # first: past float64, NA's exact D names the cause
+    tor_c = _side_torsion(rep, "C")
+    _, det = _span_basis(_phi1(family, a, b), _MV_TABLE[family]["designated1"])
+    value = _finite(tor_c.value * tor_d.value * det, lambda: f"Tor(E) of {family}")
+    return TorEResult(family, a, b, rep.index, complex(xi), value, tor_c, tor_d, TorsionValue(1 + 0j),
+                      TorsionValue(1 / det + 0j), rep)
 
 
 def tor_E_abelian(a: int, b: int, xi: complex) -> TorsionValue:

@@ -18,6 +18,10 @@ lambda_C = h mu_C^k with h in the gluing-torus subgroup: h = t, k = -b on the
 pattern side and h = y (xy)^{2a}, k = -(4a+1) on the torus side.  Likewise
 each relator is kept factored next to its word, e.g. r2 = y (xy)^{2a}
 x^{-4a-1} (p t p t^-1)^b t^-1: the relation check squares its powers.
+Both pieces are Seifert fibred, and each peripheral system lists its Seifert
+generators g with g^n the regular fibre F, which is central: C = <u, v | u^2 =
+v^(2a+1)> with u = (xy)^a x and v = xy, D = <u, t | [t, u^2]> with u = p t, both
+Tietze moves of the presentations above (Kitano 1994; Dubois 2006).
 Generators are names: the pattern's mu_C and the cable's gluing word are one Word.
 All presentations here have deficiency one; each builder is cached per argument.
 """
@@ -66,13 +70,15 @@ class PeripheralSystem:
     Names are drawn from {mu_C, lambda_C, mu, lambda}.  The cabling parameter
     b lives here (metadata), not in the presentation: the pattern relator is
     b-independent.  ``splits[name] = (h, k)`` records words[name] = h mu_C^k
-    with h in the gluing-torus subgroup.  All maps are read-only: cached
+    with h in the gluing-torus subgroup; ``seifert`` holds the piece's Seifert
+    generators as (g, n), g^n the fibre.  All maps are read-only: cached
     builders share them.
     """
 
     words: Mapping[str, Word]
     metadata: Mapping[str, int] = field(default_factory=dict)
     splits: Mapping[str, Tuple[Word, int]] = field(default_factory=dict)
+    seifert: Tuple[Tuple[Word, int], ...] = ()
 
     def __post_init__(self):
         for name in ("words", "metadata", "splits"):
@@ -93,7 +99,8 @@ def torus_piece_presentation(a: int) -> tuple[Presentation, PeripheralSystem]:
     pres = Presentation(f"torus_piece(a={a})", ("x", "y"), (_expand(factored),), (factored,))
     head, k = yw * (xy ** (2 * a)), -4 * a - 1
     lam = head * (xw ** k)
-    peri = PeripheralSystem({"mu_C": xw, "lambda_C": lam}, {"a": a}, {"lambda_C": (head, k)})
+    peri = PeripheralSystem({"mu_C": xw, "lambda_C": lam}, {"a": a}, {"lambda_C": (head, k)},
+                            ((xy ** a * xw, 2), (xy, 2 * a + 1)))
     return pres, peri
 
 
@@ -112,7 +119,7 @@ def pattern_piece_presentation(b: int) -> tuple[Presentation, PeripheralSystem]:
     lam = tw * pw * (q ** -b) * tw * (pw ** (-3 * b - 1))
     peri = PeripheralSystem(
         {"mu_C": mu_c, "lambda_C": lam_c, "mu": pw, "lambda": lam}, {"b": b},
-        {"lambda_C": (head, k)},
+        {"lambda_C": (head, k)}, ((pw * tw, 2),),
     )
     return pres, peri
 

@@ -45,6 +45,7 @@ from .presentations import (
     abelianization_exponents,
     cable_exterior_presentation,
     pattern_piece_presentation,
+    torus_piece_presentation,
 )
 from .words import GroupRingElement, Word, _fox_walk
 
@@ -85,6 +86,12 @@ def _mul2(x, y):
 def _adj2(x):
     """The adjugate: the inverse of an SL(2) matrix, without a division."""
     return [[x[1][1], -x[0][1]], [-x[1][0], x[0][0]]]
+
+
+def _word2(mats, word: Word):
+    """The product of ``word``'s letters on 2x2 ``mats`` by generator name, inverses by adjugate."""
+    letters = [mats[g] if s == 1 else _adj2(mats[g]) for g, s in word.letters]
+    return reduce(_mul2, letters) if letters else [[1, 0], [0, 1]]
 
 
 def _pow2(x, n: int):
@@ -170,7 +177,7 @@ def _root_fractions(family: str, a: int, b: int, index) -> dict:
     """(k, den) of each root omega = exp(i pi (2k+1)/den) by name, in index order; a bad index raises."""
     dens = {"AN": {"omega2": 2 * b + 1}, "NA": {"omega1": 2 * a + 1},
             "NN": {"omega3": 2 * b + 1 - 4 * (2 * a + 1), "omega1": 2 * a + 1}}.get(family, {})
-    return {name: (k, den) for k, (name, den) in zip(_normalize_index(family, index), dens.items())}
+    return {name: (k, den) for k, (name, den) in zip(_checked_index(family, a, b, index), dens.items())}
 
 
 def _scalars(family: str, xi: complex, a: int, b: int, index):
@@ -302,8 +309,7 @@ def _relator_deviations(factored, mats) -> list:
         n = abs(e)
         if (word, n) not in powers:
             if (word, 1) not in powers:
-                letters = [mats[g] if s == 1 else _adj2(mats[g]) for g, s in word.letters]
-                powers[word, 1] = reduce(_mul2, letters) if letters else [[1, 0], [0, 1]]
+                powers[word, 1] = _word2(mats, word)
             half = powers.get((word, n // 2)) if n % 2 == 0 else None
             powers[word, n] = _pow2(powers[word, 1], n) if half is None else _mul2(half, half)
         return powers[word, n] if e > 0 else _adj2(powers[word, n])
@@ -312,12 +318,13 @@ def _relator_deviations(factored, mats) -> list:
     return [max(abs(v[i][j] - (i == j)) for i in (0, 1) for j in (0, 1)) for v in values]
 
 
-def _gluing_deviations(family: str, a: int, mats, z, roots) -> list:
-    """Max-entry deviations, on ``mats``, of the identities behind ``mayer_vietoris._gluing_chains``:
-    V = [[v_H, v_E], [v_F, -v_H]] of the gluing-torus vector commutes with each generator of an
-    abelian side, with x on a non-abelian torus side, there rho((xy)^(2a+1)) = +-I, and with t and
-    p t p t^-1 on a non-abelian pattern side; 2x2 products: 2 per commutation, 3 for p t p t^-1,
-    and 1 + 4 + 1 for (xy)^7 and its square at a = 3."""
+def _gluing_deviations(family: str, a: int, b: int, mats, z, roots) -> list:
+    """Max-entry deviations, on ``mats``, of the identities the pieces' lifts and Seifert routes rest on:
+    V = [[v_H, v_E], [v_F, -v_H]] of the gluing-torus vector commutes with each generator of an abelian
+    side, with x on a non-abelian torus side and with t and p t p t^-1 on a non-abelian pattern side, and
+    each Seifert generator g of a non-abelian side (``PeripheralSystem.seifert``) has rho(g)^n = -I;
+    2x2 products: 2 per commutation, 3 for p t p t^-1, 1 + 1 for (p t)^2, and 6 + 1 and 1 + 4 for
+    ((xy)^3 x)^2 and (xy)^7 at a = 3."""
     case = TORUS_CASES[family][0]
     vec = _invariant_entries(case, z, roots.get(_INVARIANT_CASES[case][1]))
     vmat = [[vec[1], vec[0]], [vec[2], -vec[1]]]
@@ -325,9 +332,9 @@ def _gluing_deviations(family: str, a: int, mats, z, roots) -> list:
     fixers = [x, y] if family[0] == "A" else [x]
     fixers += [p, t] if family[1] == "A" else [t, reduce(_mul2, (p, t, p, _adj2(t)))]
     pairs = [(_mul2(vmat, m), _mul2(m, vmat)) for m in fixers]
-    if family[0] == "N":
-        power = _pow2(_mul2(x, y), 2 * a + 1)  # scalar, as its adjugate, with square I: +-I
-        pairs += [(power, _adj2(power)), (_mul2(power, power), _m2(1, 0, 0, 1))]
+    for side, (_, peri) in zip(family, (torus_piece_presentation(a), pattern_piece_presentation(b))):
+        if side == "N":
+            pairs += [(_pow2(_word2(mats, g), n), _m2(-1, 0, 0, -1)) for g, n in peri.seifert]
     return [max(abs(u[i][j] - w[i][j]) for i in (0, 1) for j in (0, 1)) for u, w in pairs]
 
 
@@ -421,7 +428,7 @@ def _certify_relations(family: str, a: int, b: int, orbit: Tuple[int, ...]) -> f
     """The cable and pattern relators, shown to hold at every xi and every index of
     ``orbit`` (its least index) by ``_relator_deviations`` on ``_family_entries`` over
     F_P, with omega = exp(i pi (2k+1)/den) -> h^(N(2k+1)/(2 den)), at each draw, and past
-    AA the gluing-torus identities (``_gluing_deviations``; v is rational in z over Q(omega))."""
+    AA the gluing-torus and Seifert identities (``_gluing_deviations``; v is rational in z over Q(omega))."""
     cable, _ = cable_exterior_presentation(a, b)
     pattern, _ = pattern_piece_presentation(b)
     for p, n, h, z in _certificate_draws(a, b):
@@ -431,7 +438,7 @@ def _certify_relations(family: str, a: int, b: int, orbit: Tuple[int, ...]) -> f
         mats = _family_entries(family, z, a, b, **roots)
         checks = [("relators", _relator_deviations(cable.factored + pattern.factored, mats))]
         if family in TORUS_CASES:
-            checks.append(("gluing-torus identities", _gluing_deviations(family, a, mats, z, roots)))
+            checks.append(("gluing-torus identities", _gluing_deviations(family, a, b, mats, z, roots)))
         for what, devs in checks:
             if any(devs):
                 raise RepresentationError(f"{family} {what} fail verification: deviations {tuple(devs)} "
@@ -454,18 +461,21 @@ def index_range(family: str, a: int, b: int) -> list[tuple[int, ...]]:
     return list(itertools.product(*map(range, _index_bounds(family, a, b))))
 
 
-def _index_tuple(index, error=RepresentationError) -> tuple:
+def _checked_index(family: str, a: int, b: int, index, error=RepresentationError) -> Tuple[int, ...]:
+    """``index`` as a tuple of ints (an integer, numpy's too, is one slot), raising ``error`` unless
+    its entries are integers, one per slot of the family, each in range (``_index_bounds``)."""
+    entries = () if index is None else (index,) if isinstance(index, (int, np.integer)) else index
     try:
-        return () if index is None else (int(index),) if isinstance(index, (int, np.integer)) else tuple(index)
+        integers = all(isinstance(i, (int, np.integer)) for i in entries)
     except TypeError:
-        raise error(f"index {index!r} is neither an integer nor a sequence of integers") from None
-
-
-def _normalize_index(family: str, index) -> Tuple[int, ...]:
-    index = _index_tuple(index)
-    expected = {"AN": 1, "NA": 1, "NN": 2}.get(family, 0)
-    if len(index) != expected:
-        raise RepresentationError(f"family {family} takes {expected} index value(s), got {index}")
+        integers = False
+    if not integers:
+        raise error(f"index {index!r} is neither an integer nor a sequence of integers")
+    index, bounds = tuple(map(int, entries)), _index_bounds(family, a, b)
+    if len(index) != len(bounds):
+        raise error(f"family {family} takes {len(bounds)} index value(s), got {index}")
+    if not all(0 <= i < n for i, n in zip(index, bounds)):
+        raise error(f"index {index} outside the admissible range for {family} at (a,b)=({a},{b})")
     return index
 
 
@@ -496,16 +506,12 @@ def check_parameters(family: str, xi: complex, a: int, b: int) -> complex:
 def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Representation:
     """Build a verified representation of the cable-exterior group on x, y, p, t.
 
-    The cable and pattern relators, and the gluing-torus identities, are ``certified`` by the
-    cached ``_certify_relations`` of the index's orbit, so a repeated build checks nothing.
-    That proves the formulas; ``mayer_vietoris._gluing_chains`` bounds the float64 chains read from them.
+    The cable and pattern relators, and the gluing-torus and Seifert identities, are ``certified``
+    by the cached ``_certify_relations`` of the index's orbit, so a repeated build checks nothing.
+    That proves the formulas ``mayer_vietoris._seifert_torsion`` reads its traces from.
     """
     xi = check_parameters(family, xi, a, b)
-    index = _normalize_index(family, index)
-    if not all(i in range(n) for i, n in zip(index, _index_bounds(family, a, b))):
-        raise RepresentationError(
-            f"index {index} outside the admissible range for {family} at (a,b)=({a},{b})"
-        )
+    index = _checked_index(family, a, b, index)
     z, roots = _scalars(family, xi, a, b, index)
     entries = _family_entries(family, z, a, b, **roots)
     assignment = {name: np.array(m, dtype=complex) for name, m in entries.items()}

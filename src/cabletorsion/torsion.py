@@ -15,8 +15,7 @@ The size of each b_i, rank(d_i), is fixed by the chain dimensions and the
 number of lifts per degree; one call gives each D_i and its basis check
 (``linalg.conditioned_det``), which reads singular values only as a fallback.
 The assembled bases come back with the value (``TorsionValue.bases``): class
-coordinates are solved against them, so every rank of the gluing pipeline
-comes from the lift counts.
+coordinates are solved against them, with the ranks the lift counts fixed.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cabletorsion.chains import chain_of_loop_hp
 from cabletorsion.presentations import pattern_piece_presentation, torus_piece_presentation
 from cabletorsion.representations import TORUS_CASES
 from cabletorsion.torsion import reidemeister_torsion
@@ -69,8 +70,8 @@ def adjoint_entries(m):
 
 
 def float_torsion(piece):
-    """The torsion of the piece's float64 complex with its lifts: ``piece.torsion`` itself on a
-    non-abelian side; on an abelian side, whose torsion is exact, the cross-check built on demand."""
+    """The torsion of the piece's float64 complex with its lifts, with its assembled bases: the
+    exact torsion of C or D carries none, so its cross-check is built on demand; S's is itself."""
     return piece.torsion if piece.torsion.bases else reidemeister_torsion(piece.complex, piece.lifts)
 
 
@@ -81,3 +82,15 @@ def abelian_chains(rep, side):
     v = rep.vectors[TORUS_CASES[rep.family][0]]
     return tuple(np.concatenate([peri[name].exponent_sum(g) * v for g in pres.generators])
                  for name in ("mu_C", "lambda_C"))
+
+
+def gluing_chains(rep, side):
+    """Chains of mu_C and la_C on v in ``side``: ``abelian_chains`` on an abelian side, else the
+    reference walk ``chain_of_loop_hp`` of mu_C and of la_C split as h mu_C^k (h and mu_C fix v)."""
+    if rep.family["CD".index(side)] == "A":
+        return abelian_chains(rep, side)
+    pres, peri = torus_piece_presentation(rep.a) if side == "C" else pattern_piece_presentation(rep.b)
+    case = TORUS_CASES[rep.family][0]
+    head, k = peri.splits["lambda_C"]
+    mu = chain_of_loop_hp(peri["mu_C"], rep, pres, case)
+    return mu, chain_of_loop_hp(head, rep, pres, case) + k * mu

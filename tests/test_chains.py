@@ -17,7 +17,7 @@ from cabletorsion.chains import (
     torus_complex,
 )
 from cabletorsion import chains, linalg
-from cabletorsion.mayer_vietoris import _gluing_chains, build_pattern_piece, build_torus_piece, tor_E
+from cabletorsion.mayer_vietoris import build_pattern_piece, build_torus_piece, tor_E
 from cabletorsion.presentations import (
     abelianization_exponents,
     cable_exterior_presentation,
@@ -25,7 +25,6 @@ from cabletorsion.presentations import (
     torus_piece_presentation,
 )
 from cabletorsion.representations import (
-    TORUS_CASES,
     _adj2,
     _family_entries,
     _hp_scalars,
@@ -35,7 +34,6 @@ from cabletorsion.representations import (
     evaluate_ring,
     evaluate_word,
     hp_assignment,
-    index_range,
     invariant_vector,
     rep_build,
 )
@@ -155,7 +153,7 @@ class TestTorusComplex:
             torus_complex(rep_na.adjoints["x"], rep_na.adjoints["y"])
 
     def test_rejects_non_finite_actions_by_name(self):
-        # the check tor_E shares, before BasedChainComplex would see the entries
+        # the check the splitting torus makes, before BasedChainComplex would see the entries
         with pytest.raises(ChainComplexError, match="peripheral adjoint actions have non-finite entries"):
             torus_complex(np.eye(3), np.full((3, 3), np.inf))
 
@@ -448,80 +446,6 @@ class TestGluingSubgroupWalk:
         pres, _ = pattern_piece_presentation(6)
         with pytest.raises(ChainComplexError, match="not in the gluing-torus subgroup"):
             chain_of_loop_hp(pres.word("p"), rep_an, pres, "U")
-
-
-# Relative distance of a non-abelian closed-form chain from the rounded reference walk: the
-# torus side's is measured at most 1.6e-13 (NA (6, 200), xi = -1), bounded by 3e-11 in _gluing_chains.
-CLOSED_FORM_TOL = 1e-12
-PATTERN_SIDE_TOL = 1e-14  # the pattern side's: 6.0e-16 measured, 3e-15 bounded
-
-
-def _assert_pattern_chains_are_the_walks(rep, tol):
-    """The pattern-side chains of mu_C and la_C within ``tol`` relative of the reference walk."""
-    pres, peri = pattern_piece_presentation(rep.b)
-    case = TORUS_CASES[rep.family][0]
-    head, k = peri.splits["lambda_C"]
-    walked_mu = chain_of_loop_hp(peri["mu_C"], rep, pres, case)
-    walked_la = chain_of_loop_hp(head, rep, pres, case) + k * walked_mu
-    for got, walked in zip(_gluing_chains(rep, "D"), (walked_mu, walked_la)):
-        assert np.linalg.norm(got - walked) <= tol * np.linalg.norm(walked)
-
-
-class TestClosedFormGluingChains:
-    """The float64 closed-form gluing chains against the reference loop walk."""
-
-    @pytest.mark.parametrize(
-        "family, a, b",
-        [(f, a, b) for f in ("AN", "NA") for a, b in ((1, 6), (3, 40), (6, 200))]
-        + [("NN", 1, 7), ("NN", 3, 40), ("NN", 6, 200)],  # NN has no index at (1, 6)
-    )
-    @pytest.mark.parametrize("xi", [complex(re, im) for re in (-1.0, 1.0) for im in (-1.0, 1.0)])
-    def test_closed_forms_are_the_rounded_walks(self, family, a, b, xi):
-        """A non-abelian side is within CLOSED_FORM_TOL of the downcast walk.  An abelian
-        side's chain is e_g(w) v (``abelian_chains``, whose classes are the integer phi_1
-        rows), with (e_x, e_y) = (1, 0), (2a, 2a+1) for mu_C, h in C and (e_p, e_t) = (2, 0),
-        (0, 1) in D, and the walk, inexact there (Ad(g) v = v only up to the walk's
-        rounding), agrees with it to the same tolerance."""
-        rep = rep_build(family, xi, a, b, index_range(family, a, b)[0])
-        case = TORUS_CASES[family][0]
-        exponents = {"C": ((1, 0), (2 * a, 2 * a + 1)), "D": ((2, 0), (0, 1))}
-        for side, (piece, (pres, peri)) in enumerate(
-            (("C", torus_piece_presentation(a)), ("D", pattern_piece_presentation(b)))
-        ):
-            mu, la = (abelian_chains if family[side] == "A" else _gluing_chains)(rep, piece)
-            head, k = peri.splits["lambda_C"]
-            try:
-                walked_mu = chain_of_loop_hp(peri["mu_C"], rep, pres, case)
-                walked_la = chain_of_loop_hp(head, rep, pres, case) + k * walked_mu
-            except ChainComplexError:
-                # the pattern walk of NA (6, 200) outgrows HP_BITS (t = -p^348)
-                assert (family, piece, b) == ("NA", "D", 200)
-                walked_mu = walked_la = None
-            if family[side] == "A":
-                v = rep.vectors[case]
-                e_mu, e_h = exponents[piece]
-                want_mu, want_la = (np.concatenate([e * v for e in es])
-                                    for es in (e_mu, [h + k * m for m, h in zip(e_mu, e_h)]))
-                assert np.array_equal(mu, want_mu) and np.array_equal(la, want_la), piece
-            if walked_mu is not None:
-                for got, walked in ((mu, walked_mu), (la, walked_la)):
-                    assert np.linalg.norm(got - walked) <= CLOSED_FORM_TOL * np.linalg.norm(walked), piece
-
-    @pytest.mark.parametrize("family", ["AN", "NN"])
-    @pytest.mark.parametrize("xi", [complex(re, im) for re in (-1.0, 1.0) for im in (-1.0, 1.0)])
-    def test_pattern_side_keeps_float64_digits(self, family, xi):
-        """Read through Ad(p)^-1 v, the pattern side keeps its digits at the widest (a, b)
-        and the corners of the band, where the form through Ad(t) strayed 2.6e-11."""
-        for index in (index_range(family, 6, 200)[0], index_range(family, 6, 200)[-1]):
-            _assert_pattern_chains_are_the_walks(rep_build(family, xi, 6, 200, index), PATTERN_SIDE_TOL)
-
-    @pytest.mark.parametrize("family", ["AN", "NN"])
-    def test_pattern_side_check_catches_ad_p_for_its_inverse(self, family):
-        # a chain that reads Ad(p) v where the identity gives Ad(p)^-1 v fails the check above
-        rep = rep_build(family, 1 + 1j, 6, 200, index_range(family, 6, 200)[0])
-        rep.__dict__["adjoint_invs"] = {**rep.adjoint_invs, "p": rep.adjoints["p"]}
-        with pytest.raises(AssertionError):
-            _assert_pattern_chains_are_the_walks(rep, PATTERN_SIDE_TOL)
 
 
 class TestAbelianFoxRows:

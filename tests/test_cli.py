@@ -6,7 +6,7 @@ import pytest
 from cabletorsion import cli
 from cabletorsion.cli import main
 from cabletorsion.closed_forms import tau0
-from cabletorsion.mayer_vietoris import build_gluing_torus, build_mv_sequence, tor_E
+from cabletorsion.mayer_vietoris import MayerVietorisError, build_gluing_torus, build_mv_sequence, tor_E
 from cabletorsion.representations import rep_build
 from cabletorsion.torsion import torsion_equal
 
@@ -136,8 +136,15 @@ class TestSweep:
         assert torsion_equal(complex(tor_re, tor_im), tau0(0.3 + 0.1j, 1, 6) ** -2, 1e-9)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_failing_index_keeps_its_row(self, capsys, fmt):
-        # AN (3,40) at xi = -1+i: the commutation guard rejects indices 0, 38 and 39
+    def test_failing_index_keeps_its_row(self, capsys, fmt, monkeypatch):
+        # AN (3,40) at xi = -1+i passes every index (the commutation guard rejected 0, 38
+        # and 39 before the sides were exact); a library error at those three stands in
+        def failing(family, a, b, index, xi):
+            if index[0] in (0, 38, 39):
+                raise MayerVietorisError("peripheral adjoint actions do not commute")
+            return tor_E(family, a, b, index, xi)
+
+        monkeypatch.setattr(cli, "tor_E", failing)
         code, out, err = run_cli(
             capsys, "sweep", "--family", "AN", "--a", "3", "--b", "40", "--xi=-1,1", "--format", fmt
         )
@@ -151,6 +158,11 @@ class TestSweep:
         assert all(row[9] not in (None, "") for row in rows)  # the closed form is still written
         assert err.splitlines() == [f"error: index ({j},): peripheral adjoint actions do not commute"
                                     for j in failed]
+
+    def test_every_index_passes_at_the_band_corner(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--family", "AN", "--a", "3", "--b", "40", "--xi=-1,1")
+        assert (code, err) == (0, "")
+        assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == ["1"] * 40
 
     def test_bad_parameters_exit_2_before_any_row(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--family", "AN", "--a", "0", "--b", "40")

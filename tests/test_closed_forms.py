@@ -165,15 +165,16 @@ class TestTheoremRhs:
         assert abs(theorem_rhs("AN", 1, 6, 0) - expected) < 1e-12 * abs(expected)
 
     def test_nn_instantiated(self):
+        # (1, 7): the first (a, b) with an NN index, as l < b - 4a - 2
         w1 = cmath.exp(1j * math.pi / 3)
-        expected = 3 * (12 - 13) / (4 * (w1 - 1 / w1) ** 2)
-        assert abs(theorem_rhs("NN", 1, 6, (0, 0)) - expected) < 1e-12 * abs(expected)
+        expected = 3 * (12 - 15) / (4 * (w1 - 1 / w1) ** 2)
+        assert abs(theorem_rhs("NN", 1, 7, (0, 0)) - expected) < 1e-12 * abs(expected)
 
     def test_nn_magnitude_identity(self):
         # |rhs| = (2a+1)(2b+1-4(2a+1)) / (16 sin^2(theta)) with theta the
         # argument of omega1 = exp(i(2m+1)pi/(2a+1))
         for a, b in GRID + [(2, 12)]:
-            for l in range(max(b - 4 * a - 2, 1)):
+            for l in range(b - 4 * a - 2):
                 for m in range(a):
                     theta = (2 * m + 1) * math.pi / (2 * a + 1)
                     expected = (2 * a + 1) * (2 * b + 1 - 4 * (2 * a + 1)) / (
@@ -194,3 +195,24 @@ class TestTheoremRhs:
     def test_non_iterable_index_is_named(self, index):
         with pytest.raises(ClosedFormError, match=re.escape(f"index {index!r} is neither an integer")):
             theorem_rhs("AN", 3, 40, index)
+
+    @pytest.mark.parametrize("index", [(5.0,), ("5",), (5, 1.0)])
+    def test_non_integer_entry_is_named(self, index):
+        with pytest.raises(ClosedFormError, match=re.escape(f"index {index!r} is neither an integer")):
+            theorem_rhs("AN" if len(index) == 1 else "NN", 3, 40, index)
+
+    @pytest.mark.parametrize("family, a, b, index, message", [
+        ("AN", 3, 40, (1, 2), "family AN takes 1 index value(s), got (1, 2)"),
+        ("NN", 3, 40, (5,), "family NN takes 2 index value(s), got (5,)"),
+        ("NA", 3, 40, (), "family NA takes 1 index value(s), got ()"),
+        ("AN", 1, 6, 100, "index (100,) outside the admissible range for AN at (a,b)=(1,6)"),
+        ("AN", 1, 6, -1, "index (-1,) outside the admissible range for AN at (a,b)=(1,6)"),
+        ("NA", 3, 40, (3,), "index (3,) outside the admissible range for NA at (a,b)=(3,40)"),
+        ("NN", 1, 6, (0, 0), "index (0, 0) outside the admissible range for NN at (a,b)=(1,6)"),
+        ("NN", 3, 40, (25, 3), "index (25, 3) outside the admissible range for NN at (a,b)=(3,40)"),
+    ])
+    def test_index_outside_its_range_is_named(self, family, a, b, index, message):
+        # the oracle answers only for representations rep_build builds, with its messages
+        with pytest.raises(ClosedFormError) as info:
+            theorem_rhs(family, a, b, index)
+        assert str(info.value) == message

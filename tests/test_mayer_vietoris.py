@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cabletorsion import chains, mayer_vietoris, representations
+from cabletorsion import chains, linalg, mayer_vietoris, representations
 from cabletorsion.chains import ChainComplexError, class_coordinates, homology, presentation_complex
 from cabletorsion.closed_forms import tau0, theorem_rhs
 from cabletorsion.linalg import numerical_rank
@@ -16,7 +16,6 @@ from cabletorsion.mayer_vietoris import (
     EXACTNESS_TOL,
     InducedMaps,
     MayerVietorisError,
-    _gluing_chains,
     build_gluing_torus,
     build_mv_sequence,
     build_pattern_piece,
@@ -29,7 +28,7 @@ from cabletorsion.mayer_vietoris import (
 from cabletorsion.presentations import cable_exterior_presentation, torus_piece_presentation
 from cabletorsion.representations import RepresentationError, evaluate_word, index_range, invariant_vector, rep_build
 from cabletorsion.torsion import TorsionError, TorsionValue, reidemeister_torsion, torsion_equal
-from conftest import abelian_chains, assert_close, float_torsion
+from conftest import assert_close, float_torsion, gluing_chains
 
 XI = 0.3 + 0.1j
 
@@ -115,8 +114,7 @@ class TestAssembledBasisCoordinates:
     ])
     def test_every_piece_and_degree_matches_least_squares(self, rng, family, a, b, index):
         rep, pieces, maps = assemble(family, a, b, index)
-        gluing = {name: (abelian_chains if family[side] == "A" else _gluing_chains)(rep, name)
-                  for side, name in enumerate("CD")}
+        gluing = {name: gluing_chains(rep, name) for name in "CD"}  # the reference walk's chains
         for piece in pieces.values():
             bases = float_torsion(piece).bases
             for k, lifts in piece.lifts.items():
@@ -142,7 +140,7 @@ class TestAssembledBasisCoordinates:
             if piece.name != "S":
                 with pytest.raises(ChainComplexError, match="not a cycle"):
                     class_coordinates(np.ones(piece.complex.dims[1]), bases[1], piece.complex, 1)
-        # phi_1 is the coordinates of the gluing chains, C stacked over D
+        # phi_1, integer rows, is the coordinates of the reference walk's chains, C stacked over D
         reference = np.column_stack([
             np.concatenate([
                 lstsq_coordinates(gluing[name][col], pieces[name].lifts[1], pieces[name].complex, 1)
@@ -239,9 +237,9 @@ class TestTorE:
         for c in constants[1:]:
             assert min(abs(c - constants[0]), abs(c + constants[0])) <= 1e-7 * abs(constants[0])
 
-    def test_gluing_chains_walk_no_loop_and_build_no_reference_scalar(self, monkeypatch):
-        # The chains of mu_C and la_C are float64 closed forms: tor_E walks no loop and
-        # builds no mpmath scalar, matrix or adjoint of the reference walk, whatever b is.
+    def test_tor_e_walks_no_loop_and_builds_no_reference_scalar(self, monkeypatch):
+        # phi_1 is integer rows: tor_E walks no loop and builds no mpmath scalar, matrix or
+        # adjoint of the reference walk, whatever b is.
         called = []
         for module in (chains, mayer_vietoris):
             monkeypatch.setattr(module, "chain_of_loop_hp", lambda *args: called.append("walk"), raising=False)
@@ -250,7 +248,7 @@ class TestTorE:
             monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name))
         for b in (40, 80):
             for family, index in (("AN", (0,)), ("NA", (0,)), ("NN", (0, 0))):
-                tor_E(family, 3, b, index, 0.1 + 0.5j)  # NA (3, 40) and (3, 80) lose a rank at XI
+                tor_E(family, 3, b, index, 0.1 + 0.5j)
         assert called == []
 
     def test_tor_e_imports_no_mpmath(self):
@@ -376,7 +374,7 @@ class TestNineSlotCrossCheck:
         span = "image of phi plus designated classes do not span the middle slot"
         with pytest.raises(MayerVietorisError, match=span):
             build_mv_sequence(family, deficient, result.pieces)
-        monkeypatch.setattr(mayer_vietoris, "induced_maps", lambda *args: deficient)
+        monkeypatch.setattr(mayer_vietoris, "_phi1", lambda *args: deficient.phi1)
         with pytest.raises(MayerVietorisError, match=span):
             tor_E(family, a, b, index, XI)
 
@@ -397,24 +395,18 @@ class TestNineSlotCrossCheck:
             got.pieces  # built on first read, S through build_gluing_torus
 
 
-    @pytest.mark.parametrize("family, index", [("AN", (5,)), ("NN", (3, 1))])
-    def test_hot_path_reads_no_singular_values(self, family, index, monkeypatch):
-        # the six assembled bases of C and D and [phi_1 | e_designated1] are
-        # all certified from their determinants (seven SVDs before)
+    @pytest.mark.parametrize("family, index", [("AN", (5,)), ("NA", (1,)), ("NN", (3, 1))])
+    def test_hot_path_decides_no_rank(self, family, index, monkeypatch):
+        # both sides are exact and [phi_1 | e_designated1] is an integer determinant:
+        # no singular value, no determinant certificate and no assembled basis
         calls = []
-        svd = np.linalg.svd
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        for module, name in ((np.linalg, "svd"), (np.linalg, "det"), (linalg, "conditioned_det")):
+            monkeypatch.setattr(module, name, lambda *args, _f=getattr(module, name), **kw:
+                                calls.append(args[0].shape) or _f(*args, **kw))
         result = tor_E(family, 3, 40, index, XI)
         assert calls == []
-        # AN's C is exact and assembles no basis
-        bases = [p.torsion.bases for p in (result.piece_c, result.piece_d) if p.torsion.bases]
-        assert [sorted(b) for b in bases] == [[0, 1, 2]] * (2 if family == "NN" else 1)
-        assert all(basis.conditioning.certified for b in bases for basis in b.values())
+        assert not result.tor_c.bases and not result.tor_d.bases
+        assert result.tor_h.value == 1 / {"AN": -81, "NA": -1, "NN": 28 - 81}[family]
 
 
 class TestSplittingTorusDropped:
@@ -432,13 +424,14 @@ class TestSplittingTorusDropped:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_peripheral_action_is_named(self, bad, monkeypatch):
         # the commutator norm of a non-finite matrix compares False, so the
-        # commutation test alone would let these actions through
+        # commutation test alone would let these actions through S, built on demand
         m, l = np.eye(3, dtype=complex), np.full((3, 3), bad, dtype=complex)
         with np.errstate(invalid="ignore"):
             assert not np.linalg.norm(m @ l - l @ m) > 1e-9 * max(np.linalg.norm(m) * np.linalg.norm(l), 1.0)
+        rep = rep_build("AN", XI, 1, 6, (0,))
         monkeypatch.setattr(mayer_vietoris, "evaluate_word", lambda rep, word: np.full((3, 3), bad))
         with pytest.raises(ChainComplexError, match="peripheral adjoint actions have non-finite entries"):
-            tor_E("AN", 1, 6, (0,), XI)
+            build_gluing_torus(rep)
 
 
 PRECISION_GOLDENS = json.loads(

@@ -86,6 +86,23 @@ def test_gluing_longitude_splits_through_mu_c(a, b):
         assert head * peri["mu_C"] ** k == peri["lambda_C"], pres.label
 
 
+@pytest.mark.parametrize("a, b", [(1, 6), (3, 40), (6, 200)])
+def test_seifert_generators_present_the_pieces(a, b):
+    """The Seifert relations are the pieces' relators as free words: u^2 v^-(2a+1) is the torus
+    relator conjugated by u = (xy)^a x, v = xy; u^2 t u^-2 t^-1 is the pattern relator, u = p t."""
+    torus, torus_peri = torus_piece_presentation(a)
+    (u, two), (v, n) = torus_peri.seifert
+    x, y = torus.word("x"), torus.word("y")
+    assert (u, two, v, n) == ((x * y) ** a * x, 2, x * y, 2 * a + 1)
+    assert u ** 2 * v ** -n == u * torus.relators[0] * u.inverse()
+    pattern, pattern_peri = pattern_piece_presentation(b)
+    ((u, two),) = pattern_peri.seifert
+    assert (u, two) == (pattern.word("p t"), 2)
+    t = pattern.word("t")
+    assert u ** 2 * t * u ** -2 * t.inverse() == pattern.relators[0]
+    assert cable_exterior_presentation(a, b)[1].seifert == ()  # the cable exterior is not a Seifert piece
+
+
 @pytest.mark.parametrize(
     "a, b",
     [(a, b) for a in range(1, 6) for b in (6, 7, 10, 12, 40, 80) if 2 * b + 1 > 4 * (2 * a + 1)],

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import cabletorsion.mayer_vietoris as mayer_vietoris
 import cabletorsion.representations as representations
 from cabletorsion.chains import chain_of_loop_hp, presentation_complex
 from cabletorsion.mayer_vietoris import tor_E, tor_E_abelian
@@ -126,6 +127,16 @@ class TestValidation:
     def test_non_iterable_index_is_named(self, index):
         with pytest.raises(RepresentationError, match=re.escape(f"index {index!r} is neither an integer")):
             rep_build("AN", XI, 3, 40, index)
+
+    @pytest.mark.parametrize("index", [(5.0,), ("5",), (5, 1.0), [np.float64(5)]])
+    def test_non_integer_entry_is_named(self, index):
+        # a float entry passed the range check (5.0 in range(6)) and failed deep in the build
+        with pytest.raises(RepresentationError, match=re.escape(f"index {index!r} is neither an integer")):
+            tor_E("AN" if len(index) == 1 else "NN", 1, 6 if len(index) == 1 else 7, index, XI)
+
+    def test_numpy_integer_entries_are_ints(self):
+        rep = rep_build("NN", XI, 3, 40, (np.int64(25), np.int32(2)))
+        assert rep.index == (25, 2) and all(type(i) is int for i in rep.index)
 
     def test_degenerate_xi_guard(self):
         with pytest.raises(RepresentationError):
@@ -341,13 +352,22 @@ class TestNNIndexConvention:
 
 
 @pytest.mark.parametrize("family, a, b, index", [("AN", 3, 40, (5,)), ("NA", 2, 12, (1,)), ("NN", 3, 40, (5, 1))])
-def test_tor_e_builds_the_adjoints_its_closed_forms_read(family, a, b, index, monkeypatch):
-    # the gluing chains read the float64 Ad(p) and Ad(p)^-1 the piece complexes build,
-    # and no reference-walk matrix: the torus side projects, an abelian side scales v
+def test_tor_e_builds_no_adjoints_and_no_piece(family, a, b, index, monkeypatch):
+    # both sides are traced on the 2x2 assignment and phi_1 is integer rows: no float64
+    # adjoint, no piece and no reference-walk matrix; the pieces read them on demand
     calls = _count_calls(monkeypatch, "hp_assignment")
-    rep = tor_E(family, a, b, index, XI).rep
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tor_E built a piece")
+
+    monkeypatch.setattr(mayer_vietoris, "PieceData", refuse)
+    result = tor_E(family, a, b, index, XI)
     assert calls == [0]
-    assert {"adjoints", "adjoint_invs"} <= set(rep.__dict__)
+    assert not {"adjoints", "adjoint_invs", "vectors"} & set(result.rep.__dict__)
+    monkeypatch.undo()
+    assert result.piece_d.torsion == result.tor_d
+    assert result.piece_d.complex.dims == (3, 6, 3)  # built on demand, from the float64 adjoints
+    assert {"adjoints", "vectors"} <= set(result.rep.__dict__)
 
 
 def _count_calls(monkeypatch, attr):
@@ -587,16 +607,17 @@ class TestRelationCheck:
     def test_one_power_table_per_build(self, family, index, monkeypatch, fresh_certificates):
         # per draw, each base word multiplied out once, (xy)^(2a) as ((xy)^a)^2:
         # 31 products at (3, 40), next to the products of the family formulas and
-        # of the gluing-torus identities: 2 per commutation of V (AN with x, y, t and
-        # p t p t^-1; NA with x, p, t; NN with x, t and p t p t^-1), 3 for p t p t^-1,
-        # and on a non-abelian torus side 1 for xy, 4 for (xy)^7 and 1 for its square
+        # of the gluing-torus and Seifert identities: 2 per commutation of V (AN with
+        # x, y, t and p t p t^-1; NA with x, p, t; NN with x, t and p t p t^-1), 3 for
+        # p t p t^-1, on a non-abelian pattern side 1 + 1 for (p t)^2, and on a
+        # non-abelian torus side 6 + 1 for ((xy)^3 x)^2 and 1 + 4 for (xy)^7
         calls = _count_calls(monkeypatch, "_mul2")
         z, roots = representations._scalars(family, XI, 3, 40, index)
         representations._family_entries(family, z, 3, 40, **roots)
         formulas = calls[0]
         calls[0] = 0
         rep_build(family, XI, 3, 40, index)
-        identities = {"AN": 4 * 2 + 3, "NA": 3 * 2 + 6, "NN": 3 * 2 + 3 + 6}[family]
+        identities = {"AN": 4 * 2 + 3 + 2, "NA": 3 * 2 + 12, "NN": 3 * 2 + 3 + 2 + 12}[family]
         assert calls == [formulas + representations.CERT_DRAWS * (formulas + 31 + identities)]
 
     @pytest.mark.parametrize("family, index", [("AN", (5,)), ("NN", (5, 1))])
@@ -613,13 +634,26 @@ class TestRelationCheck:
             fresh_certificates(family, 3, 40, index)
 
     def test_perturbed_omega1_breaks_the_torus_power(self):
-        # rho((xy)^7) is +-I at the true omega1 only: with 2 omega1 the last two
-        # deviations (scalar as its adjugate, square I) fail, the commutations hold
+        # rho(((xy)^3 x)^2) and rho((xy)^7) are -I at the true omega1 only: with 2 omega1 the
+        # last two deviations (the Seifert generators of C) fail, the commutations hold
         p, n, h, z = representations._certificate_draws(3, 40)[0]
         z, omega1 = representations._Residue(z, p), representations._Residue(pow(h, n // 14, p), p)  # k = 0, den 7
         for root, want in ((omega1, [0] * 5), (2 * omega1, [0, 0, 0, 1, 1])):
             mats = _family_entries("NA", z, 3, 40, omega1=root)
-            assert representations._gluing_deviations("NA", 3, mats, z, {"omega1": root}) == want
+            assert representations._gluing_deviations("NA", 3, 40, mats, z, {"omega1": root}) == want
+
+    @pytest.mark.parametrize("family, index", [("AN", (5,)), ("NN", (5, 1))])
+    def test_pattern_fibre_is_minus_one(self, family, index):
+        # the last deviation is rho((p t)^2) = -I, the Seifert generator of a non-abelian D:
+        # it holds for the family's matrices and fails where p t = I
+        p, n, h, z = representations._certificate_draws(3, 40)[0]
+        roots = {name: representations._Residue(pow(h, n * (2 * k + 1) // (2 * den), p), p)
+                 for name, (k, den) in representations._root_fractions(family, 3, 40, index).items()}
+        z = representations._Residue(z, p)
+        mats = _family_entries(family, z, 3, 40, **roots)
+        assert not any(representations._gluing_deviations(family, 3, 40, mats, z, roots))
+        mats["p"] = representations._adj2(mats["t"])
+        assert representations._gluing_deviations(family, 3, 40, mats, z, roots)[-1] == 1
 
     def test_one_check_per_tor_e(self, monkeypatch, fresh_certificates):
         counts = {"evaluator": 0, "hp_assignment": 0}
@@ -636,8 +670,8 @@ class TestRelationCheck:
             tor_E(family, 1, 7, index, XI)
         tor_E_abelian(1, 7, XI)
         # one certificate each (a power table per draw), and no float64
-        # re-check of the certified relators; the gluing chains are float64
-        # closed forms, so no reference-walk matrix is built; the abelian route
+        # re-check of the certified relators; phi_1 is integer rows, so no
+        # reference-walk matrix is built; the abelian route
         # builds no representation, so it checks no relators
         assert fresh_certificates.cache_info().misses == 3
         assert counts == {"evaluator": 3 * representations.CERT_DRAWS, "hp_assignment": 0}

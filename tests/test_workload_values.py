@@ -21,6 +21,7 @@ from cabletorsion import linalg
 from cabletorsion.closed_forms import tau0
 from cabletorsion.mayer_vietoris import tor_E, tor_E_abelian
 from cabletorsion.representations import index_range
+from conftest import float_torsion
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "workload_values.json").read_text())["workloads"]
@@ -85,7 +86,9 @@ def test_wide_sample_abelian_calls_match_the_closed_form(seed):
 def test_every_basis_gets_the_svd_decision(monkeypatch):
     # Every square basis the engine judges on the workloads and on a wide
     # sample: the determinant certificate accepts only what the singular
-    # values accept, and its fallback is their decision.
+    # values accept, and its fallback is their decision.  tor_E judges none,
+    # so the bases are those of the float64 complexes of C, D and S that
+    # the result builds on demand.
     seen = {True: 0, False: 0}
     conditioned_det = linalg.conditioned_det
 
@@ -100,11 +103,13 @@ def test_every_basis_gets_the_svd_decision(monkeypatch):
     calls = [call for name in sorted(WORKLOADS) for call in WORKLOADS[name]()] + _wide_sample(5)
     assert len(calls) == 336 + 360
     for call in calls:
-        try:
-            if call.family == "AA":
-                tor_E_abelian(call.a, call.b, call.xi)
-            else:
-                tor_E(call.family, call.a, call.b, call.index, call.xi)
-        except ValueError:  # every library error is one
-            pass
+        if call.family == "AA":
+            tor_E_abelian(call.a, call.b, call.xi)
+            continue
+        result = tor_E(call.family, call.a, call.b, call.index, call.xi)
+        for piece in (lambda: result.piece_c, lambda: result.piece_d, lambda: result.pieces["S"]):
+            try:  # S judges its basis as result.pieces builds it
+                float_torsion(piece())
+            except ValueError:  # every library error is one
+                pass
     assert seen[True] and seen[False]  # both paths ran
