@@ -20,8 +20,8 @@ each relator is kept factored next to its word, e.g. r2 = y (xy)^{2a}
 x^{-4a-1} (p t p t^-1)^b t^-1: the relation check squares its powers.
 Both pieces are Seifert fibred, and each peripheral system lists its Seifert
 generators g with g^n the regular fibre F, which is central: C = <u, v | u^2 =
-v^(2a+1)> with u = (xy)^a x and v = xy, D = <u, t | [t, u^2]> with u = p t, both
-Tietze moves of the presentations above (Kitano 1994; Dubois 2006).
+v^(2a+1)> with u = (xy)^a x and v = xy, D = <u, t | u^2 t = t u^2> with u = p t,
+both Tietze moves of the presentations above (Kitano 1994; Dubois 2006).
 Generators are names: the pattern's mu_C and the cable's gluing word are one Word.
 All presentations here have deficiency one; each builder is cached per argument.
 """
