@@ -39,7 +39,7 @@ import numpy as np
 from . import linalg
 from .presentations import Presentation, _ldet, abelianization_exponents
 from .representations import CabletorsionError, Representation, _invariant_root, ensure_relations
-from .representations import _adj2, _hp_scalars, _invariant_entries, _mul2
+from .representations import HP_BITS, _adj2, _invariant_entries, _mul2
 from .words import Word, _fox_walk
 
 SL2_BASIS_NAMES = ("E", "H", "F")
@@ -48,7 +48,6 @@ BOUNDARY_SQUARE_TOL = 1e-9    # |d_i d_(i+1)| / (|d_i| |d_(i+1)|): the matrices 
 COMMUTATOR_TOL = 1e-9         # |ML - LM| / (|M| |L|): the peripheral actions commute
 CYCLE_TOL = 1e-8              # |d_i v| / (|d_i| |v|): a class_coordinates vector or homology lift is a cycle
 SUBGROUP_TOL = 1e-20          # |Ad(word) v - v| / |v| after a reference loop walk: it kept its digits
-HP_BITS = 216                 # mpmath working precision of the reference loop walk, about 65 digits
 
 
 class ChainComplexError(CabletorsionError):
@@ -259,21 +258,18 @@ def _hp_adjoint(g) -> np.ndarray:
 
 def chain_of_loop_hp(word: Word, rep: Representation, pres: Presentation, case: str) -> np.ndarray:
     """chain_of_loop with the family's invariant vector, walked on mpmath scalars at HP_BITS bits
-    (``hp_assignment``) and rounded: the tests' reference chain of mu_C and la_C.
+    (``Representation.hp_tables``) and rounded: the tests' reference chain of mu_C and la_C.
     ``word`` must lie in the gluing-torus subgroup, which fixes the vector, so the walk must end
     where it started; a word whose prefixes outgrow 2^HP_BITS times the chain loses every digit
     to cancellation (the flat pattern longitude at NA (3,40), Re xi = 1, ends 4e-9 to 6e-8 away),
     and a deviation beyond SUBGROUP_TOL raises."""
     import mpmath
 
-    from .representations import hp_assignment  # at call time: a patch or span on the module's name is seen
-
     root = _invariant_root(case, rep.family)
+    mats, (z, roots) = rep.hp_tables
     with mpmath.mp.workprec(HP_BITS):
-        mats = hp_assignment(rep)
         forward = {g: _hp_adjoint(mats[g]) for g, s in set(word.letters) if s == 1}  # the letters' alone
         backward = {g: _hp_adjoint(_adj2(mats[g])) for g, s in set(word.letters) if s == -1}
-        z, roots = _hp_scalars(rep)
         vector = np.array(_invariant_entries(case, z, roots.get(root)), dtype=object)
         blocks, end = _fox_walk(word, pres.generators, vector, forward, backward)
         deviation = max(abs(v) for v in end - vector)

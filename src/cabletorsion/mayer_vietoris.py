@@ -5,10 +5,10 @@ long exact sequence of the splitting, made into an acyclic based complex with th
 degree convention H_{3k} = H_k(E), H_{3k+1} = H_k(C) + H_k(D), H_{3k+2} = H_k(S).
 ``tor_E`` evaluates it from C and D alone, every factor exact: Tor(S) = 1 (+-1 in the lifts
 below), Tor(C) and Tor(D) are scalars (``_abelian_torsion`` on an abelian side, ``_seifert_torsion``
-on a non-abelian one), and Tor(H*) = 1 / det[phi_1 | e_designated1] of integer rows.  So it builds
-no float64 complex and decides no rank.  S needs no guard: the identities ``rep_build`` certifies
-make Ad(mu_C) and Ad(la_C) commute exactly (rho(x) = rho(y) in AN, so Ad(la_C) = I;
-rho((xy)^(2a+1)) = -I in NA and NN, so Ad(la_C) = Ad(mu_C)^-(4a+2)).
+on a non-abelian one), and Tor(H*) = 1 / det[phi_1 | e_designated1] of integer rows, once per (family,
+a, b) (``_phi1_det``).  So a call builds no float64 complex and decides no rank.  S takes the Ad(la_C)
+that the identities ``rep_build`` certifies prove, which commutes with Ad(mu_C) exactly (rho(x) =
+rho(y) in AN, so Ad(la_C) = I; rho((xy)^(2a+1)) = -I in NA and NN, so Ad(la_C) = Ad(mu_C)^-(4a+2)).
 
 The float64 complexes, built on demand, carry a catalog of homology lifts for
 the pieces, phrased through the family's invariant vectors (v on the gluing
@@ -33,9 +33,9 @@ So delta_2 = 0 and psi_0 is zero or empty, the sequence splits into short exact 
 is exact with unit determinant but the degree-1 block 0 -> H_1(S) -> H_1(C) + H_1(D) -> H_1(E).
 That block is exact when [phi_1 | e_designated1] is invertible (``_span_basis``, an exact integer
 determinant), and its torsion is 1 / det of that matrix, with the sign the nine-slot torsion gives.
-The nine-slot complex (``build_mv_sequence``, ``mv_torsion``), S (``build_gluing_torus``) and the
-pieces' complexes are built only on demand: by ``TorEResult.sequence`` and ``TorEResult.pieces``
-for ``cabletorsion compute --dump-complex``, by demo 03, ``verify`` and the tests.
+The nine-slot complex (``build_mv_sequence``, ``mv_torsion``), S and the pieces' complexes are built
+only on demand: by ``TorEResult.sequence`` and ``TorEResult.pieces`` for ``cabletorsion compute
+--dump-complex``, by demo 03, ``verify`` and the tests.
 """
 from __future__ import annotations
 
@@ -144,9 +144,11 @@ def build_pattern_piece(rep: Representation) -> PieceData:
 
 
 def build_gluing_torus(rep: Representation) -> PieceData:
-    """The splitting torus S of ``rep``, built from the adjoint actions of mu_C and la_C."""
+    """The splitting torus S of ``rep``; on a hand-built one, which proves nothing, la_C is walked and checked."""
     _, peri = torus_piece_presentation(rep.a)
-    cplx = torus_complex(evaluate_word(rep, peri["mu_C"]), evaluate_word(rep, peri["lambda_C"]))
+    mu = evaluate_word(rep, peri["mu_C"])  # Ad(la_C) = Ad(mu_C)^e, e = 0 in AN and -(4a+2) in NA and NN
+    cplx = torus_complex(mu, np.linalg.matrix_power(mu, 0 if rep.family[0] == "A" else -4 * rep.a - 2)
+                         if rep.certified else evaluate_word(rep, peri["lambda_C"]))
     v, _ = _family_vectors(rep)
     lifts = {2: [v], 1: [_pad(v, 0, 2), _pad(v, 1, 2)], 0: [v]}
     return PieceData("S", lifts, reidemeister_torsion(cplx, lifts), build=lambda: cplx)
@@ -201,7 +203,7 @@ def _abelian_torsion(rep: Representation, side: str) -> TorsionValue:
 
 def _seifert_torsion(rep: Representation, side: str) -> TorsionValue:
     """Tor of a non-abelian side, -prod n / (4 - tr^2 rho(g)) over its Seifert generators, g^n = F
-    (``PeripheralSystem.seifert``; Kitano 1994, Dubois 2006), traced on the float64 2x2 assignment.
+    (``PeripheralSystem.seifert``; Kitano 1994, Dubois 2006), traced on the assignment's Python complex.
     Wh vanishes here (Waldhausen 1978): the Tietze moves to C = <u, v | u^2 v^-n> and D = <u, t |
     u^2 t u^-2 t^-1> keep the torsion, lifts carried across.  As rho(g)^n = -I (certified), Ad(g)^n =
     Ad(F) = I, so the Fox row of g^n is sum_(k<n) Ad(g)^k = n P_g, P_g the projection onto the fixed
@@ -218,9 +220,9 @@ def _seifert_torsion(rep: Representation, side: str) -> TorsionValue:
     and b_1 = m, b' in the u block plus q, (Ad(v) - I) q = b.  With X = det[m, b, b'] = -det[f_u, m, b']
     = det[f_v, m, b] (as b - f_u lies in M_u, b' - f_v in M_v): D_2 = h X, D_0 = -4 X, and D_1 =
     2 (-X) (-n) h X / (4 - tr^2 rho(v)); -2n/(4 (4 - tr^2 rho(v)))."""
-    value = -1.0
+    value, mats = -1.0, {g: m.tolist() for g, m in rep.assignment.items()}
     for word, n in _side_presentation(side, rep.a, rep.b)[1].seifert:
-        g = _word2(rep.assignment, word)
+        g = _word2(mats, word)
         value *= n / (4 - complex(g[0][0] + g[1][1]) ** 2)
     return TorsionValue(complex(value))
 
@@ -266,6 +268,12 @@ def induced_maps(rep: Representation, piece_c: PieceData, piece_d: PieceData) ->
 
 def _phi1(family: str, a: int, b: int) -> np.ndarray:
     return np.vstack([_rows(side, kind, a, b) for side, kind in zip("CD", family)])
+
+
+@lru_cache(maxsize=256)
+def _phi1_det(family: str, a: int, b: int) -> int:
+    """det[phi_1 | e_designated1] (``_span_basis``) at (a, b), once: a zero one raises on every call."""
+    return _span_basis(_phi1(family, a, b), _MV_TABLE[family]["designated1"])[1]
 
 
 def _span_basis(phi: np.ndarray, designated: Sequence[int]) -> Tuple[np.ndarray, int]:
@@ -370,7 +378,7 @@ def tor_E(family: str, a: int, b: int, index, xi: complex) -> TorEResult:
     rep = rep_build(family, xi, a, b, index)
     tor_d = _side_torsion(rep, "D")  # first: past float64, NA's exact D names the cause
     tor_c = _side_torsion(rep, "C")
-    _, det = _span_basis(_phi1(family, a, b), _MV_TABLE[family]["designated1"])
+    det = _phi1_det(family, a, b)
     value = _finite(tor_c.value * tor_d.value * det, lambda: f"Tor(E) of {family}")
     return TorEResult(family, a, b, rep.index, complex(xi), value, tor_c, tor_d, TorsionValue(1 + 0j),
                       TorsionValue(1 / det + 0j), rep)

@@ -54,6 +54,7 @@ _SL2_BASIS = np.array([[[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]], d
 FAMILIES = ("AA", "AN", "NA", "NN")
 
 RELATION_TOL = 1e-10
+HP_BITS = 216                 # mpmath working precision of the reference loop walk, about 65 digits
 SL2_DET_TOL = 1e-9            # |det - 1| of each generator matrix: it lies in SL(2,C)
 XI_REAL_GUARD = 1e-3          # theta2 contains z^2/(z^4-1); keep z^4 off 1
 ABELIAN_GUARD = 1e-6          # |z^2 - 1| must exceed this in the AA family
@@ -180,27 +181,22 @@ def _root_fractions(family: str, a: int, b: int, index) -> dict:
     return {name: (k, den) for k, (name, den) in zip(_checked_index(family, a, b, index), dens.items())}
 
 
-def _scalars(family: str, xi: complex, a: int, b: int, index):
-    """(z = exp(xi/2), roots by name) as complex."""
-    fractions = _root_fractions(family, a, b, index)
-    roots = {name: cmath.exp(1j * cmath.pi * (2 * k + 1) / den) for name, (k, den) in fractions.items()}
-    return cmath.exp(xi / 2), roots
+def _scalars(xi: complex, fractions: dict):
+    """(z = exp(xi/2), roots by name) as complex, from an index's ``_root_fractions``."""
+    return cmath.exp(xi / 2), {name: cmath.exp(1j * cmath.pi * (2 * k + 1) / den)
+                               for name, (k, den) in fractions.items()}
 
 
-def _hp_scalars(rep: "Representation"):
-    """``_scalars`` of ``rep`` as mpmath numbers at the current mpmath precision."""
+def hp_assignment(rep: "Representation"):
+    """The generator matrices rebuilt from the defining data on mpmath z and roots at the current
+    mpmath precision, free of the float64 rounding of ``assignment``, and (z, roots by name): the
+    2x2s and scalars of the reference walk ``chains.chain_of_loop_hp`` (``Representation.hp_tables``)."""
     import mpmath
 
     fractions = _root_fractions(rep.family, rep.a, rep.b, rep.index)
     roots = {name: mpmath.expjpi(mpmath.mpf(2 * k + 1) / den) for name, (k, den) in fractions.items()}
-    return mpmath.exp(mpmath.mpc(rep.xi) / 2), roots
-
-
-def hp_assignment(rep: "Representation"):
-    """The generator matrices rebuilt from the defining data on ``_hp_scalars``, free of the
-    float64 rounding of ``assignment``: the 2x2s of the reference walk ``chains.chain_of_loop_hp``."""
-    z, roots = _hp_scalars(rep)
-    return _family_entries(rep.family, z, rep.a, rep.b, **roots)
+    z = mpmath.exp(mpmath.mpc(rep.xi) / 2)
+    return _family_entries(rep.family, z, rep.a, rep.b, **roots), (z, roots)
 
 
 def adjoint_matrix(m) -> np.ndarray:
@@ -222,10 +218,10 @@ class Representation:
 
     Family, xi, (a, b) and index fix everything else: z = exp(xi/2), the roots
     omega1-3 (None where the family has no such root), the float64 adjoints and
-    their inverses (one stacked call each) and the invariant vectors.  Each is
-    derived on first read and kept; none is a constructor argument, so none can
-    disagree with the data.  Instances are treated as immutable; ``certified``
-    holds the relators ``rep_build`` certified.
+    their inverses (one stacked call each), the invariant vectors and the reference
+    walk's ``hp_tables``.  Each is derived on first read and kept; none is a
+    constructor argument, so none can disagree with the data.  Instances are
+    treated as immutable; ``certified`` holds the relators ``rep_build`` certified.
     """
 
     family: str
@@ -237,14 +233,14 @@ class Representation:
     certified: frozenset = field(default_factory=frozenset, init=False, repr=False)
 
     def __post_init__(self):
-        for m in self.assignment.values():
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        for (p, q), (r, s) in (m.tolist() for m in self.assignment.values()):  # faster than numpy scalars
+            det = p * s - q * r
             if abs(det - 1) > SL2_DET_TOL:
                 raise RepresentationError(f"matrix determinant {det} is not 1 within {SL2_DET_TOL}")
 
     @cached_property
     def _complex_scalars(self):
-        return _scalars(self.family, self.xi, self.a, self.b, self.index)
+        return _scalars(self.xi, _root_fractions(self.family, self.a, self.b, self.index))
 
     @property
     def z(self) -> complex:
@@ -267,6 +263,13 @@ class Representation:
             return dict(zip(self.adjoints, np.linalg.inv(list(self.adjoints.values()))))
 
     @cached_property
+    def hp_tables(self) -> tuple:
+        """``hp_assignment`` at HP_BITS, built once for the reference walk."""
+        import mpmath
+        with mpmath.mp.workprec(HP_BITS):
+            return hp_assignment(self)
+
+    @cached_property
     def vectors(self) -> dict:
         """The family's invariant vectors by case as read-only float64 arrays."""
         z, roots = self._complex_scalars
@@ -275,7 +278,6 @@ class Representation:
         for vec in vecs.values():
             vec.flags.writeable = False
         return vecs
-
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -414,15 +416,6 @@ def _certificate_draws(a: int, b: int) -> tuple:
     return tuple(draws)
 
 
-def _orbit_representative(family: str, a: int, b: int, index) -> Tuple[int, ...]:
-    """The least index of the orbit of ``index`` under omega -> omega^k, k a unit mod N, which keeps
-    relator identities: fixed by each gcd(2k+1, den), for NN if its dens are coprime, else ``index``."""
-    fractions = _root_fractions(family, a, b, index)
-    if len(fractions) > 1 and math.gcd(*(den for _, den in fractions.values())) > 1:
-        return index
-    return tuple((math.gcd(2 * k + 1, den) - 1) // 2 for k, den in fractions.values())
-
-
 @lru_cache(maxsize=1024)
 def _certify_relations(family: str, a: int, b: int, orbit: Tuple[int, ...]) -> frozenset:
     """The cable and pattern relators, shown to hold at every xi and every index of
@@ -508,15 +501,18 @@ def rep_build(family: str, xi: complex, a: int, b: int, index=None) -> Represent
 
     The cable and pattern relators, and the gluing-torus and Seifert identities, are ``certified``
     by the cached ``_certify_relations`` of the index's orbit, so a repeated build checks nothing.
-    That proves the formulas ``mayer_vietoris._seifert_torsion`` reads its traces from.
+    That proves the formulas ``mayer_vietoris._seifert_torsion`` reads its traces from.  The indices of an
+    orbit of omega -> omega^k, k a unit mod N, share the certificate of its least one, fixed by each gcd(2k+1, den).
     """
     xi = check_parameters(family, xi, a, b)
-    index = _checked_index(family, a, b, index)
-    z, roots = _scalars(family, xi, a, b, index)
+    fractions = _root_fractions(family, a, b, index)  # the one index check
+    z, roots = _scalars(xi, fractions)
     entries = _family_entries(family, z, a, b, **roots)
     assignment = {name: np.array(m, dtype=complex) for name, m in entries.items()}
-    rep = Representation(family, assignment, xi, a, b, index)
-    rep.certified = _certify_relations(family, a, b, _orbit_representative(family, a, b, index))
+    rep = Representation(family, assignment, xi, a, b, tuple(k for k, _ in fractions.values()))
+    coprime = len(fractions) < 2 or math.gcd(*(den for _, den in fractions.values())) == 1
+    orbit = tuple((math.gcd(2 * k + 1, den) - 1) // 2 if coprime else k for k, den in fractions.values())
+    rep.certified = _certify_relations(family, a, b, orbit)
     return rep
 
 

@@ -27,7 +27,6 @@ from cabletorsion.presentations import (
 from cabletorsion.representations import (
     _adj2,
     _family_entries,
-    _hp_scalars,
     _invariant_entries,
     _invariant_root,
     abelian_representation,
@@ -409,10 +408,9 @@ class TestFoxWalkMatchesReference:
                 word = peri[name]
                 ref = _hp_reference(word, rep, pres, case, dps=80)
                 with mpmath.mp.workprec(HP_BITS):
-                    mats = hp_assignment(rep)
+                    mats, (z, roots) = hp_assignment(rep)
                     adjoints = ({g: _hp_adjoint(m) for g, m in mats.items()},
                                 {g: _hp_adjoint(_adj2(m)) for g, m in mats.items()})
-                    z, roots = _hp_scalars(rep)
                     vector = np.array(_invariant_entries(case, z, roots.get(_invariant_root(case, family))),
                                       dtype=object)
                     walked, _ = _fox_walk(word, pres.generators, vector, *adjoints)

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cabletorsion import cli
@@ -90,6 +91,19 @@ class TestCompute:
         assert record["piece_complexes"]["S"] == build_gluing_torus(rep).complex.to_json_dict()
         assert list(record["piece_complexes"]) == ["C", "D", "S"]
         assert record["tor_S"] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("family, index", [("AN", ["--j", "0"]), ("NA", ["--k", "0"]),
+                                               ("NN", ["--l", "0", "--m", "0"])])
+    def test_dump_complex_where_the_value_certifies(self, capsys, family, index):
+        # at xi = -1+i the float64 walk of la_C misses Ad(mu_C) by more than the commutation
+        # tolerance (AN); S now takes the action the certificate proves, so the dump goes through
+        code, out, _ = run_cli(capsys, "compute", "--family", family, "--a", "3", "--b", "40", *index,
+                               "--xi=-1,1", "--dump-complex")
+        assert code == 0
+        d1 = np.array(json.loads(out)["piece_complexes"]["S"]["boundaries"][0])
+        mu, la = (d1[:, 3 * i:3 * i + 3, 0] + 1j * d1[:, 3 * i:3 * i + 3, 1] + np.eye(3) for i in (0, 1))
+        want = np.eye(3) if family == "AN" else np.linalg.matrix_power(mu, -14)  # Ad(mu_C)^-(4a+2)
+        assert np.array_equal(la, want) if family == "AN" else np.allclose(la, want, rtol=1e-12, atol=1e-12)
 
     def test_dump_representation_pairs(self, capsys):
         code, out, _ = run_cli(

@@ -243,8 +243,7 @@ class TestTorE:
         called = []
         for module in (chains, mayer_vietoris):
             monkeypatch.setattr(module, "chain_of_loop_hp", lambda *args: called.append("walk"), raising=False)
-        for module, name in ((representations, "hp_assignment"), (representations, "_hp_scalars"),
-                             (chains, "_hp_adjoint")):
+        for module, name in ((representations, "hp_assignment"), (chains, "_hp_adjoint")):
             monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name))
         for b in (40, 80):
             for family, index in (("AN", (0,)), ("NA", (0,)), ("NN", (0, 0))):
@@ -353,12 +352,21 @@ class TestAbelianRoute:
             tor_E_abelian(6, 200, 4 + 0.1j)
 
 
+@pytest.fixture
+def fresh_phi1_det():
+    """An empty cache of det[phi_1 | e_designated1] before and after: a test that patches
+    phi_1 must not read, or leave, determinants of the real one."""
+    mayer_vietoris._phi1_det.cache_clear()
+    yield mayer_vietoris._phi1_det
+    mayer_vietoris._phi1_det.cache_clear()
+
+
 class TestNineSlotCrossCheck:
     """tor_E takes Tor(H*) from det[phi_1 | e_designated1]; the nine-slot
     sequence, built on demand, must agree with it."""
 
     @pytest.mark.parametrize("family, a, b, index", CROSS_CHECK_CALLS)
-    def test_sequence_route_agrees_with_the_determinant(self, family, a, b, index, monkeypatch):
+    def test_sequence_route_agrees_with_the_determinant(self, family, a, b, index, monkeypatch, fresh_phi1_det):
         result = tor_E(family, a, b, index, XI)
         assert homology(result.sequence, tol=EXACTNESS_TOL).dims == (0,) * 9
         # same value and the same sign, not just equal modulo sign
@@ -375,8 +383,24 @@ class TestNineSlotCrossCheck:
         with pytest.raises(MayerVietorisError, match=span):
             build_mv_sequence(family, deficient, result.pieces)
         monkeypatch.setattr(mayer_vietoris, "_phi1", lambda *args: deficient.phi1)
-        with pytest.raises(MayerVietorisError, match=span):
-            tor_E(family, a, b, index, XI)
+        fresh_phi1_det.cache_clear()  # the first call kept the real determinant
+        for _ in range(2):  # on every call: the cache keeps no exception
+            with pytest.raises(MayerVietorisError, match=span):
+                tor_E(family, a, b, index, XI)
+
+    @pytest.mark.parametrize("family, index, other", [("AN", (5,), (39,)), ("NA", (1,), (2,)), ("NN", (5, 1), (0, 0))])
+    def test_warm_call_repeats_no_work(self, family, index, other, monkeypatch, fresh_phi1_det):
+        # det[phi_1 | e_designated1] is kept per (family, a, b), and rep_build checks the index once
+        calls = {"_ldet": 0, "_checked_index": 0}
+        for module, name in ((mayer_vietoris, "_ldet"), (representations, "_checked_index")):
+            monkeypatch.setattr(module, name, lambda *args, _f=getattr(module, name), _n=name, **kw:
+                                calls.__setitem__(_n, calls[_n] + 1) or _f(*args, **kw))
+        tor_E(family, 3, 40, index, XI)
+        assert calls["_ldet"] > 0 and calls["_checked_index"] == 1
+        calls.update(dict.fromkeys(calls, 0))
+        got = tor_E(family, 3, 40, other, -1 + 1j)
+        assert calls == {"_ldet": 0, "_checked_index": 1}
+        assert got.tor_h.value == 1 / {"AN": -81, "NA": -1, "NN": 28 - 81}[family]
 
     @pytest.mark.parametrize("family, a, b, index", [("AN", 3, 40, (5,)), ("NA", 2, 10, (1,)), ("NN", 1, 7, (0, 0))])
     def test_hot_path_builds_no_sequence(self, family, a, b, index, monkeypatch):
@@ -420,6 +444,15 @@ class TestSplittingTorusDropped:
     def test_na_matches_theorem(self, a, b, k, xi):
         result = tor_E("NA", a, b, (k,), xi)
         assert torsion_equal(result.value, theorem_rhs("NA", a, b, (k,), xi), 1e-6)
+
+    def test_hand_built_torus_keeps_the_commutation_guard(self):
+        # AN (3,40) j = 0 at xi = -1+i: the certified rep takes Ad(la_C) = I, while the same
+        # matrices, hand-built and so uncertified, walk la_C in float64 and fail the guard
+        rep = rep_build("AN", -1 + 1j, 3, 40, (0,))
+        assert torsion_equal(build_gluing_torus(rep).torsion, 1.0, 1e-9)
+        hand_built = representations.Representation("AN", rep.assignment, rep.xi, 3, 40, rep.index)
+        with pytest.raises(ChainComplexError, match="peripheral adjoint actions do not commute"):
+            build_gluing_torus(hand_built)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_peripheral_action_is_named(self, bad, monkeypatch):

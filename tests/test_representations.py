@@ -105,7 +105,7 @@ class TestFamilyMatrices:
         assert_close(rep_na.omega1, cmath.exp(1j * cmath.pi / 3))
         assert abs(rep_nn.omega3 ** (2 * 7 + 1 - 4 * (2 * 1 + 1)) + 1) < 1e-12
         for rep in (rep_an, rep_na, rep_nn):  # the reference walk's mpmath roots come from the same indices
-            _, roots = representations._hp_scalars(rep)
+            _, (_, roots) = representations.hp_assignment(rep)
             assert roots and all(abs(complex(w) - getattr(rep, name)) < 1e-15 for name, w in roots.items())
 
 
@@ -519,16 +519,23 @@ class TestRelationCheck:
         assert [n for n in odd if representations._is_prime(n)] == [n for n in odd if all(n % q for q in range(3, n))]
         assert not representations._is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
 
-    def test_orbits_at_3_40(self):
-        def orbits(family):
-            return {representations._orbit_representative(family, 3, 40, index)
-                    for index in index_range(family, 3, 40)}
+    def test_orbits_at_3_40(self, monkeypatch):
+        # the orbit rep_build keys the certificate by
+        keys, certify = [], representations._certify_relations
+        monkeypatch.setattr(representations, "_certify_relations",
+                            lambda family, a, b, orbit: keys.append(orbit) or certify(family, a, b, orbit))
+
+        def orbits(family, a=3, b=40, indices=None):
+            keys.clear()
+            for index in indices or index_range(family, a, b):
+                rep_build(family, XI, a, b, index)
+            return set(keys)
         # gcd(2j+1, 81) is 1, 3, 9 or 27; 7 is prime; 53 and 7 are coprime and prime
         assert orbits("AN") == {(0,), (1,), (4,), (13,)}
         assert orbits("NA") == {(0,)}
         assert orbits("NN") == {(0, 0)}
         # (2, 17): the NN denominators 5 and 15 are not coprime, so it is keyed by index
-        assert representations._orbit_representative("NN", 2, 17, (3, 1)) == (3, 1)
+        assert orbits("NN", 2, 17, [(3, 1)]) == {(3, 1)}
 
     def test_cold_sweep_makes_one_certificate_per_orbit(self, monkeypatch, fresh_certificates):
         calls = _count_calls(monkeypatch, "_relator_deviations")
@@ -542,7 +549,7 @@ class TestRelationCheck:
     @pytest.mark.parametrize("family, index", [("AA", None), ("AN", (5,)), ("NA", (1,)), ("NN", (5, 1))])
     def test_warm_rep_build_makes_no_relator_products(self, family, index, monkeypatch):
         rep_build(family, XI, 3, 40, index)  # warms the certificate
-        z, roots = representations._scalars(family, XI, 3, 40, index)
+        z, roots = representations._scalars(XI, representations._root_fractions(family, 3, 40, index))
         calls = _count_calls(monkeypatch, "_mul2")
         representations._family_entries(family, z, 3, 40, **roots)
         formulas = calls[0]  # the products of the family formulas themselves
@@ -554,7 +561,7 @@ class TestRelationCheck:
         # product per factor made 52 and 372
         calls, counts = _count_calls(monkeypatch, "_mul2"), []
         for b in (40, 200):
-            z, roots = representations._scalars("NA", XI, 3, b, (1,))
+            z, roots = representations._scalars(XI, representations._root_fractions("NA", 3, b, (1,)))
             before = calls[0]
             representations._family_entries("NA", z, 3, b, **roots)
             counts.append(calls[0] - before)
@@ -612,7 +619,7 @@ class TestRelationCheck:
         # p t p t^-1, on a non-abelian pattern side 1 + 1 for (p t)^2, and on a
         # non-abelian torus side 6 + 1 for ((xy)^3 x)^2 and 1 + 4 for (xy)^7
         calls = _count_calls(monkeypatch, "_mul2")
-        z, roots = representations._scalars(family, XI, 3, 40, index)
+        z, roots = representations._scalars(XI, representations._root_fractions(family, 3, 40, index))
         representations._family_entries(family, z, 3, 40, **roots)
         formulas = calls[0]
         calls[0] = 0
