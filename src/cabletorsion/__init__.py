@@ -7,81 +7,28 @@ words and Fox calculus (``words``), the piece presentations
 twisted chain complexes (``chains``), the torsion engine (``torsion``), the
 Mayer-Vietoris gluing (``mayer_vietoris``), and the scalar closed forms that
 serve as oracles (``closed_forms``).  ``cli`` exposes compute / verify /
-sweep commands.
+sweep commands.  The package exports only what the demos, the README and the
+tests read from it; everything else is imported from its module.
 """
 
-from .words import (
-    GroupRingElement,
-    Word,
-    fox_derivative,
-    parse_word,
-    word_to_text,
-)
-from .presentations import (
-    PeripheralSystem,
-    Presentation,
-    abelianization_exponents,
-    cable_exterior_presentation,
-    pattern_piece_presentation,
-    torus_piece_presentation,
-)
-from .representations import (
-    CabletorsionError,
-    Representation,
-    RepresentationError,
-    abelian_representation,
-    adjoint_matrix,
-    evaluate_ring,
-    evaluate_word,
-    index_range,
-    invariant_vector,
-    rep_build,
-    verify_relations,
-)
-from .linalg import kernel_basis, numerical_rank
-from .chains import (
-    BasedChainComplex,
-    chain_of_loop,
-    class_coordinates,
-    homology,
-    presentation_complex,
-    torus_complex,
-)
-from .torsion import (
-    TorsionValue,
-    reidemeister_torsion,
-    torsion_equal,
-)
-from .mayer_vietoris import (
-    InducedMaps,
-    TorEResult,
-    build_mv_sequence,
-    build_gluing_torus,
-    build_pattern_piece,
-    build_torus_piece,
-    induced_maps,
-    mv_torsion,
-    tor_E,
-    tor_E_abelian,
-)
+from .words import GroupRingElement, fox_derivative, parse_word, word_to_text
+from .presentations import cable_exterior_presentation, torus_piece_presentation
+from .representations import CabletorsionError, abelian_representation, rep_build
+from .chains import homology, presentation_complex
+from .torsion import reidemeister_torsion, torsion_equal
+from .mayer_vietoris import build_gluing_torus, build_mv_sequence, build_pattern_piece, build_torus_piece
+from .mayer_vietoris import induced_maps, mv_torsion, tor_E, tor_E_abelian
 from . import closed_forms
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CabletorsionError",
-    "GroupRingElement", "Word", "fox_derivative", "parse_word",
-    "word_to_text", "PeripheralSystem", "Presentation",
-    "abelianization_exponents", "cable_exterior_presentation",
-    "pattern_piece_presentation", "torus_piece_presentation",
-    "Representation", "RepresentationError", "abelian_representation",
-    "adjoint_matrix", "evaluate_ring", "evaluate_word", "index_range",
-    "invariant_vector", "rep_build", "verify_relations",
-    "kernel_basis", "numerical_rank",
-    "BasedChainComplex", "chain_of_loop", "class_coordinates", "homology",
-    "presentation_complex", "torus_complex",
-    "TorsionValue", "reidemeister_torsion", "torsion_equal",
-    "InducedMaps", "TorEResult", "build_mv_sequence", "build_gluing_torus",
-    "build_pattern_piece", "build_torus_piece", "induced_maps", "mv_torsion",
-    "tor_E", "tor_E_abelian", "closed_forms",
+    "GroupRingElement", "fox_derivative", "parse_word", "word_to_text",
+    "cable_exterior_presentation", "torus_piece_presentation",
+    "abelian_representation", "rep_build",
+    "homology", "presentation_complex",
+    "reidemeister_torsion", "torsion_equal",
+    "build_mv_sequence", "build_gluing_torus", "build_pattern_piece", "build_torus_piece",
+    "induced_maps", "mv_torsion", "tor_E", "tor_E_abelian", "closed_forms",
 ]

@@ -95,7 +95,7 @@ def cmd_compute(args) -> int:
             name: piece.complex.to_json_dict() for name, piece in result.pieces.items()
         }
     if args.dump_representation:
-        rep = rep_build(args.family, xi, args.a, args.b, index)
+        rep = rep_build(args.family, xi, args.a, args.b, index) if result is None else result.rep
         record["representation"] = {
             name: _matrix_pairs(m) for name, m in sorted(rep.assignment.items())
         }

@@ -120,7 +120,7 @@ def tau_torus(k: int, c: int, d: int) -> complex:
 
 def theorem_rhs(family: str, a: int, b: int, index, xi: complex = 0.0) -> complex:
     """One representative of the +- class of the glued-torsion closed form, for an index of
-    ``index_range(family, a, b)``; any other index raises."""
+    ``index_range(family, a, b)``; any other index, or an NA value past float64, raises."""
     if family not in ("AN", "NA", "NN"):
         raise ClosedFormError(f"theorem_rhs knows families AN, NA, NN; got {family!r}")
     index = _checked_index(family, a, b, index, ClosedFormError)
@@ -137,7 +137,11 @@ def theorem_rhs(family: str, a: int, b: int, index, xi: complex = 0.0) -> comple
         ratio = (z ** (8 * a - 2 * b + 3) + z ** (-8 * a + 2 * b - 3)) / _guard_denominator(
             omega1 - 1 / omega1, "omega1 - omega1^-1"
         )
-        return (2 * a + 1) / 2 * ratio ** 2
+        value = (2 * a + 1) / 2 * ratio ** 2  # grows like e^(m |Re xi|), m = 2b-8a-3
+        if not cmath.isfinite(value):
+            raise ClosedFormError(f"theorem_rhs of NA at (a, b) = ({a}, {b}), xi = {xi}: "
+                                  "the value overflows float64")
+        return value
     _, m = index  # NN
     omega1 = cmath.exp(1j * math.pi * (2 * m + 1) / (2 * a + 1))
     num = (2 * a + 1) * (4 * (2 * a + 1) - (2 * b + 1))

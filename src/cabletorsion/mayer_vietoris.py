@@ -192,13 +192,19 @@ def _abelian_torsion(rep: Representation, side: str) -> TorsionValue:
     R(1) = 0); ordering C_1 by weight cancels the sign of the sum.  So Tor(C) = R(1) A(e^s) A(e^-s) /
     (2 sinh(s/2))^2 with A = +-R, and Tor(D) = Q(e^xi) Q(e^-xi) (``_weight_terms``)."""
     if side == "C":
-        pres = torus_piece_presentation(rep.a)[0]
         s = 2j * cmath.pi * (2 * rep.index[0] + 1) / (2 * rep.b + 1)
-        scale = (2 * cmath.sinh(s / 2)) ** 2 / pres.relators[0].exponent_sum(pres.generators[1])
+        scale = (2 * cmath.sinh(s / 2)) ** 2 / _relator_sum(rep.a)
     else:
         s, scale = rep.xi, 1.0
     what = lambda: f"Tor({side}) of {rep.family} at (a, b) = ({rep.a}, {rep.b}), xi = {rep.xi}"
     return _at_weights(*_weight_terms(side, rep.a, rep.b), s, scale, what)
+
+
+@lru_cache(maxsize=256)
+def _relator_sum(a: int) -> int:
+    """e_y(r) of the torus relator r, R(1) of ``_abelian_torsion`` on C, once per a."""
+    pres = torus_piece_presentation(a)[0]
+    return pres.relators[0].exponent_sum(pres.generators[1])
 
 
 def _seifert_torsion(rep: Representation, side: str) -> TorsionValue:

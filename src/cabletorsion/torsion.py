@@ -12,8 +12,9 @@ classes); comparisons therefore go through torsion_equal, which works modulo
 multiplication by -1.
 
 The size of each b_i, rank(d_i), is fixed by the chain dimensions and the
-number of lifts per degree; one call gives each D_i and its basis check
-(``linalg.conditioned_det``), which reads singular values only as a fallback.
+number of lifts per degree.  Each assembled basis is judged by the one rank
+rule of ``linalg``: it is a basis when all its singular values exceed
+``BASIS_CONDITION_TOL`` sigma_max, and D_i is ``np.linalg.det`` of it.
 The assembled bases come back with the value (``TorsionValue.bases``): class
 coordinates are solved against them, with the ranks the lift counts fixed.
 """
@@ -38,11 +39,11 @@ class TorsionError(CabletorsionError):
 @dataclass(frozen=True)
 class AssembledBasis:
     """d_{i+1}(b_{i+1}) u lifts_i u b_i as the columns of ``matrix``; ``lifts`` slices the lifts;
-    ``conditioning`` is what it was accepted on at ``BASIS_CONDITION_TOL``."""
+    ``conditioning`` is its sigma_min / sigma_max, accepted above ``BASIS_CONDITION_TOL``."""
 
     matrix: np.ndarray
     lifts: slice
-    conditioning: linalg.Conditioning
+    conditioning: float
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,8 @@ def reidemeister_torsion(
     """Torsion of the based complex with homology lifts ``{degree: [chains]}``.
 
     The boundary ranks come from the lift counts alone (``_lift_ranks``).
-    Pivot feasibility, the cycle residual of every lift and the conditioning
-    of every assembled basis are checked, and each failure raises a
+    Pivot feasibility, the finiteness and cycle residual of every lift and the
+    conditioning of every assembled basis are checked, and each failure raises a
     TorsionError.  Passing ``rng`` draws another admissible b_i selection, to
     confirm the result is independent of that choice: the same pivot rule on
     d_i times random positive column weights, whose picks stay independent in d_i.
@@ -125,6 +126,8 @@ def reidemeister_torsion(
         for chain in table[i]:
             if chain.shape != (cplx.dims[i],):
                 raise TorsionError(f"degree-{i} lift has shape {chain.shape}")
+            if not np.isfinite(chain).all():  # the cycle check below compares NaN as False
+                raise TorsionError(f"degree-{i} lift has non-finite entries")
             resid = linalg.norm(d_i @ chain)  # 0 for d_0, which is empty
             scale = max(d_norm * linalg.norm(chain), 1.0)
             if resid > CYCLE_TOL * scale:
@@ -145,14 +148,14 @@ def reidemeister_torsion(
             assembled[:, col] = chain
         for col, j in enumerate(b_cols.get(i, []), lift_cols.stop):
             assembled[j, col] = 1.0
-        det, conditioning = linalg.conditioned_det(assembled, BASIS_CONDITION_TOL)
-        if not conditioning.full_rank:
+        sigma = np.linalg.svd(assembled, compute_uv=False)
+        if linalg._rank(sigma, BASIS_CONDITION_TOL) != dim:
             raise TorsionError(
                 f"assembled basis singular in degree {i}; "
                 "wrong lifts or degenerate parameters"
             )
-        bases[i] = AssembledBasis(assembled, lift_cols, conditioning)
-        result *= det ** ((-1) ** (i + 1))
+        bases[i] = AssembledBasis(assembled, lift_cols, float(sigma[-1] / sigma[0]))
+        result *= np.linalg.det(assembled) ** ((-1) ** (i + 1))
     tor = TorsionValue(result)
     tor.bases.update(bases)
     return tor

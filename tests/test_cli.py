@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cabletorsion import cli
+from cabletorsion import cli, mayer_vietoris
 from cabletorsion.cli import main
 from cabletorsion.closed_forms import tau0
 from cabletorsion.mayer_vietoris import MayerVietorisError, build_gluing_torus, build_mv_sequence, tor_E
@@ -53,6 +53,22 @@ class TestCompute:
             capsys, "compute", "--family", "AN", "--a", "1", "--b", "6", "--xi", "0.3,0.1"
         )
         assert code == 2
+
+    def test_past_float64_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "--family", "NA", "--a", "10", "--b", "400",
+                                 "--k", "0", "--xi=-1,1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "float64" in err
+
+    def test_dump_representation_builds_it_once(self, capsys, monkeypatch):
+        calls = []
+        for module in (cli, mayer_vietoris):
+            monkeypatch.setattr(module, "rep_build",
+                                lambda *args, _f=module.rep_build: calls.append(args) or _f(*args))
+        code, out, _ = run_cli(capsys, "compute", "--family", "NN", "--a", "3", "--b", "40",
+                               "--l", "0", "--m", "0", "--dump-representation")
+        assert code == 0 and len(calls) == 1
+        assert sorted(json.loads(out)["representation"]) == ["p", "t", "x", "y"]
 
     def test_deterministic_output(self, capsys):
         args = ("compute", "--family", "NN", "--a", "1", "--b", "7",
@@ -177,6 +193,15 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--family", "AN", "--a", "3", "--b", "40", "--xi=-1,1")
         assert (code, err) == (0, "")
         assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == ["1"] * 40
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_closed_form_past_float64_exits_2(self, capsys, fmt):
+        # no row is written with a NaN reference, which is not valid JSON
+        code, out, err = run_cli(capsys, "sweep", "--family", "NA", "--a", "6", "--b", "200",
+                                 "--xi=2.05,0.1", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == ("error: theorem_rhs of NA at (a, b) = (6, 200), xi = (2.05+0.1j): "
+                       "the value overflows float64\n")
 
     def test_bad_parameters_exit_2_before_any_row(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--family", "AN", "--a", "0", "--b", "40")

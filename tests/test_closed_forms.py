@@ -183,6 +183,12 @@ class TestTheoremRhs:
                     value = abs(theorem_rhs("NN", a, b, (l, m)))
                     assert abs(value - expected) <= 1e-10 * expected
 
+    @pytest.mark.parametrize("a, b, xi", [(10, 400, -1 + 1j), (6, 200, 2.05 + 0.1j)])
+    def test_na_past_float64_is_named(self, a, b, xi):
+        # the value grows like e^(m |Re xi|), m = 2b-8a-3: about e^717 and e^715 here
+        with pytest.raises(ClosedFormError, match="overflows float64"):
+            theorem_rhs("NA", a, b, (0,), xi)
+
     def test_unknown_family(self):
         with pytest.raises(ClosedFormError):
             theorem_rhs("AA", 1, 6, ())

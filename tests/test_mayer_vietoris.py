@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from cabletorsion import chains, linalg, mayer_vietoris, representations
+from cabletorsion import chains, mayer_vietoris, representations
 from cabletorsion.chains import ChainComplexError, class_coordinates, homology, presentation_complex
 from cabletorsion.closed_forms import tau0, theorem_rhs
 from cabletorsion.linalg import numerical_rank
@@ -26,8 +27,10 @@ from cabletorsion.mayer_vietoris import (
     tor_E_abelian,
 )
 from cabletorsion.presentations import cable_exterior_presentation, torus_piece_presentation
-from cabletorsion.representations import RepresentationError, evaluate_word, index_range, invariant_vector, rep_build
+from cabletorsion.representations import HP_BITS, RepresentationError, _word2, adjoint_matrix, evaluate_word
+from cabletorsion.representations import hp_assignment, index_range, invariant_vector, rep_build
 from cabletorsion.torsion import TorsionError, TorsionValue, reidemeister_torsion, torsion_equal
+from cabletorsion.words import Word
 from conftest import assert_close, float_torsion, gluing_chains
 
 XI = 0.3 + 0.1j
@@ -375,6 +378,13 @@ class TestNineSlotCrossCheck:
         # the value takes Tor(S) as exactly 1; S, built on first read, agrees
         assert result.tor_s == TorsionValue(1)
         assert torsion_equal(result.pieces["S"].torsion, 1.0, 1e-9)
+        # S's la~ block (columns 3-5 of d_1 are L - I) is Ad(la_C), of rho(la_C) multiplied out in
+        # 216 bits: the float64 walk of la_C is 3.6e-9 off at AN (3,40) j = 39
+        with mpmath.mp.workprec(HP_BITS):
+            la = _word2(hp_assignment(result.rep)[0], torus_piece_presentation(a)[1]["lambda_C"])
+        walked = adjoint_matrix(np.array(la, dtype=complex))
+        taken = result.pieces["S"].complex.d(1)[:, 3:] + np.eye(3)
+        assert np.linalg.norm(taken - walked) <= 1e-9 * np.linalg.norm(walked)
 
         # a rank-deficient phi_1 trips the span guard on both routes
         deficient = InducedMaps(result.maps.phi2, result.maps.phi1.copy(), result.maps.phi0)
@@ -402,6 +412,17 @@ class TestNineSlotCrossCheck:
         assert calls == {"_ldet": 0, "_checked_index": 1}
         assert got.tor_h.value == 1 / {"AN": -81, "NA": -1, "NN": 28 - 81}[family]
 
+    @pytest.mark.parametrize("family, index, other", [("AN", (5,), (39,)), ("NA", (1,), (2,)), ("NN", (5, 1), (0, 0))])
+    def test_warm_call_sums_no_exponents(self, family, index, other, monkeypatch):
+        # e_y of the torus relator (AN's C) and the phi_1 rows are kept per a and per (a, b)
+        calls = []
+        monkeypatch.setattr(Word, "exponent_sum",
+                            lambda self, g, _f=Word.exponent_sum: calls.append(g) or _f(self, g))
+        tor_E(family, 3, 40, other, XI)
+        calls.clear()
+        tor_E(family, 3, 40, index, -1 + 1j)
+        assert calls == []
+
     @pytest.mark.parametrize("family, a, b, index", [("AN", 3, 40, (5,)), ("NA", 2, 10, (1,)), ("NN", 1, 7, (0, 0))])
     def test_hot_path_builds_no_sequence(self, family, a, b, index, monkeypatch):
         want = tor_E(family, a, b, index, XI)
@@ -422,10 +443,10 @@ class TestNineSlotCrossCheck:
     @pytest.mark.parametrize("family, index", [("AN", (5,)), ("NA", (1,)), ("NN", (3, 1))])
     def test_hot_path_decides_no_rank(self, family, index, monkeypatch):
         # both sides are exact and [phi_1 | e_designated1] is an integer determinant:
-        # no singular value, no determinant certificate and no assembled basis
+        # no singular value, no float64 determinant and no assembled basis
         calls = []
-        for module, name in ((np.linalg, "svd"), (np.linalg, "det"), (linalg, "conditioned_det")):
-            monkeypatch.setattr(module, name, lambda *args, _f=getattr(module, name), **kw:
+        for name in ("svd", "det"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, _f=getattr(np.linalg, name), **kw:
                                 calls.append(args[0].shape) or _f(*args, **kw))
         result = tor_E(family, 3, 40, index, XI)
         assert calls == []
