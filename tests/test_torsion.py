@@ -254,3 +254,91 @@ class TestRanksFromLiftCounts:
         lifts = {1: [np.ones(2, dtype=complex)] * 3}
         with pytest.raises(TorsionError, match="degree 1 takes at most 2"):
             reidemeister_torsion(cplx, lifts)
+
+
+def _basis_with_spectrum(rng, sigma):
+    """U diag(sigma) V^H for random unitary U, V."""
+    n = len(sigma)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (u * sigma) @ v.conj().T
+
+
+class TestAssembledBasisRule:
+    # A complex C_0 alone, with the columns of m as its degree-0 lifts, makes m
+    # the one assembled basis: at every order a basis of the engine has, near
+    # the threshold and at extreme scales, it is accepted exactly when its
+    # singular values clear BASIS_CONDITION_TOL sigma_max, with that ratio as
+    # its conditioning, and the torsion is 1 / det m.
+    ORDERS = (3, 6, 9, 12)
+
+    def judge(self, m):
+        """The accepted basis's conditioning and the torsion, or None where it is rejected."""
+        cplx = BasedChainComplex((m.shape[0],), ())
+        try:
+            tor = reidemeister_torsion(cplx, {0: list(m.T)})
+        except TorsionError as err:
+            assert "assembled basis singular in degree 0" in str(err)
+            return None
+        basis = tor.bases[0]
+        assert np.array_equal(basis.matrix, m) and basis.lifts == slice(0, m.shape[0])
+        sigma = np.linalg.svd(m, compute_uv=False)
+        assert basis.conditioning == sigma[-1] / sigma[0] > BASIS_CONDITION_TOL
+        return basis.conditioning, tor
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_decision_is_the_svd_decision_across_the_threshold(self, n, rng):
+        accepted = rejected = 0
+        for ratio in np.r_[np.geomspace(1e-16, 1e-7, 28), 1e-4, 1e-1]:
+            for sigma in (np.geomspace(1.0, ratio, n), np.r_[np.ones(n - 1), ratio]):
+                m = _basis_with_spectrum(rng, sigma)
+                judged = self.judge(m)
+                computed = np.linalg.svd(m, compute_uv=False)
+                assert (judged is not None) == (computed[-1] > BASIS_CONDITION_TOL * computed[0])
+                if judged is None:
+                    rejected += 1
+                    assert ratio < 2 * BASIS_CONDITION_TOL
+                else:
+                    accepted += 1
+                    assert ratio > BASIS_CONDITION_TOL / 2
+                    assert torsion_equal(judged[1], 1 / np.linalg.det(m), 1e-12)
+        assert accepted and rejected
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_unitary_bases_are_accepted(self, n, rng):
+        for m in (np.eye(n, dtype=complex), _basis_with_spectrum(rng, np.ones(n))):
+            conditioning, tor = self.judge(m)
+            assert abs(conditioning - 1) < 1e-12
+            assert abs(abs(tor.value) - 1) < 1e-12
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_columns_scaled_by_1e100(self, n, rng):
+        # alternating 1e100 and 1e-100 keeps the determinant finite, but
+        # sigma_min / sigma_max is about 1e-200: no basis
+        scales = np.where(np.arange(n) % 2, 1e-100, 1e100)
+        for m in (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), np.eye(n)):
+            assert self.judge(m * scales) is None
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_zero_basis(self, n):
+        assert self.judge(np.zeros((n, n), dtype=complex)) is None
+
+    # At the scales below det m leaves float64 (numpy warns, silenced here),
+    # so only the decision and the conditioning are checked.
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_entries_near_1e160(self, n, rng):
+        m = 1e160 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            assert self.judge(m) is not None
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_entries_near_1e_minus_160(self, n, rng):
+        m = 1e-160 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            assert self.judge(m) is not None
+
+    def test_determinant_past_the_float_range(self, rng):
+        m = 1e150 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            assert np.isinf(np.linalg.det(m))
+            assert self.judge(m) is not None
